@@ -14,13 +14,16 @@ Subcommands::
                       [--rename A=B,...] [--json FILE]
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error.  Reports are deterministic for identical inputs.
+2 usage or input error, 141 the reader closed standard output early (as in
+``strictlin explore ... | head``; the rest of the report is dropped quietly).
+Reports are deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -32,6 +35,7 @@ from .programs import parse_program
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process killed by it
 
 
 class UsageError(ValueError):
@@ -370,7 +374,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

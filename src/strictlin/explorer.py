@@ -10,8 +10,14 @@ The state space is built once as a configuration graph.  Termination,
 runtime errors, livelock (every pending thread blocked), and divergence
 (reachable configuration cycles) are read off the graph; sets of execution
 outcomes are computed per observation projection by dynamic programming over
-the graph's strongly connected components.  A naive schedule-by-schedule
-enumerator is kept alongside as a cross-check oracle for small programs.
+the graph's strongly connected components.  The dynamic program works on
+interned integers local to one projection: a trace is an id in a cons table
+of ``(event id, tail id)`` cells, so traces sharing a suffix share its
+storage, and an outcome is a ``(trace id, leaf id)`` pair whose leaf holds
+the kind, final state, cycle and note.  Only the initial configuration's
+outcomes are turned into :class:`ExecutionResult` objects.  A naive
+schedule-by-schedule enumerator is kept alongside as a cross-check oracle
+for small programs.
 
 Conventions mirroring the trace model:
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .history import Act, Event, History, Inv, Ret, RetAbort
 from .models import Done, ObjectModel
@@ -195,7 +201,10 @@ class _Interp:
         self.prog = prog
         self.model = model
         self.spec = spec
-        self.cells = (model.cells if model else spec.cells) if (model or spec) else None
+        obj = model if model is not None else spec
+        self.cells = obj.cells
+        if self.cells is None and any(_uses_cells(code) for ph in prog.phases for code in ph):
+            raise ValueError(f"{obj.name} exposes no cells; the program reads or writes one")
         self.init = Config(0, self._phase_threads(0, 0), init_client, init_obj)
 
     def _phase_threads(self, phase: int, tid_base: int) -> tuple[ThreadState, ...]:
@@ -265,7 +274,6 @@ class _Interp:
             t2 = replace(t, mode="invoke", stmt=s, call_arg=arg)
             return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
         if isinstance(s, ReadCellStmt):
-            assert self.cells is not None, "object exposes no cells"
             try:
                 v = self.cells.read(c.obj, s.cell)
             except CellError as exc:
@@ -275,7 +283,6 @@ class _Interp:
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
             return [Transition(tid, (ev,), c2)]
         if isinstance(s, WriteCellStmt):
-            assert self.cells is not None, "object exposes no cells"
             try:
                 v = _eval(s.expr, env)
                 obj2 = self.cells.write(c.obj, s.cell, v)
@@ -395,6 +402,18 @@ class _Interp:
             t2 = replace(t, op_local=step.local)
             out.append(Transition(t.tid, (ev,), self._with_thread(c, i, t2, obj=step.shared)))
         return out
+
+
+def _uses_cells(code: tuple) -> bool:
+    """Whether a statement block reads or writes an object cell."""
+    for s in code:
+        if isinstance(s, (ReadCellStmt, WriteCellStmt)):
+            return True
+        if isinstance(s, WhileStmt) and _uses_cells(s.body):
+            return True
+        if isinstance(s, IfStmt) and (_uses_cells(s.then) or _uses_cells(s.els)):
+            return True
+    return False
 
 
 def _cellname(cell: tuple) -> str:
@@ -577,223 +596,169 @@ class Exploration:
         ``history``: invocations/responses only; ``client``: client events
         only.  Internal method-body steps never distinguish outcomes; the
         naive enumerator retains them for cross-checks.
+
+        Outcomes are computed over the SCCs, callees first, as sets of
+        ``(trace id, leaf id)`` pairs (see :class:`_Outcomes`): traces are
+        hash-consed, so all outcomes below a configuration share their
+        suffixes, and an edge that emits no kept event passes its target's
+        set on unchanged.  :class:`ExecutionResult` objects are built for
+        the initial configuration only.
         """
         if projection in self._results:
             return self._results[projection]
-        keep = _projector(projection)
         info = self.scc_info()
-        comps = info["comps"]
-        outcomes: dict[Config, frozenset] = {
-            c: frozenset({ExecutionResult((), Kind.UNKNOWN, note="step budget exhausted")})
-            for c in self.truncated
-        }
-
-        for ci in range(len(comps)):  # Tarjan emits callees first
-            group = [c for c in comps[ci] if c not in self.truncated]
-            if not group:
+        order = self.order
+        tables = _Outcomes(self, _projector(projection))
+        outcomes = tables.outcomes
+        for ci, comp in enumerate(info["comps"]):  # Tarjan emits callees first
+            if ci not in info["cyclic"]:
+                (c,) = comp
+                i = order[c]
+                if outcomes[i] is None:  # not a terminal or truncated one
+                    outcomes[i] = tables.node(i)
                 continue
-            cyclic = ci in info["cyclic"]
-            if not cyclic:
-                (c,) = group
-                outcomes[c] = frozenset(self._node_outcomes(c, keep, outcomes))
-            else:
-                if len(group) > 512:
-                    self.approximate = True
-                    for c in group:
-                        outcomes[c] = frozenset(
-                            {ExecutionResult((), Kind.UNKNOWN, note="scc too large")}
-                        )
-                    continue
-                for c in group:
-                    outcomes[c] = frozenset(
-                        self._cyclic_outcomes(c, set(group), keep, outcomes, info)
-                    )
-        res = outcomes[self.initial]
+            members = sorted(order[c] for c in comp)
+            if len(members) > 512:
+                self.approximate = True
+                too_large = frozenset({(0, tables.leaf(Kind.UNKNOWN, note="scc too large"))})
+                for i in members:
+                    outcomes[i] = too_large
+                continue
+            self._cyclic_outcomes(
+                members, tables, ci in info["object_cyclic"], ci in info["client_cyclic"]
+            )
+        res = frozenset(map(tables.result, outcomes[order[self.initial]]))
         self._results[projection] = res
         return res
 
-    def _edge_outcomes(
-        self, tr: Transition, keep, outcomes: dict[Config, frozenset]
-    ) -> Iterator[ExecutionResult]:
-        ev = tuple(e for e in tr.events if keep(e))
-        if tr.target is None:
-            yield ExecutionResult(ev, Kind.ABORTED, note="runtime error")
-            return
-        for o in outcomes[tr.target]:
-            yield replace(o, trace=ev + o.trace)
-
-    def _node_outcomes(
-        self, c: Config, keep, outcomes: dict[Config, frozenset]
-    ) -> Iterator[ExecutionResult]:
-        if c in self.terminal_done:
-            yield ExecutionResult((), Kind.TERMINATED, c.client, c.obj)
-            return
-        if c in self.terminal_livelock:
-            yield ExecutionResult(
-                (), Kind.OBJECT_DIVERGENT, note="all pending threads blocked"
-            )
-            return
-        for tr in self.edges[c]:
-            yield from self._edge_outcomes(tr, keep, outcomes)
-
     def _cyclic_outcomes(
-        self, start: Config, group: set[Config], keep, outcomes, info
-    ) -> Iterator[ExecutionResult]:
+        self, members: list[int], tables: "_Outcomes", object_cyclic: bool,
+        client_cyclic: bool,
+    ) -> None:
+        """Outcomes of every configuration of the cyclic component
+        ``members`` (configuration ids in ascending order)."""
+        edges, group = tables.edges, set(members)
         # divergent continuations: one representative lasso per divergence
-        # kind this component supports
-        k = info["comp"][start]
+        # kind this component supports.  Its cycle does not depend on where
+        # the lasso starts; only the stem, a shortest path to the cycle, does.
+        cycles = []
+        if object_cyclic:
+            cycles.append((Kind.OBJECT_DIVERGENT, _object_cycle(edges, members, group)))
+        if client_cyclic:
+            cycles.append((Kind.CLIENT_DIVERGENT, _client_cycle(edges, members, group)))
+        lassos = []  # (configuration entering the cycle, leaf id)
         observable_cycle = False
-        if k in info["object_cyclic"]:
-            rep = self._object_lasso(start, group)
-            if rep is not None:
-                stem, cyc = rep
-                observable_cycle |= any(keep(e) for e in cyc)
-                yield ExecutionResult(
-                    tuple(e for e in stem if keep(e)),
-                    Kind.OBJECT_DIVERGENT,
-                    cycle=tuple(e for e in cyc if keep(e)),
-                )
-        if k in info["client_cyclic"]:
-            rep = self._client_lasso(start, group)
-            if rep is not None:
-                stem, cyc = rep
-                observable_cycle |= any(keep(e) for e in cyc)
-                yield ExecutionResult(
-                    tuple(e for e in stem if keep(e)),
-                    Kind.CLIENT_DIVERGENT,
-                    cycle=tuple(e for e in cyc if keep(e)),
-                )
-        if observable_cycle and self._scc_has_exit(group):
+        for kind, found in cycles:
+            if found is None:
+                continue
+            entry, cycle = found
+            observable_cycle |= bool(cycle)
+            events = tuple(tables.events[e] for e in cycle)
+            lassos.append((entry, tables.leaf(kind, cycle=events)))
+        if observable_cycle and any(
+            t is None or t not in group for i in members for _, t, _ in edges[i]
+        ):
             # terminating schedules that lap an observable cycle more than
             # once are not enumerated separately
             self.approximate = True
-        # terminating / exiting continuations: simple paths inside the
-        # component, then whatever follows outside it
-        seen = {start}
+        follow = tables.follow
+        for start in members:
+            out = {
+                (tables.prepend(_bfs_path(edges, start, entry, group), 0), leaf)
+                for entry, leaf in lassos
+            }
+            # terminating / exiting continuations: simple paths inside the
+            # component, then whatever follows outside it
+            seen = {start}
 
-        def walk(c: Config, acc: tuple) -> Iterator[ExecutionResult]:
-            for tr in self.edges.get(c, ()):
-                ev = acc + tuple(e for e in tr.events if keep(e))
-                if tr.target is None:
-                    yield ExecutionResult(ev, Kind.ABORTED, note="runtime error")
-                elif tr.target not in group:
-                    for o in outcomes[tr.target]:
-                        yield replace(o, trace=ev + o.trace)
-                elif tr.target not in seen:
-                    seen.add(tr.target)
-                    yield from walk(tr.target, ev)
-                    seen.discard(tr.target)
+            def walk(i: int, acc: tuple[int, ...]) -> None:
+                for evs, t, _ in edges[i]:
+                    evs = acc + evs
+                    if t is None or t not in group:
+                        out.update(follow(evs, t))
+                    elif t not in seen:
+                        seen.add(t)
+                        walk(t, evs)
+                        seen.discard(t)
 
-        yield from walk(start, ())
+            walk(start, ())
+            tables.outcomes[start] = frozenset(out)
 
-    def _scc_has_exit(self, group: set[Config]) -> bool:
-        for c in group:
-            for tr in self.edges.get(c, ()):
-                if tr.target is None or tr.target not in group:
-                    return True
-            if c in self.truncated:
-                return True
-        return False
 
-    def _intra_edges(self, c: Config, group: set[Config]) -> Iterator[Transition]:
-        for tr in self.edges.get(c, ()):
-            if tr.target is not None and tr.target in group:
-                yield tr
-
-    def _bfs_path(
-        self, src: Config, goals: set[Config], group: set[Config]
-    ) -> Optional[tuple[tuple[Event, ...], Config]]:
-        """Events along a shortest in-component path from ``src`` to a goal."""
-        if src in goals:
-            return (), src
-        prev: dict[Config, tuple[Config, Transition]] = {}
-        frontier = [src]
-        seen = {src}
-        while frontier:
-            nxt_frontier = []
-            for c in frontier:
-                for tr in self._intra_edges(c, group):
-                    if tr.target in seen:
-                        continue
-                    seen.add(tr.target)
-                    prev[tr.target] = (c, tr)
-                    if tr.target in goals:
-                        evs: list[Event] = []
-                        node = tr.target
-                        while node != src:
-                            pc, ptr = prev[node]
-                            evs[:0] = ptr.events
-                            node = pc
-                        return tuple(evs), tr.target
-                    nxt_frontier.append(tr.target)
-            frontier = nxt_frontier
-        return None
-
-    def _object_lasso(
-        self, start: Config, group: set[Config]
-    ) -> Optional[tuple[tuple[Event, ...], tuple[Event, ...]]]:
-        """A lasso whose cycle contains an object event: stem to some
-        intra-component object edge, the edge, and a path back to its source."""
-        for u in sorted(group, key=self.order.__getitem__):
-            for tr in self._intra_edges(u, group):
-                if any(not e.is_client for e in tr.events):
-                    stem = self._bfs_path(start, {u}, group)
-                    if stem is None:
-                        continue
-                    back = self._bfs_path(tr.target, {u}, group)
-                    if back is None:
-                        continue
-                    return stem[0], tr.events + back[0]
-        return None
-
-    def _client_lasso(
-        self, start: Config, group: set[Config]
-    ) -> Optional[tuple[tuple[Event, ...], tuple[Event, ...]]]:
-        """A lasso whose cycle uses client-event edges only (the stem may
-        still cross object edges)."""
-        adj: dict[Config, list[Transition]] = {}
-        for c in group:
-            for tr in self._intra_edges(c, group):
-                if all(e.is_client for e in tr.events):
-                    adj.setdefault(c, []).append(tr)
-        on_path: dict[Config, int] = {}
-        path_edges: list[Transition] = []
-        done: set[Config] = set()
-
-        def dfs(u: Config) -> Optional[tuple[Config, tuple[Event, ...]]]:
-            on_path[u] = len(path_edges)
-            for tr in adj.get(u, ()):
-                v = tr.target
-                if v in on_path:
-                    evs = [e for tr2 in path_edges[on_path[v]:] for e in tr2.events]
-                    evs.extend(tr.events)
-                    return v, tuple(evs)
-                if v in done:
+def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple[int, ...]:
+    """Kept events along a shortest in-component path from ``src`` to ``goal``."""
+    if src == goal:
+        return ()
+    prev: dict[int, tuple[int, tuple[int, ...]]] = {}
+    frontier = [src]
+    seen = {src}
+    while frontier:
+        nxt_frontier = []
+        for i in frontier:
+            for evs, t, _ in edges[i]:
+                if t not in group or t in seen:
                     continue
-                path_edges.append(tr)
-                got = dfs(v)
-                if got is not None:
-                    return got
-                path_edges.pop()
-            del on_path[u]
-            done.add(u)
-            return None
+                seen.add(t)
+                prev[t] = (i, evs)
+                if t == goal:
+                    path: tuple[int, ...] = ()
+                    while t != src:
+                        t, evs = prev[t]
+                        path = evs + path
+                    return path
+                nxt_frontier.append(t)
+        frontier = nxt_frontier
+    raise AssertionError("a component is strongly connected")
 
-        found = None
-        for u in sorted(adj, key=self.order.__getitem__):
-            if u not in done:
-                path_edges.clear()
-                on_path.clear()
-                found = dfs(u)
-                if found is not None:
-                    break
-        if found is None:
-            return None
-        d, cyc = found
-        stem = self._bfs_path(start, {d}, group)
-        if stem is None:
-            return None
-        return stem[0], cyc
+
+def _object_cycle(
+    edges: list, members: list[int], group: set[int]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """A cycle through an intra-component object edge: the edge's source and
+    the kept events of the edge and of a shortest path back to it."""
+    for u in members:
+        for evs, t, objev in edges[u]:
+            if objev and t in group:
+                return u, evs + _bfs_path(edges, t, u, group)
+    return None
+
+
+def _client_cycle(
+    edges: list, members: list[int], group: set[int]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """A cycle of intra-component client-only edges: a configuration on it
+    and the kept events once round from there."""
+    adj: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for i in members:
+        for evs, t, objev in edges[i]:
+            if not objev and t in group:
+                adj.setdefault(i, []).append((evs, t))
+    on_path: dict[int, int] = {}
+    path_evs: list[tuple[int, ...]] = []
+    done: set[int] = set()
+
+    def dfs(u: int) -> Optional[tuple[int, tuple[int, ...]]]:
+        on_path[u] = len(path_evs)
+        for evs, v in adj.get(u, ()):
+            if v in on_path:
+                return v, tuple(itertools.chain(*path_evs[on_path[v]:], evs))
+            if v in done:
+                continue
+            path_evs.append(evs)
+            got = dfs(v)
+            if got is not None:
+                return got
+            path_evs.pop()
+        del on_path[u]
+        done.add(u)
+        return None
+
+    for u in adj:
+        if u not in done:
+            found = dfs(u)
+            if found is not None:
+                return found
+    return None
 
 
 def _has_cycle(adj: dict) -> bool:
@@ -822,6 +787,112 @@ def _projector(projection: str) -> Callable[[Event], bool]:
     if projection == "full":
         return lambda e: True
     raise ValueError(f"unknown projection {projection!r}")
+
+
+class _Outcomes:
+    """Hash-consed outcome tables, local to one :meth:`Exploration.results` call.
+
+    An outcome is a pair of ints ``(trace id, leaf id)``.  A trace id names
+    a cell ``(event id, tail trace id)`` of a cons table, 0 being the empty
+    trace, so traces that share a suffix share its cells.  A leaf id names
+    the rest of an outcome, ``(kind, final_client, final_object, cycle,
+    note)``.  Events, cells and leaves are interned by value, so two outcomes
+    are equal exactly when the :class:`ExecutionResult` objects they stand
+    for are.  Configurations are numbered by ``Exploration.order``.
+    """
+
+    def __init__(self, ex: Exploration, keep: Callable[[Event], bool]) -> None:
+        self.keep = keep
+        self.events: list[Event] = []
+        self.event_ids: dict[Event, int] = {}
+        self.cells: list[tuple[int, int]] = [(-1, 0)]
+        self.cons: dict[tuple[int, int], int] = {}
+        self.leaves: list[tuple] = []
+        self.leaf_ids: dict[tuple, int] = {}
+        self.aborted = self.leaf(Kind.ABORTED, note="runtime error")
+        order = ex.order
+        # each configuration's edges: (kept event ids, target id or None,
+        # whether the edge emits an object event)
+        self.edges: list[tuple] = [()] * len(order)
+        for c, trs in ex.edges.items():
+            self.edges[order[c]] = tuple(
+                (
+                    self.project(tr.events),
+                    None if tr.target is None else order[tr.target],
+                    any(not e.is_client for e in tr.events),
+                )
+                for tr in trs
+            )
+        # per configuration, once known: its frozenset of outcomes
+        self.outcomes: list[Optional[frozenset]] = [None] * len(order)
+        unknown = frozenset({(0, self.leaf(Kind.UNKNOWN, note="step budget exhausted"))})
+        for c in ex.truncated:
+            self.outcomes[order[c]] = unknown
+        livelock = frozenset(
+            {(0, self.leaf(Kind.OBJECT_DIVERGENT, note="all pending threads blocked"))}
+        )
+        for c in ex.terminal_livelock:
+            self.outcomes[order[c]] = livelock
+        for c in ex.terminal_done:
+            self.outcomes[order[c]] = frozenset({(0, self.leaf(Kind.TERMINATED, c.client, c.obj))})
+
+    def project(self, events: Iterable[Event]) -> tuple[int, ...]:
+        """Ids of the kept ``events``, in order."""
+        out = []
+        for e in events:
+            if self.keep(e):
+                i = self.event_ids.get(e)
+                if i is None:
+                    i = self.event_ids[e] = len(self.events)
+                    self.events.append(e)
+                out.append(i)
+        return tuple(out)
+
+    def leaf(
+        self, kind: Kind, final_client: Any = None, final_object: Any = None,
+        cycle: tuple[Event, ...] = (), note: str = "",
+    ) -> int:
+        key = (kind, final_client, final_object, cycle, note)
+        i = self.leaf_ids.get(key)
+        if i is None:
+            i = self.leaf_ids[key] = len(self.leaves)
+            self.leaves.append(key)
+        return i
+
+    def prepend(self, evs: tuple[int, ...], trace: int) -> int:
+        """The trace ``evs`` followed by ``trace``."""
+        cons, cells = self.cons, self.cells
+        for e in reversed(evs):
+            cell = (e, trace)
+            trace = cons.get(cell)
+            if trace is None:
+                trace = cons[cell] = len(cells)
+                cells.append(cell)
+        return trace
+
+    def follow(self, evs: tuple[int, ...], target: Optional[int]) -> frozenset:
+        """Outcomes of an edge emitting ``evs`` into ``target`` (None: abort).
+        An edge that emits nothing passes the target's set on unchanged."""
+        if target is None:
+            return frozenset({(self.prepend(evs, 0), self.aborted)})
+        outs = self.outcomes[target]
+        if not evs:
+            return outs
+        prepend = self.prepend
+        return frozenset([(prepend(evs, trace), leaf) for trace, leaf in outs])
+
+    def node(self, i: int) -> frozenset:
+        """Outcomes of a configuration outside any cycle, from its edges."""
+        parts = [self.follow(evs, t) for evs, t, _ in self.edges[i]]
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+    def result(self, outcome: tuple[int, int]) -> ExecutionResult:
+        trace, leaf = outcome
+        events = []
+        while trace:
+            e, trace = self.cells[trace]
+            events.append(self.events[e])
+        return ExecutionResult(tuple(events), *self.leaves[leaf])
 
 
 # ---------------------------------------------------------------------------

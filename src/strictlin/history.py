@@ -248,9 +248,6 @@ class OpOrder:
     def issubset(self, other: "OpOrder") -> bool:
         return self.pairs <= other.pairs
 
-    def predecessors(self, b: int) -> frozenset[int]:
-        return frozenset(a for (a, bb) in self.pairs if bb == b)
-
 
 def happened_before(h: History) -> OpOrder:
     pairs = set()

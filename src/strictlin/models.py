@@ -675,14 +675,6 @@ def af_hw_prefix() -> AbstractionFunction:
     )
 
 
-def abstraction_functions() -> dict[str, AbstractionFunction]:
-    return {
-        "af-multiset": af_multiset(),
-        "af-queue": af_queue(),
-        "af-pseudo": af_pseudo(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from strictlin import reproductions
-from strictlin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from strictlin.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
 FIG2_PROGRAM = """
@@ -192,3 +196,26 @@ def test_explore_with_seeded_contents(program_file, tmp_path, capsys):
          "--init", "'a'", "--mode", "strict"]
     ) == EXIT_OK
     assert "y='a'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["explore", "compare"])
+def test_cell_access_on_model_without_cells_is_usage_error(command, tmp_path, capsys):
+    f = tmp_path / "cell.txt"
+    f.write_text("thread { write Q.items[1] <- 'x' }\n")
+    assert main([command, "--program", str(f), "--model", "ms-queue,P=4"]) == EXIT_USAGE
+    assert "exposes no cells" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_exits_quietly(program_file):
+    # the reader is gone before the report is written, as in `... | head`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "strictlin.cli", "explore", "--program", program_file,
+         "--model", "hw-queue,N=4", "--mode", "strict"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""

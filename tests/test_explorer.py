@@ -1,8 +1,10 @@
 """Interleaving exploration: schedules, divergence, observables."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictlin import explorer, models
+from strictlin.checker import check_strict, recorded_executions
 from strictlin.explorer import (
     Kind,
     canonical_lasso,
@@ -53,14 +55,52 @@ def test_op_ids_unique_and_stable():
          models.hw_model(4)),
         ("thread { set x = 1 ; set x = 2 }\nthread { set z = 3 }",
          models.coarse_queue_model()),
+        # the first thread aborts on an unbound variable, in every schedule
+        ("thread { call Q.Enqueue(z) }\nthread { call Q.Enqueue('a') ; call y = Q.Dequeue() }",
+         models.coarse_queue_model()),
+        ("phase { thread { call Q.Enqueue('a') }\nthread { call Q.Enqueue('b') } }\n"
+         "phase { thread { call y = Q.Dequeue() }\nthread { set x = 1 } }",
+         models.coarse_queue_model()),
+        ("phase { thread { call Q.Enqueue('c') }\nthread { write Q.items[1] <- 'x' } }\n"
+         "phase { thread { read z <- Q.back ; call y = Q.Dequeue() } }",
+         models.hw_model(4)),
     ],
-    ids=["coarse", "hw", "client-only"],
+    ids=["coarse", "hw", "client-only", "abort", "phases", "cell-write"],
 )
 def test_schedule_completeness_against_naive_enumeration(text, model):
     p = parse_program(text)
-    fast = explore(p, model).results("interface")
-    naive = enumerate_executions_naive(p, model, projection="interface")
-    assert fast == naive
+    ex = explore(p, model)
+    assert not ex.has_divergence()
+    for projection in ("interface", "history", "client"):
+        naive = enumerate_executions_naive(p, model, projection=projection)
+        assert ex.results(projection) == naive, projection
+
+
+_STATEMENTS = st.sampled_from([
+    "call Q.Enqueue('a')",
+    "call Q.Enqueue(x)",  # aborts while x is unbound
+    "call y = Q.Dequeue()",
+    "set x = 1",
+    "set x = y",  # aborts while y is unbound
+])
+
+
+def _small(threads: list) -> bool:
+    # the naive oracle enumerates every schedule: keep them in the thousands
+    stmts = [s for t in threads for s in t]
+    return len(stmts) <= 4 and sum(s.startswith("call") for s in stmts) <= 2
+
+
+@given(st.lists(st.lists(_STATEMENTS, min_size=1, max_size=2), min_size=1, max_size=3)
+       .filter(_small))
+@settings(max_examples=50, deadline=None)
+def test_generated_programs_match_naive_enumeration(threads):
+    p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
+    m = models.coarse_queue_model()
+    ex = explore(p, m)
+    for projection in ("interface", "history", "client"):
+        naive = enumerate_executions_naive(p, m, projection=projection)
+        assert ex.results(projection) == naive, projection
 
 
 def test_schedule_completeness_terminated_subset_with_divergence():
@@ -199,8 +239,6 @@ def test_initial_state_must_be_well_formed():
 
 
 def test_result_sets_identical_across_runs():
-    from strictlin.checker import recorded_executions
-
     p = parse_program(
         "thread { call Q.Enqueue('a') }\nthread { call y = Q.Dequeue() }"
     )
@@ -208,3 +246,38 @@ def test_result_sets_identical_across_runs():
     assert a.results("interface") == b.results("interface")
     assert recorded_executions(a) == recorded_executions(b)
     assert final_states(a).renderings == final_states(b).renderings
+
+
+@pytest.mark.parametrize(
+    "text,model",
+    [
+        ("thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }",
+         models.coarse_queue_model()),
+        # cyclic: the dequeue spins on the empty array
+        ("thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }", models.hw_model(2)),
+        ("thread { set x = 0 ; while x != 1 { set y = 0 } }\nthread { call Q.Enqueue('a') }",
+         models.coarse_queue_model()),
+    ],
+    ids=["acyclic", "object-cycle", "client-cycle"],
+)
+def test_results_calls_are_independent(text, model):
+    # one exploration asked for several projections, in either order, gives
+    # what fresh explorations give for each
+    p = parse_program(text)
+    projections = ("interface", "history", "client")
+    fresh = {q: explore(p, model).results(q) for q in projections}
+    for order in (projections, projections[::-1]):
+        ex = explore(p, model)
+        assert {q: ex.results(q) for q in order} == fresh
+
+
+def test_hw_two_enqueues_two_dequeues_regression():
+    p = parse_program(
+        "thread { call Q.Enqueue('c') }\nthread { call Q.Enqueue('d') }\n"
+        "thread { call y1 = Q.Dequeue() }\nthread { call y2 = Q.Dequeue() }"
+    )
+    m = models.hw_model(4)
+    ex = explore(p, m)
+    assert len(ex.results("history")) == 4528
+    assert not ex.truncated and not ex.approximate
+    assert check_strict(recorded_executions(ex), m.seq_spec).passed
