@@ -14,8 +14,12 @@ Subcommands::
                       [--rename A=B,...] [--json FILE]
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error, 141 the reader closed standard output early (as in
-``strictlin explore ... | head``; the rest of the report is dropped quietly).
+2 usage or input error, 3 inconclusive (a check found no violation, or
+``compare`` ran, on an exploration that was truncated by ``--bound`` or whose
+outcome sets are approximate, so a pass or an equality is not established),
+141 the reader closed standard output early (as in ``strictlin explore ... |
+head``; the rest of the report is dropped quietly).  A failed check exits 1
+even on a truncated exploration: the violating execution was explored.
 Reports are deterministic for identical inputs.
 """
 
@@ -35,7 +39,11 @@ from .programs import parse_program
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process killed by it
+
+
+_VERDICTS = {EXIT_OK: "pass", EXIT_CHECK_FAILED: "fail", EXIT_INCONCLUSIVE: "inconclusive"}
 
 
 class UsageError(ValueError):
@@ -123,6 +131,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
+def _incomplete(*explorations: explorer.Exploration) -> str:
+    """Why the explored sets are only lower bounds, or "" when they are exact."""
+    if any(ex.truncated for ex in explorations):
+        return "exploration truncated by the transition budget"
+    if any(ex.approximate for ex in explorations):
+        return "outcome sets approximate"
+    return ""
+
+
 def _run_checks(args: argparse.Namespace, ex: explorer.Exploration, model) -> tuple[int, dict]:
     recs = checker.recorded_executions(ex)
     if args.mode == "strict":
@@ -146,9 +163,17 @@ def _run_checks(args: argparse.Namespace, ex: explorer.Exploration, model) -> tu
                 recs, spec, adt, af, rf, states
             )
         render = adt.render_state
-    for line in report.lines(render):
+    lines = report.lines(render)
+    status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    why = _incomplete(ex) if report.passed else ""
+    if why:
+        # no violation among the explored executions; unexplored ones may hold one
+        lines[0] = lines[0].replace("verdict=pass", "verdict=inconclusive", 1)
+        lines.append(f"  inconclusive: {why}")
+        status = EXIT_INCONCLUSIVE
+    for line in lines:
         print(line)
-    return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), _report_payload(report)
+    return status, _report_payload(report)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -187,6 +212,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.mode:
         status, check_payload = _run_checks(args, ex, model)
         payload["check"] = check_payload
+        payload["verdict"] = _VERDICTS[status]
+    payload["approximate"] = ex.approximate
     _write_json(args.json, payload)
     return status
 
@@ -205,12 +232,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             parse_value(tok.strip()) for tok in args.init.split(",") if tok.strip()
         )
         init_atomic = spec.seed_state(contents)
-    obs = explorer.compare_observables(
+    ex_m, ex_a = explorer.explore_both(
         prog, model, spec, init_obj=init, bound=args.bound, init_obj_atomic=init_atomic
     )
-    div = explorer.compare_divergence(
-        prog, model, spec, init_obj=init, bound=args.bound, init_obj_atomic=init_atomic
-    )
+    obs = explorer.observables_report(ex_m, ex_a)
+    div = explorer.divergence_report(ex_m, ex_a)
     print(f"client traces equal: {'yes' if obs.traces_equal else 'no'}")
     if not obs.traces_equal:
         for t in obs.trace_diff_model[:5]:
@@ -232,6 +258,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     if obs.unknown_present:
         print("warning: budget exhausted; sets are lower bounds")
+    agree = obs.equal and div.model_diverges == div.atomic_diverges
+    status = EXIT_OK if agree else EXIT_CHECK_FAILED
+    why = _incomplete(ex_m, ex_a)
+    if why:
+        # either answer may change once the missing outcomes are added
+        print(f"verdict=inconclusive: {why}")
+        status = EXIT_INCONCLUSIVE
     _write_json(
         args.json,
         {
@@ -239,10 +272,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "states_equal": obs.states_equal,
             "model_divergence": list(div.model_kinds),
             "atomic_divergence": list(div.atomic_kinds),
+            "approximate": ex_m.approximate or ex_a.approximate,
+            "verdict": _VERDICTS[status],
         },
     )
-    agree = obs.equal and div.model_diverges == div.atomic_diverges
-    return EXIT_OK if agree else EXIT_CHECK_FAILED
+    return status
 
 
 def _cmd_check_history(args: argparse.Namespace) -> int:

@@ -6,18 +6,22 @@ the atomic version of a sequential specification (each call is one atomic
 transition, enabled only where the spec relation is non-empty and blocking
 otherwise).  It explores *all* schedules of enabled atomic transitions.
 
-The state space is built once as a configuration graph.  Termination,
-runtime errors, livelock (every pending thread blocked), and divergence
-(reachable configuration cycles) are read off the graph; sets of execution
-outcomes are computed per observation projection by dynamic programming over
-the graph's strongly connected components.  The dynamic program works on
-interned integers local to one projection: a trace is an id in a cons table
-of ``(event id, tail id)`` cells, so traces sharing a suffix share its
-storage, and an outcome is a ``(trace id, leaf id)`` pair whose leaf holds
-the kind, final state, cycle and note.  Only the initial configuration's
-outcomes are turned into :class:`ExecutionResult` objects.  A naive
-schedule-by-schedule enumerator is kept alongside as a cross-check oracle
-for small programs.
+The state space is built once as a configuration graph.  Building it gives
+each configuration a dense integer id on first sight (the initial one is 0),
+with one dictionary lookup per transition; from then on the edges, the
+strongly connected components and the outcome tables are lists indexed by
+id, so no edge or component lookup hashes a whole configuration again.
+Termination, runtime errors, livelock (every pending thread blocked), and
+divergence (reachable configuration cycles) are read off the graph; sets of
+execution outcomes are computed per observation projection by dynamic
+programming over the graph's strongly connected components.  The dynamic
+program works on interned integers local to one projection: a trace is an id
+in a cons table of ``(event id, tail id)`` cells, so traces sharing a suffix
+share its storage, and an outcome is a ``(trace id, leaf id)`` pair whose
+leaf holds the kind, final state, cycle and note.  Only the initial
+configuration's outcomes are turned into :class:`ExecutionResult` objects.
+A naive schedule-by-schedule enumerator is kept alongside as a cross-check
+oracle for small programs.
 
 Conventions mirroring the trace model:
 
@@ -427,15 +431,28 @@ def _cellname(cell: tuple) -> str:
 
 @dataclass
 class Exploration:
-    """Reachable configuration graph plus derived outcome sets."""
+    """Reachable configuration graph plus derived outcome sets.
+
+    :meth:`build` numbers each configuration once, on first sight, in
+    discovery order, so the initial configuration is 0 and ids are dense.
+    ``order`` maps a configuration to its id and ``configs`` an id back to
+    its configuration.  ``edges[i]`` lists configuration ``i``'s outgoing
+    transitions as ``(thread, events, target id)`` triples, the target being
+    None for a runtime error; a configuration left unexpanded when the step
+    budget ran out has no edges and is in ``truncated``.  Everything past
+    :meth:`build` (SCCs, cycle marking, outcome tables) works on the ids.
+    """
 
     interp: _Interp
     bound: int
-    edges: dict[Config, tuple[Transition, ...]] = field(default_factory=dict)
+    order: dict[Config, int] = field(default_factory=dict)
+    configs: list[Config] = field(default_factory=list)
+    edges: list[tuple[tuple[int, tuple[Event, ...], Optional[int]], ...]] = field(
+        default_factory=list
+    )
     terminal_done: set[Config] = field(default_factory=set)
     terminal_livelock: set[Config] = field(default_factory=set)
     truncated: set[Config] = field(default_factory=set)
-    order: dict[Config, int] = field(default_factory=dict)
     transitions_explored: int = 0
     approximate: bool = False
     _scc: Optional[dict] = None
@@ -462,109 +479,118 @@ class Exploration:
     # -- graph construction -------------------------------------------------
 
     def build(self) -> "Exploration":
-        todo = [self.initial]
-        seen = {self.initial}
-        self.order[self.initial] = 0
+        order, configs, edges = self.order, self.configs, self.edges
+        last_phase = len(self.interp.prog.phases) - 1
+        order[self.initial] = 0
+        configs.append(self.initial)
+        edges.append(())
+        todo = [0]
         while todo:
-            c = todo.pop()
+            i = todo.pop()
+            c = configs[i]
             if self.transitions_explored >= self.bound:
                 self.truncated.add(c)
                 continue
             succ = self.interp.successors(c)
             self.transitions_explored += len(succ)
-            self.edges[c] = succ
             if not succ:
-                if all(t.done for t in c.threads) and c.phase + 1 >= len(
-                    self.interp.prog.phases
-                ):
+                if c.phase >= last_phase and all(t.done for t in c.threads):
                     self.terminal_done.add(c)
                 else:
                     self.terminal_livelock.add(c)
+            out = []
             for tr in succ:
-                if tr.target is not None and tr.target not in seen:
-                    seen.add(tr.target)
-                    self.order[tr.target] = len(self.order)
-                    todo.append(tr.target)
+                target = tr.target
+                if target is None:
+                    out.append((tr.thread, tr.events, None))
+                    continue
+                fresh = len(configs)
+                j = order.setdefault(target, fresh)  # the one hash of ``target``
+                if j == fresh:
+                    configs.append(target)
+                    edges.append(())
+                    todo.append(j)
+                out.append((tr.thread, tr.events, j))
+            edges[i] = tuple(out)
         return self
 
     # -- strongly connected components --------------------------------------
 
     def scc_info(self) -> dict:
+        """Tarjan's algorithm, iterative, over configuration ids.
+
+        ``comp[i]`` is the component of configuration ``i`` and ``comps``
+        lists each component's ids, callees before callers.  A component
+        is ``cyclic`` when it has an internal edge, ``object_cyclic`` when
+        an internal edge emits an object event, and ``client_cyclic`` when
+        its internal client-only edges close a cycle by themselves.
+        """
         if self._scc is not None:
             return self._scc
-        index: dict[Config, int] = {}
-        low: dict[Config, int] = {}
-        comp: dict[Config, int] = {}
-        comps: list[list[Config]] = []
-        counter = itertools.count()
-        stack: list[Config] = []
-        on_stack: set[Config] = set()
-
-        for root in self.edges:
-            if root in index:
+        edges = self.edges
+        n = len(edges)
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n
+        on_stack = [False] * n
+        comps: list[list[int]] = []
+        stack: list[int] = []
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
                 continue
-            work: list[tuple[Config, int]] = [(root, 0)]
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(edges[root]))]
             while work:
-                node, ei = work[-1]
-                if ei == 0:
-                    index[node] = low[node] = next(counter)
-                    stack.append(node)
-                    on_stack.add(node)
-                targets = [
-                    tr.target
-                    for tr in self.edges.get(node, ())
-                    if tr.target is not None
-                ]
-                advanced = False
-                while ei < len(targets):
-                    nxt = targets[ei]
-                    ei += 1
-                    if nxt not in index:
-                        work[-1] = (node, ei)
-                        work.append((nxt, 0))
-                        advanced = True
+                node, it = work[-1]
+                for _, _, nxt in it:
+                    if nxt is None:
+                        continue
+                    if index[nxt] < 0:
+                        index[nxt] = low[nxt] = counter
+                        counter += 1
+                        stack.append(nxt)
+                        on_stack[nxt] = True
+                        work.append((nxt, iter(edges[nxt])))
                         break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if low[node] == index[node]:
-                    group = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp[w] = len(comps)
-                        group.append(w)
-                        if w == node:
-                            break
-                    comps.append(group)
-                if work:
-                    parent, _ = work[-1]
-                    low[parent] = min(low[parent], low[node])
+                    if on_stack[nxt] and index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                else:
+                    work.pop()
+                    if low[node] == index[node]:
+                        k = len(comps)
+                        group = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            comp[w] = k
+                            group.append(w)
+                            if w == node:
+                                break
+                        comps.append(group)
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
 
         cyclic: set[int] = set()
         has_object_cycle: set[int] = set()
-        client_edges: dict[int, list[tuple[Config, Config, tuple]]] = {}
-        for c, trs in self.edges.items():
-            for tr in trs:
-                if tr.target is None or comp.get(tr.target) != comp[c]:
+        client_adj: dict[int, dict[int, list[int]]] = {}
+        for i, trs in enumerate(edges):
+            k = comp[i]
+            for _, events, t in trs:
+                if t is None or comp[t] != k:
                     continue
-                k = comp[c]
                 cyclic.add(k)  # intra-SCC edge certifies a cycle
-                objev = any(not e.is_client for e in tr.events)
-                if objev:
+                if any(not e.is_client for e in events):
                     has_object_cycle.add(k)
                 else:
-                    client_edges.setdefault(k, []).append((c, tr.target, tr.events))
-        client_cyclic: set[int] = set()
-        for k, ce in client_edges.items():
-            # the client-only subgraph certifies a client cycle when it has one
-            adj: dict[Config, list[Config]] = {}
-            for a, b, _ in ce:
-                adj.setdefault(a, []).append(b)
-            if _has_cycle(adj):
-                client_cyclic.add(k)
+                    client_adj.setdefault(k, {}).setdefault(i, []).append(t)
+        # the client-only subgraph certifies a client cycle when it has one
+        client_cyclic = {k for k, adj in client_adj.items() if _has_cycle(adj)}
         self._scc = {
             "comp": comp,
             "comps": comps,
@@ -607,17 +633,15 @@ class Exploration:
         if projection in self._results:
             return self._results[projection]
         info = self.scc_info()
-        order = self.order
         tables = _Outcomes(self, _projector(projection))
         outcomes = tables.outcomes
         for ci, comp in enumerate(info["comps"]):  # Tarjan emits callees first
             if ci not in info["cyclic"]:
-                (c,) = comp
-                i = order[c]
+                (i,) = comp
                 if outcomes[i] is None:  # not a terminal or truncated one
                     outcomes[i] = tables.node(i)
                 continue
-            members = sorted(order[c] for c in comp)
+            members = sorted(comp)
             if len(members) > 512:
                 self.approximate = True
                 too_large = frozenset({(0, tables.leaf(Kind.UNKNOWN, note="scc too large"))})
@@ -627,7 +651,7 @@ class Exploration:
             self._cyclic_outcomes(
                 members, tables, ci in info["object_cyclic"], ci in info["client_cyclic"]
             )
-        res = frozenset(map(tables.result, outcomes[order[self.initial]]))
+        res = frozenset(map(tables.result, outcomes[0]))  # the initial configuration
         self._results[projection] = res
         return res
 
@@ -798,7 +822,7 @@ class _Outcomes:
     the rest of an outcome, ``(kind, final_client, final_object, cycle,
     note)``.  Events, cells and leaves are interned by value, so two outcomes
     are equal exactly when the :class:`ExecutionResult` objects they stand
-    for are.  Configurations are numbered by ``Exploration.order``.
+    for are.  Configurations are the exploration's ids.
     """
 
     def __init__(self, ex: Exploration, keep: Callable[[Event], bool]) -> None:
@@ -813,16 +837,13 @@ class _Outcomes:
         order = ex.order
         # each configuration's edges: (kept event ids, target id or None,
         # whether the edge emits an object event)
-        self.edges: list[tuple] = [()] * len(order)
-        for c, trs in ex.edges.items():
-            self.edges[order[c]] = tuple(
-                (
-                    self.project(tr.events),
-                    None if tr.target is None else order[tr.target],
-                    any(not e.is_client for e in tr.events),
-                )
-                for tr in trs
+        self.edges: list[tuple] = [
+            tuple(
+                (self.project(events), t, any(not e.is_client for e in events))
+                for _, events, t in trs
             )
+            for trs in ex.edges
+        ]
         # per configuration, once known: its frozenset of outcomes
         self.outcomes: list[Optional[frozenset]] = [None] * len(order)
         unknown = frozenset({(0, self.leaf(Kind.UNKNOWN, note="step budget exhausted"))})
@@ -1082,9 +1103,7 @@ def final_states(exploration: Exploration) -> FinalStates:
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
             exploration.render_object(c.obj),
         )
-    has_abort = any(
-        tr.target is None for trs in exploration.edges.values() for tr in trs
-    )
+    has_abort = any(t is None for trs in exploration.edges for _, _, t in trs)
     has_bottom = Kind.CLIENT_DIVERGENT in exploration.divergence_kinds()
     lines = sorted(f"client: {cl} | object: {ob}" for cl, ob in render.values())
     if has_abort:
@@ -1117,7 +1136,7 @@ class ObservablesReport:
         return self.traces_equal and self.states_equal
 
 
-def compare_observables(
+def explore_both(
     prog: Program,
     model: ObjectModel,
     spec: Optional[SeqSpec] = None,
@@ -1125,9 +1144,9 @@ def compare_observables(
     init_obj: Any = None,
     bound: int = DEFAULT_BOUND,
     init_obj_atomic: Any = None,
-) -> ObservablesReport:
-    """Compare client traces and final states of ``prog`` over the model
-    against the atomic version of its sequential specification.
+) -> tuple[Exploration, Exploration]:
+    """Explore ``prog`` over the model and over the atomic version of its
+    sequential specification (``model.seq_spec`` by default).
 
     The atomic side starts from ``init_obj_atomic`` when the spec's state
     domain differs from the model's; by default both start from the same
@@ -1137,6 +1156,12 @@ def compare_observables(
         init_obj_atomic = init_obj
     ex_m = explore(prog, model, init_client, init_obj, bound)
     ex_a = run_atomic(prog, spec, init_client, init_obj_atomic, bound)
+    return ex_m, ex_a
+
+
+def observables_report(ex_m: Exploration, ex_a: Exploration) -> ObservablesReport:
+    """Client traces and final states of a fine-grained exploration against
+    an atomic one."""
     rm = ex_m.results("client")
     ra = ex_a.results("client")
     mt_m, mt_a = client_traces(rm), client_traces(ra)
@@ -1150,6 +1175,23 @@ def compare_observables(
         state_lines_model=fs_m.renderings,
         state_lines_atomic=fs_a.renderings,
         unknown_present=unknown,
+    )
+
+
+def compare_observables(
+    prog: Program,
+    model: ObjectModel,
+    spec: Optional[SeqSpec] = None,
+    init_client: Sequence[tuple[str, Value]] = (),
+    init_obj: Any = None,
+    bound: int = DEFAULT_BOUND,
+    init_obj_atomic: Any = None,
+) -> ObservablesReport:
+    """Compare client traces and final states of ``prog`` over the model
+    against the atomic version of its sequential specification (both sides
+    explored as by :func:`explore_both`)."""
+    return observables_report(
+        *explore_both(prog, model, spec, init_client, init_obj, bound, init_obj_atomic)
     )
 
 
@@ -1169,6 +1211,16 @@ class DivergenceReport:
     atomic_kinds: tuple[str, ...]
 
 
+def divergence_report(ex_m: Exploration, ex_a: Exploration) -> DivergenceReport:
+    """Whether each of a fine-grained and an atomic exploration diverges."""
+    return DivergenceReport(
+        ex_m.has_divergence(),
+        ex_a.has_divergence(),
+        tuple(sorted(k.value for k in ex_m.divergence_kinds())),
+        tuple(sorted(k.value for k in ex_a.divergence_kinds())),
+    )
+
+
 def compare_divergence(
     prog: Program,
     model: ObjectModel,
@@ -1178,15 +1230,8 @@ def compare_divergence(
     bound: int = DEFAULT_BOUND,
     init_obj_atomic: Any = None,
 ) -> DivergenceReport:
-    """Report whether any divergent schedule exists on each side."""
-    spec = spec or model.seq_spec
-    if init_obj_atomic is None:
-        init_obj_atomic = init_obj
-    ex_m = explore(prog, model, init_client, init_obj, bound)
-    ex_a = run_atomic(prog, spec, init_client, init_obj_atomic, bound)
-    return DivergenceReport(
-        ex_m.has_divergence(),
-        ex_a.has_divergence(),
-        tuple(sorted(k.value for k in ex_m.divergence_kinds())),
-        tuple(sorted(k.value for k in ex_a.divergence_kinds())),
+    """Report whether any divergent schedule exists on each side (both sides
+    explored as by :func:`explore_both`)."""
+    return divergence_report(
+        *explore_both(prog, model, spec, init_client, init_obj, bound, init_obj_atomic)
     )

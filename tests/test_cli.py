@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from strictlin import reproductions
-from strictlin.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from strictlin.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CHECK_FAILED,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 FIG2_PROGRAM = """
@@ -96,6 +103,46 @@ def test_explore_json_report(program_file, tmp_path, capsys):
     data = json.loads(out.read_text())
     assert len(data["final_states"]) == 4
     assert data["divergence"] == ["object-divergent"]
+
+
+def test_truncated_strict_pass_is_inconclusive(program_file, tmp_path, capsys):
+    # at bound 60 the explored prefix holds no violation; the full graph does
+    report = tmp_path / "r.json"
+    argv = ["explore", "--program", program_file, "--model", "hw-queue,N=4",
+            "--mode", "strict", "--json", str(report)]
+    assert main(argv + ["--bound", "60"]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "verdict=inconclusive" in out and "verdict=pass" not in out
+    data = json.loads(report.read_text())
+    assert data["truncated"] and data["check"]["passed"]
+    assert data["verdict"] == "inconclusive" and data["approximate"] is False
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert "verdict=fail" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert not data["truncated"] and data["verdict"] == "fail"
+
+
+def test_approximate_strict_pass_is_inconclusive(tmp_path, capsys):
+    # two client spin loops of 23 positions each share one component of 529
+    # configurations, over the 512 that outcome enumeration takes apart
+    body = lambda v: " ; ".join(f"set {v} = {k}" for k in range(1, 23))  # noqa: E731
+    f = tmp_path / "spin.txt"
+    f.write_text("\n".join(f"thread {{ while 0 == 0 {{ {body(v)} }} }}" for v in "ab"))
+    report = tmp_path / "r.json"
+    assert main(["explore", "--program", str(f), "--model", "coarse-queue",
+                 "--mode", "strict", "--json", str(report)]) == EXIT_INCONCLUSIVE
+    assert "inconclusive: outcome sets approximate" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert data["approximate"] and not data["truncated"]
+    assert data["verdict"] == "inconclusive"
+
+
+def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
+    report = tmp_path / "c.json"
+    assert main(["compare", "--program", program_file, "--model", "hw-queue,N=4",
+                 "--bound", "60", "--json", str(report)]) == EXIT_INCONCLUSIVE
+    assert "verdict=inconclusive" in capsys.readouterr().out
+    assert json.loads(report.read_text())["verdict"] == "inconclusive"
 
 
 def test_compare_exit_reflects_equality(program_file, capsys):

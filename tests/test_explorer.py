@@ -170,22 +170,24 @@ def test_client_and_object_transitions_stay_disjoint():
         "thread { call Q.Enqueue('a') ; set w = 1 }\nthread { call y = Q.Dequeue() }"
     )
     ex = explore(p, models.ms_model(3))
-    for cfg, trs in ex.edges.items():
-        for tr in trs:
-            if tr.target is None or not tr.events:
+    for i, trs in enumerate(ex.edges):
+        cfg = ex.configs[i]
+        for _, events, t in trs:
+            if t is None or not events:
                 continue
-            if all(e.is_client for e in tr.events):
-                assert tr.target.obj == cfg.obj  # no declared writes here
+            target = ex.configs[t]
+            if all(e.is_client for e in events):
+                assert target.obj == cfg.obj  # no declared writes here
             else:
-                assert tr.target.client == cfg.client
+                assert target.client == cfg.client
 
 
 def test_direct_cell_write_is_the_declared_exception():
     p = parse_program("thread { write Q.items[1] <- 'x' }")
     ex = explore(p, models.hw_model(4))
-    (cfg, (tr,)) = next(iter(ex.edges.items()))
-    assert all(e.is_client for e in tr.events)
-    assert tr.target.obj != cfg.obj
+    ((_, events, t),) = ex.edges[0]
+    assert all(e.is_client for e in events)
+    assert ex.configs[t].obj != ex.configs[0].obj
 
 
 def test_cell_write_out_of_range_aborts():
@@ -281,3 +283,124 @@ def test_hw_two_enqueues_two_dequeues_regression():
     assert len(ex.results("history")) == 4528
     assert not ex.truncated and not ex.approximate
     assert check_strict(recorded_executions(ex), m.seq_spec).passed
+
+
+# ---------------------------------------------------------------------------
+# The integer configuration graph
+# ---------------------------------------------------------------------------
+
+
+def _reachable(succ, src):
+    """Ids reachable from ``src`` by one or more steps of ``succ``."""
+    seen, todo = set(), [src]
+    while todo:
+        for t in succ(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _assert_sccs_brute_force(ex):
+    """``scc_info()`` against mutual reachability and direct cycle checks."""
+    n = len(ex.edges)
+    succ = lambda i: [t for _, _, t in ex.edges[i] if t is not None]  # noqa: E731
+    reach = [_reachable(succ, i) for i in range(n)]
+    partition = {frozenset({i} | {j for j in reach[i] if i in reach[j]}) for i in range(n)}
+    info = ex.scc_info()
+    assert {frozenset(c) for c in info["comps"]} == partition
+    assert sum(map(len, info["comps"])) == n
+    for k, members in enumerate(info["comps"]):
+        assert all(info["comp"][i] == k for i in members)
+    cyclic, object_cyclic, client_cyclic = set(), set(), set()
+    for k, members in enumerate(map(set, info["comps"])):
+        internal = [(i, events, t) for i in members for _, events, t in ex.edges[i]
+                    if t in members]
+        if internal:
+            cyclic.add(k)
+        if any(not e.is_client for _, events, _ in internal for e in events):
+            object_cyclic.add(k)
+        client = {}
+        for i, events, t in internal:
+            if all(e.is_client for e in events):
+                client.setdefault(i, []).append(t)
+        if any(i in _reachable(lambda j: client.get(j, ()), i) for i in client):
+            client_cyclic.add(k)
+    assert info["cyclic"] == cyclic
+    assert info["object_cyclic"] == object_cyclic
+    assert info["client_cyclic"] == client_cyclic
+
+
+def _assert_dense_ids(ex):
+    assert ex.order[ex.initial] == 0 and ex.configs[0] == ex.initial
+    assert sorted(ex.order.values()) == list(range(len(ex.configs)))
+    assert len(ex.edges) == len(ex.configs)
+    for c, i in ex.order.items():
+        assert ex.configs[i] == c
+    assert {ex.configs[i] for i in range(len(ex.edges)) if not ex.edges[i]} == (
+        ex.terminal_done | ex.terminal_livelock | ex.truncated
+    )
+
+
+SPIN_PROGRAMS = [
+    ("thread { set x = 0 ; while x != 1 { set y = 0 } }\nthread { call Q.Enqueue('a') }",
+     models.coarse_queue_model()),
+    ("thread { set x = 0 ; while x != 2 { set y = 1 } }\nthread { set x = 2 }",
+     models.coarse_queue_model()),
+    ("thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }", models.hw_model(2)),
+    ("thread { while 0 == 0 { set a = 1 ; set a = 2 } }\n"
+     "thread { while 0 == 0 { call Q.Enqueue('a') ; call b = Q.Dequeue() } }",
+     models.ms_model(3)),
+    ("phase { thread { set x = 0 } }\n"
+     "phase { thread { while x != 1 { set y = 0 } }\nthread { call Q.Enqueue('a') ; set x = 1 } }",
+     models.hw_model(2)),
+]
+
+
+@pytest.mark.parametrize("text,model", SPIN_PROGRAMS,
+                         ids=["client-spin", "lapped-spin", "object-spin", "both", "phases"])
+def test_scc_info_matches_brute_force_on_spin_loops(text, model):
+    ex = explore(parse_program(text), model)
+    _assert_dense_ids(ex)
+    _assert_sccs_brute_force(ex)
+    assert ex.scc_info()["cyclic"]
+
+
+def test_scc_info_matches_brute_force_on_truncated_exploration():
+    p = parse_program("thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }")
+    ex = explore(p, models.hw_model(2), bound=20)
+    assert ex.truncated
+    _assert_dense_ids(ex)
+    _assert_sccs_brute_force(ex)
+
+
+@given(st.lists(st.lists(_STATEMENTS, min_size=1, max_size=2), min_size=1, max_size=3)
+       .filter(_small))
+@settings(max_examples=30, deadline=None)
+def test_scc_info_matches_brute_force_on_generated_programs(threads):
+    p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
+    for model in (models.coarse_queue_model(), models.hw_model(2)):
+        ex = explore(p, model)
+        _assert_dense_ids(ex)
+        _assert_sccs_brute_force(ex)
+
+
+def test_component_over_512_configurations_is_approximate():
+    # three independent client spin loops: 9 positions each, one component
+    body = lambda v: " ; ".join(f"set {v} = {k}" for k in range(1, 9))  # noqa: E731
+    p = parse_program("\n".join(f"thread {{ while 0 == 0 {{ {body(v)} }} }}" for v in "abc"))
+    ex = explore(p, models.coarse_queue_model(), init_client=(("a", 8), ("b", 8), ("c", 8)))
+    assert len(ex.order) == 729
+    assert [len(c) for c in ex.scc_info()["comps"]] == [729]
+    (r,) = ex.results("client")
+    assert r.kind is Kind.UNKNOWN and r.note == "scc too large"
+    assert ex.approximate
+
+
+def test_terminating_schedule_lapping_an_observable_cycle_is_approximate():
+    p = parse_program("thread { set x = 0 ; while x != 2 { set y = 1 } }\nthread { set x = 2 }")
+    ex = explore(p, models.coarse_queue_model())
+    assert len(ex.order) == 16
+    kinds = {r.kind for r in ex.results("client")}
+    assert ex.approximate
+    assert kinds == {Kind.TERMINATED, Kind.CLIENT_DIVERGENT}
