@@ -12,14 +12,21 @@ Three checks, all bounded to the execution set supplied:
   over sampled states, plus general linearizability, plus agreement of the
   abstracted final state with a legal abstract execution.
 
-The witness search is depth-first over (next operation to linearize) among
-operations minimal in happened-before order, threading specification state
-and matching recorded return values; pending operations may be closed with
-any spec-allowed return or dropped.  Visited (linearized-set, spec-state)
-pairs are memoized.  Ties are broken by ascending operation id, which fixes
-the witness and makes reports deterministic.  An operation closed by an
-abort response has no legal sequential counterpart, so histories containing
-one never linearize.
+The witness search (Wing & Gong style) is depth-first over (next operation
+to linearize) among operations minimal in happened-before order, threading
+specification state and matching recorded return values; pending operations
+may be closed with any spec-allowed return or dropped.  It runs on integers:
+one walk over the history numbers the operations by ascending op id and
+gives each a predecessor bitmask, the operations whose response precedes
+its invocation.  The set of linearized operations is a bitmask ``done``, and
+operation ``i`` may come next when ``preds[i] & ~done == 0``.  Each search
+keeps its own table from (method, argument, spec state) to the spec's
+outcomes sorted by ``repr``, so a spec method runs once per distinct state.
+Failed (``done``, spec state) pairs are memoized, on the raw spec state
+(Lowe's memoization).  Ties are broken by ascending operation id, then by
+the ``repr`` of the outcome, which fixes the witness and makes reports
+deterministic.  An operation closed by an abort response has no legal
+sequential counterpart, so histories containing one never linearize.
 
 ``brute_force_linearizations`` is the independent oracle: it enumerates raw
 permutations and checks the relation by explicit bijection search.
@@ -28,16 +35,16 @@ permutations and checks the relation by explicit bijection search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from .history import (
     Event,
     History,
     Inv,
+    Label,
     Ret,
     RetAbort,
-    happened_before,
     inv as inv_event,
     is_complete,
     is_well_formed,
@@ -83,17 +90,40 @@ class Operation:
     aborted: bool = False
 
 
-def _operations(h: History) -> tuple[Operation, ...]:
-    by_op: dict[int, Operation] = {}
+def _operations(h: History) -> tuple[tuple[Operation, ...], tuple[int, ...]]:
+    """The operations of a well-formed ``h`` in ascending op-id order, with
+    their predecessor masks.
+
+    Bit ``i`` of a mask stands for ``ops[i]``; the mask of an operation holds
+    the operations whose response precedes its invocation, its predecessors
+    in happened-before order.  One walk over the events records, for each
+    invocation, how many responses came before it.
+    """
+    invoked: dict[int, tuple[Event, int]] = {}
+    closing: dict[int, Label] = {}
+    responders: list[int] = []  # op ids in response order
     for e in h:
         if isinstance(e.label, Inv):
-            by_op[e.op] = Operation(e.op, e.thread, e.label.method, e.label.arg, None)
-    for e in h:
-        if isinstance(e.label, Ret) and e.op in by_op:
-            by_op[e.op] = dataclass_replace(by_op[e.op], ret=e.label.value)
-        elif isinstance(e.label, RetAbort) and e.op in by_op:
-            by_op[e.op] = dataclass_replace(by_op[e.op], aborted=True)
-    return tuple(by_op[k] for k in sorted(by_op))
+            invoked[e.op] = (e, len(responders))  # type: ignore[index]
+        else:
+            closing[e.op] = e.label  # type: ignore[index]
+            responders.append(e.op)  # type: ignore[arg-type]
+    index = {op: i for i, op in enumerate(sorted(invoked))}
+    before = [0]  # before[k]: mask of the first k responders
+    for op in responders:
+        before.append(before[-1] | 1 << index[op])
+    ops = []
+    preds = []
+    for op in index:
+        e, seen = invoked[op]
+        end = closing.get(op)
+        ops.append(Operation(
+            op, e.thread, e.label.method, e.label.arg,  # type: ignore[union-attr]
+            end.value if isinstance(end, Ret) else None,
+            isinstance(end, RetAbort),
+        ))
+        preds.append(before[seen])
+    return tuple(ops), tuple(preds)
 
 
 @dataclass(frozen=True)
@@ -126,10 +156,11 @@ def _search(
     spec: SeqSpec,
     start: Any,
     ops: Sequence[Operation],
-    hb_pairs: frozenset,
+    preds: Sequence[int],
     target_key: Optional[Any],
 ) -> Optional[tuple[tuple[tuple[Operation, Value], ...], frozenset[int]]]:
-    """Core witness search.
+    """Core witness search over the operations and predecessor masks of
+    :func:`_operations`.
 
     Returns the linearization order with chosen returns plus the set of
     dropped pending ops, or None.  When ``target_key`` is given, the
@@ -137,40 +168,50 @@ def _search(
     """
     if any(o.aborted for o in ops):
         return None
-    preds: dict[int, frozenset[int]] = {
-        o.op: frozenset(a for (a, b) in hb_pairs if b == o.op) for o in ops
-    }
-    complete_ids = frozenset(o.op for o in ops if o.ret is not None)
-    by_id = {o.op: o for o in ops}
-    failed: set[tuple[frozenset, Any]] = set()
+    n = len(ops)
+    complete = sum(1 << i for i, o in enumerate(ops) if o.ret is not None)
+    outcomes: dict[tuple[str, Value, Any], tuple] = {}
+    failed: set[tuple[int, Any]] = set()
+    acc: list[tuple[Operation, Value]] = []
 
-    def rec(
-        done: frozenset[int], state: Any, acc: list[tuple[Operation, Value]]
-    ) -> Optional[tuple]:
-        if complete_ids <= done:
-            if target_key is None or spec.state_key(state) == target_key:
-                dropped = frozenset(o.op for o in ops if o.op not in done)
-                return tuple(acc), dropped
-            # for strict checks keep searching: maybe closing a pending op
-            # or another order reaches the target state
+    def rec(done: int, state: Any) -> Optional[int]:
+        if done & complete == complete and (
+            target_key is None or spec.state_key(state) == target_key
+        ):
+            return done
+        # for strict checks keep searching: maybe closing a pending op or
+        # another order reaches the target state
         key = (done, state)
         if key in failed:
             return None
-        for o in sorted(by_id.values(), key=lambda o: o.op):
-            if o.op in done or not preds[o.op] <= done:
+        todo = ~done
+        for i in range(n):
+            bit = 1 << i
+            if not todo & bit or preds[i] & todo:
                 continue
-            for s2, out in sorted(apply(spec, o.method, state, o.arg), key=repr):
+            o = ops[i]
+            cell = (o.method, o.arg, state)
+            outs = outcomes.get(cell)
+            if outs is None:
+                outs = outcomes[cell] = tuple(
+                    sorted(apply(spec, o.method, state, o.arg), key=repr)
+                )
+            for s2, out in outs:
                 if o.ret is not None and out != o.ret:
                     continue
                 acc.append((o, out))
-                got = rec(done | {o.op}, s2, acc)
+                got = rec(done | bit, s2)
                 if got is not None:
                     return got
                 acc.pop()
         failed.add(key)
         return None
 
-    return rec(frozenset(), start, [])
+    done = rec(0, start)
+    if done is None:
+        return None
+    dropped = frozenset(o.op for i, o in enumerate(ops) if not done >> i & 1)
+    return tuple(acc), dropped
 
 
 def find_linearization(
@@ -185,9 +226,7 @@ def find_linearization(
     h = exec.history
     if not is_well_formed(h):
         raise ValueError("history is not well-formed")
-    got = _search(
-        spec, exec.initial_state, _operations(h), happened_before(h).pairs, None
-    )
+    got = _search(spec, exec.initial_state, *_operations(h), None)
     if got is None:
         return None
     order, dropped = got
@@ -209,11 +248,7 @@ def find_strict_linearization(
     if not is_complete(h):
         raise ValueError("terminated execution must have a complete history")
     got = _search(
-        spec,
-        exec.initial_state,
-        _operations(h),
-        happened_before(h).pairs,
-        spec.state_key(exec.final_state),
+        spec, exec.initial_state, *_operations(h), spec.state_key(exec.final_state)
     )
     if got is None:
         return None
@@ -439,7 +474,7 @@ def brute_force_linearizations(h: History) -> frozenset[History]:
     ``h'``, by explicit bijection checking.  Guarded to tiny histories."""
     if not is_complete(h):
         raise ValueError("oracle requires a complete history")
-    ops = _operations(h)
+    ops, _ = _operations(h)
     if len(ops) > MAX_ORACLE_OPS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_OPS} operations")
     out = set()

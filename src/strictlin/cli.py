@@ -292,23 +292,10 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
         # a history file carries no final state: check linearizability from
         # the spec's initial state and report the witness's legal finals
         rec = checker.RecordedExecution(spec.initial_states[0], h, False)
-        lin = checker.find_linearization(rec, spec)
-        ok = lin is not None
-        report = checker.CheckReport(
-            "strict",
-            ok,
-            (
-                checker.ExecutionVerdict(
-                    rec,
-                    ok,
-                    witness=lin.witness if lin else None,
-                    completion=lin.completion if lin else None,
-                    detail="" if ok else "no completion linearizes",
-                ),
-            ),
-        )
-        if ok:
-            finals = sorted(spec.render_state(s) for s in lin.final_states)
+        report = checker.check_strict([rec], spec)
+        (entry,) = report.entries
+        if entry.ok:
+            finals = sorted(spec.render_state(s) for s in entry.witness_finals)
             print(f"legal final states of the witness: {finals}")
         render = spec.render_state
     elif args.mode == "general":
@@ -415,7 +402,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # point stdout at devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, explorer.ExplorationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

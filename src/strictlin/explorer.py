@@ -127,7 +127,8 @@ class Transition:
 
 
 class ExplorationError(RuntimeError):
-    pass
+    """The program leaves what the explorer can represent (a thread starting
+    more than ``MAX_OPS_PER_THREAD`` operations)."""
 
 
 def _advance(frames: tuple) -> tuple:
@@ -349,7 +350,10 @@ class _Interp:
         method = t.stmt.method
         op = t.tid * 100 + t.ops_started + 1
         if t.ops_started >= MAX_OPS_PER_THREAD:
-            raise ExplorationError("operation-id space exhausted for thread")
+            raise ExplorationError(
+                f"operation-id space exhausted for thread {t.tid}: a thread may "
+                f"start at most {MAX_OPS_PER_THREAD} operations"
+            )
         if self.spec is not None:
             # atomic version: one transition per spec outcome, blocked if none
             outcomes = apply(self.spec, method, c.obj, t.call_arg)

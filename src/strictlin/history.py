@@ -188,8 +188,22 @@ def is_sequential(h: History) -> bool:
 
 
 def is_well_formed(h: History) -> bool:
-    """True iff every per-thread projection is sequential."""
-    return all(is_sequential(project_thread(h, t)) for t in h.threads())
+    """True iff every per-thread projection is sequential.
+
+    One walk over the events: ``open_op[t]`` is the operation whose
+    invocation is thread ``t``'s latest event.  A response must close that
+    operation, and an invocation may not follow another; a trailing open
+    invocation per thread is allowed.
+    """
+    open_op: dict[int, int] = {}
+    for e in h:
+        if isinstance(e.label, Inv):
+            if e.thread in open_op:
+                return False
+            open_op[e.thread] = e.op  # type: ignore[assignment]
+        elif open_op.pop(e.thread, None) != e.op:
+            return False
+    return True
 
 
 def is_complete(h: History) -> bool:

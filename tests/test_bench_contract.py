@@ -1,11 +1,12 @@
-"""The benchmark's per-layer metrics still see the explorer.
+"""The benchmark's per-layer metrics still see the explorer and the checker.
 
-``bench/spans.py`` wraps the public calls of :mod:`strictlin.explorer` and
-reads ``Exploration`` internals (``order``, ``scc_info()``, ``_scc``,
+``bench/spans.py`` wraps the public calls of :mod:`strictlin.explorer`,
+:mod:`strictlin.checker` and :mod:`strictlin.history` by name and reads
+``Exploration`` internals (``order``, ``scc_info()``, ``_scc``,
 ``_results``).  A refactor that renames one of them would leave the
 benchmark answering correctly while reporting zeros for the layer it no
-longer sees; this runs one tiny traced pass of each explore workload and
-checks that the layer metrics are live.
+longer sees; this runs one tiny traced pass of each workload and checks
+that the layer metrics are live.
 """
 
 import json
@@ -16,11 +17,12 @@ from pathlib import Path
 import pytest
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-LIVE = ("explorer.build_s", "explorer.configs", "explorer.sccs", "explorer.scc_s")
+EXPLORER = ("explorer.build_s", "explorer.configs", "explorer.sccs", "explorer.scc_s")
+CHECKER = ("checker.executions_checked", "checker.general_s", "checker.strict_s",
+           "history.parse_s")
 
 
-@pytest.mark.parametrize("workload", ["explore-strict", "explore-compare"])
-def test_traced_run_reports_explorer_layers(workload):
+def _traced_metrics(workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, str(BENCH_RUN), "--workload", workload, "--seed", "1",
          "--seconds", "0.2", "--trace", "1", "--size", "tiny"],
@@ -29,6 +31,17 @@ def test_traced_run_reports_explorer_layers(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
-    metrics = result["metrics"]
-    for name in LIVE:
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("workload", ["explore-strict", "explore-compare"])
+def test_traced_run_reports_explorer_layers(workload):
+    metrics = _traced_metrics(workload)
+    for name in EXPLORER:
+        assert metrics[name]["value"] > 0, name
+
+
+def test_traced_run_reports_checker_layers():
+    metrics = _traced_metrics("check-history")
+    for name in CHECKER:
         assert metrics[name]["value"] > 0, name

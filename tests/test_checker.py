@@ -1,5 +1,6 @@
 """Linearization search, strict/general checks, brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -24,9 +25,11 @@ from strictlin.history import (
     is_complete,
     is_sequential,
     linearizes,
+    parse_history,
     pending,
     ret,
     ret_abort,
+    serialize_history,
 )
 from strictlin.programs import parse_program
 from strictlin.reproductions import FIG3_FINAL, FIG3_LEGAL_FINAL, fig3_history
@@ -35,6 +38,7 @@ from strictlin.specs import (
     AbstractionFunction,
     Adt,
     legal_seq_outcomes,
+    multiset_adt,
     queue_adt,
 )
 from strictlin.values import EMPTY, UNIT
@@ -109,6 +113,164 @@ def test_strict_requires_terminated():
 
 
 # ---------------------------------------------------------------------------
+# the exact witness: ties go to the lowest op id, then outcomes by repr
+# ---------------------------------------------------------------------------
+
+PINNED_WITNESSES = [
+    pytest.param(
+        # op 5 is invoked first, but the overlapping op 3 has the lower id
+        QUEUE,
+        """t=1 op=5 inv Enqueue 'a'
+        t=2 op=3 inv Enqueue 'b'
+        t=1 op=5 ret unit
+        t=2 op=3 ret unit""",
+        """t=2 op=3 inv Enqueue 'b'
+        t=2 op=3 ret unit
+        t=1 op=5 inv Enqueue 'a'
+        t=1 op=5 ret unit""",
+        """t=1 op=5 inv Enqueue 'a'
+        t=2 op=3 inv Enqueue 'b'
+        t=1 op=5 ret unit
+        t=2 op=3 ret unit""",
+        ["<'b','a'>"],
+        id="lowest-op-id-first",
+    ),
+    pytest.param(
+        # the pending dequeue op 1 overlaps everything and is tried first at
+        # every level, so it is closed (with 'a') although dropping it works
+        QUEUE,
+        """t=1 op=1 inv Dequeue unit
+        t=2 op=2 inv Enqueue 'a'
+        t=2 op=2 ret unit
+        t=2 op=3 inv Enqueue 'b'
+        t=2 op=3 ret unit
+        t=3 op=4 inv Dequeue unit
+        t=3 op=4 ret 'b'""",
+        """t=2 op=2 inv Enqueue 'a'
+        t=2 op=2 ret unit
+        t=1 op=1 inv Dequeue unit
+        t=1 op=1 ret 'a'
+        t=2 op=3 inv Enqueue 'b'
+        t=2 op=3 ret unit
+        t=3 op=4 inv Dequeue unit
+        t=3 op=4 ret 'b'""",
+        """t=1 op=1 inv Dequeue unit
+        t=2 op=2 inv Enqueue 'a'
+        t=2 op=2 ret unit
+        t=2 op=3 inv Enqueue 'b'
+        t=2 op=3 ret unit
+        t=3 op=4 inv Dequeue unit
+        t=3 op=4 ret 'b'
+        t=1 op=1 ret 'a'""",
+        ["<>"],
+        id="pending-closed-when-tried-first",
+    ),
+    pytest.param(
+        # the pending enqueue op 4 must take effect before op 6 returns 'c';
+        # the pending dequeue op 7 is never needed and is dropped
+        QUEUE,
+        """t=1 op=1 inv Enqueue 'a'
+        t=2 op=2 inv Enqueue 'b'
+        t=1 op=1 ret unit
+        t=3 op=3 inv Dequeue unit
+        t=2 op=2 ret unit
+        t=3 op=3 ret 'b'
+        t=1 op=4 inv Enqueue 'c'
+        t=3 op=5 inv Dequeue unit
+        t=3 op=5 ret 'a'
+        t=2 op=6 inv Dequeue unit
+        t=2 op=6 ret 'c'
+        t=3 op=7 inv Dequeue unit""",
+        """t=2 op=2 inv Enqueue 'b'
+        t=2 op=2 ret unit
+        t=1 op=1 inv Enqueue 'a'
+        t=1 op=1 ret unit
+        t=3 op=3 inv Dequeue unit
+        t=3 op=3 ret 'b'
+        t=1 op=4 inv Enqueue 'c'
+        t=1 op=4 ret unit
+        t=3 op=5 inv Dequeue unit
+        t=3 op=5 ret 'a'
+        t=2 op=6 inv Dequeue unit
+        t=2 op=6 ret 'c'""",
+        """t=1 op=1 inv Enqueue 'a'
+        t=2 op=2 inv Enqueue 'b'
+        t=1 op=1 ret unit
+        t=3 op=3 inv Dequeue unit
+        t=2 op=2 ret unit
+        t=3 op=3 ret 'b'
+        t=1 op=4 inv Enqueue 'c'
+        t=3 op=5 inv Dequeue unit
+        t=3 op=5 ret 'a'
+        t=2 op=6 inv Dequeue unit
+        t=2 op=6 ret 'c'
+        t=1 op=4 ret unit""",
+        ["<>"],
+        id="pending-closed-and-dropped",
+    ),
+    pytest.param(
+        # the pending remove op 3 is tried before op 4 and may take 'a' or
+        # 'b', and both lead to a witness; outcomes are tried in repr order,
+        # which removes 'b' first
+        multiset_adt(("a", "b")),
+        """t=1 op=1 inv Add 'a'
+        t=1 op=1 ret unit
+        t=1 op=2 inv Add 'b'
+        t=1 op=2 ret unit
+        t=2 op=3 inv Remove unit
+        t=1 op=4 inv Add 'a'
+        t=1 op=4 ret unit""",
+        """t=1 op=1 inv Add 'a'
+        t=1 op=1 ret unit
+        t=1 op=2 inv Add 'b'
+        t=1 op=2 ret unit
+        t=2 op=3 inv Remove unit
+        t=2 op=3 ret 'b'
+        t=1 op=4 inv Add 'a'
+        t=1 op=4 ret unit""",
+        """t=1 op=1 inv Add 'a'
+        t=1 op=1 ret unit
+        t=1 op=2 inv Add 'b'
+        t=1 op=2 ret unit
+        t=2 op=3 inv Remove unit
+        t=1 op=4 inv Add 'a'
+        t=1 op=4 ret unit
+        t=2 op=3 ret 'b'""",
+        ["{'a','a'}"],
+        id="outcomes-in-repr-order",
+    ),
+]
+
+
+def _text(block: str) -> str:
+    return "".join(line.strip() + "\n" for line in block.splitlines())
+
+
+@pytest.mark.parametrize("spec,hist,witness,completion,finals", PINNED_WITNESSES)
+def test_witness_and_completion_are_pinned(spec, hist, witness, completion, finals):
+    h = parse_history(_text(hist))
+    lin = find_linearization(RecordedExecution(spec.initial_states[0], h, False), spec)
+    assert serialize_history(lin.witness) == _text(witness)
+    assert serialize_history(lin.completion) == _text(completion)
+    assert sorted(spec.render_state(s) for s in lin.final_states) == finals
+
+
+def test_strict_witness_is_pinned():
+    # both orders of the overlapping enqueues are legal; the recorded final
+    # state <a,b> forces the one that is not tried first
+    h = parse_history(_text(
+        """t=1 op=1 inv Enqueue 'b'
+        t=2 op=2 inv Enqueue 'a'
+        t=1 op=1 ret unit
+        t=2 op=2 ret unit"""
+    ))
+    for final, first in ((("b", "a"), 1), (("a", "b"), 2)):
+        w = find_strict_linearization(RecordedExecution((), h, True, final), QUEUE)
+        assert w.operations() == (first, 3 - first)
+    assert find_strict_linearization(RecordedExecution((), h, True, ("a",)), QUEUE) is None
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
@@ -156,7 +318,7 @@ def test_oracle_size_guard():
 # ---------------------------------------------------------------------------
 
 
-def random_queue_history(rng: random.Random, max_ops=4):
+def random_queue_history(rng: random.Random, max_ops=4, pending_rate=0.35):
     streams = []
     opid = 0
     budget = max_ops
@@ -173,7 +335,7 @@ def random_queue_history(rng: random.Random, max_ops=4):
                     (inv(t, opid, "Dequeue", UNIT), ret(t, opid, rng.choice(["a", "b", EMPTY])))
                 )
         flat = [e for p in ops for e in p]
-        if rng.random() < 0.35:
+        if rng.random() < pending_rate:
             flat = flat[:-1]
         streams.append(flat)
     merged = []
@@ -207,6 +369,45 @@ def test_search_agrees_with_oracle_on_random_histories():
         h = random_queue_history(rng)
         got = find_linearization(RecordedExecution((), h, False), QUEUE)
         assert (got is not None) == oracle_says_linearizable(h), h
+
+
+def test_strict_search_agrees_with_oracle_on_random_complete_histories():
+    # the oracle's reachable finals: every legal final of every permutation
+    # the history linearizes to; one state outside them must be refused
+    rng = random.Random(11)
+    states = [s for n in range(4) for s in itertools.product("ab", repeat=n)]
+    reached = 0
+    for _ in range(300):
+        h = random_queue_history(rng, max_ops=5, pending_rate=0.0)
+        witnesses: dict[tuple, set] = {}
+        for perm in brute_force_linearizations(h):
+            for final in legal_seq_outcomes(QUEUE, (), perm):
+                witnesses.setdefault(final, set()).add(perm)
+        unreachable = next(s for s in states if s not in witnesses)
+        for final in [*witnesses, unreachable]:
+            w = find_strict_linearization(RecordedExecution((), h, True, final), QUEUE)
+            if final in witnesses:
+                assert w in witnesses[final], (h, final)
+                reached += 1
+            else:
+                assert w is None, (h, final)
+    assert reached > 50
+
+
+def test_witness_properties_on_random_pending_histories():
+    rng = random.Random(13)
+    with_pending = 0
+    for _ in range(200):
+        h = random_queue_history(rng, max_ops=5)
+        lin = find_linearization(RecordedExecution((), h, False), QUEUE)
+        if lin is None:
+            continue
+        with_pending += bool(pending(h))
+        assert is_complete(lin.completion)
+        assert is_sequential(lin.witness) and is_complete(lin.witness)
+        assert linearizes(lin.completion, lin.witness)
+        assert legal_seq_outcomes(QUEUE, (), lin.witness) == lin.final_states
+    assert with_pending > 20
 
 
 # ---------------------------------------------------------------------------

@@ -266,3 +266,114 @@ def test_closed_output_pipe_exits_quietly(program_file):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+# `check-history --mode strict` output, pinned byte for byte: a history whose
+# witness reorders overlapping enqueues and closes a pending one, and one with
+# an aborted operation
+STRICT_PASSING_HISTORY = """\
+t=1 op=1 inv Enqueue 'a'
+t=2 op=2 inv Enqueue 'b'
+t=1 op=1 ret unit
+t=3 op=3 inv Dequeue unit
+t=2 op=2 ret unit
+t=3 op=3 ret 'b'
+t=1 op=4 inv Enqueue 'c'
+t=3 op=5 inv Dequeue unit
+t=3 op=5 ret 'a'
+t=2 op=6 inv Dequeue unit
+t=2 op=6 ret 'c'
+"""
+STRICT_PASSING_OUT = """\
+legal final states of the witness: ['<>']
+mode=strict verdict=pass executions=1
+witness:
+  t=2 op=2 inv Enqueue 'b'
+  t=2 op=2 ret unit
+  t=1 op=1 inv Enqueue 'a'
+  t=1 op=1 ret unit
+  t=3 op=3 inv Dequeue unit
+  t=3 op=3 ret 'b'
+  t=1 op=4 inv Enqueue 'c'
+  t=1 op=4 ret unit
+  t=3 op=5 inv Dequeue unit
+  t=3 op=5 ret 'a'
+  t=2 op=6 inv Dequeue unit
+  t=2 op=6 ret 'c'
+"""
+STRICT_PASSING_JSON = r"""{
+  "executions": [
+    {
+      "completion": "t=1 op=1 inv Enqueue 'a'\nt=2 op=2 inv Enqueue 'b'\nt=1 op=1 ret unit\nt=3 op=3 inv Dequeue unit\nt=2 op=2 ret unit\nt=3 op=3 ret 'b'\nt=1 op=4 inv Enqueue 'c'\nt=3 op=5 inv Dequeue unit\nt=3 op=5 ret 'a'\nt=2 op=6 inv Dequeue unit\nt=2 op=6 ret 'c'\nt=1 op=4 ret unit\n",
+      "detail": "",
+      "history": "t=1 op=1 inv Enqueue 'a'\nt=2 op=2 inv Enqueue 'b'\nt=1 op=1 ret unit\nt=3 op=3 inv Dequeue unit\nt=2 op=2 ret unit\nt=3 op=3 ret 'b'\nt=1 op=4 inv Enqueue 'c'\nt=3 op=5 inv Dequeue unit\nt=3 op=5 ret 'a'\nt=2 op=6 inv Dequeue unit\nt=2 op=6 ret 'c'\n",
+      "terminated": false,
+      "verdict": "pass",
+      "witness": "t=2 op=2 inv Enqueue 'b'\nt=2 op=2 ret unit\nt=1 op=1 inv Enqueue 'a'\nt=1 op=1 ret unit\nt=3 op=3 inv Dequeue unit\nt=3 op=3 ret 'b'\nt=1 op=4 inv Enqueue 'c'\nt=1 op=4 ret unit\nt=3 op=5 inv Dequeue unit\nt=3 op=5 ret 'a'\nt=2 op=6 inv Dequeue unit\nt=2 op=6 ret 'c'\n"
+    }
+  ],
+  "mode": "strict",
+  "passed": true
+}
+"""
+STRICT_ABORTED_HISTORY = """\
+t=1 op=1 inv Enqueue 'a'
+t=2 op=2 inv Dequeue unit
+t=1 op=1 abort
+t=2 op=2 ret 'a'
+"""
+STRICT_ABORTED_OUT = """\
+mode=strict verdict=fail executions=1
+  failing execution:
+    t=1 op=1 inv Enqueue 'a'
+    t=2 op=2 inv Dequeue unit
+    t=1 op=1 abort
+    t=2 op=2 ret 'a'
+    no completion linearizes
+"""
+STRICT_ABORTED_JSON = r"""{
+  "executions": [
+    {
+      "completion": null,
+      "detail": "no completion linearizes",
+      "history": "t=1 op=1 inv Enqueue 'a'\nt=2 op=2 inv Dequeue unit\nt=1 op=1 abort\nt=2 op=2 ret 'a'\n",
+      "terminated": false,
+      "verdict": "fail",
+      "witness": null
+    }
+  ],
+  "mode": "strict",
+  "passed": false
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text,status,out,payload",
+    [
+        (STRICT_PASSING_HISTORY, EXIT_OK, STRICT_PASSING_OUT, STRICT_PASSING_JSON),
+        (STRICT_ABORTED_HISTORY, EXIT_CHECK_FAILED, STRICT_ABORTED_OUT, STRICT_ABORTED_JSON),
+    ],
+    ids=["passing", "aborted"],
+)
+def test_check_history_strict_output_is_pinned(text, status, out, payload, tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text(text)
+    report = tmp_path / "r.json"
+    assert main(
+        ["check-history", "--file", str(f), "--mode", "strict", "--spec", "adt-queue",
+         "--json", str(report)]
+    ) == status
+    assert capsys.readouterr().out == out
+    assert report.read_text() == payload
+
+
+@pytest.mark.parametrize("command", ["explore", "compare"])
+def test_thread_with_too_many_operations_is_usage_error(command, tmp_path, capsys):
+    # each lap of the loop starts two operations and the loop never exits
+    f = tmp_path / "loop.txt"
+    f.write_text(
+        "thread { set x = 0 ; while x != 2 { call Q.Enqueue('a') ; call y = Q.Dequeue() } }\n"
+    )
+    assert main([command, "--program", str(f), "--model", "coarse-queue"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: operation-id space exhausted for thread 1")

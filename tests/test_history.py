@@ -198,6 +198,33 @@ def _histories(draw):
     return history(merged)
 
 
+@st.composite
+def _event_soups(draw):
+    """Interface events in any order, well-formed or not; only the structural
+    invariant (one invocation and one response per op id) is kept."""
+    raw = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 5), st.sampled_from(["inv", "ret", "abort"])),
+        max_size=12,
+    ))
+    events, invoked, responded = [], set(), set()
+    for t, op, kind in raw:
+        if kind == "inv" and op not in invoked:
+            invoked.add(op)
+            events.append(inv(t, op, "M", UNIT))
+        elif kind != "inv" and op not in responded:
+            responded.add(op)
+            events.append(ret(t, op, "a") if kind == "ret" else ret_abort(t, op))
+    return history(events)
+
+
+@given(st.one_of(_event_soups(), _histories()))
+@settings(max_examples=300, deadline=None)
+def test_well_formed_is_sequential_per_thread(h):
+    assert is_well_formed(h) == all(
+        is_sequential(project_thread(h, t)) for t in h.threads()
+    )
+
+
 @given(_histories())
 @settings(max_examples=200, deadline=None)
 def test_happened_before_is_strict_partial_order(h):
