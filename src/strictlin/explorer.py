@@ -1,10 +1,10 @@
 """Exhaustive bounded exploration of client programs over object models.
 
-The explorer interprets a :class:`~strictlin.programs.Program` against either
-a fine-grained object model (each method body advances by atomic steps) or
-the atomic version of a sequential specification (each call is one atomic
-transition, enabled only where the spec relation is non-empty and blocking
-otherwise).  It explores *all* schedules of enabled atomic transitions.
+The explorer interprets a :class:`~strictlin.programs.Program` against an
+object model: a fine-grained one, whose method bodies advance by atomic steps,
+or the atomic version of a sequential specification that
+:func:`~strictlin.models.atomic_model` derives, whose calls take effect in one
+transition.  It explores *all* schedules of enabled atomic transitions.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -20,8 +20,7 @@ in a cons table of ``(event id, tail id)`` cells, so traces sharing a suffix
 share its storage, and an outcome is a ``(trace id, leaf id)`` pair whose
 leaf holds the kind, final state, cycle and note.  Only the initial
 configuration's outcomes are turned into :class:`ExecutionResult` objects.
-A naive schedule-by-schedule enumerator is kept alongside as a cross-check
-oracle for small programs.
+The test suite checks them against a naive schedule-by-schedule enumerator.
 
 Conventions mirroring the trace model:
 
@@ -39,10 +38,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .history import Act, Event, History, Inv, Ret, RetAbort
-from .models import Done, ObjectModel
+from .models import Done, ObjectModel, atomic_model
 from .programs import (
     Arith,
     AssignStmt,
@@ -57,7 +56,7 @@ from .programs import (
     WhileStmt,
     WriteCellStmt,
 )
-from .specs import CellError, SeqSpec, apply
+from .specs import CellError, SeqSpec, UnknownMethodError
 from .values import UNIT, Value, render_value
 
 MAX_OPS_PER_THREAD = 99
@@ -188,28 +187,24 @@ def _test(pred: Cmp, env: dict[str, Value]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interpreter core, parametrized by the object's call semantics
+# Interpreter core
 # ---------------------------------------------------------------------------
 
 
 class _Interp:
-    """Shared interpreter; ``atomic_spec`` switches the method-call engine."""
+    """The transition rules of ``prog`` over ``model``; a program that calls a
+    method or touches a cell the model lacks is rejected before any step."""
 
     def __init__(
-        self,
-        prog: Program,
-        model: Optional[ObjectModel],
-        spec: Optional[SeqSpec],
-        init_client: tuple,
-        init_obj: Any,
+        self, prog: Program, model: ObjectModel, init_client: tuple, init_obj: Any
     ) -> None:
         self.prog = prog
         self.model = model
-        self.spec = spec
-        obj = model if model is not None else spec
-        self.cells = obj.cells
-        if self.cells is None and any(_uses_cells(code) for ph in prog.phases for code in ph):
-            raise ValueError(f"{obj.name} exposes no cells; the program reads or writes one")
+        for s in _statements(code for ph in prog.phases for code in ph):
+            if isinstance(s, CallStmt) and s.method not in model.methods:
+                raise UnknownMethodError(f"{model.name}: unknown method {s.method!r}")
+            if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.cells is None:
+                raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
         self.init = Config(0, self._phase_threads(0, 0), init_client, init_obj)
 
     def _phase_threads(self, phase: int, tid_base: int) -> tuple[ThreadState, ...]:
@@ -218,9 +213,6 @@ class _Interp:
             frames = ((tuple(code), 0),) if code else ()
             out.append(ThreadState(tid_base + k + 1, frames))
         return tuple(out)
-
-    def object_kind(self) -> str:
-        return "atomic" if self.spec is not None else "model"
 
     # -- transitions --------------------------------------------------------
 
@@ -280,7 +272,7 @@ class _Interp:
             return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
         if isinstance(s, ReadCellStmt):
             try:
-                v = self.cells.read(c.obj, s.cell)
+                v = self.model.cells.read(c.obj, s.cell)
             except CellError as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"))
@@ -290,7 +282,7 @@ class _Interp:
         if isinstance(s, WriteCellStmt):
             try:
                 v = _eval(s.expr, env)
-                obj2 = self.cells.write(c.obj, s.cell, v)
+                obj2 = self.model.cells.write(c.obj, s.cell, v)
             except (CellError, EvalError) as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"Q.{_cellname(s.cell)}:={render_value(v)}"))
@@ -354,46 +346,30 @@ class _Interp:
                 f"operation-id space exhausted for thread {t.tid}: a thread may "
                 f"start at most {MAX_OPS_PER_THREAD} operations"
             )
-        if self.spec is not None:
-            # atomic version: one transition per spec outcome, blocked if none
-            outcomes = apply(self.spec, method, c.obj, t.call_arg)
-            out = []
-            for obj2, retv in sorted(outcomes, key=repr):
-                events = (
-                    Event(t.tid, Inv(method, t.call_arg), op),
-                    Event(t.tid, Ret(retv), op),
-                )
-                t2 = self._after_return(t, retv)
-                out.append(Transition(t.tid, events, self._with_thread(c, i, t2, obj=obj2)))
-            return out
-        machine = self.model.methods.get(method)
-        if machine is None:
-            return [self._client_abort(t.tid, f"unknown method {method!r}")]
-        ev = Event(t.tid, Inv(method, t.call_arg), op)
-        t2 = replace(
-            t,
-            mode="body",
-            op_id=op,
-            op_local=machine.start(t.call_arg),
-            ops_started=t.ops_started + 1,
-        )
-        return [Transition(t.tid, (ev,), self._with_thread(c, i, t2))]
+        inv = Event(t.tid, Inv(method, t.call_arg), op)
+        started = t.ops_started + 1
+        out = []
+        # a call answered at once emits its response in the invoking step
+        for local, shared in self.model.methods[method].start(t.call_arg, c.obj):
+            if isinstance(local, Done):
+                events = (inv, Event(t.tid, Ret(local.value), op))
+                t2 = self._after_return(replace(t, ops_started=started), local.value)
+            else:
+                events = (inv,)
+                t2 = replace(t, mode="body", op_id=op, op_local=local, ops_started=started)
+            out.append(Transition(t.tid, events, self._with_thread(c, i, t2, obj=shared)))
+        return out
 
     def _after_return(self, t: ThreadState, retv: Value) -> ThreadState:
         assert t.stmt is not None
-        started = t.ops_started + 1 if self.spec is not None else t.ops_started
         if t.stmt.target is not None:
-            return replace(
-                t, mode="assign", ret_val=retv, op_id=None, op_local=None,
-                ops_started=started,
-            )
+            return replace(t, mode="assign", ret_val=retv, op_id=None, op_local=None)
         return replace(
-            t, mode="run", frames=_advance(t.frames), stmt=None, op_id=None,
-            op_local=None, ops_started=started,
+            t, mode="run", frames=_advance(t.frames), stmt=None, op_id=None, op_local=None
         )
 
     def _body_step(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
-        assert self.model is not None and t.stmt is not None
+        assert t.stmt is not None
         if isinstance(t.op_local, Done):
             ev = Event(t.tid, Ret(t.op_local.value), t.op_id)
             t2 = self._after_return(t, t.op_local.value)
@@ -412,16 +388,14 @@ class _Interp:
         return out
 
 
-def _uses_cells(code: tuple) -> bool:
-    """Whether a statement block reads or writes an object cell."""
-    for s in code:
-        if isinstance(s, (ReadCellStmt, WriteCellStmt)):
-            return True
-        if isinstance(s, WhileStmt) and _uses_cells(s.body):
-            return True
-        if isinstance(s, IfStmt) and (_uses_cells(s.then) or _uses_cells(s.els)):
-            return True
-    return False
+def _statements(blocks: Iterable[tuple]) -> Iterator:
+    """Every statement of the statement blocks, nested ones included."""
+    for s in itertools.chain.from_iterable(blocks):
+        yield s
+        if isinstance(s, WhileStmt):
+            yield from _statements((s.body,))
+        elif isinstance(s, IfStmt):
+            yield from _statements((s.then, s.els))
 
 
 def _cellname(cell: tuple) -> str:
@@ -471,14 +445,10 @@ class Exploration:
         return self.interp.init.obj
 
     def state_key(self) -> Callable[[Any], Any]:
-        m = self.interp.model
-        if m is not None:
-            return m.state_key
-        return self.interp.spec.state_key
+        return self.interp.model.state_key
 
     def render_object(self, obj: Any) -> str:
-        m = self.interp.model
-        return m.render_state(obj) if m is not None else self.interp.spec.render_state(obj)
+        return self.interp.model.render_state(obj)
 
     # -- graph construction -------------------------------------------------
 
@@ -934,12 +904,11 @@ def explore(
     init_obj: Any = None,
     bound: int = DEFAULT_BOUND,
 ) -> Exploration:
-    """Explore all schedules of ``prog`` over the fine-grained ``model``."""
-    obj = model.initial_state if init_obj is None else init_obj
-    if not model.well_formed(obj):
+    """Explore all schedules of ``prog`` over ``model``, whose start state
+    must be well-formed."""
+    if not model.well_formed(model.initial_state if init_obj is None else init_obj):
         raise ValueError(f"{model.name}: initial state not well-formed")
-    interp = _Interp(prog, model, None, tuple(sorted(init_client)), obj)
-    return Exploration(interp, bound).build()
+    return _explore(prog, model, init_client, init_obj, bound)
 
 
 def run_atomic(
@@ -949,90 +918,23 @@ def run_atomic(
     init_obj: Any = None,
     bound: int = DEFAULT_BOUND,
 ) -> Exploration:
-    """Explore ``prog`` over the atomic version of ``spec``.
+    """Explore ``prog`` over :func:`~strictlin.models.atomic_model` of ``spec``.
 
-    Each method call is a single transition, enabled exactly where the spec
-    relation is non-empty (one transition per outcome) and blocked
-    otherwise; a blocked call retries whenever the state changes.  A
+    Each call is one transition per spec outcome, emitting its invocation and
+    response; where the spec relation is empty the call blocks.  A
     configuration with pending work and no enabled transition anywhere is a
-    livelock and classified as object divergence.
+    livelock and classified as object divergence.  The start state is not
+    checked for well-formedness.
     """
-    obj = spec.initial_states[0] if init_obj is None else init_obj
-    interp = _Interp(prog, None, spec, tuple(sorted(init_client)), obj)
-    return Exploration(interp, bound).build()
+    return _explore(prog, atomic_model(spec), init_client, init_obj, bound)
 
 
-def enumerate_executions(
-    prog: Program,
-    model: ObjectModel,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    bound: int = DEFAULT_BOUND,
-    projection: str = "interface",
-) -> frozenset[ExecutionResult]:
-    return explore(prog, model, init_client, init_obj, bound).results(projection)
-
-
-def enumerate_executions_naive(
-    prog: Program,
-    model: Optional[ObjectModel] = None,
-    spec: Optional[SeqSpec] = None,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    max_steps: int = 10_000,
-    projection: str = "full",
-) -> frozenset[ExecutionResult]:
-    """Schedule-by-schedule enumeration without configuration hashing.
-
-    Exponential; a cross-check oracle for small programs.  Divergence is
-    detected by a configuration repeat along the current schedule.
-    """
-    if model is not None:
-        obj = model.initial_state if init_obj is None else init_obj
-        interp = _Interp(prog, model, None, tuple(sorted(init_client)), obj)
-    else:
-        assert spec is not None
-        obj = spec.initial_states[0] if init_obj is None else init_obj
-        interp = _Interp(prog, None, spec, tuple(sorted(init_client)), obj)
-    keep = _projector(projection)
-    results: set[ExecutionResult] = set()
-
-    def walk(c: Config, trace: tuple, path: dict, depth: int) -> None:
-        if depth > max_steps:
-            results.add(ExecutionResult(trace, Kind.UNKNOWN, note="step budget exhausted"))
-            return
-        succ = interp.successors(c)
-        if not succ:
-            if all(t.done for t in c.threads) and c.phase + 1 >= len(prog.phases):
-                results.add(ExecutionResult(trace, Kind.TERMINATED, c.client, c.obj))
-            else:
-                results.add(
-                    ExecutionResult(
-                        trace, Kind.OBJECT_DIVERGENT, note="all pending threads blocked"
-                    )
-                )
-            return
-        for tr in succ:
-            ev = tuple(e for e in tr.events if keep(e))
-            if tr.target is None:
-                results.add(ExecutionResult(trace + ev, Kind.ABORTED, note="runtime error"))
-                continue
-            if tr.target in path:
-                cut = path[tr.target]
-                cyc = trace[cut:] + ev
-                kind = (
-                    Kind.CLIENT_DIVERGENT
-                    if all(e.is_client for e in cyc)
-                    else Kind.OBJECT_DIVERGENT
-                )
-                results.add(ExecutionResult(trace[:cut], kind, cycle=cyc))
-                continue
-            path[tr.target] = len(trace + ev)
-            walk(tr.target, trace + ev, path, depth + 1)
-            del path[tr.target]
-
-    walk(interp.init, (), {interp.init: 0}, 0)
-    return frozenset(results)
+def _explore(
+    prog: Program, model: ObjectModel, init_client: Sequence[tuple[str, Value]],
+    init_obj: Any, bound: int,
+) -> Exploration:
+    obj = model.initial_state if init_obj is None else init_obj
+    return Exploration(_Interp(prog, model, tuple(sorted(init_client)), obj), bound).build()
 
 
 # ---------------------------------------------------------------------------

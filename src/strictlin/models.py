@@ -56,13 +56,17 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class MethodMachine:
-    start: Callable[[Value], Any]
+    """``start(arg, shared)`` lists the ``(local, shared)`` pairs a call can
+    move to on invocation (none: it blocks); a ``Done`` local returns in that
+    same transition, any other runs the body by ``step(local, shared)``."""
+
+    start: Callable[[Value, Any], tuple[tuple[Any, Any], ...]]
     step: Callable[[Any, Any], tuple[StepOutcome, ...]]
 
 
 @dataclass
 class ObjectModel:
-    """An executable fine-grained object."""
+    """An executable object: fine-grained, or a spec's :func:`atomic_model`."""
 
     name: str
     methods: dict[str, MethodMachine]
@@ -81,6 +85,31 @@ class ObjectModel:
     def seed_state(self, contents: Sequence[Value]) -> Any:
         """Build a start state holding ``contents``, front first."""
         return self.seq_spec.seed_state(contents)
+
+
+def atomic_model(spec: SeqSpec) -> ObjectModel:
+    """The atomic version of ``spec``: a call returns in its invoking
+    transition, one per spec outcome in ``repr`` order, and blocks where the
+    spec relation is empty, retrying whenever the state changes."""
+
+    def machine(method: str) -> MethodMachine:
+        def start(arg: Value, s: Any) -> tuple:
+            outcomes = sorted(specs.apply(spec, method, s, arg), key=repr)
+            return tuple((Done(ret), s2) for s2, ret in outcomes)
+
+        return MethodMachine(start, lambda local, s: ())  # no body to step
+
+    return ObjectModel(
+        name=spec.name,
+        methods={m: machine(m) for m in spec.methods},
+        initial_state=spec.initial_states[0],
+        well_formed=spec.is_state,
+        invariant_ok=spec.is_state,
+        render_state=spec.render_state,
+        state_key=spec.state_key,
+        seq_spec=spec,
+        cells=spec.cells,
+    )
 
 
 def _cell_render(v: Value) -> str:
@@ -129,8 +158,8 @@ def _hw_set(s: HWQueueState, i: int, v: Value) -> HWQueueState:
     return replace(s, items=tuple(items))
 
 
-def _hw_enq_start(arg: Value) -> Any:
-    return ("inc", arg)
+def _hw_enq_start(arg: Value, s: HWQueueState) -> tuple:
+    return ((("inc", arg), s),)
 
 
 def _hw_enq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
@@ -147,8 +176,8 @@ def _hw_enq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
     return (StepOutcome(f"items[{t}]:={render_value(v)}", Done(UNIT), _hw_set(s, t, v)),)
 
 
-def _hw_deq_start(_: Value) -> Any:
-    return ("snap",)
+def _hw_deq_start(_: Value, s: HWQueueState) -> tuple:
+    return ((("snap",), s),)
 
 
 def _hw_deq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
@@ -371,8 +400,8 @@ def _ms_alloc(s: MSQueueState, v: Value) -> Optional[tuple[MSQueueState, int]]:
     return None
 
 
-def _ms_enq_start(arg: Value) -> Any:
-    return ("alloc", arg)
+def _ms_enq_start(arg: Value, s: MSQueueState) -> tuple:
+    return ((("alloc", arg), s),)
 
 
 def _ms_enq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
@@ -420,8 +449,8 @@ def _opt_node(i: Optional[int]) -> str:
     return "null" if i is None else f"n{i}"
 
 
-def _ms_deq_start(_: Value) -> Any:
-    return ("read_head",)
+def _ms_deq_start(_: Value, s: MSQueueState) -> tuple:
+    return ((("read_head",), s),)
 
 
 def _ms_deq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
@@ -552,8 +581,8 @@ def ms_model(p: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> 
 # ---------------------------------------------------------------------------
 
 
-def _coarse_enq_start(arg: Value) -> Any:
-    return ("do", arg)
+def _coarse_enq_start(arg: Value, s: tuple) -> tuple:
+    return ((("do", arg), s),)
 
 
 def _coarse_enq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
@@ -563,8 +592,8 @@ def _coarse_enq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
     return (StepOutcome(f"enqueue({render_value(v)})", Done(UNIT), s[:-1] + (s[-1] + (v,),)),)
 
 
-def _coarse_deq_start(_: Value) -> Any:
-    return ("do",)
+def _coarse_deq_start(_: Value, s: tuple) -> tuple:
+    return ((("do",), s),)
 
 
 def _coarse_deq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:

@@ -137,9 +137,6 @@ Phase = tuple  # tuple[ThreadCode, ...]
 class Program:
     phases: tuple  # tuple[Phase, ...]
 
-    def thread_count(self) -> int:
-        return sum(len(ph) for ph in self.phases)
-
 
 def program(*threads: tuple) -> Program:
     """One-phase program from thread statement tuples."""

@@ -9,6 +9,7 @@ longer sees; this runs one tiny traced pass of each workload and checks
 that the layer metrics are live.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -34,11 +35,28 @@ def _traced_metrics(workload: str) -> dict:
     return result["metrics"]
 
 
-@pytest.mark.parametrize("workload", ["explore-strict", "explore-compare"])
-def test_traced_run_reports_explorer_layers(workload):
+@pytest.mark.parametrize("workload,live,exact", [
+    pytest.param("explore-strict", EXPLORER, {}, id="explore-strict"),
+    # each compare query explores both sides once per report: two reports
+    pytest.param("explore-compare", EXPLORER + ("explorer.atomic_build_s",),
+                 {"explorer.explorations": 4}, id="explore-compare"),
+])
+def test_traced_run_reports_explorer_layers(workload, live, exact):
     metrics = _traced_metrics(workload)
-    for name in EXPLORER:
+    for name in live:
         assert metrics[name]["value"] > 0, name
+    for name, value in exact.items():
+        assert metrics[name]["value"] == value, name
+
+
+def test_every_span_target_resolves(monkeypatch):
+    # ``instrument`` skips a name it cannot find, so a renamed entry point
+    # would silently drop its layer from the metrics
+    monkeypatch.syspath_prepend(str(BENCH_RUN.parent))
+    spans = importlib.import_module("spans")
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in spans.TARGETS
+               if not callable(getattr(owner, attr, None))]
+    assert not missing
 
 
 def test_traced_run_reports_checker_layers():

@@ -253,6 +253,14 @@ def test_cell_access_on_model_without_cells_is_usage_error(command, tmp_path, ca
     assert "exposes no cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explore", "compare"])
+def test_call_to_unknown_method_is_usage_error(command, tmp_path, capsys):
+    f = tmp_path / "push.txt"
+    f.write_text("thread { call Q.Push('a') }\n")
+    assert main([command, "--program", str(f), "--model", "hw-queue,N=4"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: hw-queue: unknown method 'Push'\n"
+
+
 def test_closed_output_pipe_exits_quietly(program_file):
     # the reader is gone before the report is written, as in `... | head`
     src = Path(__file__).resolve().parents[1] / "src"

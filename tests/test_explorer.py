@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictlin import explorer, models
+from strictlin import explorer, models, reproductions
 from strictlin.checker import check_strict, recorded_executions
 from strictlin.explorer import (
     Kind,
@@ -11,20 +11,42 @@ from strictlin.explorer import (
     client_traces,
     compare_divergence,
     compare_observables,
-    enumerate_executions,
-    enumerate_executions_naive,
     explore,
     final_states,
     run_atomic,
 )
+from strictlin.history import Inv, Ret
+from strictlin.models import atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY
 
+from oracles import enumerate_executions_naive
+
+PROJECTIONS = ("interface", "history", "client")
+
+
+def _assert_matches_naive(p, model):
+    """The graph's outcomes against the naive enumerator's, over ``model``
+    and over the atomic versions of its sequential spec and of the queue ADT."""
+    ex = explore(p, model)
+    for projection in PROJECTIONS:
+        naive = enumerate_executions_naive(p, model, projection=projection)
+        assert ex.results(projection) == naive, projection
+    for spec in (model.seq_spec, queue_adt()):
+        try:
+            ex = run_atomic(p, spec)
+        except ValueError as exc:  # the queue ADT has no cells to read or write
+            assert spec.cells is None and "exposes no cells" in str(exc)
+            continue
+        for projection in PROJECTIONS:
+            naive = enumerate_executions_naive(p, atomic_model(spec), projection=projection)
+            assert ex.results(projection) == naive, (spec.name, projection)
+
 
 def test_single_thread_single_step():
     p = parse_program("thread { set x = 1 }")
-    rs = enumerate_executions(p, models.coarse_queue_model())
+    rs = explore(p, models.coarse_queue_model()).results()
     assert len(rs) == 1
     (r,) = rs
     assert r.kind is Kind.TERMINATED and dict(r.final_client)["x"] == 1
@@ -32,7 +54,7 @@ def test_single_thread_single_step():
 
 def test_two_independent_steps_two_interleavings():
     p = parse_program("thread { set x = 1 }\nthread { set y = 2 }")
-    rs = enumerate_executions(p, models.coarse_queue_model())
+    rs = explore(p, models.coarse_queue_model()).results()
     assert len(rs) == 2
 
 
@@ -40,7 +62,7 @@ def test_op_ids_unique_and_stable():
     p = parse_program(
         "thread { call Q.Enqueue(1) ; call Q.Enqueue(2) }\nthread { call y = Q.Dequeue() }"
     )
-    rs = enumerate_executions(p, models.coarse_queue_model())
+    rs = explore(p, models.coarse_queue_model()).results()
     for r in rs:
         ops = r.history().operations()
         assert sorted(ops) == [101, 102, 201]
@@ -69,11 +91,8 @@ def test_op_ids_unique_and_stable():
 )
 def test_schedule_completeness_against_naive_enumeration(text, model):
     p = parse_program(text)
-    ex = explore(p, model)
-    assert not ex.has_divergence()
-    for projection in ("interface", "history", "client"):
-        naive = enumerate_executions_naive(p, model, projection=projection)
-        assert ex.results(projection) == naive, projection
+    assert not explore(p, model).has_divergence()
+    _assert_matches_naive(p, model)
 
 
 _STATEMENTS = st.sampled_from([
@@ -96,11 +115,7 @@ def _small(threads: list) -> bool:
 @settings(max_examples=50, deadline=None)
 def test_generated_programs_match_naive_enumeration(threads):
     p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
-    m = models.coarse_queue_model()
-    ex = explore(p, m)
-    for projection in ("interface", "history", "client"):
-        naive = enumerate_executions_naive(p, m, projection=projection)
-        assert ex.results(projection) == naive, projection
+    _assert_matches_naive(p, models.coarse_queue_model())
 
 
 def test_schedule_completeness_terminated_subset_with_divergence():
@@ -123,6 +138,27 @@ def test_client_loop_divergence_lasso():
     assert ex.divergence_kinds() == {Kind.CLIENT_DIVERGENT}
     (r,) = [r for r in ex.results("client") if r.kind is Kind.CLIENT_DIVERGENT]
     assert r.cycle  # the repeating client events
+
+
+@pytest.mark.parametrize(
+    "prog,spec,configs,transitions",
+    [
+        (reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_seq_spec(4), 32, 54),
+        (reproductions.MS_TWO_BY_TWO, models.ms_seq_spec(4), 60, 92),
+    ],
+    ids=["fig2-hw", "ms-2x2"],
+)
+def test_atomic_graph_shape_is_pinned(prog, spec, configs, transitions):
+    # an atomic call split into separate Inv and Ret steps keeps client traces
+    # but changes histories and the graph's size
+    ex = run_atomic(prog, spec)
+    assert (len(ex.order), ex.transitions_explored) == (configs, transitions)
+    for trs in ex.edges:
+        for _, events, _ in trs:
+            if any(isinstance(e.label, Inv) for e in events):
+                inv, ret = events
+                assert isinstance(inv.label, Inv) and isinstance(ret.label, Ret)
+                assert inv.op == ret.op and inv.thread == ret.thread
 
 
 def test_all_blocked_is_livelock_divergence():

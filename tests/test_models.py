@@ -24,7 +24,7 @@ def run_in_isolation(model, method, arg, state, max_steps=200):
     """Drive one method alone: (final state, return) on termination, 'abort',
     or 'divergent' when a configuration repeats without a state change."""
     machine = model.methods[method]
-    local = machine.start(arg)
+    ((local, state),) = machine.start(arg, state)  # fine-grained: never blocks
     seen = {(repr(local), model.state_key(state))}
     for _ in range(max_steps):
         if isinstance(local, Done):
