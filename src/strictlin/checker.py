@@ -19,14 +19,30 @@ may be closed with any spec-allowed return or dropped.  It runs on integers:
 one walk over the history numbers the operations by ascending op id and
 gives each a predecessor bitmask, the operations whose response precedes
 its invocation.  The set of linearized operations is a bitmask ``done``, and
-operation ``i`` may come next when ``preds[i] & ~done == 0``.  Each search
-keeps its own table from (method, argument, spec state) to the spec's
-outcomes sorted by ``repr``, so a spec method runs once per distinct state.
-Failed (``done``, spec state) pairs are memoized, on the raw spec state
-(Lowe's memoization).  Ties are broken by ascending operation id, then by
-the ``repr`` of the outcome, which fixes the witness and makes reports
-deterministic.  An operation closed by an abort response has no legal
-sequential counterpart, so histories containing one never linearize.
+operation ``i`` may come next when ``preds[i] & ~done == 0``.
+
+Each call of ``check_strict``, ``check_general`` and
+``check_concurrent_implementation`` builds one :class:`SpecTable` for its
+spec and shares it among all its searches (in impl mode the general pass and
+the abstract final-state pass share the ADT's table).  The table numbers
+spec states by ints on first sight, caches each state's ``state_key``, and
+caches the spec's outcomes per (method, argument, state id), sorted by the
+``repr`` of the raw (state, return) pair, so a spec method runs once per
+distinct (method, argument, state) in the whole check.  A search memoizes
+failed (``done``, state id) pairs (Lowe's memoization) without hashing a
+raw state.  Ties are broken by ascending operation id, then by the ``repr``
+of the outcome, which fixes the witness and makes reports deterministic.
+The table lives for one call only; ``find_linearization`` and
+``find_strict_linearization`` take one as a keyword and otherwise make a
+fresh one.
+
+Results come from the search's trail.  The witness reuses the input
+history's own invocation events and the response events of its completed
+operations; only a closed pending operation gets a new response.  The
+witness's legal final states are found by threading the set of state ids
+through the table along the witness.  An operation closed by an abort
+response has no legal sequential counterpart, so histories containing one
+never linearize.
 
 ``brute_force_linearizations`` is the independent oracle: it enumerates raw
 permutations and checks the relation by explicit bijection search.
@@ -42,10 +58,8 @@ from .history import (
     Event,
     History,
     Inv,
-    Label,
     Ret,
     RetAbort,
-    inv as inv_event,
     is_complete,
     is_well_formed,
     pending,
@@ -61,7 +75,6 @@ from .specs import (
     SeqSpec,
     apply,
     is_sequential_implementation,
-    legal_seq_outcomes,
 )
 from .values import Value, render_value
 
@@ -80,50 +93,99 @@ class RecordedExecution:
             raise ValueError("terminated execution with pending operations")
 
 
-@dataclass(frozen=True)
-class Operation:
-    op: int
-    thread: int
-    method: str
-    arg: Value
-    ret: Optional[Value]  # None = pending
-    aborted: bool = False
+class SpecTable:
+    """One check's table for one spec: spec states numbered by ints, and the
+    spec's outcomes per (method, argument, state id).
+
+    ``states[sid]`` is the state numbered ``sid`` (the first of its equals
+    seen) and ``keys[sid]`` its ``spec.state_key``.  ``calls[(method, arg)]``
+    maps a state id to the method's outcomes there, as ``(state id, return)``
+    pairs sorted by the ``repr`` of the raw ``(state, return)`` pair; it
+    fills as searches ask, so a spec method runs once per distinct
+    (method, argument, state) however many searches share the table.
+    """
+
+    def __init__(self, spec: SeqSpec) -> None:
+        self.spec = spec
+        self.ids: dict[Any, int] = {}
+        self.states: list[Any] = []
+        self.keys: list[Any] = []
+        self.calls: dict[tuple[str, Value], dict[int, tuple[tuple[int, Value], ...]]] = {}
+
+    def intern(self, state: Any) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.keys.append(self.spec.state_key(state))
+        return sid
+
+    def fill(self, cell: dict, call: tuple[str, Value], sid: int) -> tuple[tuple[int, Value], ...]:
+        """Apply ``call`` at state ``sid`` and store its outcomes in ``cell``,
+        the table's map for ``call``."""
+        raw = sorted(apply(self.spec, call[0], self.states[sid], call[1]), key=repr)
+        outs = cell[sid] = tuple((self.intern(s2), out) for s2, out in raw)
+        return outs
+
+    def finals(self, start: Any, witness: History) -> frozenset:
+        """Final states of the legal sequential executions of ``witness`` from
+        ``start``, as :func:`legal_seq_outcomes` gives them, threaded through
+        the table."""
+        ids = {self.intern(start)}
+        ev = witness.events
+        for k in range(0, len(ev), 2):
+            call, value = ev[k].label, ev[k + 1].label.value  # type: ignore[union-attr]
+            name = (call.method, call.arg)  # type: ignore[union-attr]
+            cell = self.calls.setdefault(name, {})
+            nxt = set()
+            for s in ids:
+                outs = cell.get(s)
+                if outs is None:
+                    outs = self.fill(cell, name, s)
+                nxt.update(s2 for s2, out in outs if out == value)
+            ids = nxt
+        return frozenset(self.states[s] for s in ids)
 
 
-def _operations(h: History) -> tuple[tuple[Operation, ...], tuple[int, ...]]:
-    """The operations of a well-formed ``h`` in ascending op-id order, with
-    their predecessor masks.
+def _table_for(spec: SeqSpec, table: Optional[SpecTable]) -> SpecTable:
+    if table is None:
+        return SpecTable(spec)
+    if table.spec is not spec:
+        raise ValueError("spec table belongs to another spec")
+    return table
 
-    Bit ``i`` of a mask stands for ``ops[i]``; the mask of an operation holds
-    the operations whose response precedes its invocation, its predecessors
-    in happened-before order.  One walk over the events records, for each
-    invocation, how many responses came before it.
+
+def _operations(h: History) -> tuple[tuple[Event, ...], tuple[Optional[Event], ...],
+                                     tuple[int, ...]]:
+    """The operations of a well-formed ``h`` in ascending op-id order: their
+    invocation events, their response events (None while pending) and their
+    predecessor masks.
+
+    Bit ``i`` of a mask stands for operation ``i``; the mask of an operation
+    holds the operations whose response precedes its invocation, its
+    predecessors in happened-before order.  One walk over the events
+    records, for each invocation, how many responses came before it.
     """
     invoked: dict[int, tuple[Event, int]] = {}
-    closing: dict[int, Label] = {}
+    closing: dict[int, Event] = {}
     responders: list[int] = []  # op ids in response order
     for e in h:
         if isinstance(e.label, Inv):
             invoked[e.op] = (e, len(responders))  # type: ignore[index]
         else:
-            closing[e.op] = e.label  # type: ignore[index]
+            closing[e.op] = e  # type: ignore[index]
             responders.append(e.op)  # type: ignore[arg-type]
     index = {op: i for i, op in enumerate(sorted(invoked))}
     before = [0]  # before[k]: mask of the first k responders
     for op in responders:
         before.append(before[-1] | 1 << index[op])
-    ops = []
+    calls = []
     preds = []
     for op in index:
         e, seen = invoked[op]
-        end = closing.get(op)
-        ops.append(Operation(
-            op, e.thread, e.label.method, e.label.arg,  # type: ignore[union-attr]
-            end.value if isinstance(end, Ret) else None,
-            isinstance(end, RetAbort),
-        ))
+        calls.append(e)
         preds.append(before[seen])
-    return tuple(ops), tuple(preds)
+    return tuple(calls), tuple(closing.get(op) for op in index), tuple(preds)
 
 
 @dataclass(frozen=True)
@@ -136,52 +198,39 @@ class Linearization:
     final_states: frozenset
 
 
-def _sequential_history(order: Sequence[tuple[Operation, Value]]) -> History:
-    ev: list[Event] = []
-    for op, retv in order:
-        ev.append(inv_event(op.thread, op.op, op.method, op.arg))
-        ev.append(ret_event(op.thread, op.op, retv))
-    return History(tuple(ev))
-
-
-def _completion_for(
-    h: History, dropped: frozenset[int], closures: Sequence[tuple[Operation, Value]]
-) -> History:
-    base = tuple(e for e in h if e.op not in dropped)
-    tail = tuple(ret_event(op.thread, op.op, v) for op, v in closures)
-    return History(base + tail)
-
-
 def _search(
-    spec: SeqSpec,
+    table: SpecTable,
     start: Any,
-    ops: Sequence[Operation],
+    calls: Sequence[Event],
+    ends: Sequence[Optional[Event]],
     preds: Sequence[int],
     target_key: Optional[Any],
-) -> Optional[tuple[tuple[tuple[Operation, Value], ...], frozenset[int]]]:
+) -> Optional[tuple[list[tuple[int, Value]], int]]:
     """Core witness search over the operations and predecessor masks of
     :func:`_operations`.
 
-    Returns the linearization order with chosen returns plus the set of
-    dropped pending ops, or None.  When ``target_key`` is given, the
-    threaded state at the end must match it under the spec's state key.
+    Returns the trail, the linearized operations in order each with its
+    return, plus the mask of linearized operations; or None.  When
+    ``target_key`` is given, the threaded state at the end must match it
+    under the spec's state key.
     """
-    if any(o.aborted for o in ops):
+    if any(e is not None and isinstance(e.label, RetAbort) for e in ends):
         return None
-    n = len(ops)
-    complete = sum(1 << i for i, o in enumerate(ops) if o.ret is not None)
-    outcomes: dict[tuple[str, Value, Any], tuple] = {}
-    failed: set[tuple[int, Any]] = set()
-    acc: list[tuple[Operation, Value]] = []
+    n = len(calls)
+    rets = [None if e is None else e.label.value for e in ends]  # type: ignore[union-attr]
+    complete = sum(1 << i for i, e in enumerate(ends) if e is not None)
+    names = [(c.label.method, c.label.arg) for c in calls]  # type: ignore[union-attr]
+    cells = [table.calls.setdefault(name, {}) for name in names]
+    keys = table.keys
+    failed: set[int] = set()  # sid << n | done
+    trail: list[tuple[int, Value]] = []
 
-    def rec(done: int, state: Any) -> Optional[int]:
-        if done & complete == complete and (
-            target_key is None or spec.state_key(state) == target_key
-        ):
+    def rec(done: int, sid: int) -> Optional[int]:
+        if done & complete == complete and (target_key is None or keys[sid] == target_key):
             return done
         # for strict checks keep searching: maybe closing a pending op or
         # another order reaches the target state
-        key = (done, state)
+        key = sid << n | done
         if key in failed:
             return None
         todo = ~done
@@ -189,56 +238,70 @@ def _search(
             bit = 1 << i
             if not todo & bit or preds[i] & todo:
                 continue
-            o = ops[i]
-            cell = (o.method, o.arg, state)
-            outs = outcomes.get(cell)
+            outs = cells[i].get(sid)
             if outs is None:
-                outs = outcomes[cell] = tuple(
-                    sorted(apply(spec, o.method, state, o.arg), key=repr)
-                )
+                outs = table.fill(cells[i], names[i], sid)
+            want = rets[i]
             for s2, out in outs:
-                if o.ret is not None and out != o.ret:
+                if want is not None and out != want:
                     continue
-                acc.append((o, out))
+                trail.append((i, out))
                 got = rec(done | bit, s2)
                 if got is not None:
                     return got
-                acc.pop()
+                trail.pop()
         failed.add(key)
         return None
 
-    done = rec(0, start)
+    done = rec(0, table.intern(start))
     if done is None:
         return None
-    dropped = frozenset(o.op for i, o in enumerate(ops) if not done >> i & 1)
-    return tuple(acc), dropped
+    return trail, done
+
+
+def _witness(
+    calls: Sequence[Event], ends: Sequence[Optional[Event]], trail: Sequence[tuple[int, Value]]
+) -> tuple[History, tuple[Event, ...]]:
+    """The sequential witness of a trail, from the history's own events, and
+    the responses that close its pending operations."""
+    events: list[Event] = []
+    closures: list[Event] = []
+    for i, out in trail:
+        call, end = calls[i], ends[i]
+        if end is None:
+            end = ret_event(call.thread, call.op, out)  # type: ignore[arg-type]
+            closures.append(end)
+        events += (call, end)
+    return History(tuple(events)), tuple(closures)
 
 
 def find_linearization(
-    exec: RecordedExecution, spec: SeqSpec
+    exec: RecordedExecution, spec: SeqSpec, *, table: Optional[SpecTable] = None
 ) -> Optional[Linearization]:
     """Search completions of the history crossed with linearization orders.
 
     Pending operations closed along the way take any spec-allowed return at
     their linearization point; the rest are dropped.  Returns the first
-    witness with its legal final-state set, or None.
+    witness with its legal final-state set, or None.  ``table`` lets several
+    searches against ``spec`` share one :class:`SpecTable`.
     """
     h = exec.history
     if not is_well_formed(h):
         raise ValueError("history is not well-formed")
-    got = _search(spec, exec.initial_state, *_operations(h), None)
+    table = _table_for(spec, table)
+    calls, ends, preds = _operations(h)
+    got = _search(table, exec.initial_state, calls, ends, preds, None)
     if got is None:
         return None
-    order, dropped = got
-    closures = [(o, v) for (o, v) in order if o.ret is None]
-    completion = _completion_for(h, dropped, closures)
-    witness = _sequential_history(order)
-    finals = legal_seq_outcomes(spec, exec.initial_state, witness)
-    return Linearization(completion, witness, finals)
+    trail, done = got
+    witness, closures = _witness(calls, ends, trail)
+    dropped = {c.op for i, c in enumerate(calls) if not done >> i & 1}
+    completion = History(tuple(e for e in h if e.op not in dropped) + closures)
+    return Linearization(completion, witness, table.finals(exec.initial_state, witness))
 
 
 def find_strict_linearization(
-    exec: RecordedExecution, spec: SeqSpec
+    exec: RecordedExecution, spec: SeqSpec, *, table: Optional[SpecTable] = None
 ) -> Optional[History]:
     """As :func:`find_linearization` for a terminated execution, additionally
     requiring a legal final state equal to the recorded one."""
@@ -247,13 +310,12 @@ def find_strict_linearization(
     h = exec.history
     if not is_complete(h):
         raise ValueError("terminated execution must have a complete history")
-    got = _search(
-        spec, exec.initial_state, *_operations(h), spec.state_key(exec.final_state)
-    )
+    calls, ends, preds = _operations(h)
+    got = _search(_table_for(spec, table), exec.initial_state, calls, ends, preds,
+                  spec.state_key(exec.final_state))
     if got is None:
         return None
-    order, _ = got
-    return _sequential_history(order)
+    return _witness(calls, ends, got[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +367,13 @@ def check_strict(
 ) -> CheckReport:
     """Strict linearizability over the supplied executions: incomplete ones
     must linearize, terminated ones must linearize onto their final state."""
+    table = SpecTable(spec)
     entries = []
     for ex in execs:
         if ex.terminated:
-            w = find_strict_linearization(ex, spec)
+            w = find_strict_linearization(ex, spec, table=table)
             if w is None:
-                lin = find_linearization(ex, spec)
+                lin = find_linearization(ex, spec, table=table)
                 detail = (
                     "no linearization reaches the recorded final state "
                     f"{spec.render_state(ex.final_state)}"
@@ -319,10 +382,10 @@ def check_strict(
                 )
                 entries.append(ExecutionVerdict(ex, False, detail=detail))
             else:
-                finals = legal_seq_outcomes(spec, ex.initial_state, w)
+                finals = table.finals(ex.initial_state, w)
                 entries.append(ExecutionVerdict(ex, True, witness=w, witness_finals=finals))
         else:
-            lin = find_linearization(ex, spec)
+            lin = find_linearization(ex, spec, table=table)
             if lin is None:
                 entries.append(
                     ExecutionVerdict(ex, False, detail="no completion linearizes")
@@ -360,15 +423,19 @@ def check_general(
     adt: Adt,
     af: AbstractionFunction,
     rf: RenamingFunction,
+    *,
+    table: Optional[SpecTable] = None,
 ) -> CheckReport:
     """Classical linearizability against an ADT through an abstraction
     function: each execution's completion must linearize to a legal abstract
-    execution from the abstracted initial state; final states unconstrained."""
+    execution from the abstracted initial state; final states unconstrained.
+    ``table`` lets a caller share its table for ``adt`` with this check."""
+    table = _table_for(adt, table)
     entries = []
     for ex in execs:
         a = _abstracted(ex, af, rf)
         lin = find_linearization(
-            RecordedExecution(a.initial_state, a.history, False), adt
+            RecordedExecution(a.initial_state, a.history, False), adt, table=table
         )
         if lin is None:
             entries.append(
@@ -395,13 +462,14 @@ def check_concurrent_implementation(
     agreement for terminated executions."""
     impl = is_sequential_implementation(model_spec, adt, af, rf, states)
     execs = tuple(execs)
-    general = check_general(execs, adt, af, rf)
+    table = SpecTable(adt)
+    general = check_general(execs, adt, af, rf, table=table)
     entries = list(general.entries)
     for ex in execs:
         if not ex.terminated:
             continue
         a = _abstracted(ex, af, rf)
-        w = find_strict_linearization(a, adt)
+        w = find_strict_linearization(a, adt, table=table)
         if w is None:
             entries.append(
                 ExecutionVerdict(
@@ -474,12 +542,12 @@ def brute_force_linearizations(h: History) -> frozenset[History]:
     ``h'``, by explicit bijection checking.  Guarded to tiny histories."""
     if not is_complete(h):
         raise ValueError("oracle requires a complete history")
-    ops, _ = _operations(h)
-    if len(ops) > MAX_ORACLE_OPS:
+    calls, ends, _ = _operations(h)
+    if len(calls) > MAX_ORACLE_OPS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_OPS} operations")
     out = set()
-    for perm in itertools.permutations(ops):
-        cand = _sequential_history([(o, o.ret) for o in perm])
+    for perm in itertools.permutations(range(len(calls))):
+        cand = History(tuple(e for i in perm for e in (calls[i], ends[i])))
         if linearizes_by_bijection(h, cand):
             out.add(cand)
     return frozenset(out)

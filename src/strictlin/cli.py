@@ -14,7 +14,8 @@ Subcommands::
                       [--rename A=B,...] [--json FILE]
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error, 3 inconclusive (a check found no violation, or
+2 usage or input error (also an unusable input or output path, or a
+``--bound`` below 1), 3 inconclusive (a check found no violation, or
 ``compare`` ran, on an exploration that was truncated by ``--bound`` or whose
 outcome sets are approximate, so a pass or an equality is not established),
 141 the reader closed standard output early (as in ``strictlin explore ... |
@@ -87,6 +88,17 @@ def _parse_rename(arg: Optional[str], concrete: tuple[str, ...]) -> specs.Renami
         a, b = part.split("=", 1)
         pairs[a.strip()] = b.strip()
     return specs.RenamingFunction.of(pairs)
+
+
+def _bound(text: str) -> int:
+    """The ``--bound`` value: a transition budget of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _write_json(path: Optional[str], payload) -> None:
@@ -349,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if program:
             p.add_argument("--program", required=True, help="program file")
             p.add_argument("--model", required=True, help="model NAME[,param=val]")
-            p.add_argument("--bound", type=int, default=explorer.DEFAULT_BOUND,
+            p.add_argument("--bound", type=_bound, default=explorer.DEFAULT_BOUND,
                            help="transition budget (default %(default)s)")
             p.add_argument("--init", default="",
                            help="initial object contents, e.g. \"'a','b'\"")
@@ -402,7 +414,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # point stdout at devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (UsageError, ValueError, explorer.ExplorationError) as exc:
+    except (UsageError, ValueError, OSError, explorer.ExplorationError) as exc:
+        # OSError: unreadable inputs and unwritable outputs (a directory as a
+        # file, a missing directory); BrokenPipeError is handled above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,13 +1,20 @@
 """Linearization search, strict/general checks, brute-force oracle."""
 
+import collections
+import dataclasses
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictlin import checker, explorer, models, specs
 from strictlin.checker import (
+    CheckReport,
     RecordedExecution,
+    SpecTable,
     brute_force_linearizations,
     check_concurrent_implementation,
     check_general,
@@ -541,3 +548,178 @@ def test_strict_witness_final_state_membership():
     for e in rep.entries:
         finals = legal_seq_outcomes(m.seq_spec, e.execution.initial_state, e.witness)
         assert key(e.execution.final_state) in {key(s) for s in finals}
+
+
+# ---------------------------------------------------------------------------
+# one spec table per check: sharing it never changes a result
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+STRICT_QIDS = ["strict/ms-2x2", "strict/fig2", "impl-pseudo/ms-2x2", "strict/hw-2+2",
+               "impl-multiset/ms-2x2"]
+
+
+def _fields(e):
+    return (e.ok, e.witness, e.completion, e.witness_finals, e.detail)
+
+
+def _assert_shared_equals_fresh(check, execs, spec, *args, render):
+    """One ``check`` call over ``execs`` equals one call per execution, each
+    with its own fresh table, entry by entry and line by line."""
+    whole = check(execs, spec, *args)
+    singles = [check([ex], spec, *args) for ex in execs]
+    if whole.mode == "impl":
+        # general entries first, then one final-state entry per terminated run
+        expected = [s.entries[0] for s in singles] + [e for s in singles for e in s.entries[1:]]
+    else:
+        expected = [e for s in singles for e in s.entries]
+    assert len(whole.entries) == len(expected)
+    for got, want in zip(whole.entries, expected):
+        assert got.execution == want.execution
+        assert _fields(got) == _fields(want), serialize_history(got.execution.history)
+        if got.witness_finals is not None:
+            start = got.execution.initial_state
+            assert got.witness_finals == legal_seq_outcomes(spec, start, got.witness)
+    rebuilt = CheckReport(whole.mode, whole.passed, tuple(expected), whole.impl)
+    assert whole.passed == all(s.passed for s in singles)
+    assert whole.lines(render) == rebuilt.lines(render)
+    return whole
+
+
+def _bench_query(monkeypatch, qid):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    (q,) = [q for q in workloads.STRICT_QUERIES if q[0] == qid]
+    _, prog_name, ref, mode, adt_name, af_name, rename = q
+    model = models.parse_model_ref(ref)
+    recs = recorded_executions(
+        explorer.explore(parse_program(workloads.PROGRAMS[prog_name]), model))
+    if mode == "strict":
+        return recs, check_strict, (model.seq_spec,), model.seq_spec.render_state
+    adt = specs.get_spec(adt_name)
+    rf = (RenamingFunction.of(rename) if rename
+          else RenamingFunction.identity(model.method_names()))
+    states = list(model.enumerate_states(("a", "b")))
+    args = (model.seq_spec, adt, specs.get_af(af_name), rf, states)
+    return recs, check_concurrent_implementation, args, adt.render_state
+
+
+@pytest.mark.parametrize("qid", STRICT_QIDS)
+def test_shared_table_equals_fresh_tables_on_benchmark_queries(qid, monkeypatch):
+    recs, check, args, render = _bench_query(monkeypatch, qid)
+    whole = _assert_shared_equals_fresh(check, recs, *args, render=render)
+    assert whole.passed == (qid != "strict/fig2")
+    # the same executions in reverse order fill the table in another order
+    backward = _assert_shared_equals_fresh(check, recs[::-1], *args, render=render)
+    if check is check_strict:
+        assert backward.entries == whole.entries[::-1]
+
+
+def test_shared_table_equals_fresh_tables_on_ms_state_keys():
+    # ms-queue states with different node names share a state key
+    m = models.ms_model(4)
+    p = parse_program(
+        "thread { call Q.Enqueue('a') ; call y1 = Q.Dequeue() }\n"
+        "thread { call Q.Enqueue('b') }"
+    )
+    recs = recorded_executions(explorer.explore(p, m))
+    key = m.seq_spec.state_key
+    assert any(key(r.final_state) != r.final_state for r in recs if r.terminated)
+    _assert_shared_equals_fresh(check_strict, recs, m.seq_spec, render=m.seq_spec.render_state)
+    rf = RenamingFunction.identity(m.method_names())
+    _assert_shared_equals_fresh(check_general, recs, QUEUE, models.af_queue(), rf,
+                                render=QUEUE.render_state)
+
+
+def _silent_bag() -> Adt:
+    """A multiset whose Remove takes any element and returns unit, so a
+    witness may end in several legal final states."""
+    base = multiset_adt(("a", "b"))
+    remove = base.methods["Remove"]
+    return Adt(
+        name="silent-bag",
+        methods={"Add": base.methods["Add"],
+                 "Remove": lambda s, _: [(s2, UNIT) for s2, _ in remove(s, UNIT)]},
+        initial_states=base.initial_states,
+        render_state=base.render_state,
+    )
+
+
+@pytest.mark.parametrize("spec", [multiset_adt(("a", "b")), _silent_bag()],
+                         ids=["adt-multiset", "silent-bag"])
+def test_shared_table_equals_fresh_tables_on_nondeterministic_adts(spec):
+    p = parse_program(
+        "thread { call Q.Add('a') ; call y = Q.Remove() }\n"
+        "thread { call Q.Add('b') ; call Q.Add('a') }\n"
+        "thread { call z = Q.Remove() }"
+    )
+    recs = recorded_executions(explorer.run_atomic(p, spec))
+    rep = _assert_shared_equals_fresh(check_strict, recs, spec, render=spec.render_state)
+    assert rep.passed
+    if spec.name == "silent-bag":
+        assert max(len(e.witness_finals) for e in rep.entries) > 1
+    rf = RenamingFunction.identity(("Add", "Remove"))
+    af = AbstractionFunction("identity", lambda s: s)
+    _assert_shared_equals_fresh(check_concurrent_implementation, recs, spec, spec, af, rf,
+                                [(), ("a",), ("a", "b")], render=spec.render_state)
+
+
+_CALLS = st.sampled_from([
+    "call Q.Enqueue('a')",
+    "call Q.Enqueue('b')",
+    "call Q.Enqueue(x)",  # aborts: x is never bound
+    "call y = Q.Dequeue()",
+])
+
+
+# at most four calls: three threads of two calls give some 35,000 coarse-queue
+# executions, each checked twice here
+@given(st.lists(st.lists(_CALLS, min_size=1, max_size=2), min_size=1, max_size=3)
+       .filter(lambda threads: sum(map(len, threads)) <= 4))
+@settings(max_examples=25, deadline=None)
+def test_shared_table_equals_fresh_tables_on_generated_programs(threads):
+    p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
+    coarse, hw = models.coarse_queue_model(), models.hw_model(2)
+    sides = [
+        (coarse, AbstractionFunction("contents", lambda s: s[-1]),
+         [(4, s) for s in [(), ("a",), ("b", "a")]]),
+        (hw, models.af_hw_prefix(), list(hw.enumerate_states(("a", "b")))),
+    ]
+    for m, af, states in sides:
+        recs = recorded_executions(explorer.explore(p, m))
+        spec = m.seq_spec
+        _assert_shared_equals_fresh(check_strict, recs, spec, render=spec.render_state)
+        rf = RenamingFunction.identity(m.method_names())
+        _assert_shared_equals_fresh(check_concurrent_implementation, recs, spec, QUEUE,
+                                    af, rf, states, render=QUEUE.render_state)
+
+
+def test_check_strict_applies_each_spec_step_once():
+    p = parse_program(
+        "thread { call Q.Enqueue('c') }\nthread { call Q.Enqueue('d') }\n"
+        "thread { call y1 = Q.Dequeue() }\nthread { call y2 = Q.Dequeue() }"
+    )
+    m = models.hw_model(4)
+    recs = recorded_executions(explorer.explore(p, m))
+    assert len(recs) == 4528
+    applied = collections.Counter()
+
+    def counting(name, rel):
+        def counted(state, arg):
+            applied[name, arg, state] += 1
+            return rel(state, arg)
+        return counted
+
+    spec = dataclasses.replace(
+        m.seq_spec, methods={k: counting(k, r) for k, r in m.seq_spec.methods.items()})
+    rep = check_strict(recs, spec)
+    assert applied and max(applied.values()) == 1
+    assert rep == check_strict(recs, m.seq_spec)
+
+
+def test_table_of_another_spec_is_refused():
+    rec = RecordedExecution((), history([]), True, ())
+    with pytest.raises(ValueError):
+        find_linearization(rec, QUEUE, table=SpecTable(multiset_adt()))
+    with pytest.raises(ValueError):
+        find_strict_linearization(rec, QUEUE, table=SpecTable(queue_adt()))

@@ -385,3 +385,31 @@ def test_thread_with_too_many_operations_is_usage_error(command, tmp_path, capsy
     )
     assert main([command, "--program", str(f), "--model", "coarse-queue"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: operation-id space exhausted for thread 1")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["explore", "--program", "{dir}", "--model", "coarse-queue"],
+                 "Is a directory", id="program-is-directory"),
+    pytest.param(["check-history", "--file", "{dir}", "--mode", "general",
+                  "--adt", "adt-queue"], "Is a directory", id="history-is-directory"),
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--json", "{dir}/missing/r.json"], "No such file or directory",
+                 id="json-into-missing-directory"),
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--histories", "{prog}"], "File exists", id="histories-is-a-file"),
+])
+def test_unusable_path_is_usage_error(argv, message, program_file, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path, prog=program_file) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["explore", "compare"])
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_bound_below_one_is_usage_error(command, bound, program_file, capsys):
+    assert main([command, "--program", program_file, "--model", "coarse-queue",
+                 "--bound", bound]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bound: must be at least 1" in captured.err
