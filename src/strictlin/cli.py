@@ -10,8 +10,8 @@ Subcommands::
                       [--histories DIR]
     strictlin compare --program FILE --model NAME [--spec NAME] [--bound N]
     strictlin check-history --file FILE --mode strict|general
-                      (--spec NAME | --adt NAME) [--af NAME]
-                      [--rename A=B,...] [--json FILE]
+                      (--spec NAME | --adt NAME) [--rename A=B,...]
+                      [--json FILE]
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
 2 usage or input error (also an unusable input or output path, or a
@@ -385,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--mode", choices=["strict", "general", "impl"], required=True)
     hp.add_argument("--spec", help="sequential spec name")
     hp.add_argument("--adt", help="abstract data type name")
-    hp.add_argument("--af", help="abstraction function name")
     hp.add_argument("--rename", help="method renaming A=B,C=D")
     hp.add_argument("--json", help="write a machine-readable report")
     return ap

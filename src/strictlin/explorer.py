@@ -6,6 +6,12 @@ or the atomic version of a sequential specification that
 :func:`~strictlin.models.atomic_model` derives, whose calls take effect in one
 transition.  It explores *all* schedules of enabled atomic transitions.
 
+Before any step, every thread of every phase is compiled into one flat code
+table whose entries are ``(statement, next pc, taken pc)``, so a thread's
+position in its control flow is one integer program counter.  A ``while`` or
+``if`` moves to its taken pc when its test holds and to its next pc
+otherwise; every other statement moves to its next pc.
+
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
 with one dictionary lookup per transition; from then on the edges, the
@@ -38,7 +44,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .history import Act, Event, History, Inv, Ret, RetAbort
 from .models import Done, ObjectModel, atomic_model
@@ -93,12 +99,18 @@ class ExecutionResult:
 # ---------------------------------------------------------------------------
 
 
+DONE = -1  # the pc of a finished thread
+
+
 @dataclass(frozen=True)
 class ThreadState:
+    """``pc`` indexes the interpreter's code table, ``DONE`` once the thread
+    has finished; in ``invoke``, ``body`` and ``assign`` modes the thread is
+    making the call at ``pc``."""
+
     tid: int
-    frames: tuple  # stack of (statement-block, index)
+    pc: int
     mode: str = "run"  # run | invoke | body | assign
-    stmt: Optional[CallStmt] = None
     call_arg: Optional[Value] = None
     op_id: Optional[int] = None
     op_local: Any = None
@@ -107,7 +119,7 @@ class ThreadState:
 
     @property
     def done(self) -> bool:
-        return self.mode == "run" and not self.frames
+        return self.pc == DONE
 
 
 @dataclass(frozen=True)
@@ -128,28 +140,6 @@ class Transition:
 class ExplorationError(RuntimeError):
     """The program leaves what the explorer can represent (a thread starting
     more than ``MAX_OPS_PER_THREAD`` operations)."""
-
-
-def _advance(frames: tuple) -> tuple:
-    """Move past the completed statement at the top of the frame stack."""
-    block, idx = frames[-1]
-    out = frames[:-1] + ((block, idx + 1),)
-    while out:
-        block, idx = out[-1]
-        if idx < len(block):
-            return out
-        out = out[:-1]
-        if out:
-            pblock, pidx = out[-1]
-            # a parent frame sitting at a while-statement re-tests it
-            if isinstance(pblock[pidx], WhileStmt):
-                return out
-            out = out[:-1] + ((pblock, pidx + 1),)
-            block, idx = out[-1]
-            if idx < len(block):
-                return out
-            continue
-    return ()
 
 
 def _env(config: Config) -> dict[str, Value]:
@@ -200,19 +190,48 @@ class _Interp:
     ) -> None:
         self.prog = prog
         self.model = model
-        for s in _statements(code for ph in prog.phases for code in ph):
+        self.code: list[tuple] = []  # (statement, next pc, taken pc)
+        self._pcs: dict[tuple, int] = {}
+        # per phase, the entry pc of each thread
+        self.entries = [
+            tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
+        ]
+        self.init = Config(0, self._phase_threads(0, 0), init_client, init_obj)
+
+    def _compile(self, block: tuple, k: int) -> int:
+        """Add ``block``, continuing at pc ``k``, to the code table and return
+        its entry pc (``k`` for an empty block).  Statements are checked
+        against the model here, in source order.
+
+        A block's statements get consecutive pcs.  A ``while`` is taken into
+        its body, which ends by jumping back to it, so an empty body spins in
+        place; an ``if`` is taken into ``then`` and otherwise goes to
+        ``else``, both continuing after it.  A block is keyed by its
+        statements and ``k``, so identical ``if`` branches share their pcs."""
+        if not block:
+            return k
+        base = self._pcs.get((block, k))
+        if base is not None:
+            return base
+        base = self._pcs[block, k] = len(self.code)
+        last = base + len(block) - 1
+        self.code.extend([()] * len(block))
+        model = self.model
+        for pc, s in enumerate(block, base):
             if isinstance(s, CallStmt) and s.method not in model.methods:
                 raise UnknownMethodError(f"{model.name}: unknown method {s.method!r}")
             if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
-        self.init = Config(0, self._phase_threads(0, 0), init_client, init_obj)
+            nxt, taken = (pc + 1 if pc < last else k), None
+            if isinstance(s, WhileStmt):
+                taken = self._compile(s.body, pc)
+            elif isinstance(s, IfStmt):
+                taken, nxt = self._compile(s.then, nxt), self._compile(s.els, nxt)
+            self.code[pc] = (s, nxt, taken)
+        return base
 
     def _phase_threads(self, phase: int, tid_base: int) -> tuple[ThreadState, ...]:
-        out = []
-        for k, code in enumerate(self.prog.phases[phase]):
-            frames = ((tuple(code), 0),) if code else ()
-            out.append(ThreadState(tid_base + k + 1, frames))
-        return tuple(out)
+        return tuple(ThreadState(tid_base + k + 1, pc) for k, pc in enumerate(self.entries[phase]))
 
     # -- transitions --------------------------------------------------------
 
@@ -247,18 +266,15 @@ class _Interp:
         if t.mode == "body":
             return self._body_step(c, i, t)
         if t.mode == "assign":
-            assert t.stmt is not None and t.stmt.target is not None
-            ev = Event(t.tid, Act(f"{t.stmt.target}:={render_value(t.ret_val)}"))
-            t2 = replace(
-                t, frames=_advance(t.frames), mode="run", stmt=None, ret_val=None
-            )
-            c2 = self._with_thread(c, i, t2, client=_bind(c.client, t.stmt.target, t.ret_val))
+            s, nxt, _ = self.code[t.pc]
+            ev = Event(t.tid, Act(f"{s.target}:={render_value(t.ret_val)}"))
+            t2 = replace(t, pc=nxt, mode="run", ret_val=None)
+            c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, t.ret_val))
             return [Transition(t.tid, (ev,), c2)]
         raise AssertionError(t.mode)
 
     def _run_stmt(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
-        block, idx = t.frames[-1]
-        s = block[idx]
+        s, nxt, taken = self.code[t.pc]
         env = _env(c)
         tid = t.tid
         if isinstance(s, CallStmt):
@@ -268,7 +284,7 @@ class _Interp:
                 return [self._client_abort(tid, str(exc))]
             rendered = s.arg.render() if s.arg is not None else ""
             ev = Event(tid, Act(f"eval {s.method}({rendered})={render_value(arg)}"))
-            t2 = replace(t, mode="invoke", stmt=s, call_arg=arg)
+            t2 = replace(t, mode="invoke", call_arg=arg)
             return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
         if isinstance(s, ReadCellStmt):
             try:
@@ -276,7 +292,7 @@ class _Interp:
             except CellError as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"))
-            t2 = replace(t, frames=_advance(t.frames))
+            t2 = replace(t, pc=nxt)
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
             return [Transition(tid, (ev,), c2)]
         if isinstance(s, WriteCellStmt):
@@ -286,7 +302,7 @@ class _Interp:
             except (CellError, EvalError) as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"Q.{_cellname(s.cell)}:={render_value(v)}"))
-            t2 = replace(t, frames=_advance(t.frames))
+            t2 = replace(t, pc=nxt)
             return [Transition(tid, (ev,), self._with_thread(c, i, t2, obj=obj2))]
         if isinstance(s, AssignStmt):
             try:
@@ -294,7 +310,7 @@ class _Interp:
             except EvalError as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"{s.target}:={render_value(v)}"))
-            t2 = replace(t, frames=_advance(t.frames))
+            t2 = replace(t, pc=nxt)
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
             return [Transition(tid, (ev,), c2)]
         if isinstance(s, AtomicStmt):
@@ -311,7 +327,7 @@ class _Interp:
                 return [self._client_abort(tid, str(exc))]
             names = ",".join(n for n, _ in s.assigns)
             ev = Event(tid, Act(f"atomic[{names}]"))
-            t2 = replace(t, frames=_advance(t.frames))
+            t2 = replace(t, pc=nxt)
             return [Transition(tid, (ev,), self._with_thread(c, i, t2, client=client))]
         if isinstance(s, (WhileStmt, IfStmt)):
             try:
@@ -319,18 +335,7 @@ class _Interp:
             except EvalError as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"test({s.pred.render()})={str(b).lower()}"))
-            if isinstance(s, WhileStmt):
-                if b and s.body:
-                    frames = t.frames + ((s.body, 0),)
-                elif b:
-                    frames = t.frames  # empty body: spin in place
-                else:
-                    frames = _advance(t.frames)
-            else:
-                branch = s.then if b else s.els
-                past = _advance(t.frames)
-                frames = past + ((branch, 0),) if branch else past
-            t2 = replace(t, frames=frames)
+            t2 = replace(t, pc=taken if b else nxt)
             return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
         raise TypeError(f"not a statement: {s!r}")
 
@@ -338,8 +343,7 @@ class _Interp:
         return Transition(tid, (Event(tid, Act(f"error: {msg}")),), None)
 
     def _invoke(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
-        assert t.stmt is not None
-        method = t.stmt.method
+        method = self.code[t.pc][0].method
         op = t.tid * 100 + t.ops_started + 1
         if t.ops_started >= MAX_OPS_PER_THREAD:
             raise ExplorationError(
@@ -361,20 +365,17 @@ class _Interp:
         return out
 
     def _after_return(self, t: ThreadState, retv: Value) -> ThreadState:
-        assert t.stmt is not None
-        if t.stmt.target is not None:
+        s, nxt, _ = self.code[t.pc]
+        if s.target is not None:
             return replace(t, mode="assign", ret_val=retv, op_id=None, op_local=None)
-        return replace(
-            t, mode="run", frames=_advance(t.frames), stmt=None, op_id=None, op_local=None
-        )
+        return replace(t, mode="run", pc=nxt, op_id=None, op_local=None)
 
     def _body_step(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
-        assert t.stmt is not None
         if isinstance(t.op_local, Done):
             ev = Event(t.tid, Ret(t.op_local.value), t.op_id)
             t2 = self._after_return(t, t.op_local.value)
             return [Transition(t.tid, (ev,), self._with_thread(c, i, t2))]
-        machine = self.model.methods[t.stmt.method]
+        machine = self.model.methods[self.code[t.pc][0].method]
         out = []
         for step in machine.step(t.op_local, c.obj):
             ev = Event(t.tid, Act(step.action), t.op_id)
@@ -386,16 +387,6 @@ class _Interp:
             t2 = replace(t, op_local=step.local)
             out.append(Transition(t.tid, (ev,), self._with_thread(c, i, t2, obj=step.shared)))
         return out
-
-
-def _statements(blocks: Iterable[tuple]) -> Iterator:
-    """Every statement of the statement blocks, nested ones included."""
-    for s in itertools.chain.from_iterable(blocks):
-        yield s
-        if isinstance(s, WhileStmt):
-            yield from _statements((s.body,))
-        elif isinstance(s, IfStmt):
-            yield from _statements((s.then, s.els))
 
 
 def _cellname(cell: tuple) -> str:

@@ -1,10 +1,26 @@
-"""Slow reference implementations that the fast paths are tested against."""
+"""Slow reference implementations that the fast paths are tested against.
+
+:func:`enumerate_executions_naive` replaces the configuration graph by a walk
+over every schedule, but it takes each step with the explorer's own
+transition rules (``_Interp``), so it cannot catch a fault in them.
+:func:`run_single_thread` shares no code with the explorer: it runs a
+one-thread, call-free program by direct recursion over its syntax tree.
+"""
 
 from typing import Any, Sequence
 
 from strictlin.explorer import Config, ExecutionResult, Kind, _Interp, _projector
 from strictlin.models import ObjectModel
-from strictlin.programs import Program
+from strictlin.programs import (
+    Arith,
+    AssignStmt,
+    AtomicStmt,
+    IfStmt,
+    Lit,
+    Program,
+    Var,
+    WhileStmt,
+)
 from strictlin.values import Value
 
 
@@ -62,3 +78,73 @@ def enumerate_executions_naive(
 
     walk(interp.init, (), {interp.init: 0}, 0)
     return frozenset(results)
+
+
+class _Stop(Exception):
+    """Ends a reference run early; ``args[0]`` is the outcome."""
+
+
+def run_single_thread(prog: Program, max_steps: int = 10_000) -> tuple:
+    """Outcome of a one-thread program of ``set``, ``atomic``, ``while`` and
+    ``if`` statements, run from no client bindings by direct recursion over
+    its syntax tree.
+
+    The outcome is ``("terminated", bindings)`` with the bindings sorted by
+    name, ``("aborted",)`` on an unbound variable or arithmetic on a
+    non-integer, ``("blocked",)`` at an ``atomic`` whose guard fails (nothing
+    else can make it hold), or ``("diverges",)`` once more than
+    ``max_steps`` statements and tests have run.
+    """
+    ((code,),) = prog.phases
+    env: dict[str, Value] = {}
+    steps = 0
+
+    def tick() -> None:
+        nonlocal steps
+        steps += 1
+        if steps > max_steps:
+            raise _Stop(("diverges",))
+
+    def value(e, scope: dict) -> Value:
+        if isinstance(e, Lit):
+            return e.value
+        name = e.name if isinstance(e, Var) else e.var
+        if name not in scope:
+            raise _Stop(("aborted",))
+        v = scope[name]
+        if isinstance(e, Arith):
+            if not isinstance(v, int):
+                raise _Stop(("aborted",))
+            return v + e.k if e.op == "+" else v - e.k
+        return v
+
+    def holds(pred) -> bool:
+        equal = value(pred.lhs, env) == value(pred.rhs, env)
+        return equal if pred.op == "==" else not equal
+
+    def run(block: tuple) -> None:
+        for s in block:
+            tick()
+            if isinstance(s, AssignStmt):
+                env[s.target] = value(s.expr, env)
+            elif isinstance(s, AtomicStmt):
+                if s.guard is not None and not holds(s.guard):
+                    raise _Stop(("blocked",))
+                scope = dict(env)  # later assignments see earlier ones
+                for name, e in s.assigns:
+                    scope[name] = value(e, scope)
+                env.update(scope)
+            elif isinstance(s, WhileStmt):
+                while holds(s.pred):
+                    run(s.body)
+                    tick()  # the next test
+            elif isinstance(s, IfStmt):
+                run(s.then if holds(s.pred) else s.els)
+            else:
+                raise TypeError(f"not a call-free client statement: {s!r}")
+
+    try:
+        run(code)
+    except _Stop as stop:
+        return stop.args[0]
+    return ("terminated", tuple(sorted(env.items())))

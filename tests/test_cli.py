@@ -197,6 +197,17 @@ def test_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
 
 
+def test_check_history_rejects_af(history_file, capsys):
+    # a history check runs on the ADT's own states: an abstraction function
+    # has nothing to map, so the flag does not exist
+    code = main(
+        ["check-history", "--file", history_file, "--mode", "general",
+         "--adt", "adt-queue", "--af", "no-such-af"]
+    )
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --af" in capsys.readouterr().err
+
+
 def test_malformed_history_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("t=1 op=1 frob\n")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from strictlin import explorer, models, reproductions
 from strictlin.checker import check_strict, recorded_executions
+from strictlin.cli import EXIT_OK, main
 from strictlin.explorer import (
     Kind,
     canonical_lasso,
@@ -21,7 +22,7 @@ from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY
 
-from oracles import enumerate_executions_naive
+from oracles import enumerate_executions_naive, run_single_thread
 
 PROJECTIONS = ("interface", "history", "client")
 
@@ -138,6 +139,94 @@ def test_client_loop_divergence_lasso():
     assert ex.divergence_kinds() == {Kind.CLIENT_DIVERGENT}
     (r,) = [r for r in ex.results("client") if r.kind is Kind.CLIENT_DIVERGENT]
     assert r.cycle  # the repeating client events
+
+
+# after either branch of an `if` the thread goes on with the next statement,
+# also inside a loop body
+FALL_THROUGH = [
+    ("thread { set x = 0 ; if x == 0 { set y = 1 } ; set z = 2 }", "x=0 y=1 z=2"),
+    ("thread { set x = 1 ; if x == 0 { set y = 1 } else { set y = 2 } ; set z = 3 ; set w = 4 }",
+     "w=4 x=1 y=2 z=3"),
+    ("thread { set x = 0 ; while x != 2 { if x == 0 { set y = 1 } ; set x = x + 1 } ;"
+     " set z = 5 }", "x=2 y=1 z=5"),
+]
+
+
+@pytest.mark.parametrize("text,client", FALL_THROUGH, ids=["if", "if-else", "if-in-while"])
+def test_statement_after_taken_if_runs(text, client, tmp_path, capsys):
+    ex = explore(parse_program(text), models.coarse_queue_model())
+    line = f"client: {client} | object: queue=<>"
+    assert final_states(ex).renderings == (line,)
+    assert ex.divergence_kinds() == set()
+    f = tmp_path / "prog.txt"
+    f.write_text(text)
+    assert main(["explore", "--program", str(f), "--model", "coarse-queue"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"final states:\n  {line}\ndivergence: none\n" in out
+
+
+@st.composite
+def _call_free_block(draw, depth: int = 0, arith: bool = True) -> str:
+    """Statements over x, y, z: sets, atomics (some guarded), `if`s with
+    statements after them, counter loops of at most three passes, and spin
+    loops that run while a test holds.  A spin loop's body does no
+    arithmetic, so its states stay few; `u` is never bound, so some
+    programs abort."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        nested = ["if", "loop", "spin"] if depth < 2 else []
+        kind = draw(st.sampled_from(["set", "atomic"] + nested))
+        v, k = draw(st.sampled_from("xyz")), draw(st.integers(0, 2))
+        if kind == "set":
+            arithmetic = ["y + 1", "x - 1"] if arith else []
+            rhs = draw(st.sampled_from([str(k), "x", "z", "u"] + arithmetic))
+            out.append(f"set {v} = {rhs}")
+        elif kind == "atomic":
+            guard = draw(st.sampled_from(["", " when x == 0", " when y != 1"]))
+            out.append(f"atomic {v} = {k}, z = {v}{guard}")
+        elif kind == "if":
+            then = draw(_call_free_block(depth + 1, arith))
+            els = draw(st.one_of(st.just(""), _call_free_block(depth + 1, arith)))
+            out.append(f"if {v} == {k} {{ {then} }}" + (f" else {{ {els} }}" if els else ""))
+        elif kind == "loop":
+            c, body = f"c{depth}", draw(_call_free_block(depth + 1, arith))
+            out.append(f"set {c} = 0 ; while {c} != {k + 1} {{ {body} ; set {c} = {c} + 1 }}")
+        else:
+            out.append(f"while {v} == {k} {{ {draw(_call_free_block(depth + 1, False))} }}")
+    return " ; ".join(out)
+
+
+@given(_call_free_block())
+@settings(max_examples=100, deadline=None)
+def test_single_thread_programs_match_reference_interpreter(block):
+    p = parse_program(f"thread {{ set x = 0 ; set y = 0 ; set z = 0 ; {block} }}")
+    ex = explore(p, models.coarse_queue_model())
+    assert not ex.truncated
+    outcome = run_single_thread(p, max_steps=50_000)
+    expected = {
+        "terminated": (set(outcome[1:]), False, set()),
+        "aborted": (set(), True, set()),
+        "blocked": (set(), False, {Kind.OBJECT_DIVERGENT}),
+        "diverges": (set(), False, {Kind.CLIENT_DIVERGENT}),
+    }[outcome[0]]
+    fs = final_states(ex)
+    assert ({client for client, _ in fs.states}, fs.has_abort, ex.divergence_kinds()) == expected
+
+
+@pytest.mark.parametrize(
+    "prog,model,configs,transitions",
+    [
+        (reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4), 315, 735),
+        (reproductions.MS_TWO_BY_TWO, models.ms_model(4), 1543, 2868),
+        # identical branches continue from one position, so one configuration
+        (parse_program("thread { set x = 0 ; if x == 0 { set y = 1 } else { set y = 1 } }\n"
+                       "thread { set x = 1 }"), models.coarse_queue_model(), 11, 12),
+    ],
+    ids=["fig2-hw", "ms-2x2", "identical-branches"],
+)
+def test_fine_grained_graph_shape_is_pinned(prog, model, configs, transitions):
+    ex = explore(prog, model)
+    assert (len(ex.order), ex.transitions_explored) == (configs, transitions)
 
 
 @pytest.mark.parametrize(
@@ -316,6 +405,7 @@ def test_hw_two_enqueues_two_dequeues_regression():
     )
     m = models.hw_model(4)
     ex = explore(p, m)
+    assert (len(ex.order), ex.transitions_explored) == (2241, 7068)
     assert len(ex.results("history")) == 4528
     assert not ex.truncated and not ex.approximate
     assert check_strict(recorded_executions(ex), m.seq_spec).passed

@@ -200,7 +200,7 @@ def test_hw_purely_blocking_from_reachable_configurations():
         for ts in cfg.threads:
             if ts.mode != "body" or isinstance(ts.op_local, Done):
                 continue
-            machine = m.methods[ts.stmt.method]
+            machine = m.methods[ex.interp.code[ts.pc][0].method]
             local, state = ts.op_local, cfg.obj
             seen = set()
             for _ in range(200):
