@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Print a digest of what the explorer observes on a fixed program corpus.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/outcome_digest.py > digest.txt
+
+For each (program, model, fine-grained or atomic) exploration it prints the
+configuration, transition and truncation counts, the SCC classification
+(size and divergence kinds of each cyclic component), the final-state
+renderings and divergence kinds, and for each projection the outcome count,
+an order-free sha256 of the outcomes and whether the sets are approximate.
+Diff the output of two commits to see which observables a change moved.
+
+The corpus: the benchmark's ladder programs on their models, the spin-loop
+and fall-through programs of ``tests/test_explorer.py``, and 40 seeded
+two-thread programs with loops, ``if``s and calls inside branches, each on
+``coarse-queue`` and ``hw-queue,N=2``.  An exploration that runs past
+``CAP_S`` seconds prints ``timeout`` in place of the rest of its digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import signal
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
+
+from bench.workloads import COMPARE_QUERIES, PROGRAMS, STRICT_QUERIES  # noqa: E402
+from strictlin import explorer, models  # noqa: E402
+from strictlin.models import ObjectModel  # noqa: E402
+from strictlin.programs import parse_program  # noqa: E402
+from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
+
+PROJECTIONS = ("interface", "history", "client")
+RANDOM_PROGRAMS = 40
+RANDOM_BOUND = 20_000  # random programs are cut here, the same on every commit
+CAP_S = 30.0  # per exploration; the whole corpus takes about 10 s on 2 vCPUs
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+def _random_block(rng: random.Random, counter: str, depth: int = 0) -> tuple[str, int]:
+    """One or two statements at the top, one inside a loop or branch, and
+    the most calls one run of them makes."""
+    out, calls = [], 0
+    for _ in range(rng.randint(1, 2) if depth == 0 else 1):
+        kind = rng.choice(["set", "enq", "deq"] + (["if", "loop", "spin"] if depth == 0 else []))
+        v, k = rng.choice("xy"), rng.randint(0, 2)
+        if kind == "set":
+            out.append(f"set {v} = {k}")
+        elif kind == "enq":
+            out.append(f"call Q.Enqueue({rng.choice([str(k), 'x'])})")
+            calls += 1
+        elif kind == "deq":
+            out.append(f"call {v} = Q.Dequeue()")
+            calls += 1
+        elif kind == "if":
+            (then, a), (els, b) = _random_block(rng, counter, 1), _random_block(rng, counter, 1)
+            out.append(f"if {v} == {k} {{ {then} }} else {{ {els} }}")
+            calls += max(a, b)
+        elif kind == "loop":
+            (body, a), passes = _random_block(rng, counter, 1), k % 2 + 1
+            out.append(f"set {counter} = 0 ; while {counter} != {passes} "
+                       f"{{ {body} ; set {counter} = {counter} + 1 }}")
+            calls += a * passes
+        else:  # a client spin loop, left once the other thread moves the variable
+            out.append(f"while {v} == {k} {{ set z = {rng.randint(0, 1)} }}")
+    return " ; ".join(out), calls
+
+
+def _random_program(rng: random.Random) -> str:
+    """Two threads making at most three calls in all, so that every
+    outcome set fits in memory."""
+    while True:
+        (a, m), (b, n) = _random_block(rng, "c"), _random_block(rng, "d")
+        if m + n <= 3:
+            return f"thread {{ set x = 0 ; {a} }}\nthread {{ {b} }}"
+
+
+def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...]]]:
+    """(label, program text, model, bound, projections) of every program.  A ladder program is digested in the projections its
+    benchmark queries ask for; its interface outcome sets run into
+    gigabytes."""
+    ladder: dict[tuple[str, str], tuple[str, ...]] = {}
+    for queries, projection in ((STRICT_QUERIES, "history"), (COMPARE_QUERIES, "client")):
+        for _, name, ref, *_ in queries:
+            ladder[name, ref] = tuple(dict.fromkeys(ladder.get((name, ref), ()) + (projection,)))
+    out = [(f"ladder/{name} {ref}", PROGRAMS[name], models.parse_model_ref(ref),
+            explorer.DEFAULT_BOUND, projections)
+           for (name, ref), projections in ladder.items()]
+    for k, (text, model) in enumerate(SPIN_PROGRAMS):
+        # the outcome sets of the ms-queue spin program exhaust memory
+        projections = () if model.name == "ms-queue" else PROJECTIONS
+        out.append((f"spin/{k} {model.name}", text, model, explorer.DEFAULT_BOUND, projections))
+    coarse = models.coarse_queue_model()
+    for k, (text, _) in enumerate(FALL_THROUGH):
+        out.append((f"fall-through/{k} coarse-queue", text, coarse, explorer.DEFAULT_BOUND,
+                    PROJECTIONS))
+    rng = random.Random(8)
+    for k in range(RANDOM_PROGRAMS):
+        text = _random_program(rng)
+        for ref in ("coarse-queue", "hw-queue,N=2"):
+            out.append((f"random/{k} {ref}", text, models.parse_model_ref(ref), RANDOM_BOUND,
+                        PROJECTIONS))
+    return out
+
+
+def _sha(results) -> str:
+    return hashlib.sha256("\n".join(sorted(map(repr, results))).encode()).hexdigest()[:16]
+
+
+def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
+    lines = [f"configs={len(ex.order)} transitions={ex.transitions_explored} "
+             f"truncated={len(ex.truncated)}"]
+    info = ex.scc_info()
+    cyclic = sorted(
+        (len(info["comps"][k]),
+         "+".join(name for name, key in (("object", "object_cyclic"), ("client", "client_cyclic"))
+                  if k in info[key]))
+        for k in info["cyclic"]
+    )
+    lines.append(f"sccs={len(info['comps'])} cyclic=" +
+                 (" ".join(f"{size}:{kinds}" for size, kinds in cyclic) or "none"))
+    fs = explorer.final_states(ex)
+    lines += [f"final: {line}" for line in fs.renderings]
+    kinds = sorted(k.value for k in ex.divergence_kinds())
+    lines.append("divergence: " + (", ".join(kinds) or "none"))
+    for projection in projections:
+        res = ex.results(projection)
+        lines.append(f"{projection}: outcomes={len(res)} sha256={_sha(res)} "
+                     f"approximate={ex.approximate}")
+    return lines
+
+
+def main() -> None:
+    signal.signal(signal.SIGALRM, _alarm)
+    for label, text, model, bound, projections in corpus():
+        prog = parse_program(text)
+        for side in ("fine-grained", "atomic"):
+            print(f"== {label} {side}: " + " | ".join(map(str.strip, text.strip().splitlines())))
+            signal.setitimer(signal.ITIMER_REAL, CAP_S)
+            try:
+                ex = (explorer.explore(prog, model, bound=bound) if side == "fine-grained"
+                      else explorer.run_atomic(prog, model.seq_spec, bound=bound))
+                lines = digest(ex, projections)
+            except _Timeout:
+                lines = ["timeout"]
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            for line in lines:
+                print(f"  {line}")
+            sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    main()

@@ -152,8 +152,9 @@ def _incomplete(*explorations: explorer.Exploration) -> str:
     return ""
 
 
-def _run_checks(args: argparse.Namespace, ex: explorer.Exploration, model) -> tuple[int, dict]:
-    recs = checker.recorded_executions(ex)
+def _run_checks(
+    args: argparse.Namespace, ex: explorer.Exploration, recs, model
+) -> tuple[int, dict]:
     if args.mode == "strict":
         spec = specs.get_spec(args.spec) if args.spec else model.seq_spec
         report = checker.check_strict(recs, spec)
@@ -208,10 +209,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "divergence": kinds,
         "truncated": bool(ex.truncated),
     }
+    recs = checker.recorded_executions(ex) if args.histories or args.mode else ()
     if args.histories:
         outdir = Path(args.histories)
         outdir.mkdir(parents=True, exist_ok=True)
-        recs = checker.recorded_executions(ex)
         for i, rec in enumerate(recs):
             text = f"# execution {i}: " + (
                 "terminated\n" if rec.terminated else "incomplete\n"
@@ -222,7 +223,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"wrote {len(recs)} history files to {outdir}")
     status = EXIT_OK
     if args.mode:
-        status, check_payload = _run_checks(args, ex, model)
+        status, check_payload = _run_checks(args, ex, recs, model)
         payload["check"] = check_payload
         payload["verdict"] = _VERDICTS[status]
     payload["approximate"] = ex.approximate
@@ -268,8 +269,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         + " atomic="
         + (", ".join(div.atomic_kinds) or "none")
     )
-    if obs.unknown_present:
-        print("warning: budget exhausted; sets are lower bounds")
     agree = obs.equal and div.model_diverges == div.atomic_diverges
     status = EXIT_OK if agree else EXIT_CHECK_FAILED
     why = _incomplete(ex_m, ex_a)

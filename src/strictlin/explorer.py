@@ -18,14 +18,18 @@ with one dictionary lookup per transition; from then on the edges, the
 strongly connected components and the outcome tables are lists indexed by
 id, so no edge or component lookup hashes a whole configuration again.
 Termination, runtime errors, livelock (every pending thread blocked), and
-divergence (reachable configuration cycles) are read off the graph; sets of
-execution outcomes are computed per observation projection by dynamic
-programming over the graph's strongly connected components.  The dynamic
-program works on interned integers local to one projection: a trace is an id
-in a cons table of ``(event id, tail id)`` cells, so traces sharing a suffix
-share its storage, and an outcome is a ``(trace id, leaf id)`` pair whose
-leaf holds the kind, final state, cycle and note.  Only the initial
-configuration's outcomes are turned into :class:`ExecutionResult` objects.
+divergence (reachable configuration cycles) are read off the graph.
+:meth:`Exploration.scc_info` is the one place cycles are found: after
+computing the strongly connected components it searches each cyclic
+component once for an object lasso and a client lasso.  Sets of execution
+outcomes are computed per observation projection by dynamic programming
+over the components, projecting those lassos rather than searching again.
+The dynamic program works on interned integers local to one projection: a
+trace is an id in a cons table of ``(event id, tail id)`` cells, so traces
+sharing a suffix share its storage, and an outcome is a ``(trace id, leaf
+id)`` pair whose leaf holds the kind, final state, cycle and note.  Only the
+initial configuration's outcomes are turned into :class:`ExecutionResult`
+objects.
 The test suite checks them against a naive schedule-by-schedule enumerator.
 
 Conventions mirroring the trace model:
@@ -35,8 +39,9 @@ Conventions mirroring the trace model:
 * invocation, response, and method-body actions are object events;
 * direct cell reads/writes are client events (the only client events allowed
   to touch the object state);
-* a divergent execution is client-divergent when some reachable cycle emits
-  client events only, object-divergent otherwise.
+* a component is object-divergent when one of its internal edges emits an
+  object event, and client-divergent when its internal client-only edges
+  close a cycle by themselves; one component can be both.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ class ThreadState:
     tid: int
     pc: int
     mode: str = "run"  # run | invoke | body | assign
-    call_arg: Optional[Value] = None
+    call_arg: Optional[Value] = None  # in invoke mode only
     op_id: Optional[int] = None
     op_local: Any = None
     ret_val: Optional[Value] = None
@@ -128,13 +133,6 @@ class Config:
     threads: tuple[ThreadState, ...]
     client: tuple[tuple[str, Value], ...]
     obj: Any
-
-
-@dataclass(frozen=True)
-class Transition:
-    thread: int
-    events: tuple[Event, ...]
-    target: Optional[Config]  # None = runtime error (abort sink)
 
 
 class ExplorationError(RuntimeError):
@@ -235,7 +233,9 @@ class _Interp:
 
     # -- transitions --------------------------------------------------------
 
-    def successors(self, c: Config) -> tuple[Transition, ...]:
+    def successors(self, c: Config) -> tuple[tuple, ...]:
+        """The transitions out of ``c`` as ``(thread, events, target)``
+        triples, the target being None for a runtime error."""
         if all(t.done for t in c.threads):
             if c.phase + 1 < len(self.prog.phases):
                 base = sum(len(self.prog.phases[i]) for i in range(c.phase + 1))
@@ -245,9 +245,9 @@ class _Interp:
                     c.client,
                     c.obj,
                 )
-                return (Transition(0, (), nxt),)
+                return ((0, (), nxt),)
             return ()
-        out: list[Transition] = []
+        out: list[tuple] = []
         for i, t in enumerate(c.threads):
             if not t.done:
                 out.extend(self._thread_steps(c, i))
@@ -257,7 +257,7 @@ class _Interp:
         threads = c.threads[:i] + (t,) + c.threads[i + 1 :]
         return replace(c, threads=threads, **kw)
 
-    def _thread_steps(self, c: Config, i: int) -> list[Transition]:
+    def _thread_steps(self, c: Config, i: int) -> list[tuple]:
         t = c.threads[i]
         if t.mode == "run":
             return self._run_stmt(c, i, t)
@@ -270,10 +270,10 @@ class _Interp:
             ev = Event(t.tid, Act(f"{s.target}:={render_value(t.ret_val)}"))
             t2 = replace(t, pc=nxt, mode="run", ret_val=None)
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, t.ret_val))
-            return [Transition(t.tid, (ev,), c2)]
+            return [(t.tid, (ev,), c2)]
         raise AssertionError(t.mode)
 
-    def _run_stmt(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
+    def _run_stmt(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
         s, nxt, taken = self.code[t.pc]
         env = _env(c)
         tid = t.tid
@@ -285,7 +285,7 @@ class _Interp:
             rendered = s.arg.render() if s.arg is not None else ""
             ev = Event(tid, Act(f"eval {s.method}({rendered})={render_value(arg)}"))
             t2 = replace(t, mode="invoke", call_arg=arg)
-            return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
+            return [(tid, (ev,), self._with_thread(c, i, t2))]
         if isinstance(s, ReadCellStmt):
             try:
                 v = self.model.cells.read(c.obj, s.cell)
@@ -294,7 +294,7 @@ class _Interp:
             ev = Event(tid, Act(f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"))
             t2 = replace(t, pc=nxt)
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
-            return [Transition(tid, (ev,), c2)]
+            return [(tid, (ev,), c2)]
         if isinstance(s, WriteCellStmt):
             try:
                 v = _eval(s.expr, env)
@@ -303,7 +303,7 @@ class _Interp:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"Q.{_cellname(s.cell)}:={render_value(v)}"))
             t2 = replace(t, pc=nxt)
-            return [Transition(tid, (ev,), self._with_thread(c, i, t2, obj=obj2))]
+            return [(tid, (ev,), self._with_thread(c, i, t2, obj=obj2))]
         if isinstance(s, AssignStmt):
             try:
                 v = _eval(s.expr, env)
@@ -312,7 +312,7 @@ class _Interp:
             ev = Event(tid, Act(f"{s.target}:={render_value(v)}"))
             t2 = replace(t, pc=nxt)
             c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
-            return [Transition(tid, (ev,), c2)]
+            return [(tid, (ev,), c2)]
         if isinstance(s, AtomicStmt):
             try:
                 if s.guard is not None and not _test(s.guard, env):
@@ -328,7 +328,7 @@ class _Interp:
             names = ",".join(n for n, _ in s.assigns)
             ev = Event(tid, Act(f"atomic[{names}]"))
             t2 = replace(t, pc=nxt)
-            return [Transition(tid, (ev,), self._with_thread(c, i, t2, client=client))]
+            return [(tid, (ev,), self._with_thread(c, i, t2, client=client))]
         if isinstance(s, (WhileStmt, IfStmt)):
             try:
                 b = _test(s.pred, env)
@@ -336,13 +336,13 @@ class _Interp:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"test({s.pred.render()})={str(b).lower()}"))
             t2 = replace(t, pc=taken if b else nxt)
-            return [Transition(tid, (ev,), self._with_thread(c, i, t2))]
+            return [(tid, (ev,), self._with_thread(c, i, t2))]
         raise TypeError(f"not a statement: {s!r}")
 
-    def _client_abort(self, tid: int, msg: str) -> Transition:
-        return Transition(tid, (Event(tid, Act(f"error: {msg}")),), None)
+    def _client_abort(self, tid: int, msg: str) -> tuple:
+        return (tid, (Event(tid, Act(f"error: {msg}")),), None)
 
-    def _invoke(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
+    def _invoke(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
         method = self.code[t.pc][0].method
         op = t.tid * 100 + t.ops_started + 1
         if t.ops_started >= MAX_OPS_PER_THREAD:
@@ -357,11 +357,14 @@ class _Interp:
         for local, shared in self.model.methods[method].start(t.call_arg, c.obj):
             if isinstance(local, Done):
                 events = (inv, Event(t.tid, Ret(local.value), op))
-                t2 = self._after_return(replace(t, ops_started=started), local.value)
+                t2 = replace(t, call_arg=None, ops_started=started)
+                t2 = self._after_return(t2, local.value)
             else:
                 events = (inv,)
-                t2 = replace(t, mode="body", op_id=op, op_local=local, ops_started=started)
-            out.append(Transition(t.tid, events, self._with_thread(c, i, t2, obj=shared)))
+                t2 = replace(
+                    t, mode="body", call_arg=None, op_id=op, op_local=local, ops_started=started
+                )
+            out.append((t.tid, events, self._with_thread(c, i, t2, obj=shared)))
         return out
 
     def _after_return(self, t: ThreadState, retv: Value) -> ThreadState:
@@ -370,22 +373,20 @@ class _Interp:
             return replace(t, mode="assign", ret_val=retv, op_id=None, op_local=None)
         return replace(t, mode="run", pc=nxt, op_id=None, op_local=None)
 
-    def _body_step(self, c: Config, i: int, t: ThreadState) -> list[Transition]:
+    def _body_step(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
         if isinstance(t.op_local, Done):
             ev = Event(t.tid, Ret(t.op_local.value), t.op_id)
             t2 = self._after_return(t, t.op_local.value)
-            return [Transition(t.tid, (ev,), self._with_thread(c, i, t2))]
+            return [(t.tid, (ev,), self._with_thread(c, i, t2))]
         machine = self.model.methods[self.code[t.pc][0].method]
         out = []
         for step in machine.step(t.op_local, c.obj):
             ev = Event(t.tid, Act(step.action), t.op_id)
             if step.abort:
-                out.append(
-                    Transition(t.tid, (ev, Event(t.tid, RetAbort(), t.op_id)), None)
-                )
+                out.append((t.tid, (ev, Event(t.tid, RetAbort(), t.op_id)), None))
                 continue
             t2 = replace(t, op_local=step.local)
-            out.append(Transition(t.tid, (ev,), self._with_thread(c, i, t2, obj=step.shared)))
+            out.append((t.tid, (ev,), self._with_thread(c, i, t2, obj=step.shared)))
         return out
 
 
@@ -464,10 +465,9 @@ class Exploration:
                 else:
                     self.terminal_livelock.add(c)
             out = []
-            for tr in succ:
-                target = tr.target
+            for thread, events, target in succ:
                 if target is None:
-                    out.append((tr.thread, tr.events, None))
+                    out.append((thread, events, None))
                     continue
                 fresh = len(configs)
                 j = order.setdefault(target, fresh)  # the one hash of ``target``
@@ -475,20 +475,26 @@ class Exploration:
                     configs.append(target)
                     edges.append(())
                     todo.append(j)
-                out.append((tr.thread, tr.events, j))
+                out.append((thread, events, j))
             edges[i] = tuple(out)
         return self
 
     # -- strongly connected components --------------------------------------
 
     def scc_info(self) -> dict:
-        """Tarjan's algorithm, iterative, over configuration ids.
+        """Tarjan's algorithm, iterative, over configuration ids, then one
+        lasso search per cyclic component; this is the one place cycles
+        are found.
 
         ``comp[i]`` is the component of configuration ``i`` and ``comps``
         lists each component's ids, callees before callers.  A component
         is ``cyclic`` when it has an internal edge, ``object_cyclic`` when
         an internal edge emits an object event, and ``client_cyclic`` when
         its internal client-only edges close a cycle by themselves.
+        ``lassos[k]`` maps each divergence kind of cyclic component ``k``
+        to one cycle of that kind, as ``(configuration on the cycle,
+        events once round)``: see :func:`_object_lasso` and
+        :func:`_client_lasso`.  :meth:`results` only projects them.
         """
         if self._scc is not None:
             return self._scc
@@ -541,33 +547,30 @@ class Exploration:
                         if low[node] < low[parent]:
                             low[parent] = low[node]
 
-        cyclic: set[int] = set()
-        has_object_cycle: set[int] = set()
-        client_adj: dict[int, dict[int, list[int]]] = {}
-        for i, trs in enumerate(edges):
-            k = comp[i]
-            for _, events, t in trs:
-                if t is None or comp[t] != k:
-                    continue
-                cyclic.add(k)  # intra-SCC edge certifies a cycle
-                if any(not e.is_client for e in events):
-                    has_object_cycle.add(k)
-                else:
-                    client_adj.setdefault(k, {}).setdefault(i, []).append(t)
-        # the client-only subgraph certifies a client cycle when it has one
-        client_cyclic = {k for k, adj in client_adj.items() if _has_cycle(adj)}
+        # an internal edge certifies a cycle, so one search per cyclic
+        # component finds a lasso of each kind it has
+        cyclic = {
+            comp[i] for i, trs in enumerate(edges) for _, _, t in trs
+            if t is not None and comp[t] == comp[i]
+        }
+        lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
+        for k in cyclic:
+            members = sorted(comps[k])
+            group = set(members)
+            found = (
+                (Kind.OBJECT_DIVERGENT, _object_lasso(edges, members, group)),
+                (Kind.CLIENT_DIVERGENT, _client_lasso(edges, members, group)),
+            )
+            lassos[k] = {kind: lasso for kind, lasso in found if lasso is not None}
         self._scc = {
             "comp": comp,
             "comps": comps,
             "cyclic": cyclic,
-            "object_cyclic": has_object_cycle,
-            "client_cyclic": client_cyclic,
+            "object_cyclic": {k for k, ls in lassos.items() if Kind.OBJECT_DIVERGENT in ls},
+            "client_cyclic": {k for k, ls in lassos.items() if Kind.CLIENT_DIVERGENT in ls},
+            "lassos": lassos,
         }
         return self._scc
-
-    def has_divergence(self) -> bool:
-        info = self.scc_info()
-        return bool(info["cyclic"]) or bool(self.terminal_livelock)
 
     def divergence_kinds(self) -> set[Kind]:
         info = self.scc_info()
@@ -613,39 +616,29 @@ class Exploration:
                 for i in members:
                     outcomes[i] = too_large
                 continue
-            self._cyclic_outcomes(
-                members, tables, ci in info["object_cyclic"], ci in info["client_cyclic"]
-            )
+            self._cyclic_outcomes(members, tables, info["lassos"][ci])
         res = frozenset(map(tables.result, outcomes[0]))  # the initial configuration
         self._results[projection] = res
         return res
 
     def _cyclic_outcomes(
-        self, members: list[int], tables: "_Outcomes", object_cyclic: bool,
-        client_cyclic: bool,
+        self, members: list[int], tables: "_Outcomes", lassos: dict
     ) -> None:
         """Outcomes of every configuration of the cyclic component
-        ``members`` (configuration ids in ascending order)."""
+        ``members`` (configuration ids in ascending order), whose ``lassos``
+        :meth:`scc_info` found."""
         edges, group = tables.edges, set(members)
-        # divergent continuations: one representative lasso per divergence
-        # kind this component supports.  Its cycle does not depend on where
-        # the lasso starts; only the stem, a shortest path to the cycle, does.
-        cycles = []
-        if object_cyclic:
-            cycles.append((Kind.OBJECT_DIVERGENT, _object_cycle(edges, members, group)))
-        if client_cyclic:
-            cycles.append((Kind.CLIENT_DIVERGENT, _client_cycle(edges, members, group)))
-        lassos = []  # (configuration entering the cycle, leaf id)
+        # divergent continuations: one lasso per divergence kind this
+        # component supports.  Its cycle does not depend on where the lasso
+        # starts; only the stem, a shortest path to the cycle, does.
+        entries = []  # (configuration entering the cycle, leaf id)
         observable_cycle = False
-        for kind, found in cycles:
-            if found is None:
-                continue
-            entry, cycle = found
+        for kind, (entry, cycle) in lassos.items():
+            cycle = tuple(filter(tables.keep, cycle))
             observable_cycle |= bool(cycle)
-            events = tuple(tables.events[e] for e in cycle)
-            lassos.append((entry, tables.leaf(kind, cycle=events)))
+            entries.append((entry, tables.leaf(kind, cycle=cycle)))
         if observable_cycle and any(
-            t is None or t not in group for i in members for _, t, _ in edges[i]
+            t is None or t not in group for i in members for _, _, t in edges[i]
         ):
             # terminating schedules that lap an observable cycle more than
             # once are not enumerated separately
@@ -654,14 +647,14 @@ class Exploration:
         for start in members:
             out = {
                 (tables.prepend(_bfs_path(edges, start, entry, group), 0), leaf)
-                for entry, leaf in lassos
+                for entry, leaf in entries
             }
             # terminating / exiting continuations: simple paths inside the
             # component, then whatever follows outside it
             seen = {start}
 
             def walk(i: int, acc: tuple[int, ...]) -> None:
-                for evs, t, _ in edges[i]:
+                for _, evs, t in edges[i]:
                     evs = acc + evs
                     if t is None or t not in group:
                         out.update(follow(evs, t))
@@ -674,23 +667,24 @@ class Exploration:
             tables.outcomes[start] = frozenset(out)
 
 
-def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple[int, ...]:
-    """Kept events along a shortest in-component path from ``src`` to ``goal``."""
+def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
+    """Events along a shortest in-component path from ``src`` to ``goal``,
+    over ``(thread, events, target)`` edges."""
     if src == goal:
         return ()
-    prev: dict[int, tuple[int, tuple[int, ...]]] = {}
+    prev: dict[int, tuple[int, tuple]] = {}
     frontier = [src]
     seen = {src}
     while frontier:
         nxt_frontier = []
         for i in frontier:
-            for evs, t, _ in edges[i]:
+            for _, evs, t in edges[i]:
                 if t not in group or t in seen:
                     continue
                 seen.add(t)
                 prev[t] = (i, evs)
                 if t == goal:
-                    path: tuple[int, ...] = ()
+                    path: tuple = ()
                     while t != src:
                         t, evs = prev[t]
                         path = evs + path
@@ -700,70 +694,53 @@ def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple[int, .
     raise AssertionError("a component is strongly connected")
 
 
-def _object_cycle(
+def _object_lasso(
     edges: list, members: list[int], group: set[int]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """A cycle through an intra-component object edge: the edge's source and
-    the kept events of the edge and of a shortest path back to it."""
+) -> Optional[tuple[int, tuple[Event, ...]]]:
+    """A cycle through the first internal object edge, members in ascending
+    order and edges in stored order: the edge's source and the events of the
+    edge and of a shortest path back to it."""
     for u in members:
-        for evs, t, objev in edges[u]:
-            if objev and t in group:
+        for _, evs, t in edges[u]:
+            if t in group and any(not e.is_client for e in evs):
                 return u, evs + _bfs_path(edges, t, u, group)
     return None
 
 
-def _client_cycle(
+def _client_lasso(
     edges: list, members: list[int], group: set[int]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """A cycle of intra-component client-only edges: a configuration on it
-    and the kept events once round from there."""
-    adj: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for i in members:
-        for evs, t, objev in edges[i]:
-            if not objev and t in group:
-                adj.setdefault(i, []).append((evs, t))
-    on_path: dict[int, int] = {}
-    path_evs: list[tuple[int, ...]] = []
+) -> Optional[tuple[int, tuple[Event, ...]]]:
+    """The first cycle of internal client-only edges that a depth-first
+    search meets, from members in ascending order along edges in stored
+    order: a configuration on it and the events once round from there.  The
+    search keeps its own stack, so a long loop cannot exhaust Python's."""
+    on_path: dict[int, int] = {}  # configuration -> edges on the path before it
+    path_evs: list[tuple[Event, ...]] = []  # the events of each edge on the path
     done: set[int] = set()
-
-    def dfs(u: int) -> Optional[tuple[int, tuple[int, ...]]]:
-        on_path[u] = len(path_evs)
-        for evs, v in adj.get(u, ()):
-            if v in on_path:
-                return v, tuple(itertools.chain(*path_evs[on_path[v]:], evs))
-            if v in done:
-                continue
-            path_evs.append(evs)
-            got = dfs(v)
-            if got is not None:
-                return got
-            path_evs.pop()
-        del on_path[u]
-        done.add(u)
-        return None
-
-    for u in adj:
-        if u not in done:
-            found = dfs(u)
-            if found is not None:
-                return found
+    for root in members:
+        if root in done:
+            continue
+        on_path[root] = 0
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            u, it = stack[-1]
+            for _, evs, v in it:
+                if v not in group or any(not e.is_client for e in evs):
+                    continue
+                if v in on_path:
+                    return v, tuple(itertools.chain(*path_evs[on_path[v]:], evs))
+                if v not in done:
+                    path_evs.append(evs)
+                    on_path[v] = len(path_evs)
+                    stack.append((v, iter(edges[v])))
+                    break
+            else:
+                stack.pop()
+                del on_path[u]
+                done.add(u)
+                if stack:
+                    path_evs.pop()
     return None
-
-
-def _has_cycle(adj: dict) -> bool:
-    color: dict = {}
-
-    def visit(u) -> bool:
-        color[u] = 1
-        for v in adj.get(u, ()):
-            if color.get(v) == 1:
-                return True
-            if v not in color and visit(v):
-                return True
-        color[u] = 2
-        return False
-
-    return any(visit(u) for u in list(adj) if u not in color)
 
 
 def _projector(projection: str) -> Callable[[Event], bool]:
@@ -800,13 +777,9 @@ class _Outcomes:
         self.leaf_ids: dict[tuple, int] = {}
         self.aborted = self.leaf(Kind.ABORTED, note="runtime error")
         order = ex.order
-        # each configuration's edges: (kept event ids, target id or None,
-        # whether the edge emits an object event)
+        # the exploration's edges with their events projected to kept ids
         self.edges: list[tuple] = [
-            tuple(
-                (self.project(events), t, any(not e.is_client for e in events))
-                for _, events, t in trs
-            )
+            tuple((thread, self.project(events), t) for thread, events, t in trs)
             for trs in ex.edges
         ]
         # per configuration, once known: its frozenset of outcomes
@@ -869,7 +842,7 @@ class _Outcomes:
 
     def node(self, i: int) -> frozenset:
         """Outcomes of a configuration outside any cycle, from its edges."""
-        parts = [self.follow(evs, t) for evs, t, _ in self.edges[i]]
+        parts = [self.follow(evs, t) for _, evs, t in self.edges[i]]
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def result(self, outcome: tuple[int, int]) -> ExecutionResult:
@@ -1109,13 +1082,13 @@ class DivergenceReport:
 
 
 def divergence_report(ex_m: Exploration, ex_a: Exploration) -> DivergenceReport:
-    """Whether each of a fine-grained and an atomic exploration diverges."""
-    return DivergenceReport(
-        ex_m.has_divergence(),
-        ex_a.has_divergence(),
-        tuple(sorted(k.value for k in ex_m.divergence_kinds())),
-        tuple(sorted(k.value for k in ex_a.divergence_kinds())),
+    """Whether each of a fine-grained and an atomic exploration diverges.
+    Every cyclic component is object- or client-cyclic, so an exploration
+    diverges exactly when it has a divergence kind."""
+    kinds_m, kinds_a = (
+        tuple(sorted(k.value for k in ex.divergence_kinds())) for ex in (ex_m, ex_a)
     )
+    return DivergenceReport(bool(kinds_m), bool(kinds_a), kinds_m, kinds_a)
 
 
 def compare_divergence(

@@ -57,13 +57,13 @@ def enumerate_executions_naive(
                     )
                 )
             return
-        for tr in succ:
-            ev = tuple(e for e in tr.events if keep(e))
-            if tr.target is None:
+        for _, events, target in succ:
+            ev = tuple(e for e in events if keep(e))
+            if target is None:
                 results.add(ExecutionResult(trace + ev, Kind.ABORTED, note="runtime error"))
                 continue
-            if tr.target in path:
-                cut = path[tr.target]
+            if target in path:
+                cut = path[target]
                 cyc = trace[cut:] + ev
                 kind = (
                     Kind.CLIENT_DIVERGENT
@@ -72,9 +72,9 @@ def enumerate_executions_naive(
                 )
                 results.add(ExecutionResult(trace[:cut], kind, cycle=cyc))
                 continue
-            path[tr.target] = len(trace + ev)
-            walk(tr.target, trace + ev, path, depth + 1)
-            del path[tr.target]
+            path[target] = len(trace + ev)
+            walk(target, trace + ev, path, depth + 1)
+            del path[target]
 
     walk(interp.init, (), {interp.init: 0}, 0)
     return frozenset(results)

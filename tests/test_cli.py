@@ -137,11 +137,45 @@ def test_approximate_strict_pass_is_inconclusive(tmp_path, capsys):
     assert data["verdict"] == "inconclusive"
 
 
+def test_long_client_loop_is_searched_without_recursion(tmp_path, capsys):
+    # one component of about 1,200 configurations: deeper than Python's
+    # recursion limit, and over the 512 that outcome enumeration takes apart
+    body = " ; ".join(f"set a = {k}" for k in range(1, 1200))
+    f = tmp_path / "loop.txt"
+    f.write_text(f"thread {{ while 0 == 0 {{ {body} }} }}")
+    argv = ["--program", str(f), "--model", "coarse-queue"]
+    assert main(["explore"] + argv) == EXIT_OK
+    assert "  bottom (client divergence)\n" in capsys.readouterr().out
+    assert main(["compare"] + argv) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert out.endswith("verdict=inconclusive: outcome sets approximate\n")
+    assert "warning" not in out
+
+
+def test_explore_records_executions_once(program_file, tmp_path, capsys, monkeypatch):
+    from strictlin import checker
+
+    calls = []
+    record = checker.recorded_executions
+
+    def counting(ex):
+        calls.append(ex)
+        return record(ex)
+
+    monkeypatch.setattr(checker, "recorded_executions", counting)
+    assert main(["explore", "--program", program_file, "--model", "coarse-queue",
+                 "--mode", "strict", "--histories", str(tmp_path / "h")]) == EXIT_OK
+    assert len(calls) == 1
+    assert "wrote " in capsys.readouterr().out
+
+
 def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     report = tmp_path / "c.json"
     assert main(["compare", "--program", program_file, "--model", "hw-queue,N=4",
                  "--bound", "60", "--json", str(report)]) == EXIT_INCONCLUSIVE
-    assert "verdict=inconclusive" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verdict=inconclusive: exploration truncated" in out
+    assert "warning" not in out
     assert json.loads(report.read_text())["verdict"] == "inconclusive"
 
 
