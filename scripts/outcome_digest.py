@@ -13,10 +13,12 @@ an order-free sha256 of the outcomes and whether the sets are approximate.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
-and fall-through programs of ``tests/test_explorer.py``, and 40 seeded
+and fall-through programs of ``tests/test_explorer.py``, 40 seeded
 two-thread programs with loops, ``if``s and calls inside branches, each on
-``coarse-queue`` and ``hw-queue,N=2``.  An exploration that runs past
-``CAP_S`` seconds prints ``timeout`` in place of the rest of its digest.
+``coarse-queue`` and ``hw-queue,N=2``, and a dequeue racing an enqueue on
+each model from start states that already hold values (built by the spec's
+``seed_state``).  An exploration that runs past ``CAP_S`` seconds prints
+``timeout`` in place of the rest of its digest.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 import signal
 import sys
 from pathlib import Path
+from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
@@ -40,6 +43,8 @@ PROJECTIONS = ("interface", "history", "client")
 RANDOM_PROGRAMS = 40
 RANDOM_BOUND = 20_000  # random programs are cut here, the same on every commit
 CAP_S = 30.0  # per exploration; the whole corpus takes about 10 s on 2 vCPUs
+SEEDED_PROGRAM = "thread { call y = Q.Dequeue() }\nthread { call Q.Enqueue('b') }"
+SEEDED_CONTENTS = (("a",), ("a", "b"))
 
 
 class _Timeout(Exception):
@@ -88,31 +93,39 @@ def _random_program(rng: random.Random) -> str:
             return f"thread {{ set x = 0 ; {a} }}\nthread {{ {b} }}"
 
 
-def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...]]]:
-    """(label, program text, model, bound, projections) of every program.  A ladder program is digested in the projections its
-    benchmark queries ask for; its interface outcome sets run into
-    gigabytes."""
+def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...], Any]]:
+    """(label, program text, model, bound, projections, start state or None
+    for the model's own) of every program.  A ladder program is digested in
+    the projections its benchmark queries ask for; its interface outcome
+    sets run into gigabytes."""
     ladder: dict[tuple[str, str], tuple[str, ...]] = {}
     for queries, projection in ((STRICT_QUERIES, "history"), (COMPARE_QUERIES, "client")):
         for _, name, ref, *_ in queries:
             ladder[name, ref] = tuple(dict.fromkeys(ladder.get((name, ref), ()) + (projection,)))
     out = [(f"ladder/{name} {ref}", PROGRAMS[name], models.parse_model_ref(ref),
-            explorer.DEFAULT_BOUND, projections)
+            explorer.DEFAULT_BOUND, projections, None)
            for (name, ref), projections in ladder.items()]
     for k, (text, model) in enumerate(SPIN_PROGRAMS):
         # the outcome sets of the ms-queue spin program exhaust memory
         projections = () if model.name == "ms-queue" else PROJECTIONS
-        out.append((f"spin/{k} {model.name}", text, model, explorer.DEFAULT_BOUND, projections))
+        out.append((f"spin/{k} {model.name}", text, model, explorer.DEFAULT_BOUND, projections,
+                    None))
     coarse = models.coarse_queue_model()
     for k, (text, _) in enumerate(FALL_THROUGH):
         out.append((f"fall-through/{k} coarse-queue", text, coarse, explorer.DEFAULT_BOUND,
-                    PROJECTIONS))
+                    PROJECTIONS, None))
     rng = random.Random(8)
     for k in range(RANDOM_PROGRAMS):
         text = _random_program(rng)
         for ref in ("coarse-queue", "hw-queue,N=2"):
             out.append((f"random/{k} {ref}", text, models.parse_model_ref(ref), RANDOM_BOUND,
-                        PROJECTIONS))
+                        PROJECTIONS, None))
+    for ref in ("hw-queue,N=2", "ms-queue,P=3", "coarse-queue"):
+        model = models.parse_model_ref(ref)
+        for contents in SEEDED_CONTENTS:
+            start = model.seq_spec.seed_state(contents)
+            out.append((f"seeded/{','.join(contents)} {ref}", SEEDED_PROGRAM, model,
+                        explorer.DEFAULT_BOUND, PROJECTIONS, start))
     return out
 
 
@@ -145,14 +158,15 @@ def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
 
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
-    for label, text, model, bound, projections in corpus():
+    for label, text, model, bound, projections, start in corpus():
         prog = parse_program(text)
         for side in ("fine-grained", "atomic"):
             print(f"== {label} {side}: " + " | ".join(map(str.strip, text.strip().splitlines())))
             signal.setitimer(signal.ITIMER_REAL, CAP_S)
             try:
-                ex = (explorer.explore(prog, model, bound=bound) if side == "fine-grained"
-                      else explorer.run_atomic(prog, model.seq_spec, bound=bound))
+                ex = (explorer.explore(prog, model, init_obj=start, bound=bound)
+                      if side == "fine-grained"
+                      else explorer.run_atomic(prog, model.seq_spec, init_obj=start, bound=bound))
                 lines = digest(ex, projections)
             except _Timeout:
                 lines = ["timeout"]

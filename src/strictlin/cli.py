@@ -13,9 +13,14 @@ Subcommands::
                       (--spec NAME | --adt NAME) [--rename A=B,...]
                       [--json FILE]
 
+``--model`` takes a model name and at most its one size parameter (``N``
+for ``hw-queue``, ``P`` for ``ms-queue``, ``C`` for ``coarse-queue``); any
+other parameter is an input error.
+
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error (also an unusable input or output path, or a
-``--bound`` below 1), 3 inconclusive (a check found no violation, or
+2 usage or input error (also an unusable input or output path, a ``--bound``
+below 1, or running out of memory, reported as ``error: out of memory``
+with no partial verdict), 3 inconclusive (a check found no violation, or
 ``compare`` ran, on an exploration that was truncated by ``--bound`` or whose
 outcome sets are approximate, so a pass or an equality is not established),
 141 the reader closed standard output early (as in ``strictlin explore ... |
@@ -36,6 +41,7 @@ from typing import Optional
 from . import checker, explorer, models, reproductions, specs
 from .history import parse_history, serialize_history
 from .programs import parse_program
+from .values import parse_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,15 +71,22 @@ def _resolve_adt(name: str) -> specs.Adt:
     return spec
 
 
-def _parse_init(arg: str, model) -> object:
-    """Initial object contents: comma-separated value tokens, front first."""
-    if not arg.strip():
-        return model.initial_state
-    from .values import parse_value
+def _seq_spec(name: Optional[str], model) -> specs.SeqSpec:
+    """The spec ``--spec`` names: the model's own, sized as the model is,
+    when it names none or the model's."""
+    if not name or name == model.seq_spec.name:
+        return model.seq_spec
+    return specs.get_spec(name)
 
+
+def _parse_init(arg: str, spec: specs.SeqSpec) -> object:
+    """The start state of ``spec`` holding ``--init``'s contents:
+    comma-separated value tokens, front first."""
+    if not arg.strip():
+        return spec.initial_states[0]
     try:
         values = tuple(parse_value(tok.strip()) for tok in arg.split(","))
-        return model.seed_state(values)
+        return spec.seed_state(values)
     except ValueError as exc:
         raise UsageError(f"bad --init: {exc}") from None
 
@@ -156,7 +169,7 @@ def _run_checks(
     args: argparse.Namespace, ex: explorer.Exploration, recs, model
 ) -> tuple[int, dict]:
     if args.mode == "strict":
-        spec = specs.get_spec(args.spec) if args.spec else model.seq_spec
+        spec = _seq_spec(args.spec, model)
         report = checker.check_strict(recs, spec)
         render = spec.render_state
     else:
@@ -171,7 +184,7 @@ def _run_checks(
             report = checker.check_general(recs, adt, af, rf)
         else:
             states = list(model.enumerate_states(("a", "b")))
-            spec = specs.get_spec(args.spec) if args.spec else model.seq_spec
+            spec = _seq_spec(args.spec, model)
             report = checker.check_concurrent_implementation(
                 recs, spec, adt, af, rf, states
             )
@@ -192,7 +205,7 @@ def _run_checks(
 def _cmd_explore(args: argparse.Namespace) -> int:
     prog = _load_program(args.program)
     model = models.parse_model_ref(args.model)
-    init = _parse_init(args.init, model)
+    init = _parse_init(args.init, model.seq_spec)
     ex = explorer.explore(prog, model, init_obj=init, bound=args.bound)
     fs = explorer.final_states(ex)
     print(f"configurations: {len(ex.order)}  transitions: {ex.transitions_explored}")
@@ -234,19 +247,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     prog = _load_program(args.program)
     model = models.parse_model_ref(args.model)
-    spec = specs.get_spec(args.spec) if args.spec else model.seq_spec
-    init = _parse_init(args.init, model)
-    init_atomic = None
-    if args.spec and spec.name != model.seq_spec.name:
-        # a foreign spec has its own state domain: seed it from contents
-        from .values import parse_value
-
-        contents = tuple(
-            parse_value(tok.strip()) for tok in args.init.split(",") if tok.strip()
-        )
-        init_atomic = spec.seed_state(contents)
+    spec = _seq_spec(args.spec, model)
+    # a foreign spec has its own state domain: each side is seeded in its own
     ex_m, ex_a = explorer.explore_both(
-        prog, model, spec, init_obj=init, bound=args.bound, init_obj_atomic=init_atomic
+        prog, model, spec, init_obj=_parse_init(args.init, model.seq_spec), bound=args.bound,
+        init_obj_atomic=_parse_init(args.init, spec),
     )
     obs = explorer.observables_report(ex_m, ex_a)
     div = explorer.divergence_report(ex_m, ex_a)
@@ -416,6 +421,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # OSError: unreadable inputs and unwritable outputs (a directory as a
         # file, a missing directory); BrokenPipeError is handled above
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # nothing was established, so no inconclusive report follows
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -218,7 +218,7 @@ class _Interp:
         for pc, s in enumerate(block, base):
             if isinstance(s, CallStmt) and s.method not in model.methods:
                 raise UnknownMethodError(f"{model.name}: unknown method {s.method!r}")
-            if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.cells is None:
+            if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.seq_spec.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
             nxt, taken = (pc + 1 if pc < last else k), None
             if isinstance(s, WhileStmt):
@@ -288,7 +288,7 @@ class _Interp:
             return [(tid, (ev,), self._with_thread(c, i, t2))]
         if isinstance(s, ReadCellStmt):
             try:
-                v = self.model.cells.read(c.obj, s.cell)
+                v = self.model.seq_spec.cells.read(c.obj, s.cell)
             except CellError as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"))
@@ -298,7 +298,7 @@ class _Interp:
         if isinstance(s, WriteCellStmt):
             try:
                 v = _eval(s.expr, env)
-                obj2 = self.model.cells.write(c.obj, s.cell, v)
+                obj2 = self.model.seq_spec.cells.write(c.obj, s.cell, v)
             except (CellError, EvalError) as exc:
                 return [self._client_abort(tid, str(exc))]
             ev = Event(tid, Act(f"Q.{_cellname(s.cell)}:={render_value(v)}"))
@@ -437,10 +437,10 @@ class Exploration:
         return self.interp.init.obj
 
     def state_key(self) -> Callable[[Any], Any]:
-        return self.interp.model.state_key
+        return self.interp.model.seq_spec.state_key
 
     def render_object(self, obj: Any) -> str:
-        return self.interp.model.render_state(obj)
+        return self.interp.model.seq_spec.render_state(obj)
 
     # -- graph construction -------------------------------------------------
 
@@ -869,8 +869,9 @@ def explore(
     bound: int = DEFAULT_BOUND,
 ) -> Exploration:
     """Explore all schedules of ``prog`` over ``model``, whose start state
-    must be well-formed."""
-    if not model.well_formed(model.initial_state if init_obj is None else init_obj):
+    must lie in its sequential spec's state domain."""
+    spec = model.seq_spec
+    if not spec.is_state(spec.initial_states[0] if init_obj is None else init_obj):
         raise ValueError(f"{model.name}: initial state not well-formed")
     return _explore(prog, model, init_client, init_obj, bound)
 
@@ -897,7 +898,7 @@ def _explore(
     prog: Program, model: ObjectModel, init_client: Sequence[tuple[str, Value]],
     init_obj: Any, bound: int,
 ) -> Exploration:
-    obj = model.initial_state if init_obj is None else init_obj
+    obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
     return Exploration(_Interp(prog, model, tuple(sorted(init_client)), obj), bound).build()
 
 

@@ -1,4 +1,4 @@
-"""Executable object models: fine-grained step machines plus companion specs.
+"""Executable object models: a sequential spec plus fine-grained step machines.
 
 Three models ship with the package:
 
@@ -9,13 +9,14 @@ Three models ship with the package:
   compare-and-swap linking and a tail-helping step.
 * ``coarse-queue`` -- a control model whose methods are single atomic steps.
 
-Each model is a set of per-method step machines over (local state, shared
-state).  One step is one atomic action at the granularity of one source
-line; composite tests such as "read pointer and branch" are a single atomic
-read-and-branch, and initialization of a node that no other thread can reach
-yet is folded into its allocation.  Each model carries a companion
-sequential specification (the machine run to completion in isolation) and a
-canonical state rendering for golden-file reports.
+A model is its companion sequential specification (the machine run to
+completion in isolation) plus per-method step machines over (local state,
+shared state), an execution invariant and a state sampler.  The spec alone
+describes the object's states: start state, domain, key, canonical rendering
+for golden-file reports and cells.  One step is one atomic action at the
+granularity of one source line; composite tests such as "read pointer and
+branch" are a single atomic read-and-branch, and initialization of a node
+that no other thread can reach yet is folded into its allocation.
 
 The array model is bounded by a parameter ``N``; enqueueing past the bound
 is a runtime error.  The linked model draws nodes from a bounded pool of
@@ -66,25 +67,19 @@ class MethodMachine:
 
 @dataclass
 class ObjectModel:
-    """An executable object: fine-grained, or a spec's :func:`atomic_model`."""
+    """An executable object, fine-grained or a spec's :func:`atomic_model`:
+    its spec ``seq_spec``, which owns every fact about object states, plus
+    step machines, an invariant of every reachable state and a sampler of
+    states over an alphabet for refinement checks."""
 
     name: str
     methods: dict[str, MethodMachine]
-    initial_state: Any
-    well_formed: Callable[[Any], bool]
-    invariant_ok: Callable[[Any], bool]
-    render_state: Callable[[Any], str]
-    state_key: Callable[[Any], Hashable]
     seq_spec: SeqSpec
-    cells: Optional[CellAccess] = None
+    invariant_ok: Callable[[Any], bool]
     enumerate_states: Optional[Callable[[Sequence[Value]], Iterable[Any]]] = None
 
     def method_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.methods))
-
-    def seed_state(self, contents: Sequence[Value]) -> Any:
-        """Build a start state holding ``contents``, front first."""
-        return self.seq_spec.seed_state(contents)
 
 
 def atomic_model(spec: SeqSpec) -> ObjectModel:
@@ -99,17 +94,7 @@ def atomic_model(spec: SeqSpec) -> ObjectModel:
 
         return MethodMachine(start, lambda local, s: ())  # no body to step
 
-    return ObjectModel(
-        name=spec.name,
-        methods={m: machine(m) for m in spec.methods},
-        initial_state=spec.initial_states[0],
-        well_formed=spec.is_state,
-        invariant_ok=spec.is_state,
-        render_state=spec.render_state,
-        state_key=spec.state_key,
-        seq_spec=spec,
-        cells=spec.cells,
-    )
+    return ObjectModel(spec.name, {m: machine(m) for m in spec.methods}, spec, spec.is_state)
 
 
 def _cell_render(v: Value) -> str:
@@ -129,10 +114,6 @@ def _cell_render(v: Value) -> str:
 class HWQueueState:
     back: int
     items: tuple[Value, ...]
-
-
-def hw_initial(n: int) -> HWQueueState:
-    return HWQueueState(1, (NULL,) * n)
 
 
 def hw_is_state(s: Any) -> bool:
@@ -235,26 +216,14 @@ def _hw_seq_dequeue(s: HWQueueState, _: Value):
     return []
 
 
-def enumerate_hw_states(
-    n: int,
-    alphabet: Sequence[Value],
-    max_back: Optional[int] = None,
-    reachable_only: bool = True,
-) -> Iterable[HWQueueState]:
-    """Array states with cells over ``alphabet`` + null.
-
-    With ``reachable_only`` every cell at or past ``back`` is null, which is
-    an invariant of the algorithm's own executions (slots are reserved before
-    they are written).  Pass ``False`` to sweep the raw state domain, e.g.
-    states mutated by direct client writes.
-    """
-    hi = min(max_back or n + 1, n + 1)
+def enumerate_hw_states(n: int, alphabet: Sequence[Value]) -> Iterable[HWQueueState]:
+    """Array states with cells over ``alphabet`` + null, every cell at or
+    past ``back`` null: an invariant of the algorithm's own executions (slots
+    are reserved before they are written)."""
     pool: tuple[Value, ...] = (NULL,) + tuple(alphabet)
-    for back in range(1, hi + 1):
-        prefix = back - 1
-        for used in itertools.product(pool, repeat=prefix if reachable_only else n):
-            items = used if not reachable_only else used + (NULL,) * (n - prefix)
-            yield HWQueueState(back, tuple(items))
+    for back in range(1, n + 2):
+        for used in itertools.product(pool, repeat=back - 1):
+            yield HWQueueState(back, used + (NULL,) * (n - back + 1))
 
 
 def hw_from_contents(n: int):
@@ -266,20 +235,21 @@ def hw_from_contents(n: int):
     return build
 
 
-def hw_seq_spec(n: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> SeqSpec:
+def hw_seq_spec(n: int = 4) -> SeqSpec:
+    from_contents = hw_from_contents(n)
     return SeqSpec(
         name="hw-queue-seq",
         methods={"Enqueue": _hw_seq_enqueue(n), "Dequeue": _hw_seq_dequeue},
-        initial_states=(hw_initial(n),),
+        initial_states=(from_contents(()),),
         is_state=hw_is_state,
-        method_inputs={"Enqueue": tuple(alphabet), "Dequeue": (UNIT,)},
+        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=hw_render,
         cells=HW_CELLS,
-        from_contents=hw_from_contents(n),
+        from_contents=from_contents,
     )
 
 
-def hw_model(n: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> ObjectModel:
+def hw_model(n: int = 4) -> ObjectModel:
     if n < 1:
         raise ValueError("array bound must be >= 1")
     return ObjectModel(
@@ -288,13 +258,8 @@ def hw_model(n: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> 
             "Enqueue": MethodMachine(_hw_enq_start, _hw_enq_step),
             "Dequeue": MethodMachine(_hw_deq_start, _hw_deq_step),
         },
-        initial_state=hw_initial(n),
-        well_formed=hw_is_state,
+        seq_spec=hw_seq_spec(n),
         invariant_ok=hw_is_state,
-        render_state=hw_render,
-        state_key=lambda s: s,
-        seq_spec=hw_seq_spec(n, alphabet),
-        cells=HW_CELLS,
         enumerate_states=lambda alpha: enumerate_hw_states(n, alpha),
     )
 
@@ -319,11 +284,6 @@ class MSQueueState:
     nodes: tuple[Node, ...]
     head: int
     tail: int
-
-
-def ms_initial(p: int) -> MSQueueState:
-    nodes = (Node(NULL, None, True),) + (FREE_NODE,) * (p - 1)
-    return MSQueueState(nodes, 0, 0)
 
 
 def ms_list_indices(s: MSQueueState) -> Optional[list[int]]:
@@ -544,20 +504,21 @@ def ms_from_contents(p: int):
     return build
 
 
-def ms_seq_spec(p: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> SeqSpec:
+def ms_seq_spec(p: int = 4) -> SeqSpec:
+    from_contents = ms_from_contents(p)
     return SeqSpec(
         name="ms-queue-seq",
         methods={"Enqueue": _ms_seq_enqueue, "Dequeue": _ms_seq_dequeue},
-        initial_states=(ms_initial(p),),
+        initial_states=(from_contents(()),),
         is_state=lambda s: isinstance(s, MSQueueState) and ms_well_formed(s),
-        method_inputs={"Enqueue": tuple(alphabet), "Dequeue": (UNIT,)},
+        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         state_key=ms_state_key,
         render_state=ms_render,
-        from_contents=ms_from_contents(p),
+        from_contents=from_contents,
     )
 
 
-def ms_model(p: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> ObjectModel:
+def ms_model(p: int = 4) -> ObjectModel:
     if p < 2:
         raise ValueError("node pool must hold the dummy plus one node")
     return ObjectModel(
@@ -566,12 +527,8 @@ def ms_model(p: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET) -> 
             "Enqueue": MethodMachine(_ms_enq_start, _ms_enq_step),
             "Dequeue": MethodMachine(_ms_deq_start, _ms_deq_step),
         },
-        initial_state=ms_initial(p),
-        well_formed=ms_well_formed,
+        seq_spec=ms_seq_spec(p),
         invariant_ok=ms_invariant_ok,
-        render_state=ms_render,
-        state_key=ms_state_key,
-        seq_spec=ms_seq_spec(p, alphabet),
         enumerate_states=lambda alpha: enumerate_ms_states(p, alpha),
     )
 
@@ -605,10 +562,6 @@ def _coarse_deq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
 
 # coarse state: (capacity, contents-tuple); capacity rides along so the
 # machine and its companion spec agree without closures
-def coarse_initial(cap: int) -> tuple:
-    return (cap, ())
-
-
 def _coarse_cap(s: tuple) -> int:
     return s[0]
 
@@ -629,35 +582,27 @@ def _coarse_seq_dequeue(s: tuple, _: Value):
     return [((s[0], s[1][1:]), s[1][0])]
 
 
-def coarse_seq_spec(
-    cap: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET
-) -> SeqSpec:
+def coarse_seq_spec(cap: int = 4) -> SeqSpec:
     return SeqSpec(
         name="coarse-queue-seq",
         methods={"Enqueue": _coarse_seq_enqueue, "Dequeue": _coarse_seq_dequeue},
-        initial_states=(coarse_initial(cap),),
+        initial_states=((cap, ()),),
         is_state=lambda s: isinstance(s, tuple) and len(s[-1]) <= _coarse_cap(s),
-        method_inputs={"Enqueue": tuple(alphabet), "Dequeue": (UNIT,)},
+        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=_coarse_render,
         from_contents=lambda vs: (cap, vs),
     )
 
 
-def coarse_queue_model(
-    cap: int = 4, alphabet: Sequence[Value] = specs.DEFAULT_ALPHABET
-) -> ObjectModel:
+def coarse_queue_model(cap: int = 4) -> ObjectModel:
     return ObjectModel(
         name="coarse-queue",
         methods={
             "Enqueue": MethodMachine(_coarse_enq_start, _coarse_enq_step),
             "Dequeue": MethodMachine(_coarse_deq_start, _coarse_deq_step),
         },
-        initial_state=coarse_initial(cap),
-        well_formed=lambda s: len(s[-1]) <= cap,
+        seq_spec=coarse_seq_spec(cap),
         invariant_ok=lambda s: len(s[-1]) <= cap,
-        render_state=_coarse_render,
-        state_key=lambda s: s,
-        seq_spec=coarse_seq_spec(cap, alphabet),
         enumerate_states=lambda alpha: (
             (cap, seq) for seq in specs.enumerate_sequences(tuple(alpha), cap)
         ),
@@ -708,19 +653,23 @@ def af_hw_prefix() -> AbstractionFunction:
 # Registry
 # ---------------------------------------------------------------------------
 
-_MODEL_REGISTRY: dict[str, Callable[..., ObjectModel]] = {
-    "hw-queue": lambda **kw: hw_model(int(kw.get("N", 4))),
-    "ms-queue": lambda **kw: ms_model(int(kw.get("P", 4))),
-    "coarse-queue": lambda **kw: coarse_queue_model(int(kw.get("C", 4))),
+# model name -> (its one size parameter, factory taking that size)
+_MODEL_REGISTRY: dict[str, tuple[str, Callable[[int], ObjectModel]]] = {
+    "hw-queue": ("N", hw_model),
+    "ms-queue": ("P", ms_model),
+    "coarse-queue": ("C", coarse_queue_model),
 }
 
 
 def get_model(name: str, **params: Any) -> ObjectModel:
     try:
-        factory = _MODEL_REGISTRY[name]
+        param, factory = _MODEL_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
-    return factory(**params)
+    for key in params:
+        if key != param:
+            raise ValueError(f"{name} takes parameter {param}, not {key}")
+    return factory(int(params[param])) if params else factory()
 
 
 def model_names() -> tuple[str, ...]:

@@ -158,7 +158,7 @@ def fig3(bound: int = explorer.DEFAULT_BOUND) -> Report:
         return Report("fig3", False, ("recorded execution not reachable",))
     lines.append("recorded execution (found by exhaustive exploration):")
     lines.extend("  " + l for l in serialize_history(rec.history).splitlines())
-    lines.append(f"recorded final state: {m.render_state(rec.final_state)}")
+    lines.append(f"recorded final state: {m.seq_spec.render_state(rec.final_state)}")
 
     adt = specs.queue_adt(("c", "d"))
     rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
@@ -168,7 +168,7 @@ def fig3(bound: int = explorer.DEFAULT_BOUND) -> Report:
 
     strict_w = checker.find_strict_linearization(rec, m.seq_spec)
     lin = checker.find_linearization(rec, m.seq_spec)
-    legal = {m.render_state(s) for s in lin.final_states} if lin else set()
+    legal = {m.seq_spec.render_state(s) for s in lin.final_states} if lin else set()
     lines.append(
         "strict linearization vs own sequential spec: "
         + ("none (as expected)" if strict_w is None else "FOUND (unexpected)")

@@ -37,7 +37,7 @@ def enumerate_executions_naive(
     Exponential; a cross-check oracle for small programs.  Divergence is
     detected by a configuration repeat along the current schedule.
     """
-    obj = model.initial_state if init_obj is None else init_obj
+    obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
     interp = _Interp(prog, model, tuple(sorted(init_client)), obj)
     keep = _projector(projection)
     results: set[ExecutionResult] = set()

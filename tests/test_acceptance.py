@@ -101,7 +101,7 @@ def _fig2_golden_text(ex, ex_a) -> str:
 def test_criterion_2_recorded_execution_contrast():
     with _timer(30.0) as t:
         m = models.hw_model(4)
-        rec = RecordedExecution(m.initial_state, fig3_history(), True, FIG3_FINAL)
+        rec = RecordedExecution(m.seq_spec.initial_states[0], fig3_history(), True, FIG3_FINAL)
         rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
         general = checker.check_general(
             [rec], queue_adt(("c", "d")), models.af_hw_prefix(), rf
@@ -272,7 +272,7 @@ def test_criterion_8_atomic_equivalence_controls():
     with _timer(60.0) as t:
         coarse_ok = True
         for p in CONTROL_PROGRAMS:
-            rep = compare_observables(p, models.coarse_queue_model(4, ("a", "b")))
+            rep = compare_observables(p, models.coarse_queue_model(4))
             coarse_ok &= rep.equal and not rep.unknown_present
         hw = compare_observables(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
         ok = coarse_ok and not hw.states_equal

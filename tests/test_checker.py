@@ -68,7 +68,7 @@ def test_illegal_single_op_has_no_witness():
 
 def test_fig3_linearization_and_strict_gap():
     m = models.hw_model(4)
-    rec = RecordedExecution(m.initial_state, fig3_history(), True, FIG3_FINAL)
+    rec = RecordedExecution(m.seq_spec.initial_states[0], fig3_history(), True, FIG3_FINAL)
     lin = find_linearization(rec, m.seq_spec)
     assert lin is not None
     assert lin.final_states == {FIG3_LEGAL_FINAL}
@@ -87,11 +87,11 @@ def test_sequential_execution_is_its_own_strict_witness():
 
 def test_witness_validity_properties():
     m = models.hw_model(4)
-    rec = RecordedExecution(m.initial_state, fig3_history(), True, FIG3_FINAL)
+    rec = RecordedExecution(m.seq_spec.initial_states[0], fig3_history(), True, FIG3_FINAL)
     lin = find_linearization(rec, m.seq_spec)
     assert is_sequential(lin.witness) and is_complete(lin.witness)
     assert linearizes(lin.completion, lin.witness)
-    assert legal_seq_outcomes(m.seq_spec, m.initial_state, lin.witness) == lin.final_states
+    assert legal_seq_outcomes(m.seq_spec, rec.initial_state, lin.witness) == lin.final_states
 
 
 def test_pending_op_closed_with_spec_allowed_return():
@@ -427,7 +427,7 @@ def _coarse_recs():
         "thread { call Q.Enqueue('a') ; call y1 = Q.Dequeue() }\n"
         "thread { call y2 = Q.Dequeue() }"
     )
-    m = models.coarse_queue_model(4, ("a", "b"))
+    m = models.coarse_queue_model(4)
     return m, recorded_executions(explorer.explore(p, m))
 
 

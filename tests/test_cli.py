@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from strictlin import reproductions
+from strictlin import explorer, reproductions
 from strictlin.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
@@ -257,6 +257,54 @@ def test_unknown_model_is_usage_error(program_file, capsys):
         main(["explore", "--program", program_file, "--model", "wobbly-queue"])
         == EXIT_USAGE
     )
+
+
+@pytest.mark.parametrize("ref,message", [
+    ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
+    ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
+])
+def test_unknown_model_parameter_is_usage_error(ref, message, program_file, capsys):
+    assert main(["explore", "--program", program_file, "--model", ref]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_of_memory_is_usage_error(program_file, capsys, monkeypatch):
+    # no outcome set was computed, so no report of lower bounds can follow
+    def exhausted(self, projection):
+        raise MemoryError
+
+    monkeypatch.setattr(explorer.Exploration, "results", exhausted)
+    assert main(["compare", "--program", program_file, "--model", "coarse-queue"]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
+def test_compare_seeds_foreign_spec_from_init(tmp_path, capsys):
+    # the atomic side starts from the queue ADT's own state holding 'a'
+    f = tmp_path / "deq-enq.txt"
+    f.write_text("thread { call y = Q.Dequeue() }\nthread { call Q.Enqueue('b') }\n")
+    assert main(["compare", "--program", str(f), "--model", "hw-queue", "--spec", "adt-queue",
+                 "--init", "'a'"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == (
+        "client traces equal: yes\n"
+        "final states equal: no\n"
+        "  fine-grained:\n"
+        "    client: y='a' | object: back=3 items=[·,b,·,·]\n"
+        "  atomic:\n"
+        "    client: y='a' | object: <'b'>\n"
+        "divergence: fine-grained=none atomic=none\n"
+    )
+
+
+def test_compare_against_own_spec_keeps_model_size(tmp_path, capsys):
+    # naming the model's spec picks it at the model's size, not the registered one
+    f = tmp_path / "three-enq.txt"
+    f.write_text("thread { call Q.Enqueue('a') ; call Q.Enqueue('b') ; call y = Q.Dequeue() ;"
+                 " call Q.Enqueue('a') }\n")
+    argv = ["compare", "--program", str(f), "--model", "hw-queue,N=2"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    implicit = capsys.readouterr()
+    assert main(argv + ["--spec", "hw-queue-seq"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr() == implicit
 
 
 def test_unknown_flag_rejected(program_file, capsys):

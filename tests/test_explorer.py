@@ -22,7 +22,7 @@ from strictlin.history import Inv, Ret
 from strictlin.models import atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
-from strictlin.values import EMPTY
+from strictlin.values import EMPTY, NULL
 
 from oracles import enumerate_executions_naive, run_single_thread
 
@@ -362,9 +362,19 @@ def test_empty_program_trivially_equal():
 
 def test_initial_state_must_be_well_formed():
     m = models.ms_model(3)
-    bad = models.MSQueueState(m.initial_state.nodes, 0, 2)
+    bad = models.MSQueueState(m.seq_spec.initial_states[0].nodes, 0, 2)
     with pytest.raises(ValueError):
         explore(parse_program("thread { }"), m, init_obj=bad)
+
+
+@pytest.mark.parametrize("model,start", [
+    (models.hw_model(4), (4, ())),  # a coarse-queue state
+    (models.ms_model(3), models.HWQueueState(1, (NULL,) * 3)),
+    (models.coarse_queue_model(4), (4, ("a",) * 5)),  # over capacity
+], ids=["hw", "ms", "coarse"])
+def test_start_state_outside_spec_domain_is_rejected(model, start):
+    with pytest.raises(ValueError, match="initial state not well-formed"):
+        explore(parse_program("thread { }"), model, init_obj=start)
 
 
 def test_result_sets_identical_across_runs():

@@ -25,7 +25,7 @@ def run_in_isolation(model, method, arg, state, max_steps=200):
     or 'divergent' when a configuration repeats without a state change."""
     machine = model.methods[method]
     ((local, state),) = machine.start(arg, state)  # fine-grained: never blocks
-    seen = {(repr(local), model.state_key(state))}
+    seen = {(repr(local), model.seq_spec.state_key(state))}
     for _ in range(max_steps):
         if isinstance(local, Done):
             return state, local.value
@@ -33,7 +33,7 @@ def run_in_isolation(model, method, arg, state, max_steps=200):
         if step.abort:
             return "abort"
         local, state = step.local, step.shared
-        key = (repr(local), model.state_key(state))
+        key = (repr(local), model.seq_spec.state_key(state))
         if key in seen:
             return "divergent"
         seen.add(key)
@@ -47,7 +47,7 @@ def run_in_isolation(model, method, arg, state, max_steps=200):
 
 def test_hw_sequential_enqueue_dequeue():
     m = hw_model(4)
-    s1, r1 = run_in_isolation(m, "Enqueue", "c", m.initial_state)
+    s1, r1 = run_in_isolation(m, "Enqueue", "c", m.seq_spec.initial_states[0])
     assert r1 is UNIT and s1 == HWQueueState(2, ("c", NULL, NULL, NULL))
     s2, r2 = run_in_isolation(m, "Dequeue", UNIT, s1)
     assert r2 == "c" and s2.items == (NULL,) * 4
@@ -55,7 +55,7 @@ def test_hw_sequential_enqueue_dequeue():
 
 def test_hw_dequeue_spins_on_empty():
     m = hw_model(4)
-    assert run_in_isolation(m, "Dequeue", UNIT, m.initial_state) == "divergent"
+    assert run_in_isolation(m, "Dequeue", UNIT, m.seq_spec.initial_states[0]) == "divergent"
 
 
 def test_hw_enqueue_aborts_past_bound():
@@ -80,7 +80,7 @@ def test_hw_fig3_final_state_reachable():
 
 def test_ms_sequential_enqueue_dequeue():
     m = ms_model(4)
-    s1, r1 = run_in_isolation(m, "Enqueue", 1, m.initial_state)
+    s1, r1 = run_in_isolation(m, "Enqueue", 1, m.seq_spec.initial_states[0])
     assert r1 is UNIT
     s2, r2 = run_in_isolation(m, "Dequeue", UNIT, s1)
     assert r2 == 1
@@ -88,13 +88,13 @@ def test_ms_sequential_enqueue_dequeue():
 
 def test_ms_dequeue_fresh_returns_empty():
     m = ms_model(4)
-    s, r = run_in_isolation(m, "Dequeue", UNIT, m.initial_state)
-    assert r is EMPTY and s == m.initial_state
+    s, r = run_in_isolation(m, "Dequeue", UNIT, m.seq_spec.initial_states[0])
+    assert r is EMPTY and s == m.seq_spec.initial_states[0]
 
 
 def test_ms_enqueue_aborts_when_pool_exhausted():
     m = ms_model(2)
-    s1, _ = run_in_isolation(m, "Enqueue", "a", m.initial_state)
+    s1, _ = run_in_isolation(m, "Enqueue", "a", m.seq_spec.initial_states[0])
     assert run_in_isolation(m, "Enqueue", "b", s1) == "abort"
 
 
@@ -103,7 +103,7 @@ def test_ms_well_formedness_quiescent_vs_lagging():
     assert all(ms_well_formed(s) for s in states)
     # mid-enqueue lag: linked but tail not swung
     m = ms_model(3)
-    s = m.initial_state
+    s = m.seq_spec.initial_states[0]
     s = models._ms_set_node(s, 1, models.Node("a", None, True))
     s = models._ms_set_node(s, 0, models.Node(NULL, 1, True))
     lag = s  # tail still points at the dummy
@@ -147,11 +147,11 @@ def test_ms_invariant_preserved_during_exploration():
 
 def test_coarse_queue_matches_adt_semantics():
     m = coarse_queue_model(4)
-    s, r = run_in_isolation(m, "Enqueue", "c", m.initial_state)
+    s, r = run_in_isolation(m, "Enqueue", "c", m.seq_spec.initial_states[0])
     assert r is UNIT and s[-1] == ("c",)
     s2, r2 = run_in_isolation(m, "Dequeue", UNIT, s)
     assert r2 == "c" and s2[-1] == ()
-    _, r3 = run_in_isolation(m, "Dequeue", UNIT, m.initial_state)
+    _, r3 = run_in_isolation(m, "Dequeue", UNIT, m.seq_spec.initial_states[0])
     assert r3 is EMPTY
 
 
@@ -161,9 +161,9 @@ def test_coarse_queue_matches_adt_semantics():
 
 
 def _agreement_cases():
-    hw = hw_model(3, ("a", "b"))
-    ms = ms_model(3, ("a", "b"))
-    co = coarse_queue_model(2, ("a", "b"))
+    hw = hw_model(3)
+    ms = ms_model(3)
+    co = coarse_queue_model(2)
     yield hw, list(enumerate_hw_states(3, ("a", "b"))), ("a", "b")
     yield ms, list(enumerate_ms_states(3, ("a", "b"))), ("a", "b")
     yield co, [(2, s) for s in [(), ("a",), ("a", "b")]], ("a", "b")
@@ -185,8 +185,8 @@ def test_companion_spec_agreement(model, states, alphabet):
                 else:
                     s2, r = got
                     assert (
-                        {(model.state_key(a), b) for a, b in outcomes}
-                        == {(model.state_key(s2), r)}
+                        {(model.seq_spec.state_key(a), b) for a, b in outcomes}
+                        == {(model.seq_spec.state_key(s2), r)}
                     )
 
 
@@ -260,9 +260,19 @@ def test_af_rejects_malformed_state():
 
 
 def test_model_registry():
-    assert models.parse_model_ref("hw-queue,N=3").initial_state.items == (NULL,) * 3
-    assert models.parse_model_ref("ms-queue,P=2").initial_state.nodes[0].allocated
+    assert models.parse_model_ref("hw-queue,N=3").seq_spec.initial_states[0].items == (NULL,) * 3
+    assert models.parse_model_ref("ms-queue,P=2").seq_spec.initial_states[0].nodes[0].allocated
     with pytest.raises(ValueError):
         models.parse_model_ref("no-such-model")
     with pytest.raises(ValueError):
         models.parse_model_ref("hw-queue,N")
+
+
+@pytest.mark.parametrize("ref,message", [
+    ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
+    ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
+    ("coarse-queue,N=2", "coarse-queue takes parameter C, not N"),
+])
+def test_model_registry_rejects_unknown_parameters(ref, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        models.parse_model_ref(ref)
