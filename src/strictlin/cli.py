@@ -5,7 +5,7 @@ Subcommands::
     strictlin list
     strictlin reproduce NAME [--json FILE]
     strictlin explore --program FILE --model NAME[,P=4] [--bound N]
-                      [--mode strict|general|impl] [--spec NAME] [--adt NAME]
+                      [--mode strict|general|impl] [--adt NAME]
                       [--af NAME] [--rename A=B,...] [--json FILE]
                       [--histories DIR]
     strictlin compare --program FILE --model NAME [--spec NAME] [--bound N]
@@ -14,8 +14,9 @@ Subcommands::
                       [--json FILE]
 
 ``--model`` takes a model name and at most its one size parameter (``N``
-for ``hw-queue``, ``P`` for ``ms-queue``, ``C`` for ``coarse-queue``); any
-other parameter is an input error.
+for ``hw-queue``, ``P`` for ``ms-queue``, ``C`` for ``coarse-queue``), given
+once as an integer; any other parameter is an input error.  ``explore
+--mode strict|impl`` checks against the model's own sequential spec.
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
 2 usage or input error (also an unusable input or output path, a ``--bound``
@@ -168,8 +169,8 @@ def _incomplete(*explorations: explorer.Exploration) -> str:
 def _run_checks(
     args: argparse.Namespace, ex: explorer.Exploration, recs, model
 ) -> tuple[int, dict]:
+    spec = model.seq_spec
     if args.mode == "strict":
-        spec = _seq_spec(args.spec, model)
         report = checker.check_strict(recs, spec)
         render = spec.render_state
     else:
@@ -184,7 +185,6 @@ def _run_checks(
             report = checker.check_general(recs, adt, af, rf)
         else:
             states = list(model.enumerate_states(("a", "b")))
-            spec = _seq_spec(args.spec, model)
             report = checker.check_concurrent_implementation(
                 recs, spec, adt, af, rf, states
             )
@@ -361,15 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("name")
     rp.add_argument("--json", help="write a machine-readable report")
 
-    def common(p, program=True):
-        if program:
-            p.add_argument("--program", required=True, help="program file")
-            p.add_argument("--model", required=True, help="model NAME[,param=val]")
-            p.add_argument("--bound", type=_bound, default=explorer.DEFAULT_BOUND,
-                           help="transition budget (default %(default)s)")
-            p.add_argument("--init", default="",
-                           help="initial object contents, e.g. \"'a','b'\"")
-        p.add_argument("--spec", help="sequential spec name")
+    def common(p):
+        p.add_argument("--program", required=True, help="program file")
+        p.add_argument("--model", required=True, help="model NAME[,param=val]")
+        p.add_argument("--bound", type=_bound, default=explorer.DEFAULT_BOUND,
+                       help="transition budget (default %(default)s)")
+        p.add_argument("--init", default="",
+                       help="initial object contents, e.g. \"'a','b'\"")
         p.add_argument("--json", help="write a machine-readable report")
 
     ep = sub.add_parser("explore", help="explore a program over a model")
@@ -383,6 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare", help="compare a model against its atomic version")
     common(cp)
+    cp.add_argument("--spec", help="sequential spec name")
 
     hp = sub.add_parser("check-history", help="check a recorded history file")
     hp.add_argument("--file", required=True, help="history file")

@@ -7,14 +7,19 @@ or the atomic version of a sequential specification that
 transition.  It explores *all* schedules of enabled atomic transitions.
 
 Before any step, every thread of every phase is compiled into one flat code
-table whose entries are ``(statement, next pc, taken pc)``, so a thread's
-position in its control flow is one integer program counter.  A ``while`` or
-``if`` moves to its taken pc when its test holds and to its next pc
-otherwise; every other statement moves to its next pc.
+table whose entries are ``(rule, statement, next pc, taken pc)``, so a
+thread is one integer program counter, one register and its count of
+operations started.  Each pc is one kind of step, named by its rule: a
+client statement takes one entry, and a call takes consecutive entries for
+its argument, its invocation, its body steps and return, and the assignment
+of its result when it has a target.  A ``while`` or ``if`` moves to its
+taken pc when its test holds and to its next pc otherwise; every other
+entry moves to its next pc.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
-with one dictionary lookup per transition; from then on the edges, the
+with one dictionary lookup per transition.  An edge is an ``(events,
+target)`` pair; every event names its thread.  From then on the edges, the
 strongly connected components and the outcome tables are lists indexed by
 id, so no edge or component lookup hashes a whole configuration again.
 Termination, runtime errors, livelock (every pending thread blocked), and
@@ -110,17 +115,15 @@ DONE = -1  # the pc of a finished thread
 @dataclass(frozen=True)
 class ThreadState:
     """``pc`` indexes the interpreter's code table, ``DONE`` once the thread
-    has finished; in ``invoke``, ``body`` and ``assign`` modes the thread is
-    making the call at ``pc``."""
+    has finished; ``reg`` holds what a call carries from one of its steps to
+    the next (its argument, the method's local state, its return value) and
+    is None between statements; ``ops`` counts the operations started.  The
+    thread's id is its phase's first id plus its position, and its current
+    operation's id ``100 * tid + ops``."""
 
-    tid: int
     pc: int
-    mode: str = "run"  # run | invoke | body | assign
-    call_arg: Optional[Value] = None  # in invoke mode only
-    op_id: Optional[int] = None
-    op_local: Any = None
-    ret_val: Optional[Value] = None
-    ops_started: int = 0
+    reg: Any = None
+    ops: int = 0
 
     @property
     def done(self) -> bool:
@@ -186,208 +189,186 @@ class _Interp:
     def __init__(
         self, prog: Program, model: ObjectModel, init_client: tuple, init_obj: Any
     ) -> None:
-        self.prog = prog
         self.model = model
-        self.code: list[tuple] = []  # (statement, next pc, taken pc)
+        self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
         self._pcs: dict[tuple, int] = {}
-        # per phase, the entry pc of each thread
+        self._rules = {
+            AssignStmt: self._assign, AtomicStmt: self._atomic, ReadCellStmt: self._read_cell,
+            WriteCellStmt: self._write_cell, WhileStmt: self._branch, IfStmt: self._branch,
+        }
+        # per phase, the entry pc of each thread and the id of its first thread
         self.entries = [
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
         ]
-        self.init = Config(0, self._phase_threads(0, 0), init_client, init_obj)
+        self.first_tid = list(itertools.accumulate(map(len, prog.phases), initial=1))
+        self.init = Config(0, self._phase_threads(0), init_client, init_obj)
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
         its entry pc (``k`` for an empty block).  Statements are checked
         against the model here, in source order.
 
-        A block's statements get consecutive pcs.  A ``while`` is taken into
-        its body, which ends by jumping back to it, so an empty body spins in
-        place; an ``if`` is taken into ``then`` and otherwise goes to
-        ``else``, both continuing after it.  A block is keyed by its
+        A block's statements get consecutive pcs, a call one per step: its
+        argument, its invocation, its body steps and return, and the
+        assignment of its result when it has a target.  A ``while`` is taken
+        into its body, which ends by jumping back to it, so an empty body
+        spins in place; an ``if`` is taken into ``then`` and otherwise goes
+        to ``else``, both continuing after it.  A block is keyed by its
         statements and ``k``, so identical ``if`` branches share their pcs."""
         if not block:
             return k
         base = self._pcs.get((block, k))
         if base is not None:
             return base
-        base = self._pcs[block, k] = len(self.code)
-        last = base + len(block) - 1
-        self.code.extend([()] * len(block))
+        starts = list(itertools.accumulate(map(_width, block), initial=len(self.code)))
+        base = self._pcs[block, k] = starts[0]
+        self.code.extend([()] * (starts[-1] - base))
         model = self.model
-        for pc, s in enumerate(block, base):
-            if isinstance(s, CallStmt) and s.method not in model.methods:
-                raise UnknownMethodError(f"{model.name}: unknown method {s.method!r}")
+        for s, pc, nxt in zip(block, starts, starts[1:-1] + [k]):
+            if isinstance(s, CallStmt):
+                if s.method not in model.methods:
+                    raise UnknownMethodError(f"{model.name}: unknown method {s.method!r}")
+                # a returning call goes on to its assignment, if any
+                after = pc + 3 if s.target else nxt
+                self.code[pc : pc + _width(s)] = [
+                    (self._call_arg, s, pc + 1, None),
+                    (self._invoke, s, pc + 2, after),
+                    (self._body, s, after, None),
+                ] + [(self._assign_result, s, nxt, None)] * bool(s.target)
+                continue
             if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.seq_spec.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
-            nxt, taken = (pc + 1 if pc < last else k), None
+            taken = None
             if isinstance(s, WhileStmt):
                 taken = self._compile(s.body, pc)
             elif isinstance(s, IfStmt):
                 taken, nxt = self._compile(s.then, nxt), self._compile(s.els, nxt)
-            self.code[pc] = (s, nxt, taken)
+            self.code[pc] = (self._rules[type(s)], s, nxt, taken)
         return base
 
-    def _phase_threads(self, phase: int, tid_base: int) -> tuple[ThreadState, ...]:
-        return tuple(ThreadState(tid_base + k + 1, pc) for k, pc in enumerate(self.entries[phase]))
+    def _phase_threads(self, phase: int) -> tuple[ThreadState, ...]:
+        return tuple(map(ThreadState, self.entries[phase]))
 
     # -- transitions --------------------------------------------------------
 
     def successors(self, c: Config) -> tuple[tuple, ...]:
-        """The transitions out of ``c`` as ``(thread, events, target)``
-        triples, the target being None for a runtime error."""
-        if all(t.done for t in c.threads):
-            if c.phase + 1 < len(self.prog.phases):
-                base = sum(len(self.prog.phases[i]) for i in range(c.phase + 1))
-                nxt = Config(
-                    c.phase + 1,
-                    self._phase_threads(c.phase + 1, base),
-                    c.client,
-                    c.obj,
-                )
-                return ((0, (), nxt),)
+        """The transitions out of ``c`` as ``(events, target)`` pairs, the
+        target being None for a runtime error.  Each running thread takes
+        the step of the rule its pc names; a client statement that cannot
+        evaluate aborts."""
+        if all(t.pc == DONE for t in c.threads):
+            if c.phase + 1 < len(self.entries):
+                nxt = Config(c.phase + 1, self._phase_threads(c.phase + 1), c.client, c.obj)
+                return (((), nxt),)
             return ()
         out: list[tuple] = []
+        code, first = self.code, self.first_tid[c.phase]
         for i, t in enumerate(c.threads):
-            if not t.done:
-                out.extend(self._thread_steps(c, i))
+            if t.pc != DONE:
+                rule, s, nxt, taken = code[t.pc]
+                try:
+                    out.extend(rule(c, i, first + i, s, nxt, taken))
+                except (EvalError, CellError) as exc:
+                    out.append(((Event(first + i, Act(f"error: {exc}")),), None))
         return tuple(out)
 
     def _with_thread(self, c: Config, i: int, t: ThreadState, **kw) -> Config:
         threads = c.threads[:i] + (t,) + c.threads[i + 1 :]
         return replace(c, threads=threads, **kw)
 
-    def _thread_steps(self, c: Config, i: int) -> list[tuple]:
+    def _client(self, c: Config, i: int, tid: int, action: str, pc: int, reg: Any = None,
+                **kw) -> list[tuple]:
+        """Thread ``i``'s client event ``action``, moving it to ``pc``."""
+        t = ThreadState(pc, reg, c.threads[i].ops)
+        return [((Event(tid, Act(action)),), self._with_thread(c, i, t, **kw))]
+
+    # Rules: each steps thread ``i`` (id ``tid``) at an entry ``(rule,
+    # statement, next pc, taken pc)`` of the code table.
+
+    def _assign(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        v = _eval(s.expr, dict(c.client))
+        action = f"{s.target}:={render_value(v)}"
+        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+
+    def _read_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        v = self.model.seq_spec.cells.read(c.obj, s.cell)
+        action = f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"
+        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+
+    def _write_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        v = _eval(s.expr, dict(c.client))
+        obj = self.model.seq_spec.cells.write(c.obj, s.cell, v)
+        return self._client(c, i, tid, f"Q.{_cellname(s.cell)}:={render_value(v)}", nxt, obj=obj)
+
+    def _atomic(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        scratch = dict(c.client)
+        if s.guard is not None and not _test(s.guard, scratch):
+            return []  # blocked until the guard holds
+        client = c.client
+        for name, e in s.assigns:
+            scratch[name] = val = _eval(e, scratch)
+            client = _bind(client, name, val)
+        names = ",".join(n for n, _ in s.assigns)
+        return self._client(c, i, tid, f"atomic[{names}]", nxt, client=client)
+
+    def _branch(self, c: Config, i: int, tid: int, s, nxt: int, taken: int) -> list[tuple]:
+        b = _test(s.pred, dict(c.client))
+        action = f"test({s.pred.render()})={str(b).lower()}"
+        return self._client(c, i, tid, action, taken if b else nxt)
+
+    def _call_arg(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        arg = _eval(s.arg, dict(c.client)) if s.arg is not None else UNIT
+        rendered = s.arg.render() if s.arg is not None else ""
+        action = f"eval {s.method}({rendered})={render_value(arg)}"
+        return self._client(c, i, tid, action, nxt, reg=arg)
+
+    def _invoke(self, c: Config, i: int, tid: int, s, body: int, after: int) -> list[tuple]:
         t = c.threads[i]
-        if t.mode == "run":
-            return self._run_stmt(c, i, t)
-        if t.mode == "invoke":
-            return self._invoke(c, i, t)
-        if t.mode == "body":
-            return self._body_step(c, i, t)
-        if t.mode == "assign":
-            s, nxt, _ = self.code[t.pc]
-            ev = Event(t.tid, Act(f"{s.target}:={render_value(t.ret_val)}"))
-            t2 = replace(t, pc=nxt, mode="run", ret_val=None)
-            c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, t.ret_val))
-            return [(t.tid, (ev,), c2)]
-        raise AssertionError(t.mode)
-
-    def _run_stmt(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
-        s, nxt, taken = self.code[t.pc]
-        env = _env(c)
-        tid = t.tid
-        if isinstance(s, CallStmt):
-            try:
-                arg = _eval(s.arg, env) if s.arg is not None else UNIT
-            except EvalError as exc:
-                return [self._client_abort(tid, str(exc))]
-            rendered = s.arg.render() if s.arg is not None else ""
-            ev = Event(tid, Act(f"eval {s.method}({rendered})={render_value(arg)}"))
-            t2 = replace(t, mode="invoke", call_arg=arg)
-            return [(tid, (ev,), self._with_thread(c, i, t2))]
-        if isinstance(s, ReadCellStmt):
-            try:
-                v = self.model.seq_spec.cells.read(c.obj, s.cell)
-            except CellError as exc:
-                return [self._client_abort(tid, str(exc))]
-            ev = Event(tid, Act(f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"))
-            t2 = replace(t, pc=nxt)
-            c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
-            return [(tid, (ev,), c2)]
-        if isinstance(s, WriteCellStmt):
-            try:
-                v = _eval(s.expr, env)
-                obj2 = self.model.seq_spec.cells.write(c.obj, s.cell, v)
-            except (CellError, EvalError) as exc:
-                return [self._client_abort(tid, str(exc))]
-            ev = Event(tid, Act(f"Q.{_cellname(s.cell)}:={render_value(v)}"))
-            t2 = replace(t, pc=nxt)
-            return [(tid, (ev,), self._with_thread(c, i, t2, obj=obj2))]
-        if isinstance(s, AssignStmt):
-            try:
-                v = _eval(s.expr, env)
-            except EvalError as exc:
-                return [self._client_abort(tid, str(exc))]
-            ev = Event(tid, Act(f"{s.target}:={render_value(v)}"))
-            t2 = replace(t, pc=nxt)
-            c2 = self._with_thread(c, i, t2, client=_bind(c.client, s.target, v))
-            return [(tid, (ev,), c2)]
-        if isinstance(s, AtomicStmt):
-            try:
-                if s.guard is not None and not _test(s.guard, env):
-                    return []  # blocked until the guard holds
-                client = c.client
-                scratch = dict(env)
-                for name, e in s.assigns:
-                    val = _eval(e, scratch)
-                    scratch[name] = val
-                    client = _bind(client, name, val)
-            except EvalError as exc:
-                return [self._client_abort(tid, str(exc))]
-            names = ",".join(n for n, _ in s.assigns)
-            ev = Event(tid, Act(f"atomic[{names}]"))
-            t2 = replace(t, pc=nxt)
-            return [(tid, (ev,), self._with_thread(c, i, t2, client=client))]
-        if isinstance(s, (WhileStmt, IfStmt)):
-            try:
-                b = _test(s.pred, env)
-            except EvalError as exc:
-                return [self._client_abort(tid, str(exc))]
-            ev = Event(tid, Act(f"test({s.pred.render()})={str(b).lower()}"))
-            t2 = replace(t, pc=taken if b else nxt)
-            return [(tid, (ev,), self._with_thread(c, i, t2))]
-        raise TypeError(f"not a statement: {s!r}")
-
-    def _client_abort(self, tid: int, msg: str) -> tuple:
-        return (tid, (Event(tid, Act(f"error: {msg}")),), None)
-
-    def _invoke(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
-        method = self.code[t.pc][0].method
-        op = t.tid * 100 + t.ops_started + 1
-        if t.ops_started >= MAX_OPS_PER_THREAD:
+        if t.ops >= MAX_OPS_PER_THREAD:
             raise ExplorationError(
-                f"operation-id space exhausted for thread {t.tid}: a thread may "
+                f"operation-id space exhausted for thread {tid}: a thread may "
                 f"start at most {MAX_OPS_PER_THREAD} operations"
             )
-        inv = Event(t.tid, Inv(method, t.call_arg), op)
-        started = t.ops_started + 1
+        ops = t.ops + 1
+        op = tid * 100 + ops
+        inv = Event(tid, Inv(s.method, t.reg), op)
         out = []
         # a call answered at once emits its response in the invoking step
-        for local, shared in self.model.methods[method].start(t.call_arg, c.obj):
+        for local, shared in self.model.methods[s.method].start(t.reg, c.obj):
             if isinstance(local, Done):
-                events = (inv, Event(t.tid, Ret(local.value), op))
-                t2 = replace(t, call_arg=None, ops_started=started)
-                t2 = self._after_return(t2, local.value)
+                events = (inv, Event(tid, Ret(local.value), op))
+                t2 = ThreadState(after, local.value if s.target else None, ops)
             else:
-                events = (inv,)
-                t2 = replace(
-                    t, mode="body", call_arg=None, op_id=op, op_local=local, ops_started=started
-                )
-            out.append((t.tid, events, self._with_thread(c, i, t2, obj=shared)))
+                events, t2 = (inv,), ThreadState(body, local, ops)
+            out.append((events, self._with_thread(c, i, t2, obj=shared)))
         return out
 
-    def _after_return(self, t: ThreadState, retv: Value) -> ThreadState:
-        s, nxt, _ = self.code[t.pc]
-        if s.target is not None:
-            return replace(t, mode="assign", ret_val=retv, op_id=None, op_local=None)
-        return replace(t, mode="run", pc=nxt, op_id=None, op_local=None)
-
-    def _body_step(self, c: Config, i: int, t: ThreadState) -> list[tuple]:
-        if isinstance(t.op_local, Done):
-            ev = Event(t.tid, Ret(t.op_local.value), t.op_id)
-            t2 = self._after_return(t, t.op_local.value)
-            return [(t.tid, (ev,), self._with_thread(c, i, t2))]
-        machine = self.model.methods[self.code[t.pc][0].method]
+    def _body(self, c: Config, i: int, tid: int, s, after: int, _) -> list[tuple]:
+        t = c.threads[i]
+        op = tid * 100 + t.ops
+        if isinstance(t.reg, Done):
+            # the result stays in the register only for an assignment to take
+            t2 = ThreadState(after, t.reg.value if s.target else None, t.ops)
+            return [((Event(tid, Ret(t.reg.value), op),), self._with_thread(c, i, t2))]
         out = []
-        for step in machine.step(t.op_local, c.obj):
-            ev = Event(t.tid, Act(step.action), t.op_id)
+        for step in self.model.methods[s.method].step(t.reg, c.obj):
+            ev = Event(tid, Act(step.action), op)
             if step.abort:
-                out.append((t.tid, (ev, Event(t.tid, RetAbort(), t.op_id)), None))
+                out.append(((ev, Event(tid, RetAbort(), op)), None))
                 continue
-            t2 = replace(t, op_local=step.local)
-            out.append((t.tid, (ev,), self._with_thread(c, i, t2, obj=step.shared)))
+            t2 = ThreadState(t.pc, step.local, t.ops)
+            out.append(((ev,), self._with_thread(c, i, t2, obj=step.shared)))
         return out
+
+    def _assign_result(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
+        v = c.threads[i].reg
+        action = f"{s.target}:={render_value(v)}"
+        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+
+
+def _width(s) -> int:
+    """The number of code-table entries statement ``s`` takes."""
+    return (4 if s.target else 3) if isinstance(s, CallStmt) else 1
 
 
 def _cellname(cell: tuple) -> str:
@@ -407,7 +388,7 @@ class Exploration:
     discovery order, so the initial configuration is 0 and ids are dense.
     ``order`` maps a configuration to its id and ``configs`` an id back to
     its configuration.  ``edges[i]`` lists configuration ``i``'s outgoing
-    transitions as ``(thread, events, target id)`` triples, the target being
+    transitions as ``(events, target id)`` pairs, the target being
     None for a runtime error; a configuration left unexpanded when the step
     budget ran out has no edges and is in ``truncated``.  Everything past
     :meth:`build` (SCCs, cycle marking, outcome tables) works on the ids.
@@ -417,7 +398,7 @@ class Exploration:
     bound: int
     order: dict[Config, int] = field(default_factory=dict)
     configs: list[Config] = field(default_factory=list)
-    edges: list[tuple[tuple[int, tuple[Event, ...], Optional[int]], ...]] = field(
+    edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = field(
         default_factory=list
     )
     terminal_done: set[Config] = field(default_factory=set)
@@ -446,7 +427,7 @@ class Exploration:
 
     def build(self) -> "Exploration":
         order, configs, edges = self.order, self.configs, self.edges
-        last_phase = len(self.interp.prog.phases) - 1
+        last_phase = len(self.interp.entries) - 1
         order[self.initial] = 0
         configs.append(self.initial)
         edges.append(())
@@ -465,17 +446,16 @@ class Exploration:
                 else:
                     self.terminal_livelock.add(c)
             out = []
-            for thread, events, target in succ:
-                if target is None:
-                    out.append((thread, events, None))
-                    continue
-                fresh = len(configs)
-                j = order.setdefault(target, fresh)  # the one hash of ``target``
-                if j == fresh:
-                    configs.append(target)
-                    edges.append(())
-                    todo.append(j)
-                out.append((thread, events, j))
+            for events, target in succ:
+                if target is not None:
+                    fresh = len(configs)
+                    j = order.setdefault(target, fresh)  # the one hash of ``target``
+                    if j == fresh:
+                        configs.append(target)
+                        edges.append(())
+                        todo.append(j)
+                    target = j
+                out.append((events, target))
             edges[i] = tuple(out)
         return self
 
@@ -517,7 +497,7 @@ class Exploration:
             work = [(root, iter(edges[root]))]
             while work:
                 node, it = work[-1]
-                for _, _, nxt in it:
+                for _, nxt in it:
                     if nxt is None:
                         continue
                     if index[nxt] < 0:
@@ -550,7 +530,7 @@ class Exploration:
         # an internal edge certifies a cycle, so one search per cyclic
         # component finds a lasso of each kind it has
         cyclic = {
-            comp[i] for i, trs in enumerate(edges) for _, _, t in trs
+            comp[i] for i, trs in enumerate(edges) for _, t in trs
             if t is not None and comp[t] == comp[i]
         }
         lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
@@ -638,7 +618,7 @@ class Exploration:
             observable_cycle |= bool(cycle)
             entries.append((entry, tables.leaf(kind, cycle=cycle)))
         if observable_cycle and any(
-            t is None or t not in group for i in members for _, _, t in edges[i]
+            t is None or t not in group for i in members for _, t in edges[i]
         ):
             # terminating schedules that lap an observable cycle more than
             # once are not enumerated separately
@@ -654,7 +634,7 @@ class Exploration:
             seen = {start}
 
             def walk(i: int, acc: tuple[int, ...]) -> None:
-                for _, evs, t in edges[i]:
+                for evs, t in edges[i]:
                     evs = acc + evs
                     if t is None or t not in group:
                         out.update(follow(evs, t))
@@ -669,7 +649,7 @@ class Exploration:
 
 def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
     """Events along a shortest in-component path from ``src`` to ``goal``,
-    over ``(thread, events, target)`` edges."""
+    over ``(events, target)`` edges."""
     if src == goal:
         return ()
     prev: dict[int, tuple[int, tuple]] = {}
@@ -678,7 +658,7 @@ def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
     while frontier:
         nxt_frontier = []
         for i in frontier:
-            for _, evs, t in edges[i]:
+            for evs, t in edges[i]:
                 if t not in group or t in seen:
                     continue
                 seen.add(t)
@@ -701,7 +681,7 @@ def _object_lasso(
     order and edges in stored order: the edge's source and the events of the
     edge and of a shortest path back to it."""
     for u in members:
-        for _, evs, t in edges[u]:
+        for evs, t in edges[u]:
             if t in group and any(not e.is_client for e in evs):
                 return u, evs + _bfs_path(edges, t, u, group)
     return None
@@ -724,7 +704,7 @@ def _client_lasso(
         stack = [(root, iter(edges[root]))]
         while stack:
             u, it = stack[-1]
-            for _, evs, v in it:
+            for evs, v in it:
                 if v not in group or any(not e.is_client for e in evs):
                     continue
                 if v in on_path:
@@ -779,7 +759,7 @@ class _Outcomes:
         order = ex.order
         # the exploration's edges with their events projected to kept ids
         self.edges: list[tuple] = [
-            tuple((thread, self.project(events), t) for thread, events, t in trs)
+            tuple((self.project(events), t) for events, t in trs)
             for trs in ex.edges
         ]
         # per configuration, once known: its frozenset of outcomes
@@ -842,7 +822,7 @@ class _Outcomes:
 
     def node(self, i: int) -> frozenset:
         """Outcomes of a configuration outside any cycle, from its edges."""
-        parts = [self.follow(evs, t) for _, evs, t in self.edges[i]]
+        parts = [self.follow(evs, t) for evs, t in self.edges[i]]
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def result(self, outcome: tuple[int, int]) -> ExecutionResult:
@@ -974,7 +954,7 @@ def final_states(exploration: Exploration) -> FinalStates:
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
             exploration.render_object(c.obj),
         )
-    has_abort = any(t is None for trs in exploration.edges for _, _, t in trs)
+    has_abort = any(t is None for trs in exploration.edges for _, t in trs)
     has_bottom = Kind.CLIENT_DIVERGENT in exploration.divergence_kinds()
     lines = sorted(f"client: {cl} | object: {ob}" for cl, ob in render.values())
     if has_abort:

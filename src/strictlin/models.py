@@ -299,9 +299,9 @@ def ms_list_indices(s: MSQueueState) -> Optional[list[int]]:
         i = s.nodes[i].next
     return out
 
-def ms_well_formed(s: MSQueueState) -> bool:
-    """Quiescent well-formedness: acyclic list and the tail is the last node."""
-    idx = ms_list_indices(s)
+def ms_well_formed(s: Any) -> bool:
+    """Quiescent well-formedness: an acyclic linked-queue list ending at the tail."""
+    idx = ms_list_indices(s) if isinstance(s, MSQueueState) else None
     return idx is not None and s.tail == idx[-1]
 
 
@@ -510,7 +510,7 @@ def ms_seq_spec(p: int = 4) -> SeqSpec:
         name="ms-queue-seq",
         methods={"Enqueue": _ms_seq_enqueue, "Dequeue": _ms_seq_dequeue},
         initial_states=(from_contents(()),),
-        is_state=lambda s: isinstance(s, MSQueueState) and ms_well_formed(s),
+        is_state=ms_well_formed,
         method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         state_key=ms_state_key,
         render_state=ms_render,
@@ -595,6 +595,8 @@ def coarse_seq_spec(cap: int = 4) -> SeqSpec:
 
 
 def coarse_queue_model(cap: int = 4) -> ObjectModel:
+    if cap < 0:
+        raise ValueError("queue capacity C must be >= 0")
     return ObjectModel(
         name="coarse-queue",
         methods={
@@ -661,14 +663,16 @@ _MODEL_REGISTRY: dict[str, tuple[str, Callable[[int], ObjectModel]]] = {
 }
 
 
-def get_model(name: str, **params: Any) -> ObjectModel:
+def get_model(name: str, **params: str) -> ObjectModel:
     try:
         param, factory = _MODEL_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
-    for key in params:
+    for key, value in params.items():
         if key != param:
             raise ValueError(f"{name} takes parameter {param}, not {key}")
+        if not value.removeprefix("-").isdecimal():
+            raise ValueError(f"{name}: parameter {key} must be an integer, not {value!r}")
     return factory(int(params[param])) if params else factory()
 
 
@@ -678,14 +682,16 @@ def model_names() -> tuple[str, ...]:
 
 def parse_model_ref(ref: str) -> ObjectModel:
     """Parse ``name[,param=val,...]`` into a model instance."""
-    parts = ref.split(",")
+    name, *parts = ref.split(",")
     params: dict[str, str] = {}
-    for p in parts[1:]:
+    for p in parts:
         if "=" not in p:
             raise ValueError(f"bad model parameter {p!r}")
-        k, v = p.split("=", 1)
-        params[k.strip()] = v.strip()
-    return get_model(parts[0].strip(), **params)
+        k, v = (x.strip() for x in p.split("=", 1))
+        if k in params:
+            raise ValueError(f"{name.strip()}: parameter {k} given twice")
+        params[k] = v
+    return get_model(name.strip(), **params)
 
 
 specs.register_spec("hw-queue-seq", hw_seq_spec)

@@ -328,6 +328,8 @@ def parse_program(text: str) -> Program:
             raise ProgramParseError(f"expected 'phase' or 'thread', got {kw!r}")
     if loose:
         phases.append(tuple(loose))
+    if not phases:
+        raise ProgramParseError("program has no thread")
     return Program(tuple(phases))
 
 

@@ -4,7 +4,8 @@
 over every schedule, but it takes each step with the explorer's own
 transition rules (``_Interp``), so it cannot catch a fault in them.
 :func:`run_single_thread` shares no code with the explorer: it runs a
-one-thread, call-free program by direct recursion over its syntax tree.
+one-thread program over a coarse-grained queue by direct recursion over its
+syntax tree.
 """
 
 from typing import Any, Sequence
@@ -15,13 +16,14 @@ from strictlin.programs import (
     Arith,
     AssignStmt,
     AtomicStmt,
+    CallStmt,
     IfStmt,
     Lit,
     Program,
     Var,
     WhileStmt,
 )
-from strictlin.values import Value
+from strictlin.values import EMPTY, UNIT, Value
 
 
 def enumerate_executions_naive(
@@ -57,7 +59,7 @@ def enumerate_executions_naive(
                     )
                 )
             return
-        for _, events, target in succ:
+        for events, target in succ:
             ev = tuple(e for e in events if keep(e))
             if target is None:
                 results.add(ExecutionResult(trace + ev, Kind.ABORTED, note="runtime error"))
@@ -85,18 +87,23 @@ class _Stop(Exception):
 
 
 def run_single_thread(prog: Program, max_steps: int = 10_000) -> tuple:
-    """Outcome of a one-thread program of ``set``, ``atomic``, ``while`` and
-    ``if`` statements, run from no client bindings by direct recursion over
-    its syntax tree.
+    """Outcome of a one-thread program of ``set``, ``atomic``, ``while``,
+    ``if`` and ``call`` statements, run from no client bindings and an empty
+    coarse-grained queue of capacity 4 (``coarse_queue_model()``'s) by
+    direct recursion over its syntax tree.  ``Enqueue`` appends its argument
+    and returns ``unit``, aborting on a full queue; ``Dequeue`` pops the
+    front, or returns ``EMPTY`` on an empty queue.
 
-    The outcome is ``("terminated", bindings)`` with the bindings sorted by
-    name, ``("aborted",)`` on an unbound variable or arithmetic on a
-    non-integer, ``("blocked",)`` at an ``atomic`` whose guard fails (nothing
-    else can make it hold), or ``("diverges",)`` once more than
-    ``max_steps`` statements and tests have run.
+    The outcome is ``("terminated", bindings, contents)`` with the bindings
+    sorted by name and the queue's contents front first, ``("aborted",)`` on
+    an unbound variable, arithmetic on a non-integer or an enqueue on a full
+    queue, ``("blocked",)`` at an ``atomic`` whose guard fails (nothing else
+    can make it hold), or ``("diverges",)`` once more than ``max_steps``
+    statements and tests have run.
     """
     ((code,),) = prog.phases
     env: dict[str, Value] = {}
+    queue: list[Value] = []
     steps = 0
 
     def tick() -> None:
@@ -140,11 +147,22 @@ def run_single_thread(prog: Program, max_steps: int = 10_000) -> tuple:
                     tick()  # the next test
             elif isinstance(s, IfStmt):
                 run(s.then if holds(s.pred) else s.els)
+            elif isinstance(s, CallStmt) and s.method == "Enqueue":
+                arg = value(s.arg, env)
+                if len(queue) >= 4:
+                    raise _Stop(("aborted",))
+                queue.append(arg)
+                if s.target is not None:
+                    env[s.target] = UNIT
+            elif isinstance(s, CallStmt) and s.method == "Dequeue":
+                got = queue.pop(0) if queue else EMPTY
+                if s.target is not None:
+                    env[s.target] = got
             else:
-                raise TypeError(f"not a call-free client statement: {s!r}")
+                raise TypeError(f"not a single-thread client statement: {s!r}")
 
     try:
         run(code)
     except _Stop as stop:
         return stop.args[0]
-    return ("terminated", tuple(sorted(env.items())))
+    return ("terminated", tuple(sorted(env.items())), tuple(queue))

@@ -262,10 +262,41 @@ def test_unknown_model_is_usage_error(program_file, capsys):
 @pytest.mark.parametrize("ref,message", [
     ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
     ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
+    ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
+    ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
+    ("coarse-queue,C=-1", "queue capacity C must be >= 0"),
 ])
 def test_unknown_model_parameter_is_usage_error(ref, message, program_file, capsys):
     assert main(["explore", "--program", program_file, "--model", ref]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["general", "impl"])
+@pytest.mark.parametrize("model", ["hw-queue", "coarse-queue"])
+@pytest.mark.parametrize("af", ["af-queue", "af-multiset", "af-pseudo"])
+def test_linked_queue_af_on_other_model_is_usage_error(af, model, mode, program_file, capsys):
+    # these functions read linked-queue states; any other state is outside their domain
+    argv = ["explore", "--program", program_file, "--model", model, "--mode", mode,
+            "--adt", "adt-queue", "--af", af]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {af}: state outside abstraction domain\n"
+
+
+@pytest.mark.parametrize("command", ["explore", "compare"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+def test_program_without_thread_is_usage_error(command, text, tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text(text)
+    assert main([command, "--program", str(f), "--model", "coarse-queue"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: program has no thread\n"
+
+
+def test_explore_takes_no_spec(program_file, capsys):
+    # strict and impl checks use the model's own sequential spec
+    argv = ["explore", "--program", program_file, "--model", "ms-queue", "--mode", "strict",
+            "--spec", "adt-queue"]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments: --spec adt-queue" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_usage_error(program_file, capsys, monkeypatch):

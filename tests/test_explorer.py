@@ -168,37 +168,44 @@ def test_statement_after_taken_if_runs(text, client, tmp_path, capsys):
 
 
 @st.composite
-def _call_free_block(draw, depth: int = 0, arith: bool = True) -> str:
-    """Statements over x, y, z: sets, atomics (some guarded), `if`s with
-    statements after them, counter loops of at most three passes, and spin
-    loops that run while a test holds.  A spin loop's body does no
-    arithmetic, so its states stay few; `u` is never bound, so some
-    programs abort."""
+def _single_thread_block(draw, depth: int = 0, spin: bool = False) -> str:
+    """Statements over x, y, z: sets, atomics (some guarded), calls with and
+    without a target, `if`s with statements after them, counter loops of at
+    most three passes, and spin loops that run while a test holds.  A spin
+    loop's body does no arithmetic and makes no call, so its states stay
+    few; calls sit at most one block deep, so a thread makes few; `u` is
+    never bound, so some programs abort."""
     out = []
     for _ in range(draw(st.integers(1, 3))):
         nested = ["if", "loop", "spin"] if depth < 2 else []
-        kind = draw(st.sampled_from(["set", "atomic"] + nested))
+        calls = ["call"] if depth < 2 and not spin else []
+        kind = draw(st.sampled_from(["set", "atomic"] + nested + calls))
         v, k = draw(st.sampled_from("xyz")), draw(st.integers(0, 2))
         if kind == "set":
-            arithmetic = ["y + 1", "x - 1"] if arith else []
+            arithmetic = [] if spin else ["y + 1", "x - 1"]
             rhs = draw(st.sampled_from([str(k), "x", "z", "u"] + arithmetic))
             out.append(f"set {v} = {rhs}")
         elif kind == "atomic":
             guard = draw(st.sampled_from(["", " when x == 0", " when y != 1"]))
             out.append(f"atomic {v} = {k}, z = {v}{guard}")
+        elif kind == "call":
+            target = draw(st.sampled_from(["", f"{v} = "]))
+            arg = draw(st.sampled_from([str(k), "x", "u"]))
+            method = draw(st.sampled_from([f"Enqueue({arg})", "Dequeue()"]))
+            out.append(f"call {target}Q.{method}")
         elif kind == "if":
-            then = draw(_call_free_block(depth + 1, arith))
-            els = draw(st.one_of(st.just(""), _call_free_block(depth + 1, arith)))
+            then = draw(_single_thread_block(depth + 1, spin))
+            els = draw(st.one_of(st.just(""), _single_thread_block(depth + 1, spin)))
             out.append(f"if {v} == {k} {{ {then} }}" + (f" else {{ {els} }}" if els else ""))
         elif kind == "loop":
-            c, body = f"c{depth}", draw(_call_free_block(depth + 1, arith))
+            c, body = f"c{depth}", draw(_single_thread_block(depth + 1, spin))
             out.append(f"set {c} = 0 ; while {c} != {k + 1} {{ {body} ; set {c} = {c} + 1 }}")
         else:
-            out.append(f"while {v} == {k} {{ {draw(_call_free_block(depth + 1, False))} }}")
+            out.append(f"while {v} == {k} {{ {draw(_single_thread_block(depth + 1, True))} }}")
     return " ; ".join(out)
 
 
-@given(_call_free_block())
+@given(_single_thread_block())
 @settings(max_examples=100, deadline=None)
 def test_single_thread_programs_match_reference_interpreter(block):
     p = parse_program(f"thread {{ set x = 0 ; set y = 0 ; set z = 0 ; {block} }}")
@@ -206,13 +213,14 @@ def test_single_thread_programs_match_reference_interpreter(block):
     assert not ex.truncated
     outcome = run_single_thread(p, max_steps=50_000)
     expected = {
-        "terminated": (set(outcome[1:]), False, set()),
+        "terminated": ({outcome[1:]}, False, set()),
         "aborted": (set(), True, set()),
         "blocked": (set(), False, {Kind.OBJECT_DIVERGENT}),
         "diverges": (set(), False, {Kind.CLIENT_DIVERGENT}),
     }[outcome[0]]
     fs = final_states(ex)
-    assert ({client for client, _ in fs.states}, fs.has_abort, ex.divergence_kinds()) == expected
+    finals = {(client, queue) for client, (_, queue) in fs.states}
+    assert (finals, fs.has_abort, ex.divergence_kinds()) == expected
 
 
 @pytest.mark.parametrize(
@@ -245,7 +253,7 @@ def test_atomic_graph_shape_is_pinned(prog, spec, configs, transitions):
     ex = run_atomic(prog, spec)
     assert (len(ex.order), ex.transitions_explored) == (configs, transitions)
     for trs in ex.edges:
-        for _, events, _ in trs:
+        for events, _ in trs:
             if any(isinstance(e.label, Inv) for e in events):
                 inv, ret = events
                 assert isinstance(inv.label, Inv) and isinstance(ret.label, Ret)
@@ -299,7 +307,7 @@ def test_client_and_object_transitions_stay_disjoint():
     ex = explore(p, models.ms_model(3))
     for i, trs in enumerate(ex.edges):
         cfg = ex.configs[i]
-        for _, events, t in trs:
+        for events, t in trs:
             if t is None or not events:
                 continue
             target = ex.configs[t]
@@ -312,7 +320,7 @@ def test_client_and_object_transitions_stay_disjoint():
 def test_direct_cell_write_is_the_declared_exception():
     p = parse_program("thread { write Q.items[1] <- 'x' }")
     ex = explore(p, models.hw_model(4))
-    ((_, events, t),) = ex.edges[0]
+    ((events, t),) = ex.edges[0]
     assert all(e.is_client for e in events)
     assert ex.configs[t].obj != ex.configs[0].obj
 
@@ -442,7 +450,7 @@ def _reachable(succ, src):
 def _assert_sccs_brute_force(ex):
     """``scc_info()`` against mutual reachability and direct cycle checks."""
     n = len(ex.edges)
-    succ = lambda i: [t for _, _, t in ex.edges[i] if t is not None]  # noqa: E731
+    succ = lambda i: [t for _, t in ex.edges[i] if t is not None]  # noqa: E731
     reach = [_reachable(succ, i) for i in range(n)]
     partition = {frozenset({i} | {j for j in reach[i] if i in reach[j]}) for i in range(n)}
     info = ex.scc_info()
@@ -452,7 +460,7 @@ def _assert_sccs_brute_force(ex):
         assert all(info["comp"][i] == k for i in members)
     cyclic, object_cyclic, client_cyclic = set(), set(), set()
     for k, members in enumerate(map(set, info["comps"])):
-        internal = [(i, events, t) for i in members for _, events, t in ex.edges[i]
+        internal = [(i, events, t) for i in members for events, t in ex.edges[i]
                     if t in members]
         if internal:
             cyclic.add(k)

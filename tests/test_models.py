@@ -198,10 +198,13 @@ def test_hw_purely_blocking_from_reachable_configurations():
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
     for cfg in sorted(ex.order, key=ex.order.__getitem__):
         for ts in cfg.threads:
-            if ts.mode != "body" or isinstance(ts.op_local, Done):
+            if ts.done:
                 continue
-            machine = m.methods[ex.interp.code[ts.pc][0].method]
-            local, state = ts.op_local, cfg.obj
+            rule, stmt, _, _ = ex.interp.code[ts.pc]
+            if rule != ex.interp._body or isinstance(ts.reg, Done):
+                continue
+            machine = m.methods[stmt.method]
+            local, state = ts.reg, cfg.obj
             seen = set()
             for _ in range(200):
                 if isinstance(local, Done):
@@ -272,6 +275,9 @@ def test_model_registry():
     ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
     ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
     ("coarse-queue,N=2", "coarse-queue takes parameter C, not N"),
+    ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
+    ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
+    ("coarse-queue,C=-1", "queue capacity C must be >= 0"),
 ])
 def test_model_registry_rejects_unknown_parameters(ref, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
