@@ -10,6 +10,9 @@ configuration, transition and truncation counts, the SCC classification
 (size and divergence kinds of each cyclic component), the final-state
 renderings and divergence kinds, and for each projection the outcome count,
 an order-free sha256 of the outcomes and whether the sets are approximate.
+Then, for each rung of the benchmark's ``STRICT_QUERIES``, it runs that
+rung's strict or implementation check on the recorded executions and prints
+the verdict, the execution count and a sha256 of the report's lines.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 from bench.workloads import COMPARE_QUERIES, PROGRAMS, STRICT_QUERIES  # noqa: E402
-from strictlin import explorer, models  # noqa: E402
+from strictlin import checker, explorer, models, specs  # noqa: E402
 from strictlin.models import ObjectModel  # noqa: E402
 from strictlin.programs import parse_program  # noqa: E402
 from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
@@ -156,6 +159,27 @@ def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
     return lines
 
 
+def check_digest(prog_name: str, ref: str, mode: str, adt_name, af_name, rename) -> str:
+    """One ``STRICT_QUERIES`` rung checked as ``explore --mode`` checks it."""
+    model = models.parse_model_ref(ref)
+    recs = checker.recorded_executions(explorer.explore(parse_program(PROGRAMS[prog_name]), model))
+    if mode == "strict":
+        report = checker.check_strict(recs, model.seq_spec)
+        render = model.seq_spec.render_state
+    else:
+        adt = specs.get_spec(adt_name)
+        rf = (specs.RenamingFunction.of(rename) if rename
+              else specs.RenamingFunction.identity(model.method_names()))
+        report = checker.check_concurrent_implementation(
+            recs, model.seq_spec, adt, specs.get_af(af_name), rf,
+            list(model.enumerate_states(("a", "b"))))
+        render = adt.render_state
+    lines = report.lines(render)
+    sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    return (f"verdict={'pass' if report.passed else 'fail'} "
+            f"executions={len(report.entries)} lines_sha256={sha}")
+
+
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     for label, text, model, bound, projections, start in corpus():
@@ -175,6 +199,9 @@ def main() -> None:
             for line in lines:
                 print(f"  {line}")
             sys.stdout.flush()
+    for qid, *query in STRICT_QUERIES:
+        print(f"== check {qid}: {check_digest(*query)}")
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -166,21 +166,28 @@ def _incomplete(*explorations: explorer.Exploration) -> str:
     return ""
 
 
+def _abstraction(args: argparse.Namespace, model) -> Optional[tuple]:
+    """The ADT, abstraction and renaming that ``--mode general|impl`` checks
+    against, resolved before anything is explored; None for other modes."""
+    if args.mode not in ("general", "impl"):
+        return None
+    if not args.adt:
+        raise UsageError(f"--mode {args.mode} requires --adt")
+    adt = _resolve_adt(args.adt)
+    if not args.af:
+        raise UsageError(f"--mode {args.mode} requires --af for model states")
+    return adt, specs.get_af(args.af), _parse_rename(args.rename, model.method_names())
+
+
 def _run_checks(
-    args: argparse.Namespace, ex: explorer.Exploration, recs, model
+    args: argparse.Namespace, ex: explorer.Exploration, recs, model, abstraction
 ) -> tuple[int, dict]:
     spec = model.seq_spec
     if args.mode == "strict":
         report = checker.check_strict(recs, spec)
         render = spec.render_state
     else:
-        if not args.adt:
-            raise UsageError(f"--mode {args.mode} requires --adt")
-        adt = _resolve_adt(args.adt)
-        af = specs.get_af(args.af) if args.af else None
-        if af is None:
-            raise UsageError(f"--mode {args.mode} requires --af for model states")
-        rf = _parse_rename(args.rename, model.method_names())
+        adt, af, rf = abstraction
         if args.mode == "general":
             report = checker.check_general(recs, adt, af, rf)
         else:
@@ -206,6 +213,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     prog = _load_program(args.program)
     model = models.parse_model_ref(args.model)
     init = _parse_init(args.init, model.seq_spec)
+    abstraction = _abstraction(args, model)
     ex = explorer.explore(prog, model, init_obj=init, bound=args.bound)
     fs = explorer.final_states(ex)
     print(f"configurations: {len(ex.order)}  transitions: {ex.transitions_explored}")
@@ -236,7 +244,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"wrote {len(recs)} history files to {outdir}")
     status = EXIT_OK
     if args.mode:
-        status, check_payload = _run_checks(args, ex, recs, model)
+        status, check_payload = _run_checks(args, ex, recs, model, abstraction)
         payload["check"] = check_payload
         payload["verdict"] = _VERDICTS[status]
     payload["approximate"] = ex.approximate
@@ -314,7 +322,7 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
             finals = sorted(spec.render_state(s) for s in entry.witness_finals)
             print(f"legal final states of the witness: {finals}")
         render = spec.render_state
-    elif args.mode == "general":
+    else:
         if not args.adt:
             raise UsageError("--mode general requires --adt")
         adt = _resolve_adt(args.adt)
@@ -323,9 +331,6 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
         af = specs.AbstractionFunction("identity", lambda s: s)
         report = checker.check_general([rec], adt, af, rf)
         render = adt.render_state
-    else:
-        raise UsageError("check-history supports --mode strict|general; "
-                         "impl mode needs explored executions (use explore)")
     for line in report.lines(render):
         print(line)
     for e in report.entries:
@@ -385,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hp = sub.add_parser("check-history", help="check a recorded history file")
     hp.add_argument("--file", required=True, help="history file")
-    hp.add_argument("--mode", choices=["strict", "general", "impl"], required=True)
+    hp.add_argument("--mode", choices=["strict", "general"], required=True)
     hp.add_argument("--spec", help="sequential spec name")
     hp.add_argument("--adt", help="abstract data type name")
     hp.add_argument("--rename", help="method renaming A=B,C=D")

@@ -9,14 +9,16 @@ Three models ship with the package:
   compare-and-swap linking and a tail-helping step.
 * ``coarse-queue`` -- a control model whose methods are single atomic steps.
 
-A model is its companion sequential specification (the machine run to
-completion in isolation) plus per-method step machines over (local state,
-shared state), an execution invariant and a state sampler.  The spec alone
-describes the object's states: start state, domain, key, canonical rendering
-for golden-file reports and cells.  One step is one atomic action at the
-granularity of one source line; composite tests such as "read pointer and
-branch" are a single atomic read-and-branch, and initialization of a node
-that no other thread can reach yet is folded into its allocation.
+A model is its per-method step machines over (local state, shared state),
+listed once, plus a companion sequential specification, an execution
+invariant and a state sampler.  The spec's relations are not written down:
+:func:`sequential_relation` derives each from its machine run alone.  The
+spec alone describes the object's states: start state, domain, key,
+canonical rendering for golden-file reports and cells.  One step is one
+atomic action at the granularity of one source line; composite tests such
+as "read pointer and branch" are a single atomic read-and-branch, and
+initialization of a node that no other thread can reach yet is folded into
+its allocation.
 
 The array model is bounded by a parameter ``N``; enqueueing past the bound
 is a runtime error.  The linked model draws nodes from a bounded pool of
@@ -68,9 +70,10 @@ class MethodMachine:
 @dataclass
 class ObjectModel:
     """An executable object, fine-grained or a spec's :func:`atomic_model`:
-    its spec ``seq_spec``, which owns every fact about object states, plus
-    step machines, an invariant of every reachable state and a sampler of
-    states over an alphabet for refinement checks."""
+    step machines, its spec ``seq_spec``, which owns every fact about object
+    states (a fine-grained model's spec relations are its machines run
+    alone, see :func:`sequential_relation`), an invariant of every reachable
+    state and a sampler of states over an alphabet for refinement checks."""
 
     name: str
     methods: dict[str, MethodMachine]
@@ -80,6 +83,28 @@ class ObjectModel:
 
     def method_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.methods))
+
+
+def sequential_relation(machine: MethodMachine) -> specs.MethodRelation:
+    """The spec relation of ``machine`` run with no other thread: from each
+    invocation move, follow every step and collect the ``(state, return)``
+    of each ``Done`` reached.  An abort or a revisited ``(local, state)``
+    pair adds nothing, so a call that cannot finish alone is out of the
+    domain."""
+
+    def rel(s: Any, arg: Value) -> list[tuple[Any, Value]]:
+        out, seen = [], set()
+        todo = list(machine.start(arg, s))
+        while todo:
+            local, shared = todo.pop()
+            if isinstance(local, Done):
+                out.append((shared, local.value))
+            elif (local, shared) not in seen:
+                seen.add((local, shared))
+                todo += [(o.local, o.shared) for o in machine.step(local, shared) if not o.abort]
+        return out
+
+    return rel
 
 
 def atomic_model(spec: SeqSpec) -> ObjectModel:
@@ -197,23 +222,10 @@ def _hw_cell_write(s: HWQueueState, addr: tuple, v: Value) -> HWQueueState:
 
 HW_CELLS = CellAccess(_hw_cell_read, _hw_cell_write)
 
-
-def _hw_seq_enqueue(n: int):
-    def rel(s: HWQueueState, v: Value):
-        if s.back > n:
-            return []
-        return [(replace(_hw_set(s, s.back, v), back=s.back + 1), UNIT)]
-
-    return rel
-
-
-def _hw_seq_dequeue(s: HWQueueState, _: Value):
-    # First non-null cell within the swept range; undefined when the sweep
-    # finds nothing (the fine-grained loop never exits there).
-    for i in range(1, s.back):
-        if _hw_get(s, i) is not NULL:
-            return [(_hw_set(s, i, NULL), _hw_get(s, i))]
-    return []
+HW_MACHINES = {
+    "Enqueue": MethodMachine(_hw_enq_start, _hw_enq_step),
+    "Dequeue": MethodMachine(_hw_deq_start, _hw_deq_step),
+}
 
 
 def enumerate_hw_states(n: int, alphabet: Sequence[Value]) -> Iterable[HWQueueState]:
@@ -239,10 +251,9 @@ def hw_seq_spec(n: int = 4) -> SeqSpec:
     from_contents = hw_from_contents(n)
     return SeqSpec(
         name="hw-queue-seq",
-        methods={"Enqueue": _hw_seq_enqueue(n), "Dequeue": _hw_seq_dequeue},
+        methods={m: sequential_relation(mm) for m, mm in HW_MACHINES.items()},
         initial_states=(from_contents(()),),
         is_state=hw_is_state,
-        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=hw_render,
         cells=HW_CELLS,
         from_contents=from_contents,
@@ -254,10 +265,7 @@ def hw_model(n: int = 4) -> ObjectModel:
         raise ValueError("array bound must be >= 1")
     return ObjectModel(
         name="hw-queue",
-        methods={
-            "Enqueue": MethodMachine(_hw_enq_start, _hw_enq_step),
-            "Dequeue": MethodMachine(_hw_deq_start, _hw_deq_step),
-        },
+        methods=dict(HW_MACHINES),
         seq_spec=hw_seq_spec(n),
         invariant_ok=hw_is_state,
         enumerate_states=lambda alpha: enumerate_hw_states(n, alpha),
@@ -450,21 +458,10 @@ def _ms_deq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
     return (StepOutcome("cas(Head,h,hn)=false", ("read_head",), s),)
 
 
-def _ms_seq_enqueue(s: MSQueueState, v: Value):
-    got = _ms_alloc(s, v)
-    if got is None:
-        return []
-    s2, n = got
-    s3 = _ms_set_node(s2, s2.tail, replace(s2.nodes[s2.tail], next=n))
-    return [(replace(s3, tail=n), UNIT)]
-
-
-def _ms_seq_dequeue(s: MSQueueState, _: Value):
-    hn = s.nodes[s.head].next
-    if hn is None:
-        return [(s, EMPTY)]
-    # the old head node stays allocated: no reclamation
-    return [(replace(s, head=hn), s.nodes[hn].value)]
+MS_MACHINES = {
+    "Enqueue": MethodMachine(_ms_enq_start, _ms_enq_step),
+    "Dequeue": MethodMachine(_ms_deq_start, _ms_deq_step),
+}
 
 
 def enumerate_ms_states(
@@ -508,10 +505,9 @@ def ms_seq_spec(p: int = 4) -> SeqSpec:
     from_contents = ms_from_contents(p)
     return SeqSpec(
         name="ms-queue-seq",
-        methods={"Enqueue": _ms_seq_enqueue, "Dequeue": _ms_seq_dequeue},
+        methods={m: sequential_relation(mm) for m, mm in MS_MACHINES.items()},
         initial_states=(from_contents(()),),
         is_state=ms_well_formed,
-        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         state_key=ms_state_key,
         render_state=ms_render,
         from_contents=from_contents,
@@ -523,10 +519,7 @@ def ms_model(p: int = 4) -> ObjectModel:
         raise ValueError("node pool must hold the dummy plus one node")
     return ObjectModel(
         name="ms-queue",
-        methods={
-            "Enqueue": MethodMachine(_ms_enq_start, _ms_enq_step),
-            "Dequeue": MethodMachine(_ms_deq_start, _ms_deq_step),
-        },
+        methods=dict(MS_MACHINES),
         seq_spec=ms_seq_spec(p),
         invariant_ok=ms_invariant_ok,
         enumerate_states=lambda alpha: enumerate_ms_states(p, alpha),
@@ -560,8 +553,14 @@ def _coarse_deq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
     return (StepOutcome(f"dequeue={render_value(q[0])}", Done(q[0]), s[:-1] + (q[1:],)),)
 
 
-# coarse state: (capacity, contents-tuple); capacity rides along so the
-# machine and its companion spec agree without closures
+COARSE_MACHINES = {
+    "Enqueue": MethodMachine(_coarse_enq_start, _coarse_enq_step),
+    "Dequeue": MethodMachine(_coarse_deq_start, _coarse_deq_step),
+}
+
+
+# coarse state: (capacity, contents-tuple); capacity rides along because the
+# machines are shared by every capacity
 def _coarse_cap(s: tuple) -> int:
     return s[0]
 
@@ -570,25 +569,13 @@ def _coarse_render(s: tuple) -> str:
     return "queue=<" + ",".join(render_value(v) for v in s[-1]) + ">"
 
 
-def _coarse_seq_enqueue(s: tuple, v: Value):
-    if len(s[-1]) >= _coarse_cap(s):
-        return []
-    return [((s[0], s[1] + (v,)), UNIT)]
-
-
-def _coarse_seq_dequeue(s: tuple, _: Value):
-    if not s[-1]:
-        return [(s, EMPTY)]
-    return [((s[0], s[1][1:]), s[1][0])]
-
-
 def coarse_seq_spec(cap: int = 4) -> SeqSpec:
     return SeqSpec(
         name="coarse-queue-seq",
-        methods={"Enqueue": _coarse_seq_enqueue, "Dequeue": _coarse_seq_dequeue},
+        methods={m: sequential_relation(mm) for m, mm in COARSE_MACHINES.items()},
         initial_states=((cap, ()),),
-        is_state=lambda s: isinstance(s, tuple) and len(s[-1]) <= _coarse_cap(s),
-        method_inputs={"Enqueue": specs.DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
+        is_state=lambda s: (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)
+                            and isinstance(s[1], tuple) and len(s[1]) <= _coarse_cap(s)),
         render_state=_coarse_render,
         from_contents=lambda vs: (cap, vs),
     )
@@ -599,10 +586,7 @@ def coarse_queue_model(cap: int = 4) -> ObjectModel:
         raise ValueError("queue capacity C must be >= 0")
     return ObjectModel(
         name="coarse-queue",
-        methods={
-            "Enqueue": MethodMachine(_coarse_enq_start, _coarse_enq_step),
-            "Dequeue": MethodMachine(_coarse_deq_start, _coarse_deq_step),
-        },
+        methods=dict(COARSE_MACHINES),
         seq_spec=coarse_seq_spec(cap),
         invariant_ok=lambda s: len(s[-1]) <= cap,
         enumerate_states=lambda alpha: (

@@ -450,7 +450,6 @@ def test_monotonicity_strict_implies_general_with_identity_abstraction():
         name="coarse-as-adt",
         methods=dict(m.seq_spec.methods),
         initial_states=m.seq_spec.initial_states,
-        method_inputs=dict(m.seq_spec.method_inputs),
         render_state=m.seq_spec.render_state,
     )
     af = AbstractionFunction("identity", lambda s: s)

@@ -347,16 +347,20 @@ def test_unknown_flag_rejected(program_file, capsys):
 
 
 def test_general_mode_requires_adt_and_af(program_file, capsys):
-    assert (
-        main(["explore", "--program", program_file, "--model", "coarse-queue",
-              "--mode", "general"])
-        == EXIT_USAGE
-    )
-    assert (
-        main(["explore", "--program", program_file, "--model", "coarse-queue",
-              "--mode", "general", "--adt", "adt-queue"])
-        == EXIT_USAGE
-    )
+    # the names are resolved before anything is explored: no report is printed
+    for mode in ("general", "impl"):
+        for extra in (
+            [],
+            ["--adt", "adt-queue"],
+            ["--adt", "adt-queue", "--af", "no-such-af"],
+            ["--adt", "no-such-adt", "--af", "af-hw-prefix"],
+            ["--adt", "hw-queue-seq", "--af", "af-hw-prefix"],  # a spec, not an ADT
+        ):
+            argv = ["explore", "--program", program_file, "--model", "hw-queue",
+                    "--mode", mode] + extra
+            assert main(argv) == EXIT_USAGE, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), argv
 
 
 def test_explore_with_seeded_contents(program_file, tmp_path, capsys):

@@ -379,9 +379,13 @@ def test_initial_state_must_be_well_formed():
     (models.hw_model(4), (4, ())),  # a coarse-queue state
     (models.ms_model(3), models.HWQueueState(1, (NULL,) * 3)),
     (models.coarse_queue_model(4), (4, ("a",) * 5)),  # over capacity
-], ids=["hw", "ms", "coarse"])
+    (models.coarse_queue_model(4), (4, "ab")),  # contents not a tuple
+    (models.coarse_queue_model(4), ()),
+    (models.coarse_queue_model(4), (4,)),
+    (models.coarse_queue_model(4), ("a",)),
+], ids=["hw", "ms", "coarse", "coarse-str", "coarse-empty", "coarse-cap-only", "coarse-str-only"])
 def test_start_state_outside_spec_domain_is_rejected(model, start):
-    with pytest.raises(ValueError, match="initial state not well-formed"):
+    with pytest.raises(ValueError, match=f"{model.name}: initial state not well-formed"):
         explore(parse_program("thread { }"), model, init_obj=start)
 
 

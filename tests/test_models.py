@@ -1,5 +1,7 @@
 """Object models: step machines, companion specs, abstraction functions."""
 
+import itertools
+
 import pytest
 
 from strictlin import explorer, models
@@ -16,7 +18,7 @@ from strictlin.models import (
     ms_well_formed,
 )
 from strictlin.programs import parse_program
-from strictlin.specs import apply
+from strictlin.specs import apply, enumerate_sequences
 from strictlin.values import EMPTY, NULL, UNIT
 
 
@@ -160,34 +162,55 @@ def test_coarse_queue_matches_adt_semantics():
 # ---------------------------------------------------------------------------
 
 
-def _agreement_cases():
-    hw = hw_model(3)
-    ms = ms_model(3)
-    co = coarse_queue_model(2)
-    yield hw, list(enumerate_hw_states(3, ("a", "b"))), ("a", "b")
-    yield ms, list(enumerate_ms_states(3, ("a", "b"))), ("a", "b")
-    yield co, [(2, s) for s in [(), ("a",), ("a", "b")]], ("a", "b")
+ALPHABET = ("a", "b")
 
 
-@pytest.mark.parametrize("model,states,alphabet", list(_agreement_cases()),
-                         ids=["hw", "ms", "coarse"])
-def test_companion_spec_agreement(model, states, alphabet):
-    for state in states:
+def _hw_states(n):
+    # every cell over the alphabet + null, cells at or past back included
+    for back in range(1, n + 2):
+        for items in itertools.product((NULL,) + ALPHABET, repeat=n):
+            yield HWQueueState(back, items)
+
+
+def _reached_ms_states(model):
+    # every state the spec reaches from each seeded start: head moved,
+    # garbage nodes left behind, the pool partly used up
+    p = len(model.seq_spec.initial_states[0].nodes)
+    todo = [model.seq_spec.seed_state(vs)
+            for k in range(p) for vs in itertools.product(ALPHABET, repeat=k)]
+    seen = set(todo)
+    while todo:
+        s = todo.pop()
         for method in model.method_names():
-            inputs = alphabet if method == "Enqueue" else (UNIT,)
-            for arg in inputs:
-                outcomes = apply(model.seq_spec, method, state, arg)
-                got = run_in_isolation(model, method, arg, state)
-                if got in ("abort", "divergent"):
-                    # out of the spec's domain exactly when the lone run
-                    # cannot terminate normally
-                    assert not outcomes
-                else:
-                    s2, r = got
-                    assert (
-                        {(model.seq_spec.state_key(a), b) for a, b in outcomes}
-                        == {(model.seq_spec.state_key(s2), r)}
-                    )
+            for arg in (ALPHABET if method == "Enqueue" else (UNIT,)):
+                for s2, _ in apply(model.seq_spec, method, s, arg):
+                    if s2 not in seen:
+                        seen.add(s2)
+                        todo.append(s2)
+    return sorted(seen, key=repr)
+
+
+def _agreement_cases():
+    yield [(hw_model(n), list(_hw_states(n))) for n in (1, 2, 3)]
+    yield [(m, _reached_ms_states(m)) for m in (ms_model(3), ms_model(4))]
+    yield [(coarse_queue_model(c), [(c, q) for q in enumerate_sequences(ALPHABET, c)])
+           for c in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("cases", list(_agreement_cases()), ids=["hw", "ms", "coarse"])
+def test_companion_spec_agreement(cases):
+    # the relation derived from each machine, and the spec built from it,
+    # give exactly the one outcome of the lone run, or none where the lone
+    # run aborts or spins
+    for model, states in cases:
+        for state in states:
+            for method in model.method_names():
+                for arg in (ALPHABET if method == "Enqueue" else (UNIT,)):
+                    got = run_in_isolation(model, method, arg, state)
+                    want = set() if got in ("abort", "divergent") else {got}
+                    derived = models.sequential_relation(model.methods[method])
+                    assert set(derived(state, arg)) == want, (state, method, arg)
+                    assert apply(model.seq_spec, method, state, arg) == want
 
 
 def test_hw_purely_blocking_from_reachable_configurations():
