@@ -20,8 +20,9 @@ and fall-through programs of ``tests/test_explorer.py``, 40 seeded
 two-thread programs with loops, ``if``s and calls inside branches, each on
 ``coarse-queue`` and ``hw-queue,N=2``, and a dequeue racing an enqueue on
 each model from start states that already hold values (built by the spec's
-``seed_state``).  An exploration that runs past ``CAP_S`` seconds prints
-``timeout`` in place of the rest of its digest.
+``seed_state``), and the two largest rungs of the ladder in ``ROADMAP.md``,
+digested without their outcome sets.  An exploration that runs past
+``CAP_S`` seconds prints ``timeout`` in place of the rest of its digest.
 """
 
 from __future__ import annotations
@@ -45,9 +46,18 @@ from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
 PROJECTIONS = ("interface", "history", "client")
 RANDOM_PROGRAMS = 40
 RANDOM_BOUND = 20_000  # random programs are cut here, the same on every commit
-CAP_S = 30.0  # per exploration; the whole corpus takes about 10 s on 2 vCPUs
+CAP_S = 30.0  # per exploration; the whole corpus takes about 20 s on 2 vCPUs
 SEEDED_PROGRAM = "thread { call y = Q.Dequeue() }\nthread { call Q.Enqueue('b') }"
 SEEDED_CONTENTS = (("a",), ("a", "b"))
+# (label, program, model) of the ladder's big rungs: their graphs are built
+# and classified, but enumerating their outcomes takes minutes
+BIG_RUNGS = (
+    ("big/hw-3+2 hw-queue,N=5", "thread { call Q.Enqueue('c') }\nthread { call Q.Enqueue('d') }\n"
+     "thread { call Q.Enqueue('e') }\nthread { call y1 = Q.Dequeue() }\n"
+     "thread { call y2 = Q.Dequeue() }", "hw-queue,N=5"),
+    ("big/ms-3+1 ms-queue,P=5", "thread { call Q.Enqueue('a') }\nthread { call Q.Enqueue('b') }\n"
+     "thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }", "ms-queue,P=5"),
+)
 
 
 class _Timeout(Exception):
@@ -129,6 +139,8 @@ def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...], Any]]:
             start = model.seq_spec.seed_state(contents)
             out.append((f"seeded/{','.join(contents)} {ref}", SEEDED_PROGRAM, model,
                         explorer.DEFAULT_BOUND, PROJECTIONS, start))
+    out += [(label, text, models.parse_model_ref(ref), explorer.DEFAULT_BOUND, (), None)
+            for label, text, ref in BIG_RUNGS]
     return out
 
 

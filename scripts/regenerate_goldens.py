@@ -20,9 +20,9 @@ def fig2_states() -> str:
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
     ex_a = explorer.run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
     lines = ["# final object states, fine-grained array queue (N=4)"]
-    lines += sorted({ex.render_object(c.obj) for c in ex.terminal_done})
+    lines += sorted({ex.render_object(ex.states[c.sid]) for c in ex.terminal_done})
     lines += ["# final object states, atomic version"]
-    lines += sorted({ex_a.render_object(c.obj) for c in ex_a.terminal_done})
+    lines += sorted({ex_a.render_object(ex_a.states[c.sid]) for c in ex_a.terminal_done})
     return "\n".join(lines) + "\n"
 
 

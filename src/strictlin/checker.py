@@ -459,20 +459,20 @@ def check_concurrent_implementation(
 ) -> CheckReport:
     """Concurrent implementation of an ADT: sequential implementation over
     the sampled states, general linearizability, and abstract final-state
-    agreement for terminated executions."""
+    agreement for terminated executions.
+
+    One entry per execution: its general-check entry, failed with the
+    final-state detail when the execution terminated, linearizes, and no
+    abstract linearization reaches its abstracted final state."""
     impl = is_sequential_implementation(model_spec, adt, af, rf, states)
-    execs = tuple(execs)
     table = SpecTable(adt)
-    general = check_general(execs, adt, af, rf, table=table)
-    entries = list(general.entries)
-    for ex in execs:
-        if not ex.terminated:
-            continue
-        a = _abstracted(ex, af, rf)
-        w = find_strict_linearization(a, adt, table=table)
-        if w is None:
-            entries.append(
-                ExecutionVerdict(
+    entries = []
+    for e in check_general(execs, adt, af, rf, table=table).entries:
+        ex = e.execution
+        if e.ok and ex.terminated:
+            a = _abstracted(ex, af, rf)
+            if find_strict_linearization(a, adt, table=table) is None:
+                e = ExecutionVerdict(
                     ex,
                     False,
                     detail=(
@@ -480,9 +480,7 @@ def check_concurrent_implementation(
                         f"final state {adt.render_state(a.final_state)}"
                     ),
                 )
-            )
-        else:
-            entries.append(ExecutionVerdict(ex, True, witness=w))
+        entries.append(e)
     entries_t = tuple(entries)
     passed = impl.ok and all(e.ok for e in entries_t)
     return CheckReport("impl", passed, entries_t, impl=impl)

@@ -16,6 +16,17 @@ of its result when it has a target.  A ``while`` or ``if`` moves to its
 taken pc when its test holds and to its next pc otherwise; every other
 entry moves to its next pc.
 
+A configuration is a named tuple ``(phase, threads, client, sid)``: each
+thread a ``(pc, reg, ops)`` tuple, the client's bindings, and the id of the
+object state in a table that numbers states by equality on first sight.  So
+a configuration hashes as a tuple, without walking an object state.  The
+table lives in the interpreter, one per exploration and shared with none,
+beside a memo of the model's machines: ``start`` runs once per distinct
+``(method, argument, state id)`` and ``step`` once per distinct ``(method,
+local, state id)``, and the atomic version of a spec runs its spec
+relation in ``start``.  Events are interned too, one object per distinct
+event.
+
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
 with one dictionary lookup per transition.  An edge is an ``(events,
@@ -53,8 +64,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .history import Act, Event, History, Inv, Ret, RetAbort
 from .models import Done, ObjectModel, atomic_model
@@ -110,10 +121,10 @@ class ExecutionResult:
 
 
 DONE = -1  # the pc of a finished thread
+_new = tuple.__new__  # builds a named tuple without its Python-level constructor
 
 
-@dataclass(frozen=True)
-class ThreadState:
+class ThreadState(NamedTuple):
     """``pc`` indexes the interpreter's code table, ``DONE`` once the thread
     has finished; ``reg`` holds what a call carries from one of its steps to
     the next (its argument, the method's local state, its return value) and
@@ -130,21 +141,20 @@ class ThreadState:
         return self.pc == DONE
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
+    """The phase, every thread of it, the client's bindings sorted by name,
+    and ``sid``, the id of the object state in the interpreter's state
+    table: ``Exploration.states[c.sid]`` is the state itself."""
+
     phase: int
     threads: tuple[ThreadState, ...]
     client: tuple[tuple[str, Value], ...]
-    obj: Any
+    sid: int
 
 
 class ExplorationError(RuntimeError):
     """The program leaves what the explorer can represent (a thread starting
     more than ``MAX_OPS_PER_THREAD`` operations)."""
-
-
-def _env(config: Config) -> dict[str, Value]:
-    return dict(config.client)
 
 
 def _bind(client: tuple, name: str, v: Value) -> tuple:
@@ -184,12 +194,27 @@ def _test(pred: Cmp, env: dict[str, Value]) -> bool:
 
 class _Interp:
     """The transition rules of ``prog`` over ``model``; a program that calls a
-    method or touches a cell the model lacks is rejected before any step."""
+    method or touches a cell the model lacks is rejected before any step.
+
+    Object states are numbered by equality on first sight: ``states[sid]``
+    is the state with id ``sid``, the start state being 0.  The model's
+    machines run once per distinct input: ``starts`` maps ``(method,
+    argument, sid)`` to the start moves as ``(local, target sid)`` pairs,
+    and ``steps`` maps ``(method, local, sid)`` to the body steps as
+    ``(action, local, target sid, abort)`` tuples, the target being None
+    on an abort.  Events are interned too, so one configuration graph holds
+    one :class:`Event` per distinct ``(thread, operation, label)``.  The
+    tables live as long as the interpreter, which is one exploration."""
 
     def __init__(
         self, prog: Program, model: ObjectModel, init_client: tuple, init_obj: Any
     ) -> None:
         self.model = model
+        self.states: list[Any] = []
+        self._sids: dict[Any, int] = {}
+        self.starts: dict[tuple, tuple[tuple[Any, int], ...]] = {}
+        self.steps: dict[tuple, tuple[tuple[str, Any, Optional[int], bool], ...]] = {}
+        self._events: dict[tuple, Event] = {}
         self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
         self._pcs: dict[tuple, int] = {}
         self._rules = {
@@ -201,7 +226,7 @@ class _Interp:
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
         ]
         self.first_tid = list(itertools.accumulate(map(len, prog.phases), initial=1))
-        self.init = Config(0, self._phase_threads(0), init_client, init_obj)
+        self.init = Config(0, self._phase_threads(0), init_client, self.state_id(init_obj))
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
@@ -249,6 +274,44 @@ class _Interp:
     def _phase_threads(self, phase: int) -> tuple[ThreadState, ...]:
         return tuple(map(ThreadState, self.entries[phase]))
 
+    # -- the state table and the memos of the model's machines ---------------
+
+    def state_id(self, s: Any) -> int:
+        """The id of object state ``s``, numbering it on first sight."""
+        sid = self._sids.setdefault(s, len(self.states))
+        if sid == len(self.states):
+            self.states.append(s)
+        return sid
+
+    def _start(self, method: str, arg: Value, sid: int) -> tuple[tuple[Any, int], ...]:
+        key = (method, arg, sid)
+        moves = self.starts.get(key)
+        if moves is None:
+            moves = self.starts[key] = tuple(
+                (local, self.state_id(shared))
+                for local, shared in self.model.methods[method].start(arg, self.states[sid])
+            )
+        return moves
+
+    def _step(self, method: str, local: Any, sid: int) -> tuple:
+        key = (method, local, sid)
+        outs = self.steps.get(key)
+        if outs is None:
+            outs = self.steps[key] = tuple(
+                (o.action, o.local, None if o.abort else self.state_id(o.shared), o.abort)
+                for o in self.model.methods[method].step(local, self.states[sid])
+            )
+        return outs
+
+    def _event(self, tid: int, op: Optional[int], label: type, *args: Any) -> Event:
+        """The one event of thread ``tid`` and operation ``op`` (None for a
+        client event) labelled ``label(*args)``."""
+        key = (tid, op, label, args)
+        e = self._events.get(key)
+        if e is None:
+            e = self._events[key] = Event(tid, label(*args), op)
+        return e
+
     # -- transitions --------------------------------------------------------
 
     def successors(self, c: Config) -> tuple[tuple, ...]:
@@ -258,7 +321,7 @@ class _Interp:
         evaluate aborts."""
         if all(t.pc == DONE for t in c.threads):
             if c.phase + 1 < len(self.entries):
-                nxt = Config(c.phase + 1, self._phase_threads(c.phase + 1), c.client, c.obj)
+                nxt = Config(c.phase + 1, self._phase_threads(c.phase + 1), c.client, c.sid)
                 return (((), nxt),)
             return ()
         out: list[tuple] = []
@@ -269,18 +332,28 @@ class _Interp:
                 try:
                     out.extend(rule(c, i, first + i, s, nxt, taken))
                 except (EvalError, CellError) as exc:
-                    out.append(((Event(first + i, Act(f"error: {exc}")),), None))
+                    out.append(((self._event(first + i, None, Act, f"error: {exc}"),), None))
         return tuple(out)
 
-    def _with_thread(self, c: Config, i: int, t: ThreadState, **kw) -> Config:
-        threads = c.threads[:i] + (t,) + c.threads[i + 1 :]
-        return replace(c, threads=threads, **kw)
+    @staticmethod
+    def _with_thread(
+        c: Config, i: int, pc: int, reg: Any, ops: int, client: tuple, sid: int
+    ) -> Config:
+        """``c`` with thread ``i`` at ``(pc, reg, ops)``, client bindings
+        ``client`` and object state ``sid``: every successor is built here."""
+        threads = list(c.threads)
+        threads[i] = _new(ThreadState, (pc, reg, ops))
+        return _new(Config, (c.phase, tuple(threads), client, sid))
 
     def _client(self, c: Config, i: int, tid: int, action: str, pc: int, reg: Any = None,
-                **kw) -> list[tuple]:
-        """Thread ``i``'s client event ``action``, moving it to ``pc``."""
-        t = ThreadState(pc, reg, c.threads[i].ops)
-        return [((Event(tid, Act(action)),), self._with_thread(c, i, t, **kw))]
+                client: Optional[tuple] = None, sid: Optional[int] = None) -> list[tuple]:
+        """Thread ``i``'s client event ``action``, moving it to ``pc`` and
+        the configuration to ``client`` and ``sid`` where they are given."""
+        target = self._with_thread(
+            c, i, pc, reg, c.threads[i].ops,
+            c.client if client is None else client, c.sid if sid is None else sid,
+        )
+        return [((self._event(tid, None, Act, action),), target)]
 
     # Rules: each steps thread ``i`` (id ``tid``) at an entry ``(rule,
     # statement, next pc, taken pc)`` of the code table.
@@ -291,14 +364,14 @@ class _Interp:
         return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
 
     def _read_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        v = self.model.seq_spec.cells.read(c.obj, s.cell)
+        v = self.model.seq_spec.cells.read(self.states[c.sid], s.cell)
         action = f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"
         return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
 
     def _write_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
         v = _eval(s.expr, dict(c.client))
-        obj = self.model.seq_spec.cells.write(c.obj, s.cell, v)
-        return self._client(c, i, tid, f"Q.{_cellname(s.cell)}:={render_value(v)}", nxt, obj=obj)
+        sid = self.state_id(self.model.seq_spec.cells.write(self.states[c.sid], s.cell, v))
+        return self._client(c, i, tid, f"Q.{_cellname(s.cell)}:={render_value(v)}", nxt, sid=sid)
 
     def _atomic(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
         scratch = dict(c.client)
@@ -331,16 +404,19 @@ class _Interp:
             )
         ops = t.ops + 1
         op = tid * 100 + ops
-        inv = Event(tid, Inv(s.method, t.reg), op)
+        inv = self._event(tid, op, Inv, s.method, t.reg)
         out = []
         # a call answered at once emits its response in the invoking step
-        for local, shared in self.model.methods[s.method].start(t.reg, c.obj):
+        for local, sid in self._start(s.method, t.reg, c.sid):
             if isinstance(local, Done):
-                events = (inv, Event(tid, Ret(local.value), op))
-                t2 = ThreadState(after, local.value if s.target else None, ops)
+                events = (inv, self._event(tid, op, Ret, local.value))
+                target = self._with_thread(
+                    c, i, after, local.value if s.target else None, ops, c.client, sid
+                )
             else:
-                events, t2 = (inv,), ThreadState(body, local, ops)
-            out.append((events, self._with_thread(c, i, t2, obj=shared)))
+                events = (inv,)
+                target = self._with_thread(c, i, body, local, ops, c.client, sid)
+            out.append((events, target))
         return out
 
     def _body(self, c: Config, i: int, tid: int, s, after: int, _) -> list[tuple]:
@@ -348,16 +424,17 @@ class _Interp:
         op = tid * 100 + t.ops
         if isinstance(t.reg, Done):
             # the result stays in the register only for an assignment to take
-            t2 = ThreadState(after, t.reg.value if s.target else None, t.ops)
-            return [((Event(tid, Ret(t.reg.value), op),), self._with_thread(c, i, t2))]
+            v = t.reg.value
+            reg = v if s.target else None
+            target = self._with_thread(c, i, after, reg, t.ops, c.client, c.sid)
+            return [((self._event(tid, op, Ret, v),), target)]
         out = []
-        for step in self.model.methods[s.method].step(t.reg, c.obj):
-            ev = Event(tid, Act(step.action), op)
-            if step.abort:
-                out.append(((ev, Event(tid, RetAbort(), op)), None))
-                continue
-            t2 = ThreadState(t.pc, step.local, t.ops)
-            out.append(((ev,), self._with_thread(c, i, t2, obj=step.shared)))
+        for action, local, sid, abort in self._step(s.method, t.reg, c.sid):
+            ev = self._event(tid, op, Act, action)
+            if abort:
+                out.append(((ev, self._event(tid, op, RetAbort)), None))
+            else:
+                out.append(((ev,), self._with_thread(c, i, t.pc, local, t.ops, c.client, sid)))
         return out
 
     def _assign_result(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
@@ -387,10 +464,13 @@ class Exploration:
     :meth:`build` numbers each configuration once, on first sight, in
     discovery order, so the initial configuration is 0 and ids are dense.
     ``order`` maps a configuration to its id and ``configs`` an id back to
-    its configuration.  ``edges[i]`` lists configuration ``i``'s outgoing
-    transitions as ``(events, target id)`` pairs, the target being
-    None for a runtime error; a configuration left unexpanded when the step
-    budget ran out has no edges and is in ``truncated``.  Everything past
+    its configuration.  A configuration holds its object state as an id,
+    ``sid``: :attr:`states` is this exploration's own table of object
+    states, no two of them equal, so ``states[c.sid]`` is the state.
+    ``edges[i]`` lists configuration ``i``'s outgoing transitions as
+    ``(events, target id)`` pairs, the target being None for a runtime
+    error; a configuration left unexpanded when the step budget ran out has
+    no edges and is in ``truncated``.  Everything past
     :meth:`build` (SCCs, cycle marking, outcome tables) works on the ids.
     """
 
@@ -414,8 +494,13 @@ class Exploration:
         return self.interp.init
 
     @property
+    def states(self) -> list[Any]:
+        """The object states by id: a configuration ``c`` is at ``states[c.sid]``."""
+        return self.interp.states
+
+    @property
     def initial_object(self) -> Any:
-        return self.interp.init.obj
+        return self.interp.states[self.interp.init.sid]
 
     def state_key(self) -> Callable[[Any], Any]:
         return self.interp.model.seq_spec.state_key
@@ -756,7 +841,7 @@ class _Outcomes:
         self.leaves: list[tuple] = []
         self.leaf_ids: dict[tuple, int] = {}
         self.aborted = self.leaf(Kind.ABORTED, note="runtime error")
-        order = ex.order
+        order, states = ex.order, ex.states
         # the exploration's edges with their events projected to kept ids
         self.edges: list[tuple] = [
             tuple((self.project(events), t) for events, t in trs)
@@ -773,7 +858,8 @@ class _Outcomes:
         for c in ex.terminal_livelock:
             self.outcomes[order[c]] = livelock
         for c in ex.terminal_done:
-            self.outcomes[order[c]] = frozenset({(0, self.leaf(Kind.TERMINATED, c.client, c.obj))})
+            leaf = self.leaf(Kind.TERMINATED, c.client, states[c.sid])
+            self.outcomes[order[c]] = frozenset({(0, leaf)})
 
     def project(self, events: Iterable[Event]) -> tuple[int, ...]:
         """Ids of the kept ``events``, in order."""
@@ -944,15 +1030,15 @@ class FinalStates:
 
 
 def final_states(exploration: Exploration) -> FinalStates:
-    key = exploration.state_key()
+    key, objs = exploration.state_key(), exploration.states
     states = set()
     render: dict = {}
     for c in exploration.terminal_done:
-        k = (c.client, key(c.obj))
+        k = (c.client, key(objs[c.sid]))
         states.add(k)
         render[k] = (
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
-            exploration.render_object(c.obj),
+            exploration.render_object(objs[c.sid]),
         )
     has_abort = any(t is None for trs in exploration.edges for _, t in trs)
     has_bottom = Kind.CLIENT_DIVERGENT in exploration.divergence_kinds()

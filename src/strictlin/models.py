@@ -253,7 +253,8 @@ def hw_seq_spec(n: int = 4) -> SeqSpec:
         name="hw-queue-seq",
         methods={m: sequential_relation(mm) for m, mm in HW_MACHINES.items()},
         initial_states=(from_contents(()),),
-        is_state=hw_is_state,
+        # the model's size is part of its state domain; ``hw_is_state`` is not
+        is_state=lambda s: hw_is_state(s) and len(s.items) == n,
         render_state=hw_render,
         cells=HW_CELLS,
         from_contents=from_contents,
@@ -507,7 +508,7 @@ def ms_seq_spec(p: int = 4) -> SeqSpec:
         name="ms-queue-seq",
         methods={m: sequential_relation(mm) for m, mm in MS_MACHINES.items()},
         initial_states=(from_contents(()),),
-        is_state=ms_well_formed,
+        is_state=lambda s: ms_well_formed(s) and len(s.nodes) == p,
         state_key=ms_state_key,
         render_state=ms_render,
         from_contents=from_contents,
@@ -575,7 +576,7 @@ def coarse_seq_spec(cap: int = 4) -> SeqSpec:
         methods={m: sequential_relation(mm) for m, mm in COARSE_MACHINES.items()},
         initial_states=((cap, ()),),
         is_state=lambda s: (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)
-                            and isinstance(s[1], tuple) and len(s[1]) <= _coarse_cap(s)),
+                            and s[0] == cap and isinstance(s[1], tuple) and len(s[1]) <= cap),
         render_state=_coarse_render,
         from_contents=lambda vs: (cap, vs),
     )

@@ -22,6 +22,11 @@ class Special(enum.Enum):
     EMPTY = "EMPTY"
     UNIT = "unit"
 
+    # members are singletons, so identity hashing agrees with equality, and
+    # unlike ``Enum.__hash__`` it runs in C: object states, configurations
+    # and memo keys that hold a constant are hashed without a Python call
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.value
 

@@ -51,7 +51,9 @@ def enumerate_executions_naive(
         succ = interp.successors(c)
         if not succ:
             if all(t.done for t in c.threads) and c.phase + 1 >= len(prog.phases):
-                results.add(ExecutionResult(trace, Kind.TERMINATED, c.client, c.obj))
+                results.add(
+                    ExecutionResult(trace, Kind.TERMINATED, c.client, interp.states[c.sid])
+                )
             else:
                 results.add(
                     ExecutionResult(

@@ -76,8 +76,8 @@ def test_criterion_1_final_state_gap():
         m = models.hw_model(4)
         ex = explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
         ex_a = run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
-        got_hw = {c.obj for c in ex.terminal_done}
-        got_at = {c.obj for c in ex_a.terminal_done}
+        got_hw = {ex.states[c.sid] for c in ex.terminal_done}
+        got_at = {ex_a.states[c.sid] for c in ex_a.terminal_done}
         golden = (GOLDEN / "fig2-states.txt").read_text()
         regenerated = _fig2_golden_text(ex, ex_a)
         ok = (
@@ -92,9 +92,9 @@ def test_criterion_1_final_state_gap():
 
 def _fig2_golden_text(ex, ex_a) -> str:
     lines = ["# final object states, fine-grained array queue (N=4)"]
-    lines += sorted({ex.render_object(c.obj) for c in ex.terminal_done})
+    lines += sorted({ex.render_object(ex.states[c.sid]) for c in ex.terminal_done})
     lines += ["# final object states, atomic version"]
-    lines += sorted({ex_a.render_object(c.obj) for c in ex_a.terminal_done})
+    lines += sorted({ex_a.render_object(ex_a.states[c.sid]) for c in ex_a.terminal_done})
     return "\n".join(lines) + "\n"
 
 

@@ -499,6 +499,24 @@ def test_concurrent_implementation_check_coarse_vs_queue():
     states = [(4, s) for s in [(), ("a",), ("b", "a")]]
     rep = check_concurrent_implementation(recs, m.seq_spec, QUEUE, af, rf, states)
     assert rep.passed and rep.impl.ok
+    # one entry per execution, though each terminated one is checked twice
+    assert [e.execution for e in rep.entries] == list(recs)
+
+
+def test_concurrent_implementation_entry_needs_final_state_agreement():
+    # reversed contents: every history linearizes, but two enqueues end in
+    # a state no abstract execution reaches
+    p = parse_program("thread { call Q.Enqueue('a') ; call Q.Enqueue('b') }")
+    m = models.coarse_queue_model(4)
+    (rec,) = recorded_executions(explorer.explore(p, m))
+    af = AbstractionFunction("reversed", lambda s: s[-1][::-1])
+    rf = RenamingFunction.identity(("Enqueue", "Dequeue"))
+    assert check_general([rec], QUEUE, af, rf).passed
+    rep = check_concurrent_implementation([rec], m.seq_spec, QUEUE, af, rf, [])
+    (entry,) = rep.entries
+    assert not rep.passed and not entry.ok
+    assert entry.detail.startswith("no abstract linearization reaches the abstracted final state")
+    assert rep.lines()[0] == "mode=impl verdict=fail executions=1"
 
 
 # ---------------------------------------------------------------------------

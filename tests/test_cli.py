@@ -169,6 +169,20 @@ def test_explore_records_executions_once(program_file, tmp_path, capsys, monkeyp
     assert "wrote " in capsys.readouterr().out
 
 
+def test_impl_check_reports_each_execution_once(tmp_path, capsys):
+    f = tmp_path / "ms-2x2.txt"
+    f.write_text("thread { call Q.Enqueue('a') ; call y1 = Q.Dequeue() }\n"
+                 "thread { call Q.Enqueue('b') ; call y2 = Q.Dequeue() }\n")
+    report, outdir = tmp_path / "r.json", tmp_path / "h"
+    assert main(["explore", "--program", str(f), "--model", "ms-queue,P=4", "--mode", "impl",
+                 "--adt", "adt-pseudo-queue", "--af", "af-pseudo", "--histories", str(outdir),
+                 "--json", str(report)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(list(outdir.glob("exec-*.txt"))) == 174
+    assert f"wrote 174 history files to {outdir}\nmode=impl verdict=pass executions=174\n" in out
+    assert len(json.loads(report.read_text())["check"]["executions"]) == 174
+
+
 def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     report = tmp_path / "c.json"
     assert main(["compare", "--program", program_file, "--model", "hw-queue,N=4",

@@ -1,6 +1,10 @@
 """Interleaving exploration: schedules, divergence, observables."""
 
+import collections
+import dataclasses
 import hashlib
+import importlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,7 @@ from strictlin.explorer import (
     run_atomic,
 )
 from strictlin.history import Inv, Ret
-from strictlin.models import atomic_model
+from strictlin.models import MethodMachine, atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
@@ -312,7 +316,7 @@ def test_client_and_object_transitions_stay_disjoint():
                 continue
             target = ex.configs[t]
             if all(e.is_client for e in events):
-                assert target.obj == cfg.obj  # no declared writes here
+                assert target.sid == cfg.sid  # no declared writes here
             else:
                 assert target.client == cfg.client
 
@@ -322,7 +326,7 @@ def test_direct_cell_write_is_the_declared_exception():
     ex = explore(p, models.hw_model(4))
     ((events, t),) = ex.edges[0]
     assert all(e.is_client for e in events)
-    assert ex.configs[t].obj != ex.configs[0].obj
+    assert ex.configs[t].sid != ex.configs[0].sid
 
 
 def test_cell_write_out_of_range_aborts():
@@ -383,7 +387,12 @@ def test_initial_state_must_be_well_formed():
     (models.coarse_queue_model(4), ()),
     (models.coarse_queue_model(4), (4,)),
     (models.coarse_queue_model(4), ("a",)),
-], ids=["hw", "ms", "coarse", "coarse-str", "coarse-empty", "coarse-cap-only", "coarse-str-only"])
+    # well-formed, but built for another size
+    (models.coarse_queue_model(2), (4, ())),
+    (models.hw_model(4), models.HWQueueState(1, (NULL,))),
+    (models.ms_model(3), models.ms_seq_spec(4).initial_states[0]),
+], ids=["hw", "ms", "coarse", "coarse-str", "coarse-empty", "coarse-cap-only", "coarse-str-only",
+        "coarse-other-capacity", "hw-other-bound", "ms-other-pool"])
 def test_start_state_outside_spec_domain_is_rejected(model, start):
     with pytest.raises(ValueError, match=f"{model.name}: initial state not well-formed"):
         explore(parse_program("thread { }"), model, init_obj=start)
@@ -618,3 +627,82 @@ def test_terminating_schedule_lapping_an_observable_cycle_is_approximate():
     kinds = {r.kind for r in ex.results("client")}
     assert ex.approximate
     assert kinds == {Kind.TERMINATED, Kind.CLIENT_DIVERGENT}
+
+
+# ---------------------------------------------------------------------------
+# The object-state table and the memo of the model's machines
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("qid,fine,atomic", [
+    ("compare/hw-3+1", (4617, 13905, 52), (136, 290, 26)),
+    ("compare/ms-2+1", (3645, 9314, 39), (52, 92, 9)),
+    ("compare/three-phase", (543, 1123, 14), (76, 116, 11)),
+    ("compare/three-phase+e", (2003, 4943, 26), (156, 308, 16)),
+    ("compare/fig2", (315, 735, 11), (32, 54, 8)),
+])
+def test_compare_graph_shapes_are_pinned(qid, fine, atomic, monkeypatch):
+    # (configurations, transitions, distinct object states) of each side
+    workloads = _workloads(monkeypatch)
+    ((_, name, ref),) = [q for q in workloads.COMPARE_QUERIES if q[0] == qid]
+    sides = explorer.explore_both(parse_program(workloads.PROGRAMS[name]),
+                                  models.parse_model_ref(ref))
+    for ex, pins in zip(sides, (fine, atomic)):
+        assert (len(ex.order), ex.transitions_explored, len(ex.states)) == pins
+        # every interned state is some configuration's, and no two are equal
+        assert {c.sid for c in ex.order} == set(range(len(ex.states)))
+        assert len(set(ex.states)) == len(ex.states)
+
+
+def test_memo_entries_equal_fresh_machine_runs(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    ladder = sorted({(name, ref) for _, name, ref, *_ in
+                     workloads.STRICT_QUERIES + workloads.COMPARE_QUERIES})
+    cases = [(workloads.PROGRAMS[name], models.parse_model_ref(ref)) for name, ref in ladder]
+    for text, model in cases + SPIN_PROGRAMS:
+        for ex in explorer.explore_both(parse_program(text), model):
+            interp, states = ex.interp, ex.states
+            machines = interp.model.methods
+            assert all(map(interp.model.invariant_ok, states))
+            for (method, arg, sid), moves in interp.starts.items():
+                fresh = machines[method].start(arg, states[sid])
+                assert [(local, states[t]) for local, t in moves] == list(fresh)
+            for (method, local, sid), outs in interp.steps.items():
+                fresh = machines[method].step(local, states[sid])
+                assert [(a, lo, None if ab else states[t], ab) for a, lo, t, ab in outs] == [
+                    (o.action, o.local, None if o.abort else o.shared, o.abort) for o in fresh
+                ]
+
+
+def test_each_machine_input_runs_once():
+    calls = collections.Counter()
+
+    def counted(kind, method, run):
+        def wrapped(x, s):
+            calls[kind, method, x, s] += 1
+            return run(x, s)
+        return wrapped
+
+    base = models.hw_model(4)
+    model = dataclasses.replace(base, methods={
+        m: MethodMachine(counted("start", m, mm.start), counted("step", m, mm.step))
+        for m, mm in base.methods.items()
+    })
+    ex = explore(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, model)
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(ex.interp.starts) + len(ex.interp.steps)
+    # the atomic side runs the spec relation, and so its machines, once per input
+    spec = dataclasses.replace(model.seq_spec, methods={
+        m: models.sequential_relation(mm) for m, mm in model.methods.items()
+    })
+    calls.clear()
+    ex_a = run_atomic(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, spec)
+    starts = [n for key, n in calls.items() if key[0] == "start"]
+    assert starts and set(starts) == {1} and len(starts) == len(ex_a.interp.starts)

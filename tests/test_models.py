@@ -71,7 +71,7 @@ def test_hw_fig3_final_state_reachable():
 
     m = hw_model(4)
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    finals = {c.obj for c in ex.terminal_done}
+    finals = {ex.states[c.sid] for c in ex.terminal_done}
     assert FIG3_FINAL in finals
 
 
@@ -138,8 +138,11 @@ def test_ms_invariant_preserved_during_exploration():
     m = ms_model(3)
     p = parse_program("thread { call Q.Enqueue('a') }\nthread { call y = Q.Dequeue() }")
     ex = explorer.explore(p, m)
-    assert all(m.invariant_ok(c.obj) for c in ex.order)
-    assert all(ms_well_formed(c.obj) for c in ex.terminal_done)
+    # every configuration's object state is in the table, numbered once
+    assert {c.sid for c in ex.order} == set(range(len(ex.states)))
+    assert len(set(ex.states)) == len(ex.states)
+    assert all(m.invariant_ok(s) for s in ex.states)
+    assert all(ms_well_formed(ex.states[c.sid]) for c in ex.terminal_done)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +230,14 @@ def test_hw_purely_blocking_from_reachable_configurations():
             if rule != ex.interp._body or isinstance(ts.reg, Done):
                 continue
             machine = m.methods[stmt.method]
-            local, state = ts.reg, cfg.obj
+            local, state = ts.reg, ex.states[cfg.sid]
             seen = set()
             for _ in range(200):
                 if isinstance(local, Done):
                     break
                 key = (repr(local), state)
                 if key in seen:
-                    assert state == cfg.obj  # spinning must not modify state
+                    assert state == ex.states[cfg.sid]  # spinning must not modify state
                     break
                 seen.add(key)
                 (step,) = machine.step(local, state)
