@@ -10,9 +10,10 @@ configuration, transition and truncation counts, the SCC classification
 (size and divergence kinds of each cyclic component), the final-state
 renderings and divergence kinds, and for each projection the outcome count,
 an order-free sha256 of the outcomes and whether the sets are approximate.
-Then, for each rung of the benchmark's ``STRICT_QUERIES``, it runs that
-rung's strict or implementation check on the recorded executions and prints
-the verdict, the execution count and a sha256 of the report's lines.
+Then, for each rung of the benchmark's ``STRICT_QUERIES`` and each row
+that ``check_rows`` adds, it runs the check on the recorded executions and
+prints the verdict, the execution count, a sha256 of the report's lines and
+a sha256 of every entry's verdict, witness, completion and detail.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
@@ -28,6 +29,7 @@ digested without their outcome sets.  An exploration that runs past
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import signal
 import sys
@@ -39,6 +41,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 from bench.workloads import COMPARE_QUERIES, PROGRAMS, STRICT_QUERIES  # noqa: E402
 from strictlin import checker, explorer, models, specs  # noqa: E402
+from strictlin.history import serialize_history  # noqa: E402
 from strictlin.models import ObjectModel  # noqa: E402
 from strictlin.programs import parse_program  # noqa: E402
 from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
@@ -144,8 +147,12 @@ def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...], Any]]:
     return out
 
 
+def _text_sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _sha(results) -> str:
-    return hashlib.sha256("\n".join(sorted(map(repr, results))).encode()).hexdigest()[:16]
+    return _text_sha("\n".join(sorted(map(repr, results))))
 
 
 def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
@@ -171,10 +178,14 @@ def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
     return lines
 
 
-def check_digest(prog_name: str, ref: str, mode: str, adt_name, af_name, rename) -> str:
-    """One ``STRICT_QUERIES`` rung checked as ``explore --mode`` checks it."""
+def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=None) -> str:
+    """One check on a program's recorded executions, as ``explore --mode``
+    runs it: the verdict, the execution count, a sha256 of the report's
+    lines and one of every entry's verdict, witness, completion and detail
+    as ``--json`` carries them.  An implementation check samples
+    ``states``, by default the model's states over ``'a'`` and ``'b'``."""
     model = models.parse_model_ref(ref)
-    recs = checker.recorded_executions(explorer.explore(parse_program(PROGRAMS[prog_name]), model))
+    recs = checker.recorded_executions(explorer.explore(parse_program(text), model))
     if mode == "strict":
         report = checker.check_strict(recs, model.seq_spec)
         render = model.seq_spec.render_state
@@ -182,14 +193,42 @@ def check_digest(prog_name: str, ref: str, mode: str, adt_name, af_name, rename)
         adt = specs.get_spec(adt_name)
         rf = (specs.RenamingFunction.of(rename) if rename
               else specs.RenamingFunction.identity(model.method_names()))
-        report = checker.check_concurrent_implementation(
-            recs, model.seq_spec, adt, specs.get_af(af_name), rf,
-            list(model.enumerate_states(("a", "b"))))
+        if mode == "general":
+            report = checker.check_general(recs, adt, af, rf)
+        else:
+            report = checker.check_concurrent_implementation(
+                recs, model.seq_spec, adt, af, rf,
+                list(model.enumerate_states(("a", "b"))) if states is None else states)
         render = adt.render_state
-    lines = report.lines(render)
-    sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    lines = "\n".join(report.lines(render))
+    entries = [[e.ok, serialize_history(e.witness) if e.witness else None,
+                serialize_history(e.completion) if e.completion else None, e.detail]
+               for e in report.entries]
     return (f"verdict={'pass' if report.passed else 'fail'} "
-            f"executions={len(report.entries)} lines_sha256={sha}")
+            f"executions={len(report.entries)} lines_sha256={_text_sha(lines)} "
+            f"entries_sha256={_text_sha(json.dumps(entries))}")
+
+
+def check_rows() -> list[tuple]:
+    """``check_digest`` arguments, labelled: the benchmark's
+    ``STRICT_QUERIES``, the general checks of fig2 and of the three-phase
+    program, whose cell write leaves histories that no completion
+    linearizes, its strict check, and an implementation check whose
+    abstraction reverses coarse-queue contents, so that every two enqueues
+    end in a state no abstract execution reaches (checked on no sampled
+    state, as ``tests/test_checker.py`` checks it).  Between them the rows
+    meet every detail the checks write."""
+    rows = [(qid, PROGRAMS[prog], ref, mode, adt, af and specs.get_af(af), rename)
+            for qid, prog, ref, mode, adt, af, rename in STRICT_QUERIES]
+    for prog in ("fig2", "three-phase"):
+        rows.append((f"general/{prog}", PROGRAMS[prog], "hw-queue,N=4", "general", "adt-queue",
+                     specs.get_af("af-hw-prefix"), None))
+    rows.append(("strict/three-phase", PROGRAMS["three-phase"], "hw-queue,N=4", "strict",
+                 None, None, None))
+    rows.append(("impl-reversed/coarse", "thread { call Q.Enqueue('a') ; call Q.Enqueue('b') }",
+                 "coarse-queue,C=4", "impl", "adt-queue",
+                 specs.AbstractionFunction("reversed", lambda s: s[-1][::-1]), None, []))
+    return rows
 
 
 def main() -> None:
@@ -211,8 +250,8 @@ def main() -> None:
             for line in lines:
                 print(f"  {line}")
             sys.stdout.flush()
-    for qid, *query in STRICT_QUERIES:
-        print(f"== check {qid}: {check_digest(*query)}")
+    for label, *query in check_rows():
+        print(f"== check {label}: {check_digest(*query)}")
         sys.stdout.flush()
 
 

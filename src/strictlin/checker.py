@@ -21,26 +21,28 @@ gives each a predecessor bitmask, the operations whose response precedes
 its invocation.  The set of linearized operations is a bitmask ``done``, and
 operation ``i`` may come next when ``preds[i] & ~done == 0``.
 
+Each check runs one search, :func:`find_linearization`, per execution.  For
+a terminated execution in strict and impl checks it targets the recorded
+(or abstracted) final state, and one depth-first walk returns both the
+first witness and the first witness reaching that state.
+
 Each call of ``check_strict``, ``check_general`` and
 ``check_concurrent_implementation`` builds one :class:`SpecTable` for its
-spec and shares it among all its searches (in impl mode the general pass and
-the abstract final-state pass share the ADT's table).  The table numbers
-spec states by ints on first sight, caches each state's ``state_key``, and
-caches the spec's outcomes per (method, argument, state id), sorted by the
-``repr`` of the raw (state, return) pair, so a spec method runs once per
-distinct (method, argument, state) in the whole check.  A search memoizes
-failed (``done``, state id) pairs (Lowe's memoization) without hashing a
-raw state.  Ties are broken by ascending operation id, then by the ``repr``
-of the outcome, which fixes the witness and makes reports deterministic.
-The table lives for one call only; ``find_linearization`` and
-``find_strict_linearization`` take one as a keyword and otherwise make a
-fresh one.
+spec and shares it among all its searches.  The table numbers spec states
+by ints on first sight, caches each state's ``state_key``, and caches the
+spec's outcomes per (method, argument, state id), sorted by the ``repr`` of
+the raw (state, return) pair, so a spec method runs once per distinct
+(method, argument, state) in the whole check.  A search memoizes failed
+(``done``, state id) pairs (Lowe's memoization) without hashing a raw
+state.  Ties are broken by ascending operation id, then by the ``repr`` of
+the outcome, which fixes the witness and makes reports deterministic.  The
+table lives for one call only; ``find_linearization`` takes one as a
+keyword and otherwise makes a fresh one.
 
 Results come from the search's trail.  The witness reuses the input
 history's own invocation events and the response events of its completed
-operations; only a closed pending operation gets a new response.  The
-witness's legal final states are found by threading the set of state ids
-through the table along the witness.  An operation closed by an abort
+operations; only a closed pending operation gets a new response, and a
+complete history is its own completion.  An operation closed by an abort
 response has no legal sequential counterpart, so histories containing one
 never linearize.
 
@@ -127,25 +129,6 @@ class SpecTable:
         outs = cell[sid] = tuple((self.intern(s2), out) for s2, out in raw)
         return outs
 
-    def finals(self, start: Any, witness: History) -> frozenset:
-        """Final states of the legal sequential executions of ``witness`` from
-        ``start``, as :func:`legal_seq_outcomes` gives them, threaded through
-        the table."""
-        ids = {self.intern(start)}
-        ev = witness.events
-        for k in range(0, len(ev), 2):
-            call, value = ev[k].label, ev[k + 1].label.value  # type: ignore[union-attr]
-            name = (call.method, call.arg)  # type: ignore[union-attr]
-            cell = self.calls.setdefault(name, {})
-            nxt = set()
-            for s in ids:
-                outs = cell.get(s)
-                if outs is None:
-                    outs = self.fill(cell, name, s)
-                nxt.update(s2 for s2, out in outs if out == value)
-            ids = nxt
-        return frozenset(self.states[s] for s in ids)
-
 
 def _table_for(spec: SeqSpec, table: Optional[SpecTable]) -> SpecTable:
     if table is None:
@@ -190,12 +173,16 @@ def _operations(h: History) -> tuple[tuple[Event, ...], tuple[Optional[Event], .
 
 @dataclass(frozen=True)
 class Linearization:
-    """A successful witness: the completion used, the sequential witness, and
-    the legal final states its threading allows."""
+    """A successful search: the completion used, its sequential witness, and,
+    for a terminated execution, the first witness whose legal final state is
+    the recorded one (None when no witness reaches it)."""
 
     completion: History
     witness: History
-    final_states: frozenset
+    strict: Optional[History]
+
+
+Trail = list[tuple[int, Value]]
 
 
 def _search(
@@ -205,14 +192,22 @@ def _search(
     ends: Sequence[Optional[Event]],
     preds: Sequence[int],
     target_key: Optional[Any],
-) -> Optional[tuple[list[tuple[int, Value]], int]]:
+) -> Optional[tuple[tuple[Trail, int], Optional[Trail]]]:
     """Core witness search over the operations and predecessor masks of
     :func:`_operations`.
 
-    Returns the trail, the linearized operations in order each with its
-    return, plus the mask of linearized operations; or None.  When
-    ``target_key`` is given, the threaded state at the end must match it
-    under the spec's state key.
+    A node is complete when every completed operation is linearized.
+    Returns None when no node is complete; otherwise the first complete
+    node's trail (the linearized operations in order, each with its return)
+    and mask of linearized operations, plus the trail of the first complete
+    node whose state matches ``target_key`` under the spec's state key
+    (None without a target or a match).
+
+    The first complete node is the one a search without a target finds:
+    until the search reaches it, every node it marks failed has no complete
+    node below it, so searches with and without a target mark the same
+    nodes failed and visit nodes in the same order.  Past it, the search
+    goes on for the target alone.
     """
     if any(e is not None and isinstance(e.label, RetAbort) for e in ends):
         return None
@@ -223,16 +218,20 @@ def _search(
     cells = [table.calls.setdefault(name, {}) for name in names]
     keys = table.keys
     failed: set[int] = set()  # sid << n | done
-    trail: list[tuple[int, Value]] = []
+    trail: Trail = []
+    first: list[tuple[Trail, int]] = []
 
-    def rec(done: int, sid: int) -> Optional[int]:
-        if done & complete == complete and (target_key is None or keys[sid] == target_key):
-            return done
-        # for strict checks keep searching: maybe closing a pending op or
-        # another order reaches the target state
+    def rec(done: int, sid: int) -> bool:
+        if done & complete == complete:
+            if not first:
+                first.append((trail[:], done))
+            if target_key is None or keys[sid] == target_key:
+                return True
+            # keep searching: closing a pending op or another order may
+            # reach the target state
         key = sid << n | done
         if key in failed:
-            return None
+            return False
         todo = ~done
         for i in range(n):
             bit = 1 << i
@@ -246,17 +245,16 @@ def _search(
                 if want is not None and out != want:
                     continue
                 trail.append((i, out))
-                got = rec(done | bit, s2)
-                if got is not None:
-                    return got
+                if rec(done | bit, s2):
+                    return True
                 trail.pop()
         failed.add(key)
-        return None
+        return False
 
-    done = rec(0, table.intern(start))
-    if done is None:
+    hit = rec(0, table.intern(start))
+    if not first:
         return None
-    return trail, done
+    return first[0], trail if hit and target_key is not None else None
 
 
 def _witness(
@@ -282,40 +280,37 @@ def find_linearization(
 
     Pending operations closed along the way take any spec-allowed return at
     their linearization point; the rest are dropped.  Returns the first
-    witness with its legal final-state set, or None.  ``table`` lets several
+    witness, and for a terminated execution the first witness reaching its
+    recorded final state, from one search; or None.  ``table`` lets several
     searches against ``spec`` share one :class:`SpecTable`.
     """
     h = exec.history
     if not is_well_formed(h):
         raise ValueError("history is not well-formed")
-    table = _table_for(spec, table)
     calls, ends, preds = _operations(h)
-    got = _search(table, exec.initial_state, calls, ends, preds, None)
+    target = spec.state_key(exec.final_state) if exec.terminated else None
+    got = _search(_table_for(spec, table), exec.initial_state, calls, ends, preds, target)
     if got is None:
         return None
-    trail, done = got
+    (trail, done), hit = got
     witness, closures = _witness(calls, ends, trail)
-    dropped = {c.op for i, c in enumerate(calls) if not done >> i & 1}
-    completion = History(tuple(e for e in h if e.op not in dropped) + closures)
-    return Linearization(completion, witness, table.finals(exec.initial_state, witness))
+    if any(e is None for e in ends):
+        dropped = {c.op for i, c in enumerate(calls) if not done >> i & 1}
+        h = History(tuple(e for e in h if e.op not in dropped) + closures)
+    # the strict witness is the plain one when the search stopped at its node
+    strict = None if hit is None else witness if hit == trail else _witness(calls, ends, hit)[0]
+    return Linearization(h, witness, strict)
 
 
-def find_strict_linearization(
-    exec: RecordedExecution, spec: SeqSpec, *, table: Optional[SpecTable] = None
-) -> Optional[History]:
+def find_strict_linearization(exec: RecordedExecution, spec: SeqSpec) -> Optional[History]:
     """As :func:`find_linearization` for a terminated execution, additionally
     requiring a legal final state equal to the recorded one."""
     if not exec.terminated:
         raise ValueError("strict linearization requires a terminated execution")
-    h = exec.history
-    if not is_complete(h):
+    if not is_complete(exec.history):
         raise ValueError("terminated execution must have a complete history")
-    calls, ends, preds = _operations(h)
-    got = _search(_table_for(spec, table), exec.initial_state, calls, ends, preds,
-                  spec.state_key(exec.final_state))
-    if got is None:
-        return None
-    return _witness(calls, ends, got[0])[0]
+    lin = find_linearization(exec, spec)
+    return None if lin is None else lin.strict
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,6 @@ class ExecutionVerdict:
     ok: bool
     witness: Optional[History] = None
     completion: Optional[History] = None
-    witness_finals: Optional[frozenset] = None  # legal finals, strict checks
     detail: str = ""
 
 
@@ -370,33 +364,20 @@ def check_strict(
     table = SpecTable(spec)
     entries = []
     for ex in execs:
-        if ex.terminated:
-            w = find_strict_linearization(ex, spec, table=table)
-            if w is None:
-                lin = find_linearization(ex, spec, table=table)
-                detail = (
-                    "no linearization reaches the recorded final state "
-                    f"{spec.render_state(ex.final_state)}"
-                    if lin is not None
-                    else "no linearization exists"
-                )
-                entries.append(ExecutionVerdict(ex, False, detail=detail))
-            else:
-                finals = table.finals(ex.initial_state, w)
-                entries.append(ExecutionVerdict(ex, True, witness=w, witness_finals=finals))
+        lin = find_linearization(ex, spec, table=table)
+        if lin is None:
+            detail = "no linearization exists" if ex.terminated else "no completion linearizes"
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
+        elif not ex.terminated:
+            entries.append(
+                ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
+            )
+        elif lin.strict is None:
+            detail = ("no linearization reaches the recorded final state "
+                      f"{spec.render_state(ex.final_state)}")
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
         else:
-            lin = find_linearization(ex, spec, table=table)
-            if lin is None:
-                entries.append(
-                    ExecutionVerdict(ex, False, detail="no completion linearizes")
-                )
-            else:
-                entries.append(
-                    ExecutionVerdict(
-                        ex, True, witness=lin.witness, completion=lin.completion,
-                        witness_finals=lin.final_states,
-                    )
-                )
+            entries.append(ExecutionVerdict(ex, True, witness=lin.strict))
     entries_t = tuple(entries)
     return CheckReport("strict", all(e.ok for e in entries_t), entries_t)
 
@@ -418,33 +399,29 @@ def _abstracted(
     )
 
 
+def _general_entry(ex: RecordedExecution, lin: Optional[Linearization]) -> ExecutionVerdict:
+    if lin is None:
+        return ExecutionVerdict(ex, False, detail="no abstract linearization")
+    return ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
+
+
 def check_general(
     execs: Iterable[RecordedExecution],
     adt: Adt,
     af: AbstractionFunction,
     rf: RenamingFunction,
-    *,
-    table: Optional[SpecTable] = None,
 ) -> CheckReport:
     """Classical linearizability against an ADT through an abstraction
     function: each execution's completion must linearize to a legal abstract
-    execution from the abstracted initial state; final states unconstrained.
-    ``table`` lets a caller share its table for ``adt`` with this check."""
-    table = _table_for(adt, table)
+    execution from the abstracted initial state; final states unconstrained."""
+    table = SpecTable(adt)
     entries = []
     for ex in execs:
         a = _abstracted(ex, af, rf)
         lin = find_linearization(
             RecordedExecution(a.initial_state, a.history, False), adt, table=table
         )
-        if lin is None:
-            entries.append(
-                ExecutionVerdict(ex, False, detail="no abstract linearization")
-            )
-        else:
-            entries.append(
-                ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
-            )
+        entries.append(_general_entry(ex, lin))
     entries_t = tuple(entries)
     return CheckReport("general", all(e.ok for e in entries_t), entries_t)
 
@@ -467,20 +444,15 @@ def check_concurrent_implementation(
     impl = is_sequential_implementation(model_spec, adt, af, rf, states)
     table = SpecTable(adt)
     entries = []
-    for e in check_general(execs, adt, af, rf, table=table).entries:
-        ex = e.execution
-        if e.ok and ex.terminated:
-            a = _abstracted(ex, af, rf)
-            if find_strict_linearization(a, adt, table=table) is None:
-                e = ExecutionVerdict(
-                    ex,
-                    False,
-                    detail=(
-                        "no abstract linearization reaches the abstracted "
-                        f"final state {adt.render_state(a.final_state)}"
-                    ),
-                )
-        entries.append(e)
+    for ex in execs:
+        a = _abstracted(ex, af, rf)
+        lin = find_linearization(a, adt, table=table)
+        if lin is not None and ex.terminated and lin.strict is None:
+            detail = ("no abstract linearization reaches the abstracted "
+                      f"final state {adt.render_state(a.final_state)}")
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
+        else:
+            entries.append(_general_entry(ex, lin))
     entries_t = tuple(entries)
     passed = impl.ok and all(e.ok for e in entries_t)
     return CheckReport("impl", passed, entries_t, impl=impl)

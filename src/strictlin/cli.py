@@ -100,6 +100,8 @@ def _parse_rename(arg: Optional[str], concrete: tuple[str, ...]) -> specs.Renami
         if "=" not in part:
             raise UsageError(f"bad rename entry {part!r}")
         a, b = part.split("=", 1)
+        if a.strip() in pairs:
+            raise UsageError(f"--rename renames {a.strip()} twice")
         pairs[a.strip()] = b.strip()
     return specs.RenamingFunction.of(pairs)
 
@@ -176,7 +178,17 @@ def _abstraction(args: argparse.Namespace, model) -> Optional[tuple]:
     adt = _resolve_adt(args.adt)
     if not args.af:
         raise UsageError(f"--mode {args.mode} requires --af for model states")
-    return adt, specs.get_af(args.af), _parse_rename(args.rename, model.method_names())
+    rf = _parse_rename(args.rename, model.method_names())
+    if rf.concrete_names() != model.method_names():
+        raise UsageError(f"--rename must name each method of {model.name} once: "
+                         f"{', '.join(model.method_names())}")
+    for a, b in rf.mapping:
+        if b not in adt.methods:
+            raise UsageError(f"--rename maps {a} to {b}, which is not a method of {adt.name}")
+    missing = sorted(set(adt.methods) - {b for _, b in rf.mapping})
+    if args.mode == "impl" and missing:
+        raise UsageError(f"--rename maps no method to {missing[0]} of {adt.name}")
+    return adt, specs.get_af(args.af), rf
 
 
 def _run_checks(
@@ -319,8 +331,9 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
         report = checker.check_strict([rec], spec)
         (entry,) = report.entries
         if entry.ok:
-            finals = sorted(spec.render_state(s) for s in entry.witness_finals)
-            print(f"legal final states of the witness: {finals}")
+            finals = specs.legal_seq_outcomes(spec, rec.initial_state, entry.witness)
+            print(f"legal final states of the witness: "
+                  f"{sorted(spec.render_state(s) for s in finals)}")
         render = spec.render_state
     else:
         if not args.adt:

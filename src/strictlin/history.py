@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .values import Value, parse_value, render_value
+from .values import Value, parse_int, parse_value, render_value
 
 # ---------------------------------------------------------------------------
 # Events
@@ -312,7 +312,7 @@ def _parse_fields(parts: list[str], lineno: int) -> tuple[int, int]:
     if len(parts) < 3 or not parts[0].startswith("t=") or not parts[1].startswith("op="):
         raise HistoryParseError(f"line {lineno}: expected 't=<int> op=<int> ...'")
     try:
-        return int(parts[0][2:]), int(parts[1][3:])
+        return parse_int(parts[0][2:]), parse_int(parts[1][3:])
     except ValueError:
         raise HistoryParseError(f"line {lineno}: bad thread/op id") from None
 

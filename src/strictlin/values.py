@@ -14,6 +14,7 @@ each other.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Union
 
 
@@ -54,6 +55,16 @@ def render_value(v: Value) -> str:
     raise TypeError(f"not a history value: {v!r}")
 
 
+_INT = re.compile(r"0|-?[1-9][0-9]*")  # how render_value writes an integer
+
+
+def parse_int(token: str) -> int:
+    """Inverse of :func:`render_value` on integers; ``ValueError`` otherwise."""
+    if not _INT.fullmatch(token):
+        raise ValueError(f"bad integer: {token!r}")
+    return int(token)
+
+
 def parse_value(token: str) -> Value:
     """Inverse of :func:`render_value`.
 
@@ -66,10 +77,9 @@ def parse_value(token: str) -> Value:
         if sym and "'" not in sym and not sym.isspace():
             return sym
         raise ValueError(f"bad symbol token: {token!r}")
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ValueError(f"bad value token: {token!r}") from None
+    if _INT.fullmatch(token):
+        return int(token)
+    raise ValueError(f"bad value token: {token!r}")
 
 
 def value_key(v: Value) -> tuple:

@@ -112,7 +112,8 @@ def test_criterion_2_recorded_execution_contrast():
             general.passed
             and strict_witness is None
             and lin is not None
-            and lin.final_states == frozenset({FIG3_LEGAL_FINAL})
+            and legal_seq_outcomes(m.seq_spec, rec.initial_state, lin.witness)
+            == frozenset({FIG3_LEGAL_FINAL})
             and rec.final_state == FIG3_FINAL
             and reproductions.fig3().ok  # the execution is explorer-reachable
         )

@@ -36,9 +36,10 @@ def _traced_metrics(workload: str) -> dict:
 
 
 @pytest.mark.parametrize("workload,live,exact", [
-    # the checks run every witness search through the module-level find_*
-    # functions, whose spans the benchmark counts: one per search
-    pytest.param("explore-strict", EXPLORER, {"checker.executions_checked": 651},
+    # the checks run every witness search through the module-level
+    # find_linearization, whose spans the benchmark counts: one
+    # find_linearization per recorded execution
+    pytest.param("explore-strict", EXPLORER, {"checker.executions_checked": 397},
                  id="explore-strict"),
     # each compare query explores both sides once per report: two reports
     pytest.param("explore-compare", EXPLORER + ("explorer.atomic_build_s",),

@@ -57,7 +57,8 @@ QUEUE = queue_adt(("a", "b"))
 def test_empty_history_linearizes_to_empty():
     rec = RecordedExecution((), history([]), True, ())
     lin = find_linearization(rec, QUEUE)
-    assert lin.witness == history([]) and lin.final_states == {()}
+    assert lin.witness == history([]) and lin.strict == history([])
+    assert legal_seq_outcomes(QUEUE, (), lin.witness) == {()}
 
 
 def test_illegal_single_op_has_no_witness():
@@ -71,7 +72,8 @@ def test_fig3_linearization_and_strict_gap():
     rec = RecordedExecution(m.seq_spec.initial_states[0], fig3_history(), True, FIG3_FINAL)
     lin = find_linearization(rec, m.seq_spec)
     assert lin is not None
-    assert lin.final_states == {FIG3_LEGAL_FINAL}
+    assert legal_seq_outcomes(m.seq_spec, rec.initial_state, lin.witness) == {FIG3_LEGAL_FINAL}
+    assert lin.strict is None
     assert find_strict_linearization(rec, m.seq_spec) is None
 
 
@@ -91,7 +93,7 @@ def test_witness_validity_properties():
     lin = find_linearization(rec, m.seq_spec)
     assert is_sequential(lin.witness) and is_complete(lin.witness)
     assert linearizes(lin.completion, lin.witness)
-    assert legal_seq_outcomes(m.seq_spec, rec.initial_state, lin.witness) == lin.final_states
+    assert legal_seq_outcomes(m.seq_spec, rec.initial_state, lin.witness)
 
 
 def test_pending_op_closed_with_spec_allowed_return():
@@ -259,7 +261,8 @@ def test_witness_and_completion_are_pinned(spec, hist, witness, completion, fina
     lin = find_linearization(RecordedExecution(spec.initial_states[0], h, False), spec)
     assert serialize_history(lin.witness) == _text(witness)
     assert serialize_history(lin.completion) == _text(completion)
-    assert sorted(spec.render_state(s) for s in lin.final_states) == finals
+    legal = legal_seq_outcomes(spec, spec.initial_states[0], lin.witness)
+    assert sorted(spec.render_state(s) for s in legal) == finals
 
 
 def test_strict_witness_is_pinned():
@@ -413,7 +416,7 @@ def test_witness_properties_on_random_pending_histories():
         assert is_complete(lin.completion)
         assert is_sequential(lin.witness) and is_complete(lin.witness)
         assert linearizes(lin.completion, lin.witness)
-        assert legal_seq_outcomes(QUEUE, (), lin.witness) == lin.final_states
+        assert legal_seq_outcomes(QUEUE, (), lin.witness)
     assert with_pending > 20
 
 
@@ -499,7 +502,7 @@ def test_concurrent_implementation_check_coarse_vs_queue():
     states = [(4, s) for s in [(), ("a",), ("b", "a")]]
     rep = check_concurrent_implementation(recs, m.seq_spec, QUEUE, af, rf, states)
     assert rep.passed and rep.impl.ok
-    # one entry per execution, though each terminated one is checked twice
+    # one entry per execution
     assert [e.execution for e in rep.entries] == list(recs)
 
 
@@ -540,7 +543,8 @@ def test_hw_bounded_executions_fail_strict_with_contrast_witness():
     for e in rep.failing():
         lin = find_linearization(e.execution, m.seq_spec)
         assert lin is not None  # linearizable in the classical sense
-        assert e.execution.final_state not in lin.final_states
+        finals = legal_seq_outcomes(m.seq_spec, e.execution.initial_state, lin.witness)
+        assert e.execution.final_state not in finals
     assert any(e.execution.history == fig3_history() for e in rep.failing())
 
 
@@ -577,7 +581,7 @@ STRICT_QIDS = ["strict/ms-2x2", "strict/fig2", "impl-pseudo/ms-2x2", "strict/hw-
 
 
 def _fields(e):
-    return (e.ok, e.witness, e.completion, e.witness_finals, e.detail)
+    return (e.ok, e.witness, e.completion, e.detail)
 
 
 def _assert_shared_equals_fresh(check, execs, spec, *args, render):
@@ -585,18 +589,11 @@ def _assert_shared_equals_fresh(check, execs, spec, *args, render):
     with its own fresh table, entry by entry and line by line."""
     whole = check(execs, spec, *args)
     singles = [check([ex], spec, *args) for ex in execs]
-    if whole.mode == "impl":
-        # general entries first, then one final-state entry per terminated run
-        expected = [s.entries[0] for s in singles] + [e for s in singles for e in s.entries[1:]]
-    else:
-        expected = [e for s in singles for e in s.entries]
+    expected = [e for s in singles for e in s.entries]
     assert len(whole.entries) == len(expected)
     for got, want in zip(whole.entries, expected):
         assert got.execution == want.execution
         assert _fields(got) == _fields(want), serialize_history(got.execution.history)
-        if got.witness_finals is not None:
-            start = got.execution.initial_state
-            assert got.witness_finals == legal_seq_outcomes(spec, start, got.witness)
     rebuilt = CheckReport(whole.mode, whole.passed, tuple(expected), whole.impl)
     assert whole.passed == all(s.passed for s in singles)
     assert whole.lines(render) == rebuilt.lines(render)
@@ -674,7 +671,8 @@ def test_shared_table_equals_fresh_tables_on_nondeterministic_adts(spec):
     rep = _assert_shared_equals_fresh(check_strict, recs, spec, render=spec.render_state)
     assert rep.passed
     if spec.name == "silent-bag":
-        assert max(len(e.witness_finals) for e in rep.entries) > 1
+        assert max(len(legal_seq_outcomes(spec, e.execution.initial_state, e.witness))
+                   for e in rep.entries) > 1
     rf = RenamingFunction.identity(("Add", "Remove"))
     af = AbstractionFunction("identity", lambda s: s)
     _assert_shared_equals_fresh(check_concurrent_implementation, recs, spec, spec, af, rf,
@@ -734,9 +732,95 @@ def test_check_strict_applies_each_spec_step_once():
     assert rep == check_strict(recs, m.seq_spec)
 
 
+# ---------------------------------------------------------------------------
+# one search per recorded execution
+# ---------------------------------------------------------------------------
+
+
+def _counting_searches(monkeypatch):
+    calls = []
+    search = checker.find_linearization
+
+    def counted(exec, spec, **kw):
+        calls.append(exec)
+        return search(exec, spec, **kw)
+
+    monkeypatch.setattr(checker, "find_linearization", counted)
+    return calls
+
+
+def test_each_check_searches_once_per_recorded_execution(monkeypatch):
+    m, recs = _hw_recs()
+    adt, af = queue_adt(("c", "d")), models.af_hw_prefix()
+    rf = RenamingFunction.identity(m.method_names())
+    states = list(m.enumerate_states(("a", "b")))
+    checks = {
+        "strict": lambda: check_strict(recs, m.seq_spec),
+        "general": lambda: check_general(recs, adt, af, rf),
+        "impl": lambda: check_concurrent_implementation(recs, m.seq_spec, adt, af, rf, states),
+    }
+    for mode, run in checks.items():
+        calls = _counting_searches(monkeypatch)
+        rep = run()
+        assert len(calls) == len(rep.entries) == len(recs), mode
+        # a strict or impl search carries the final state, a general one not
+        assert [c.terminated for c in calls] == [r.terminated and mode != "general"
+                                                 for r in recs], mode
+    assert not check_strict(recs, m.seq_spec).passed
+
+
+def _assert_one_search_contract(execs, spec):
+    """``find_linearization`` on each execution: its witness and completion
+    are those of the search without a target (the same history marked not
+    terminated), and a strict witness exists exactly when some sequential
+    permutation the history linearizes to has a legal final state with the
+    recorded final key."""
+    key = spec.state_key
+    perms = {}
+    for ex in execs:
+        lin = find_linearization(ex, spec)
+        plain = find_linearization(RecordedExecution(ex.initial_state, ex.history, False), spec)
+        assert (lin is None) == (plain is None)
+        if lin is not None:
+            assert (lin.witness, lin.completion) == (plain.witness, plain.completion)
+        if not ex.terminated:
+            assert lin is None or lin.strict is None
+            continue
+        if ex.history not in perms:
+            perms[ex.history] = brute_force_linearizations(ex.history)
+        want = key(ex.final_state)
+        reach = {p for p in perms[ex.history]
+                 if want in {key(s) for s in legal_seq_outcomes(spec, ex.initial_state, p)}}
+        strict = lin and lin.strict
+        assert (strict is not None) == bool(reach), serialize_history(ex.history)
+        assert strict is None or strict in reach
+
+
+@pytest.mark.parametrize("qid", STRICT_QIDS)
+def test_one_search_matches_oracles_on_benchmark_queries(qid, monkeypatch):
+    recs, check, args, _ = _bench_query(monkeypatch, qid)
+    assert max(len(r.history) for r in recs) <= 8  # at most 4 operations
+    if check is check_strict:
+        _assert_one_search_contract(recs, *args)
+    else:
+        _, adt, af, rf, _ = args
+        _assert_one_search_contract([checker._abstracted(r, af, rf) for r in recs], adt)
+
+
+@given(st.lists(st.lists(_CALLS, min_size=1, max_size=2), min_size=1, max_size=3)
+       .filter(lambda threads: sum(map(len, threads)) <= 4))
+@settings(max_examples=20, deadline=None)
+def test_one_search_matches_oracles_on_generated_programs(threads):
+    p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
+    rf = RenamingFunction.identity(("Dequeue", "Enqueue"))
+    for m, af in [(models.coarse_queue_model(), AbstractionFunction("contents", lambda s: s[-1])),
+                  (models.hw_model(2), models.af_hw_prefix())]:
+        recs = recorded_executions(explorer.explore(p, m))
+        _assert_one_search_contract(recs, m.seq_spec)
+        _assert_one_search_contract([checker._abstracted(r, af, rf) for r in recs], QUEUE)
+
+
 def test_table_of_another_spec_is_refused():
     rec = RecordedExecution((), history([]), True, ())
     with pytest.raises(ValueError):
         find_linearization(rec, QUEUE, table=SpecTable(multiset_adt()))
-    with pytest.raises(ValueError):
-        find_strict_linearization(rec, QUEUE, table=SpecTable(queue_adt()))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from strictlin import explorer, reproductions
+from strictlin import cli, explorer, reproductions, specs
 from strictlin.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
@@ -264,6 +265,51 @@ def test_malformed_history_is_usage_error(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "line 1" in capsys.readouterr().err
+
+
+_MS_IMPL = ["--model", "ms-queue,P=3", "--adt", "adt-multiset", "--af", "af-multiset"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--mode", "impl", "--rename", "Foo=Add,Dequeue=Remove"],
+     "--rename must name each method of ms-queue once: Dequeue, Enqueue"),
+    (["--mode", "impl", "--rename", "Enqueue=Add,Dequeue=Remove,Foo=Bar"],
+     "--rename must name each method of ms-queue once: Dequeue, Enqueue"),
+    (["--mode", "general", "--rename", "Enqueue=Add"],
+     "--rename must name each method of ms-queue once: Dequeue, Enqueue"),
+    (["--mode", "impl", "--rename", "Enqueue=Add,Dequeue=Foo"],
+     "--rename maps Dequeue to Foo, which is not a method of adt-multiset"),
+    (["--mode", "general"],
+     "--rename maps Dequeue to Dequeue, which is not a method of adt-multiset"),
+    (["--mode", "general", "--rename", "Enqueue=Add,Enqueue=Remove"],
+     "--rename renames Enqueue twice"),
+], ids=["unknown-concrete", "extra-concrete", "missing-concrete", "unknown-abstract",
+        "default-identity", "repeated-concrete"])
+def test_bad_renaming_is_rejected_before_exploring(args, message, program_file, capsys):
+    assert main(["explore", "--program", program_file, *_MS_IMPL, *args]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_impl_renaming_must_reach_every_adt_method(program_file, capsys, monkeypatch):
+    queue = specs.queue_adt()
+    wide = dataclasses.replace(queue, name="adt-wide",
+                               methods={**queue.methods, "Peek": queue.methods["Dequeue"]})
+    monkeypatch.setattr(cli, "_resolve_adt", lambda name: wide)
+    argv = ["explore", "--program", program_file, "--model", "ms-queue,P=3",
+            "--adt", "adt-wide", "--af", "af-queue", "--mode"]
+    assert main([*argv, "impl"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --rename maps no method to Peek of adt-wide\n")
+    # general linearizability needs only the methods the model has
+    assert main([*argv, "general"]) == EXIT_OK
+
+
+def test_check_history_rejects_repeated_renaming(tmp_path, capsys):
+    f = tmp_path / "one.txt"
+    f.write_text("t=1 op=1 inv Enqueue 'a'\nt=1 op=1 ret unit\n")
+    argv = ["check-history", "--file", str(f), "--mode", "general", "--adt", "adt-queue",
+            "--rename", "Enqueue=Enqueue,Enqueue=Dequeue"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --rename renames Enqueue twice\n")
 
 
 def test_unknown_model_is_usage_error(program_file, capsys):

@@ -54,6 +54,16 @@ def test_value_round_trip(v):
     assert parse_value(render_value(v)) == v
 
 
+# integer text that ``int`` reads but ``render_value`` never writes
+NON_CANONICAL_INTS = ["1_000", "+5", " 5", "5 ", "\u0663", "05", "-0", "00", "-"]
+
+
+@pytest.mark.parametrize("token", NON_CANONICAL_INTS)
+def test_non_canonical_integer_text_is_rejected(token):
+    with pytest.raises(ValueError):
+        parse_value(token)
+
+
 # ---------------------------------------------------------------------------
 # projections and shape predicates
 # ---------------------------------------------------------------------------
@@ -349,6 +359,15 @@ def test_parse_comments_and_blanks():
 def test_parse_errors_name_line(bad):
     with pytest.raises(HistoryParseError) as exc:
         parse_history(bad)
+    assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", [t for t in NON_CANONICAL_INTS if t.strip() == t])
+@pytest.mark.parametrize("line", ["t={} op=1 inv A unit", "t=1 op={} inv A unit",
+                                  "t=1 op=1 inv A {}"])
+def test_parse_rejects_non_canonical_integers(line, token):
+    with pytest.raises(HistoryParseError) as exc:
+        parse_history(line.format(token))
     assert "line 1" in str(exc.value)
 
 
