@@ -188,7 +188,6 @@ def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=No
     recs = checker.recorded_executions(explorer.explore(parse_program(text), model))
     if mode == "strict":
         report = checker.check_strict(recs, model.seq_spec)
-        render = model.seq_spec.render_state
     else:
         adt = specs.get_spec(adt_name)
         rf = (specs.RenamingFunction.of(rename) if rename
@@ -199,8 +198,7 @@ def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=No
             report = checker.check_concurrent_implementation(
                 recs, model.seq_spec, adt, af, rf,
                 list(model.enumerate_states(("a", "b"))) if states is None else states)
-        render = adt.render_state
-    lines = "\n".join(report.lines(render))
+    lines = "\n".join(report.lines(model.seq_spec.render_state))
     entries = [[e.ok, serialize_history(e.witness) if e.witness else None,
                 serialize_history(e.completion) if e.completion else None, e.detail]
                for e in report.entries]

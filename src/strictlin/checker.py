@@ -44,7 +44,9 @@ history's own invocation events and the response events of its completed
 operations; only a closed pending operation gets a new response, and a
 complete history is its own completion.  An operation closed by an abort
 response has no legal sequential counterpart, so histories containing one
-never linearize.
+never linearize.  Witnesses, completions and the renamed histories of
+abstracted executions are built with ``History._trusted``, without the
+checks of construction: their events come from a history that passed them.
 
 ``brute_force_linearizations`` is the independent oracle: it enumerates raw
 permutations and checks the relation by explicit bijection search.
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .history import (
     Event,
@@ -125,7 +127,9 @@ class SpecTable:
     def fill(self, cell: dict, call: tuple[str, Value], sid: int) -> tuple[tuple[int, Value], ...]:
         """Apply ``call`` at state ``sid`` and store its outcomes in ``cell``,
         the table's map for ``call``."""
-        raw = sorted(apply(self.spec, call[0], self.states[sid], call[1]), key=repr)
+        raw = apply(self.spec, call[0], self.states[sid], call[1])
+        if len(raw) > 1:
+            raw = sorted(raw, key=repr)
         outs = cell[sid] = tuple((self.intern(s2), out) for s2, out in raw)
         return outs
 
@@ -214,6 +218,7 @@ def _search(
     n = len(calls)
     rets = [None if e is None else e.label.value for e in ends]  # type: ignore[union-attr]
     complete = sum(1 << i for i, e in enumerate(ends) if e is not None)
+    all_ops = (1 << n) - 1
     names = [(c.label.method, c.label.arg) for c in calls]  # type: ignore[union-attr]
     cells = [table.calls.setdefault(name, {}) for name in names]
     keys = table.keys
@@ -233,9 +238,12 @@ def _search(
         if key in failed:
             return False
         todo = ~done
-        for i in range(n):
-            bit = 1 << i
-            if not todo & bit or preds[i] & todo:
+        undone = all_ops & todo
+        while undone:
+            bit = undone & -undone  # the lowest undone operation
+            undone ^= bit
+            i = bit.bit_length() - 1
+            if preds[i] & todo:
                 continue
             outs = cells[i].get(sid)
             if outs is None:
@@ -270,7 +278,7 @@ def _witness(
             end = ret_event(call.thread, call.op, out)  # type: ignore[arg-type]
             closures.append(end)
         events += (call, end)
-    return History(tuple(events)), tuple(closures)
+    return History._trusted(tuple(events)), tuple(closures)
 
 
 def find_linearization(
@@ -296,7 +304,7 @@ def find_linearization(
     witness, closures = _witness(calls, ends, trail)
     if any(e is None for e in ends):
         dropped = {c.op for i, c in enumerate(calls) if not done >> i & 1}
-        h = History(tuple(e for e in h if e.op not in dropped) + closures)
+        h = History._trusted(tuple(e for e in h if e.op not in dropped) + closures)
     # the strict witness is the plain one when the search stopped at its node
     strict = None if hit is None else witness if hit == trail else _witness(calls, ends, hit)[0]
     return Linearization(h, witness, strict)
@@ -338,6 +346,9 @@ class CheckReport:
         return tuple(e for e in self.entries if not e.ok)
 
     def lines(self, render_state=repr) -> list[str]:
+        """The report as text.  ``render_state`` renders the state of the
+        sequential-implementation counterexample, a state of the model's
+        spec; the entries' details carry their states already rendered."""
         out = [f"mode={self.mode} verdict={'pass' if self.passed else 'fail'} "
                f"executions={len(self.entries)}"]
         if self.impl is not None and not self.impl.ok:
@@ -385,15 +396,21 @@ def check_strict(
 def _abstracted(
     ex: RecordedExecution, af: AbstractionFunction, rf: RenamingFunction
 ) -> RecordedExecution:
-    ev = []
-    for e in ex.history:
-        if isinstance(e.label, Inv):
-            ev.append(Event(e.thread, Inv(rf.forward(e.label.method), e.label.arg), e.op))
-        else:
-            ev.append(e)
+    """``ex`` with its methods renamed by ``rf`` and its states mapped by
+    ``af``; the history itself when ``rf`` maps each of its methods to
+    itself."""
+    h = ex.history
+    methods = dict.fromkeys(e.label.method for e in h if isinstance(e.label, Inv))
+    names = {m: rf.forward(m) for m in methods}  # type: ignore[union-attr]
+    if any(m != a for m, a in names.items()):
+        h = History._trusted(tuple(
+            Event(e.thread, Inv(names[e.label.method], e.label.arg), e.op)
+            if isinstance(e.label, Inv) else e
+            for e in h
+        ))
     return RecordedExecution(
         af(ex.initial_state),
-        History(tuple(ev)),
+        h,
         ex.terminated,
         af(ex.final_state) if ex.terminated else None,
     )
@@ -471,40 +488,51 @@ def linearizes_by_bijection(h: History, h_seq: History) -> bool:
     Slower than the canonical-correspondence shortcut but independent of it;
     kept as a test oracle.
     """
-    if h.threads() != h_seq.threads():
-        return False
-    for t in h.threads():
-        if project_thread(h, t) != project_thread(h_seq, t):
-            return False
+    return _bijection_check(h)(h_seq)
+
+
+def _bijection_check(h: History) -> Callable[[History], bool]:
+    """``linearizes_by_bijection(h, ·)``, with what depends on ``h`` alone
+    (its threads, their projections, its response-before-invocation pairs)
+    computed once."""
+    threads = h.threads()
+    projections = [project_thread(h, t) for t in threads]
     n = len(h.events)
-    if n != len(h_seq.events):
-        return False
-    slots = [
-        [j for j in range(n) if h_seq.events[j] == h.events[i]] for i in range(n)
+    # positions (a, b) of h whose order a bijection must keep
+    ordered = [
+        (a, b) for a in range(n) for b in range(a + 1, n)
+        if isinstance(h.events[a].label, (Ret, RetAbort)) and isinstance(h.events[b].label, Inv)
     ]
 
-    def assign(i: int, used: set[int], nu: list[int]) -> bool:
-        if i == n:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ea, eb = h.events[a], h.events[b]
-                    if isinstance(ea.label, (Ret, RetAbort)) and isinstance(
-                        eb.label, Inv
-                    ):
-                        if nu[a] > nu[b]:
-                            return False
-            return True
-        for j in slots[i]:
-            if j not in used:
-                nu.append(j)
-                used.add(j)
-                if assign(i + 1, used, nu):
-                    return True
-                used.discard(j)
-                nu.pop()
-        return False
+    def check(h_seq: History) -> bool:
+        if h_seq.threads() != threads:
+            return False
+        for t, p in zip(threads, projections):
+            if p != project_thread(h_seq, t):
+                return False
+        if n != len(h_seq.events):
+            return False
+        at: dict[Event, list[int]] = {}
+        for j, e in enumerate(h_seq.events):
+            at.setdefault(e, []).append(j)
+        slots = [at.get(e, []) for e in h.events]
 
-    return assign(0, set(), [])
+        def assign(i: int, used: set[int], nu: list[int]) -> bool:
+            if i == n:
+                return all(nu[a] < nu[b] for a, b in ordered)
+            for j in slots[i]:
+                if j not in used:
+                    nu.append(j)
+                    used.add(j)
+                    if assign(i + 1, used, nu):
+                        return True
+                    used.discard(j)
+                    nu.pop()
+            return False
+
+        return assign(0, set(), [])
+
+    return check
 
 
 def brute_force_linearizations(h: History) -> frozenset[History]:
@@ -512,13 +540,15 @@ def brute_force_linearizations(h: History) -> frozenset[History]:
     ``h'``, by explicit bijection checking.  Guarded to tiny histories."""
     if not is_complete(h):
         raise ValueError("oracle requires a complete history")
-    calls, ends, _ = _operations(h)
+    calls = {e.op: e for e in h if isinstance(e.label, Inv)}
+    ends = {e.op: e for e in h if not isinstance(e.label, Inv)}
     if len(calls) > MAX_ORACLE_OPS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_OPS} operations")
+    linearizes_to = _bijection_check(h)
     out = set()
-    for perm in itertools.permutations(range(len(calls))):
-        cand = History(tuple(e for i in perm for e in (calls[i], ends[i])))
-        if linearizes_by_bijection(h, cand):
+    for perm in itertools.permutations(calls):
+        cand = History(tuple(e for op in perm for e in (calls[op], ends[op])))
+        if linearizes_to(cand):
             out.add(cand)
     return frozenset(out)
 

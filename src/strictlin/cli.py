@@ -197,7 +197,6 @@ def _run_checks(
     spec = model.seq_spec
     if args.mode == "strict":
         report = checker.check_strict(recs, spec)
-        render = spec.render_state
     else:
         adt, af, rf = abstraction
         if args.mode == "general":
@@ -207,8 +206,7 @@ def _run_checks(
             report = checker.check_concurrent_implementation(
                 recs, spec, adt, af, rf, states
             )
-        render = adt.render_state
-    lines = report.lines(render)
+    lines = report.lines(spec.render_state)
     status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
     why = _incomplete(ex) if report.passed else ""
     if why:

@@ -827,15 +827,18 @@ class _Outcomes:
     a cell ``(event id, tail trace id)`` of a cons table, 0 being the empty
     trace, so traces that share a suffix share its cells.  A leaf id names
     the rest of an outcome, ``(kind, final_client, final_object, cycle,
-    note)``.  Events, cells and leaves are interned by value, so two outcomes
-    are equal exactly when the :class:`ExecutionResult` objects they stand
-    for are.  Configurations are the exploration's ids.
+    note)``.  Events are interned by identity: the exploration holds one
+    :class:`Event` object per distinct event, and ``events`` keeps each
+    alive while its ``id`` keys ``event_ids``.  Cells and leaves are
+    interned by value.  So two outcomes are equal exactly when the
+    :class:`ExecutionResult` objects they stand for are.  Configurations are
+    the exploration's ids.
     """
 
     def __init__(self, ex: Exploration, keep: Callable[[Event], bool]) -> None:
         self.keep = keep
         self.events: list[Event] = []
-        self.event_ids: dict[Event, int] = {}
+        self.event_ids: dict[int, int] = {}  # id of an event -> its index
         self.cells: list[tuple[int, int]] = [(-1, 0)]
         self.cons: dict[tuple[int, int], int] = {}
         self.leaves: list[tuple] = []
@@ -866,9 +869,9 @@ class _Outcomes:
         out = []
         for e in events:
             if self.keep(e):
-                i = self.event_ids.get(e)
+                i = self.event_ids.get(id(e))
                 if i is None:
-                    i = self.event_ids[e] = len(self.events)
+                    i = self.event_ids[id(e)] = len(self.events)
                     self.events.append(e)
                 out.append(i)
         return tuple(out)

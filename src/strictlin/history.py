@@ -14,10 +14,11 @@ Everything here is immutable and purely functional.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .values import Value, parse_int, parse_value, render_value
+from .values import INT_TEXT, VALUE_TEXT, Value, parse_int, parse_value, render_value
 
 # ---------------------------------------------------------------------------
 # Events
@@ -128,17 +129,30 @@ class History:
         invs: set[int] = set()
         rets: set[int] = set()
         for e in self.events:
-            if not e.is_interface:
-                raise HistoryError(f"non-interface event in history: {e}")
-            assert e.op is not None
             if isinstance(e.label, Inv):
                 if e.op in invs:
                     raise HistoryError(f"duplicate invocation for op {e.op}")
-                invs.add(e.op)
-            else:
+                invs.add(e.op)  # type: ignore[arg-type]
+            elif isinstance(e.label, (Ret, RetAbort)):
                 if e.op in rets:
                     raise HistoryError(f"duplicate response for op {e.op}")
-                rets.add(e.op)
+                rets.add(e.op)  # type: ignore[arg-type]
+            else:
+                raise HistoryError(f"non-interface event in history: {e}")
+
+    @classmethod
+    def _trusted(cls, events: tuple[Event, ...]) -> "History":
+        """A history of ``events`` without the checks of construction.
+
+        For histories built from the events of one history that passed them,
+        in any order, with some operations left out, invocations renamed,
+        and at most one new response for each operation pending there.  Each
+        event is an interface event, and each operation id keeps at most one
+        invocation and at most one response, so the checks would pass.
+        """
+        h = object.__new__(cls)
+        object.__setattr__(h, "events", events)
+        return h
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -317,53 +331,85 @@ def _parse_fields(parts: list[str], lineno: int) -> tuple[int, int]:
         raise HistoryParseError(f"line {lineno}: bad thread/op id") from None
 
 
+def _parse_event(line: str, lineno: int, seen_inv: set[int]) -> Event:
+    """One stripped event line, field by field; ``seen_inv`` holds the
+    operations invoked on earlier lines.  Raises the line's
+    :class:`HistoryParseError`, or returns the event of a valid line, the
+    one ``_EVENT_LINE`` reads from it."""
+    parts = line.split()
+    t, op = _parse_fields(parts, lineno)
+    kind = parts[2]
+    if kind == "inv":
+        if len(parts) != 5:
+            raise HistoryParseError(
+                f"line {lineno}: expected 'inv <method> <value>'"
+            )
+        try:
+            arg = parse_value(parts[4])
+        except ValueError as exc:
+            raise HistoryParseError(f"line {lineno}: {exc}") from None
+        return inv(t, op, parts[3], arg)
+    if kind == "ret":
+        if len(parts) != 4:
+            raise HistoryParseError(f"line {lineno}: expected 'ret <value>'")
+        if op not in seen_inv:
+            raise HistoryParseError(
+                f"line {lineno}: response for op {op} with no prior invocation"
+            )
+        try:
+            val = parse_value(parts[3])
+        except ValueError as exc:
+            raise HistoryParseError(f"line {lineno}: {exc}") from None
+        return ret(t, op, val)
+    if kind == "abort":
+        if len(parts) != 3:
+            raise HistoryParseError(f"line {lineno}: expected 'abort'")
+        if op not in seen_inv:
+            raise HistoryParseError(
+                f"line {lineno}: abort for op {op} with no prior invocation"
+            )
+        return ret_abort(t, op)
+    raise HistoryParseError(f"line {lineno}: unknown event kind {kind!r}")
+
+
+# An event line that _parse_event accepts, surrounding whitespace included
+# (``\s`` is ``str.isspace``, what ``strip`` and ``split`` cut at); the
+# groups are the thread, the operation, an invocation's method and argument,
+# and a response's value.  Neither of the last two matches an abort.
+_EVENT_LINE = re.compile(
+    rf"\s*t=({INT_TEXT})\s+op=({INT_TEXT})\s+"
+    rf"(?:inv\s+(\S+)\s+({VALUE_TEXT})|ret\s+({VALUE_TEXT})|abort)\s*"
+)
+
+
 def parse_history(text: str) -> History:
     """Parse the line format; ``#`` starts a comment, blank lines are skipped.
 
     Round-trip law: ``parse_history(serialize_history(h)) == h``.
+
+    Each event line is read with one pattern match.  Comments, blank lines,
+    malformed lines and responses to operations not yet invoked fall through
+    to :func:`_parse_event`, which names the fault.
     """
     events: list[Event] = []
     seen_inv: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _EVENT_LINE.fullmatch(raw)
+        if m is not None:
+            t, op, method, arg, val = m.groups()
+            t, op = int(t), int(op)
+            if method is not None:
+                events.append(Event(t, Inv(method, parse_value(arg)), op))
+                seen_inv.add(op)
+                continue
+            if op in seen_inv:
+                label = RetAbort() if val is None else Ret(parse_value(val))
+                events.append(Event(t, label, op))
+                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        t, op = _parse_fields(parts, lineno)
-        kind = parts[2]
-        if kind == "inv":
-            if len(parts) != 5:
-                raise HistoryParseError(
-                    f"line {lineno}: expected 'inv <method> <value>'"
-                )
-            try:
-                arg = parse_value(parts[4])
-            except ValueError as exc:
-                raise HistoryParseError(f"line {lineno}: {exc}") from None
-            events.append(inv(t, op, parts[3], arg))
-            seen_inv.add(op)
-        elif kind == "ret":
-            if len(parts) != 4:
-                raise HistoryParseError(f"line {lineno}: expected 'ret <value>'")
-            if op not in seen_inv:
-                raise HistoryParseError(
-                    f"line {lineno}: response for op {op} with no prior invocation"
-                )
-            try:
-                val = parse_value(parts[3])
-            except ValueError as exc:
-                raise HistoryParseError(f"line {lineno}: {exc}") from None
-            events.append(ret(t, op, val))
-        elif kind == "abort":
-            if len(parts) != 3:
-                raise HistoryParseError(f"line {lineno}: expected 'abort'")
-            if op not in seen_inv:
-                raise HistoryParseError(
-                    f"line {lineno}: abort for op {op} with no prior invocation"
-                )
-            events.append(ret_abort(t, op))
-        else:
-            raise HistoryParseError(f"line {lineno}: unknown event kind {kind!r}")
+        events.append(_parse_event(line, lineno, seen_inv))
     try:
         return History(tuple(events))
     except HistoryError as exc:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 from . import specs
 from .specs import AbstractionFunction, CellAccess, CellError, SeqSpec
-from .values import EMPTY, NULL, UNIT, Value, render_value, value_key
+from .values import EMPTY, NULL, UNIT, Value, parse_int, render_value, value_key
 
 # ---------------------------------------------------------------------------
 # Step-machine plumbing
@@ -653,12 +653,16 @@ def get_model(name: str, **params: str) -> ObjectModel:
         param, factory = _MODEL_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
+    size = None
     for key, value in params.items():
         if key != param:
             raise ValueError(f"{name} takes parameter {param}, not {key}")
-        if not value.removeprefix("-").isdecimal():
-            raise ValueError(f"{name}: parameter {key} must be an integer, not {value!r}")
-    return factory(int(params[param])) if params else factory()
+        try:
+            size = parse_int(value)
+        except ValueError:
+            raise ValueError(
+                f"{name}: parameter {key} must be an integer, not {value!r}") from None
+    return factory() if size is None else factory(size)
 
 
 def model_names() -> tuple[str, ...]:

@@ -39,7 +39,7 @@ UNIT = Special.UNIT
 #: A symbol is a plain ``str``; an integer a plain ``int``.
 Value = Union[int, str, Special]
 
-_RESERVED_TOKENS = {s.value for s in Special}
+_SPECIALS = {s.value: s for s in Special}
 
 
 def render_value(v: Value) -> str:
@@ -55,7 +55,13 @@ def render_value(v: Value) -> str:
     raise TypeError(f"not a history value: {v!r}")
 
 
-_INT = re.compile(r"0|-?[1-9][0-9]*")  # how render_value writes an integer
+INT_TEXT = r"0|-?[1-9][0-9]*"  # how render_value writes an integer
+_INT = re.compile(INT_TEXT)
+
+#: A token of a whitespace-separated line that :func:`parse_value` accepts,
+#: as a regular expression without groups: a symbol, a reserved constant or
+#: an integer as :func:`render_value` writes them.
+VALUE_TEXT = r"'[^'\s]+'|" + "|".join(_SPECIALS) + "|" + INT_TEXT
 
 
 def parse_int(token: str) -> int:
@@ -70,8 +76,9 @@ def parse_value(token: str) -> Value:
 
     Raises ``ValueError`` on anything that does not round-trip.
     """
-    if token in _RESERVED_TOKENS:
-        return Special(token)
+    special = _SPECIALS.get(token)
+    if special is not None:
+        return special
     if token.startswith("'") and token.endswith("'") and len(token) >= 3:
         sym = token[1:-1]
         if sym and "'" not in sym and not sym.isspace():

@@ -31,6 +31,7 @@ from strictlin.history import (
     inv,
     is_complete,
     is_sequential,
+    is_well_formed,
     linearizes,
     parse_history,
     pending,
@@ -48,7 +49,7 @@ from strictlin.specs import (
     multiset_adt,
     queue_adt,
 )
-from strictlin.values import EMPTY, UNIT
+from strictlin.values import EMPTY, UNIT, value_key
 
 
 QUEUE = queue_adt(("a", "b"))
@@ -769,20 +770,30 @@ def test_each_check_searches_once_per_recorded_execution(monkeypatch):
     assert not check_strict(recs, m.seq_spec).passed
 
 
+def _assert_valid(h):
+    """``h`` passes the checks of the public constructor and is well-formed."""
+    assert History(h.events) == h and is_well_formed(h), serialize_history(h)
+
+
 def _assert_one_search_contract(execs, spec):
     """``find_linearization`` on each execution: its witness and completion
     are those of the search without a target (the same history marked not
     terminated), and a strict witness exists exactly when some sequential
     permutation the history linearizes to has a legal final state with the
-    recorded final key."""
+    recorded final key.  Every history the checker builds unchecked, the
+    (abstracted) execution's own and each search's, is valid."""
     key = spec.state_key
     perms = {}
     for ex in execs:
         lin = find_linearization(ex, spec)
         plain = find_linearization(RecordedExecution(ex.initial_state, ex.history, False), spec)
         assert (lin is None) == (plain is None)
+        _assert_valid(ex.history)
         if lin is not None:
             assert (lin.witness, lin.completion) == (plain.witness, plain.completion)
+            for h in (lin.witness, lin.completion, lin.strict):
+                if h is not None:
+                    _assert_valid(h)
         if not ex.terminated:
             assert lin is None or lin.strict is None
             continue
@@ -818,6 +829,17 @@ def test_one_search_matches_oracles_on_generated_programs(threads):
         recs = recorded_executions(explorer.explore(p, m))
         _assert_one_search_contract(recs, m.seq_spec)
         _assert_one_search_contract([checker._abstracted(r, af, rf) for r in recs], QUEUE)
+    # renamed methods: every history is rebuilt, unchecked, by the abstraction
+    bag = AbstractionFunction("bag", lambda s: tuple(sorted(s[-1], key=value_key)))
+    to_bag = RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
+    for r in recorded_executions(explorer.explore(p, models.coarse_queue_model())):
+        a = checker._abstracted(r, bag, to_bag)
+        _assert_valid(a.history)
+        for ex in (a, RecordedExecution(a.initial_state, a.history, False)):
+            lin = find_linearization(ex, multiset_adt(("a", "b")))
+            for h in () if lin is None else (lin.witness, lin.completion, lin.strict):
+                if h is not None:
+                    _assert_valid(h)
 
 
 def test_table_of_another_spec_is_refused():

@@ -184,6 +184,25 @@ def test_impl_check_reports_each_execution_once(tmp_path, capsys):
     assert len(json.loads(report.read_text())["check"]["executions"]) == 174
 
 
+def test_failed_sequential_implementation_check_renders_model_state(tmp_path, capsys):
+    # the counterexample state is a model state: the ADT cannot render it
+    f = tmp_path / "enq-deq.txt"
+    f.write_text("thread { call Q.Enqueue('a') }\nthread { call y = Q.Dequeue() }\n")
+    assert main(["explore", "--program", str(f), "--model", "ms-queue,P=3", "--mode", "impl",
+                 "--adt", "adt-queue", "--af", "af-pseudo"]) == EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = out[out.index("mode=impl"):].splitlines()
+    assert report[:2] == [
+        "mode=impl verdict=fail executions=10",
+        "  sequential-implementation counterexample: state=head=n0 list=[n0:·] tail=n0 "
+        "method=Dequeue in=unit: concrete outcome (head=n0 list=[n0:·] tail=n0, EMPTY) "
+        "has no abstract match",
+    ]
+    assert report.count("  failing execution:") == 10
+    assert report.count("    no abstract linearization") == 10
+
+
 def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     report = tmp_path / "c.json"
     assert main(["compare", "--program", program_file, "--model", "hw-queue,N=4",
@@ -324,6 +343,7 @@ def test_unknown_model_is_usage_error(program_file, capsys):
     ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
     ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
     ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
+    ("hw-queue,N=\u0662", "hw-queue: parameter N must be an integer, not '\u0662'"),
     ("coarse-queue,C=-1", "queue capacity C must be >= 0"),
 ])
 def test_unknown_model_parameter_is_usage_error(ref, message, program_file, capsys):

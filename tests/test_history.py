@@ -9,6 +9,7 @@ from strictlin.history import (
     History,
     HistoryError,
     HistoryParseError,
+    Inv,
     completions,
     happened_before,
     history,
@@ -24,6 +25,7 @@ from strictlin.history import (
     ret_abort,
     serialize_history,
 )
+from strictlin.history import _EVENT_LINE, _parse_event
 from strictlin.values import EMPTY, NULL, UNIT, parse_value, render_value
 
 
@@ -375,3 +377,84 @@ def test_parse_duplicate_invocation_is_structural_error():
     text = "t=1 op=1 inv A unit\nt=2 op=1 inv A unit\n"
     with pytest.raises(HistoryParseError):
         parse_history(text)
+
+
+def test_parse_accepts_runs_of_spaces_and_tabs():
+    text = ("t=1\top=1  inv\t Enqueue   'c'\n"
+            "  t=2 op=2\tinv Dequeue\t\tunit \n"
+            "\tt=1 op=1 ret\tunit\t\n"
+            "t=2  op=2   abort\n")
+    assert parse_history(text) == history(
+        [inv(1, 1, "Enqueue", "c"), inv(2, 2, "Dequeue", UNIT), ret(1, 1, UNIT),
+         ret_abort(2, 2)])
+
+
+_INVOKED = "t=1 op=1 inv A unit\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t=1 ret unit", "line 1: expected 't=<int> op=<int> ...'"),
+    ("t=1 op=1", "line 1: expected 't=<int> op=<int> ...'"),
+    ("x=1 op=1 inv A unit", "line 1: expected 't=<int> op=<int> ...'"),
+    ("t=x op=1 inv A unit", "line 1: bad thread/op id"),
+    ("t=1 op=05 inv A unit", "line 1: bad thread/op id"),
+    ("t=1 op=1 inv A", "line 1: expected 'inv <method> <value>'"),
+    ("t=1 op=1 inv A unit extra", "line 1: expected 'inv <method> <value>'"),
+    ("t=1 op=1 inv A ''", "line 1: bad value token: \"''\""),
+    ("t=1 op=1 inv A 05", "line 1: bad value token: '05'"),
+    ("t=1 op=1 ret unit", "line 1: response for op 1 with no prior invocation"),
+    (_INVOKED + "t=1 op=1 ret", "line 2: expected 'ret <value>'"),
+    (_INVOKED + "t=1 op=1 ret 'a'b'", "line 2: bad symbol token: \"'a'b'\""),
+    ("t=1 op=1 abort", "line 1: abort for op 1 with no prior invocation"),
+    (_INVOKED + "t=1 op=1 abort now", "line 2: expected 'abort'"),
+    ("t=1 op=1 frob A unit", "line 1: unknown event kind 'frob'"),
+    (_INVOKED + "t=2 op=1 inv A unit", "duplicate invocation for op 1"),
+    (_INVOKED + "t=1 op=1 ret unit\nt=1 op=1 abort", "duplicate response for op 1"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(HistoryParseError) as exc:
+        parse_history(text)
+    assert str(exc.value) == message
+
+
+# candidates for each field of an event line: (valid there, invalid there)
+_THREADS = (["t=1", "t=-3", "t=0"], ["t=05", "t=\u0663", "t=", "x=1", "op=1"])
+_OPS = (["op=1", "op=0", "op=-3"], ["op=+5", "op=1_0", "op=-0", "t=1"])
+_KINDS = (["inv", "ret", "abort"], ["invx", "frob", "Inv"])
+_METHODS = (["A", "Enqueue", "unit", "t=1"], ["#"])
+_VALUES = (["unit", "null", "EMPTY", "'c'", "'\u00e9'", "'#'", "5", "-7", "0"],
+           ["nul", "''", "'a'b'", "'", "-0", "05", "\u0663", "#"])
+
+
+@st.composite
+def _event_lines(draw):
+    def pick(pools):  # from the first pool four times in five
+        return draw(st.sampled_from(pools[draw(st.integers(0, 4)) == 0]))
+
+    kind = pick(_KINDS)
+    rest = {"inv": [pick(_METHODS), pick(_VALUES)], "ret": [pick(_VALUES)]}.get(kind, [])
+    fields = [pick(_THREADS), pick(_OPS), kind, *rest]
+    if draw(st.integers(0, 4)) == 0:  # a field too many or too few
+        if draw(st.booleans()):
+            fields.append(pick(_VALUES))
+        else:
+            fields = fields[:draw(st.integers(1, len(fields) - 1))]
+    space = ([" ", "\t", "  ", " \t"], ["\u00a0", "\u3000", "\x1f"])  # ASCII, other
+    seps = [pick(space) for _ in fields[1:]]
+    lead, trail = (draw(st.sampled_from(["", ""] + space[0] + space[1])) for _ in "ab")
+    return lead + fields[0] + "".join(sep + f for sep, f in zip(seps, fields[1:])) + trail
+
+
+@given(_event_lines())
+@settings(max_examples=500, deadline=None)
+def test_event_line_pattern_agrees_with_field_checks(line):
+    # the pattern that reads each line accepts exactly the lines that the
+    # field-by-field checks accept, and reads the same event from them
+    try:
+        want = _parse_event(line.strip(), 1, {-3, 0, 1})  # every valid op id here
+    except HistoryParseError:
+        want = None
+    assert (_EVENT_LINE.fullmatch(line) is not None) == (want is not None), repr(line)
+    if want is not None:
+        prefix = "" if isinstance(want.label, Inv) else f"t=9 op={want.op} inv A unit\n"
+        assert parse_history(prefix + line)[-1] == want

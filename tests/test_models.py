@@ -303,6 +303,8 @@ def test_model_registry():
     ("coarse-queue,N=2", "coarse-queue takes parameter C, not N"),
     ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
     ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
+    ("hw-queue,N=\u0662", "hw-queue: parameter N must be an integer, not '\u0662'"),
+    ("ms-queue,P=03", "ms-queue: parameter P must be an integer, not '03'"),
     ("coarse-queue,C=-1", "queue capacity C must be >= 0"),
 ])
 def test_model_registry_rejects_unknown_parameters(ref, message):
