@@ -5,11 +5,13 @@ Run from the repository root:
 
     PYTHONPATH=src python scripts/outcome_digest.py > digest.txt
 
-For each (program, model, fine-grained or atomic) exploration it prints the
-configuration, transition and truncation counts, the SCC classification
-(size and divergence kinds of each cyclic component), the final-state
-renderings and divergence kinds, and for each projection the outcome count,
-an order-free sha256 of the outcomes and whether the sets are approximate.
+For each program it prints a sha256 of the syntax tree the parser builds
+(``repr(parse_program(text))``).  For each (program, model, fine-grained
+or atomic) exploration it prints the configuration, transition and
+truncation counts, the SCC classification (size and divergence kinds of
+each cyclic component), the final-state renderings and divergence kinds,
+and for each projection the outcome count, an order-free sha256 of the
+outcomes and whether the sets are approximate.
 Then, for each rung of the benchmark's ``STRICT_QUERIES`` and each row
 that ``check_rows`` adds, it runs the check on the recorded executions and
 prints the verdict, the execution count, a sha256 of the report's lines and
@@ -198,7 +200,7 @@ def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=No
             report = checker.check_concurrent_implementation(
                 recs, model.seq_spec, adt, af, rf,
                 list(model.enumerate_states(("a", "b"))) if states is None else states)
-    lines = "\n".join(report.lines(model.seq_spec.render_state))
+    lines = "\n".join(report.lines())
     entries = [[e.ok, serialize_history(e.witness) if e.witness else None,
                 serialize_history(e.completion) if e.completion else None, e.detail]
                for e in report.entries]
@@ -233,6 +235,7 @@ def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     for label, text, model, bound, projections, start in corpus():
         prog = parse_program(text)
+        print(f"== {label} ast_sha256={_text_sha(repr(prog))}")
         for side in ("fine-grained", "atomic"):
             print(f"== {label} {side}: " + " | ".join(map(str.strip, text.strip().splitlines())))
             signal.setitimer(signal.ITIMER_REAL, CAP_S)

@@ -345,17 +345,16 @@ class CheckReport:
     def failing(self) -> tuple[ExecutionVerdict, ...]:
         return tuple(e for e in self.entries if not e.ok)
 
-    def lines(self, render_state=repr) -> list[str]:
-        """The report as text.  ``render_state`` renders the state of the
-        sequential-implementation counterexample, a state of the model's
-        spec; the entries' details carry their states already rendered."""
+    def lines(self) -> list[str]:
+        """The report as text; the sequential-implementation counterexample
+        and the entries' details carry their states already rendered."""
         out = [f"mode={self.mode} verdict={'pass' if self.passed else 'fail'} "
                f"executions={len(self.entries)}"]
         if self.impl is not None and not self.impl.ok:
             ce = self.impl.counterexample
             out.append(
                 f"  sequential-implementation counterexample: state="
-                f"{render_state(ce.state)} method={ce.method} "
+                f"{ce.state} method={ce.method} "
                 f"in={render_value(ce.inp)}: {ce.detail}"
             )
         for e in self.failing():
@@ -393,24 +392,27 @@ def check_strict(
     return CheckReport("strict", all(e.ok for e in entries_t), entries_t)
 
 
+def _renamed(h: History, rf: RenamingFunction) -> History:
+    """``h`` with its methods renamed by ``rf``; ``h`` itself when ``rf``
+    maps each of its methods to itself."""
+    methods = dict.fromkeys(e.label.method for e in h if isinstance(e.label, Inv))
+    names = {m: rf.forward(m) for m in methods}  # type: ignore[union-attr]
+    if all(m == a for m, a in names.items()):
+        return h
+    return History._trusted(tuple(
+        Event(e.thread, Inv(names[e.label.method], e.label.arg), e.op)
+        if isinstance(e.label, Inv) else e
+        for e in h
+    ))
+
+
 def _abstracted(
     ex: RecordedExecution, af: AbstractionFunction, rf: RenamingFunction
 ) -> RecordedExecution:
-    """``ex`` with its methods renamed by ``rf`` and its states mapped by
-    ``af``; the history itself when ``rf`` maps each of its methods to
-    itself."""
-    h = ex.history
-    methods = dict.fromkeys(e.label.method for e in h if isinstance(e.label, Inv))
-    names = {m: rf.forward(m) for m in methods}  # type: ignore[union-attr]
-    if any(m != a for m, a in names.items()):
-        h = History._trusted(tuple(
-            Event(e.thread, Inv(names[e.label.method], e.label.arg), e.op)
-            if isinstance(e.label, Inv) else e
-            for e in h
-        ))
+    """``ex`` with its methods renamed by ``rf`` and its states mapped by ``af``."""
     return RecordedExecution(
         af(ex.initial_state),
-        h,
+        _renamed(ex.history, rf),
         ex.terminated,
         af(ex.final_state) if ex.terminated else None,
     )
@@ -434,10 +436,9 @@ def check_general(
     table = SpecTable(adt)
     entries = []
     for ex in execs:
-        a = _abstracted(ex, af, rf)
-        lin = find_linearization(
-            RecordedExecution(a.initial_state, a.history, False), adt, table=table
-        )
+        # final states are unconstrained: search as if the execution had not terminated
+        a = RecordedExecution(af(ex.initial_state), _renamed(ex.history, rf), False)
+        lin = find_linearization(a, adt, table=table)
         entries.append(_general_entry(ex, lin))
     entries_t = tuple(entries)
     return CheckReport("general", all(e.ok for e in entries_t), entries_t)

@@ -206,7 +206,7 @@ def _run_checks(
             report = checker.check_concurrent_implementation(
                 recs, spec, adt, af, rf, states
             )
-    lines = report.lines(spec.render_state)
+    lines = report.lines()
     status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
     why = _incomplete(ex) if report.passed else ""
     if why:
@@ -332,7 +332,6 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
             finals = specs.legal_seq_outcomes(spec, rec.initial_state, entry.witness)
             print(f"legal final states of the witness: "
                   f"{sorted(spec.render_state(s) for s in finals)}")
-        render = spec.render_state
     else:
         if not args.adt:
             raise UsageError("--mode general requires --adt")
@@ -341,8 +340,7 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
         rec = checker.RecordedExecution(adt.initial_state, h, False)
         af = specs.AbstractionFunction("identity", lambda s: s)
         report = checker.check_general([rec], adt, af, rf)
-        render = adt.render_state
-    for line in report.lines(render):
+    for line in report.lines():
         print(line)
     for e in report.entries:
         if e.ok and e.witness is not None:

@@ -653,8 +653,7 @@ class Exploration:
 
         ``interface``: client events plus invocations/responses (default);
         ``history``: invocations/responses only; ``client``: client events
-        only.  Internal method-body steps never distinguish outcomes; the
-        naive enumerator retains them for cross-checks.
+        only.  Internal method-body steps never distinguish outcomes.
 
         Outcomes are computed over the SCCs, callees first, as sets of
         ``(trace id, leaf id)`` pairs (see :class:`_Outcomes`): traces are
@@ -815,8 +814,6 @@ def _projector(projection: str) -> Callable[[Event], bool]:
         return lambda e: e.is_interface
     if projection == "client":
         return lambda e: e.is_client
-    if projection == "full":
-        return lambda e: True
     raise ValueError(f"unknown projection {projection!r}")
 
 

@@ -30,15 +30,23 @@ Statements::
 Expressions are literals (``5``, ``'c'``, ``null``, ``EMPTY``, ``unit``),
 client variables, or ``var + int`` / ``var - int``.  Predicates compare two
 expressions with ``==`` or ``!=``.
+
+Lexical rules: a token is a literal, a name, or an operator, and runs of
+whitespace separate tokens.  Integers (literals, offsets, cell indices) are
+read as in history files: ``0``, or ASCII digits with no leading zero after
+an optional ``-``, so ``05`` is an error.  Integer-shaped text keeps its
+sign: ``x -1`` is ``x`` then ``-1``.  A symbol may contain ``#``; anywhere
+else ``#`` starts a comment that runs to the end of the line.  Any other
+character that is not part of a token is an error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
-from .values import Value, parse_value, render_value
+from .values import SPECIALS, Value, parse_int, parse_value, render_value
 
 # ---------------------------------------------------------------------------
 # Syntax trees
@@ -129,18 +137,11 @@ class IfStmt:
 
 
 Stmt = Union[CallStmt, ReadCellStmt, WriteCellStmt, AssignStmt, AtomicStmt, WhileStmt, IfStmt]
-ThreadCode = tuple  # tuple[Stmt, ...]
-Phase = tuple  # tuple[ThreadCode, ...]
 
 
 @dataclass(frozen=True)
 class Program:
-    phases: tuple  # tuple[Phase, ...]
-
-
-def program(*threads: tuple) -> Program:
-    """One-phase program from thread statement tuples."""
-    return Program((tuple(threads),))
+    phases: tuple  # of phases, each a tuple of threads, each a tuple of Stmt
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,15 @@ class ProgramParseError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(
-    r"'[^'\s]+'|-?\d+|[A-Za-z_][A-Za-z_0-9]*|==|!=|<-|[{}()\[\].,;=+\-]"
-)
+# Every character of a program falls in exactly one group, tried in order,
+# so the group that matched is the token's kind and nothing is skipped.
+_TOKEN = re.compile(r"""
+    (?P<lit>'[^'\s]+'|-?[0-9]+)        # symbol, or integer-shaped text
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>==|!=|<-|[{}()\[\].,;=+\-])
+  | (?P<skip>\s+|\#[^\r\n]*)         # whitespace or a comment
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 _KEYWORDS = {"phase", "thread", "call", "read", "write", "set", "atomic",
              "while", "if", "else", "when"}
@@ -162,46 +169,72 @@ _KEYWORDS = {"phase", "thread", "call", "read", "write", "set", "atomic",
 
 class _Tokens:
     def __init__(self, text: str) -> None:
-        self.toks: list[str] = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0]
-            self.toks.extend(_TOKEN_RE.findall(line))
+        self.toks: list[tuple[str, str, int]] = []  # (kind, text, line)
+        self.line = 1
+        for m in _TOKEN.finditer(text):
+            kind, tok = m.lastgroup, m.group()
+            if kind == "skip":
+                self.line += tok.count("\n")
+            elif kind == "bad":
+                self.fail(f"unexpected character {tok!r}")
+            else:
+                self.toks.append((kind, tok, self.line))
         self.i = 0
 
+    def fail(self, msg: str) -> NoReturn:
+        raise ProgramParseError(f"line {self.line}: {msg}")
+
     def peek(self) -> Optional[str]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i][1] if self.i < len(self.toks) else None
+
+    def take(self) -> tuple[str, str]:
+        if self.i == len(self.toks):
+            self.fail("unexpected end of program")
+        kind, tok, self.line = self.toks[self.i]
+        self.i += 1
+        return kind, tok
 
     def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ProgramParseError("unexpected end of program")
-        self.i += 1
-        return tok
+        return self.take()[1]
+
+    def accept(self, tok: str) -> bool:
+        """Consume the next token if it is ``tok``."""
+        if self.peek() != tok:
+            return False
+        self.take()
+        return True
 
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ProgramParseError(f"expected {tok!r}, got {got!r}")
+            self.fail(f"expected {tok!r}, got {got!r}")
 
     def ident(self) -> str:
-        tok = self.next()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok) or tok in _KEYWORDS:
-            raise ProgramParseError(f"expected identifier, got {tok!r}")
+        kind, tok = self.take()
+        if kind != "name" or tok in _KEYWORDS:
+            self.fail(f"expected identifier, got {tok!r}")
         return tok
+
+    def integer(self, what: str) -> int:
+        tok = self.next()
+        try:
+            return parse_int(tok)
+        except ValueError:
+            self.fail(f"expected {what}, got {tok!r}")
 
 
 def _parse_expr(ts: _Tokens) -> Expr:
-    tok = ts.next()
-    if re.fullmatch(r"-?\d+", tok) or tok.startswith("'") or tok in ("null", "EMPTY", "unit"):
-        return Lit(parse_value(tok))
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok) or tok in _KEYWORDS:
-        raise ProgramParseError(f"expected expression, got {tok!r}")
+    kind, tok = ts.take()
+    if kind == "lit" or tok in SPECIALS:
+        try:
+            return Lit(parse_value(tok))
+        except ValueError as exc:  # integer-shaped text that is no integer
+            ts.fail(str(exc))
+    if kind != "name" or tok in _KEYWORDS:
+        ts.fail(f"expected expression, got {tok!r}")
     if ts.peek() in ("+", "-"):
         op = ts.next()
-        k = ts.next()
-        if not re.fullmatch(r"-?\d+", k):
-            raise ProgramParseError(f"expected integer after {op!r}, got {k!r}")
-        return Arith(tok, op, int(k))
+        return Arith(tok, op, ts.integer(f"integer after {op!r}"))
     return Var(tok)
 
 
@@ -209,35 +242,35 @@ def _parse_pred(ts: _Tokens) -> Cmp:
     lhs = _parse_expr(ts)
     op = ts.next()
     if op not in ("==", "!="):
-        raise ProgramParseError(f"expected comparison, got {op!r}")
+        ts.fail(f"expected comparison, got {op!r}")
     return Cmp(lhs, op, _parse_expr(ts))
+
+
+def _parse_assign(ts: _Tokens) -> tuple[str, Expr]:
+    target = ts.ident()
+    ts.expect("=")
+    return target, _parse_expr(ts)
 
 
 def _parse_cell(ts: _Tokens) -> tuple:
     ts.ident()  # object name, single object per program
     ts.expect(".")
     field = ts.ident()
-    if ts.peek() == "[":
-        ts.next()
-        idx = ts.next()
-        if not re.fullmatch(r"-?\d+", idx):
-            raise ProgramParseError(f"expected cell index, got {idx!r}")
-        ts.expect("]")
-        return (field, int(idx))
-    return (field,)
+    if not ts.accept("["):
+        return (field,)
+    idx = ts.integer("cell index")
+    ts.expect("]")
+    return (field, idx)
 
 
 def _parse_stmt(ts: _Tokens) -> Stmt:
     kw = ts.next()
     if kw == "call":
-        first = ts.ident()
-        if ts.peek() == "=":
-            ts.next()
-            target: Optional[str] = first
+        target: Optional[str] = ts.ident()
+        if ts.accept("="):
             ts.ident()  # object name
         else:
-            target = None
-            # `first` was the object name
+            target = None  # it was the object name
         ts.expect(".")
         method = ts.ident()
         ts.expect("(")
@@ -253,52 +286,29 @@ def _parse_stmt(ts: _Tokens) -> Stmt:
         ts.expect("<-")
         return WriteCellStmt(cell, _parse_expr(ts))
     if kw == "set":
-        target = ts.ident()
-        ts.expect("=")
-        return AssignStmt(target, _parse_expr(ts))
+        return AssignStmt(*_parse_assign(ts))
     if kw == "atomic":
-        assigns = []
-        while True:
-            name = ts.ident()
-            ts.expect("=")
-            assigns.append((name, _parse_expr(ts)))
-            if ts.peek() == ",":
-                ts.next()
-                continue
-            break
-        guard = None
-        if ts.peek() == "when":
-            ts.next()
-            guard = _parse_pred(ts)
-        return AtomicStmt(tuple(assigns), guard)
+        assigns = [_parse_assign(ts)]
+        while ts.accept(","):
+            assigns.append(_parse_assign(ts))
+        return AtomicStmt(tuple(assigns), _parse_pred(ts) if ts.accept("when") else None)
     if kw == "while":
         pred = _parse_pred(ts)
         return WhileStmt(pred, _parse_block(ts))
     if kw == "if":
         pred = _parse_pred(ts)
         then = _parse_block(ts)
-        els: tuple = ()
-        if ts.peek() == "else":
-            ts.next()
-            els = _parse_block(ts)
-        return IfStmt(pred, then, els)
-    raise ProgramParseError(f"unknown statement keyword {kw!r}")
+        return IfStmt(pred, then, _parse_block(ts) if ts.accept("else") else ())
+    ts.fail(f"unknown statement keyword {kw!r}")
 
 
 def _parse_block(ts: _Tokens) -> tuple:
     ts.expect("{")
     stmts: list[Stmt] = []
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            raise ProgramParseError("unterminated block")
-        if tok == "}":
-            ts.next()
-            return tuple(stmts)
-        if tok == ";":
-            ts.next()
-            continue
-        stmts.append(_parse_stmt(ts))
+    while not ts.accept("}"):  # at the end of the text, take() fails
+        if not ts.accept(";"):
+            stmts.append(_parse_stmt(ts))
+    return tuple(stmts)
 
 
 def parse_program(text: str) -> Program:
@@ -313,68 +323,18 @@ def parse_program(text: str) -> Program:
                 loose = []
             ts.expect("{")
             threads: list[tuple] = []
-            while ts.peek() != "}":
-                if ts.peek() is None:
-                    raise ProgramParseError("unterminated phase block")
+            while not ts.accept("}"):
                 ts.expect("thread")
                 threads.append(_parse_block(ts))
-            ts.next()
             if not threads:
-                raise ProgramParseError("empty phase")
+                ts.fail("empty phase")
             phases.append(tuple(threads))
         elif kw == "thread":
             loose.append(_parse_block(ts))
         else:
-            raise ProgramParseError(f"expected 'phase' or 'thread', got {kw!r}")
+            ts.fail(f"expected 'phase' or 'thread', got {kw!r}")
     if loose:
         phases.append(tuple(loose))
     if not phases:
         raise ProgramParseError("program has no thread")
     return Program(tuple(phases))
-
-
-# ---------------------------------------------------------------------------
-# Rendering (round-trips through the parser)
-# ---------------------------------------------------------------------------
-
-
-def _render_cell(cell: tuple) -> str:
-    if len(cell) == 1:
-        return f"Q.{cell[0]}"
-    return f"Q.{cell[0]}[{cell[1]}]"
-
-
-def render_stmt(s: Stmt) -> str:
-    if isinstance(s, CallStmt):
-        arg = s.arg.render() if s.arg is not None else ""
-        head = f"call {s.target} = Q." if s.target else "call Q."
-        return f"{head}{s.method}({arg})"
-    if isinstance(s, ReadCellStmt):
-        return f"read {s.target} <- {_render_cell(s.cell)}"
-    if isinstance(s, WriteCellStmt):
-        return f"write {_render_cell(s.cell)} <- {s.expr.render()}"
-    if isinstance(s, AssignStmt):
-        return f"set {s.target} = {s.expr.render()}"
-    if isinstance(s, AtomicStmt):
-        body = ", ".join(f"{n} = {e.render()}" for n, e in s.assigns)
-        return f"atomic {body}" + (f" when {s.guard.render()}" if s.guard else "")
-    if isinstance(s, WhileStmt):
-        inner = " ; ".join(render_stmt(x) for x in s.body)
-        return f"while {s.pred.render()} {{ {inner} }}"
-    if isinstance(s, IfStmt):
-        inner = " ; ".join(render_stmt(x) for x in s.then)
-        out = f"if {s.pred.render()} {{ {inner} }}"
-        if s.els:
-            out += " else { " + " ; ".join(render_stmt(x) for x in s.els) + " }"
-        return out
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def render_program(p: Program) -> str:
-    lines: list[str] = []
-    for phase in p.phases:
-        lines.append("phase {")
-        for thread in phase:
-            lines.append("  thread { " + " ; ".join(render_stmt(s) for s in thread) + " }")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -122,10 +122,10 @@ FIG3_LEGAL_FINAL = models.HWQueueState(3, (NULL, "c", NULL, NULL))
 # ---------------------------------------------------------------------------
 
 
-def fig2(bound: int = explorer.DEFAULT_BOUND) -> Report:
+def fig2() -> Report:
     m = models.hw_model(4)
-    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m, bound=bound)
-    ex_a = explorer.run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec, bound=bound)
+    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
+    ex_a = explorer.run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
     fs, fs_a = explorer.final_states(ex), explorer.final_states(ex_a)
     n, n_a = len(fs.object_keys()), len(fs_a.object_keys())
     subset = fs_a.object_keys() <= fs.object_keys()
@@ -140,9 +140,9 @@ def fig2(bound: int = explorer.DEFAULT_BOUND) -> Report:
     return Report("fig2", ok, tuple(lines))
 
 
-def _find_fig3_execution(bound: int) -> Optional[checker.RecordedExecution]:
+def _find_fig3_execution() -> Optional[checker.RecordedExecution]:
     m = models.hw_model(4)
-    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m, bound=bound)
+    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
     want = fig3_history()
     for rec in checker.recorded_executions(ex):
         if rec.terminated and rec.history == want and rec.final_state == FIG3_FINAL:
@@ -150,9 +150,9 @@ def _find_fig3_execution(bound: int) -> Optional[checker.RecordedExecution]:
     return None
 
 
-def fig3(bound: int = explorer.DEFAULT_BOUND) -> Report:
+def fig3() -> Report:
     m = models.hw_model(4)
-    rec = _find_fig3_execution(bound)
+    rec = _find_fig3_execution()
     lines = []
     if rec is None:
         return Report("fig3", False, ("recorded execution not reachable",))
@@ -184,9 +184,9 @@ def fig3(bound: int = explorer.DEFAULT_BOUND) -> Report:
     return Report("fig3", ok, tuple(lines))
 
 
-def sec52_divergence(bound: int = explorer.DEFAULT_BOUND) -> Report:
+def sec52_divergence() -> Report:
     m = models.hw_model(4)
-    rep = explorer.compare_divergence(THREE_PHASE_DIVERGENCE, m, bound=bound)
+    rep = explorer.compare_divergence(THREE_PHASE_DIVERGENCE, m)
     ok = rep.model_diverges and not rep.atomic_diverges
     lines = [
         "P(fine-grained): "
@@ -197,10 +197,10 @@ def sec52_divergence(bound: int = explorer.DEFAULT_BOUND) -> Report:
     return Report("sec52-divergence", ok, tuple(lines))
 
 
-def sec62_observation(bound: int = explorer.DEFAULT_BOUND) -> Report:
+def sec62_observation() -> Report:
     m = models.hw_model(4)
-    ex = explorer.explore(ENQUEUE_VS_DEQUEUE, m, bound=bound)
-    ex_a = explorer.run_atomic(ENQUEUE_VS_DEQUEUE, specs.queue_adt(("c",)), bound=bound)
+    ex = explorer.explore(ENQUEUE_VS_DEQUEUE, m)
+    ex_a = explorer.run_atomic(ENQUEUE_VS_DEQUEUE, specs.queue_adt(("c",)))
     ys = {dict(c.client).get("y") for c in ex.terminal_done}
     ys_a = {dict(c.client).get("y") for c in ex_a.terminal_done}
     ok = ys == {"c"} and ys_a == {"c", EMPTY} and ys != ys_a
@@ -213,9 +213,9 @@ def sec62_observation(bound: int = explorer.DEFAULT_BOUND) -> Report:
     return Report("sec62-observation", ok, tuple(lines))
 
 
-def proph_msqueue_strict(bound: int = explorer.DEFAULT_BOUND) -> Report:
+def proph_msqueue_strict() -> Report:
     m = models.ms_model(4)
-    ex = explorer.explore(MS_TWO_BY_TWO, m, bound=bound)
+    ex = explorer.explore(MS_TWO_BY_TWO, m)
     recs = checker.recorded_executions(ex)
     lines = [f"bounded executions: {len(recs)} distinct (history, final) records"]
 

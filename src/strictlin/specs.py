@@ -215,7 +215,7 @@ def injectivity_scan(
 
 @dataclass(frozen=True)
 class ImplCounterexample:
-    state: State
+    state: str  # the concrete state, as the model spec's render_state writes it
     method: str  # abstract method name
     inp: Value
     detail: str
@@ -269,7 +269,7 @@ def is_sequential_implementation(
                             False,
                             n,
                             ImplCounterexample(
-                                sz,
+                                model_spec.render_state(sz),
                                 aop,
                                 inp,
                                 f"concrete outcome ({model_spec.render_state(sz2)}, "
@@ -301,7 +301,8 @@ def check_domain_lifting(
                         False,
                         n,
                         ImplCounterexample(
-                            sz, aop, inp, "concrete method defined where abstract blocks"
+                            model_spec.render_state(sz), aop, inp,
+                            "concrete method defined where abstract blocks"
                         ),
                     )
     return ImplVerdict(True, n)

@@ -39,7 +39,8 @@ UNIT = Special.UNIT
 #: A symbol is a plain ``str``; an integer a plain ``int``.
 Value = Union[int, str, Special]
 
-_SPECIALS = {s.value: s for s in Special}
+#: The reserved constants by the text that names them.
+SPECIALS = {s.value: s for s in Special}
 
 
 def render_value(v: Value) -> str:
@@ -61,7 +62,7 @@ _INT = re.compile(INT_TEXT)
 #: A token of a whitespace-separated line that :func:`parse_value` accepts,
 #: as a regular expression without groups: a symbol, a reserved constant or
 #: an integer as :func:`render_value` writes them.
-VALUE_TEXT = r"'[^'\s]+'|" + "|".join(_SPECIALS) + "|" + INT_TEXT
+VALUE_TEXT = r"'[^'\s]+'|" + "|".join(SPECIALS) + "|" + INT_TEXT
 
 
 def parse_int(token: str) -> int:
@@ -76,7 +77,7 @@ def parse_value(token: str) -> Value:
 
     Raises ``ValueError`` on anything that does not round-trip.
     """
-    special = _SPECIALS.get(token)
+    special = SPECIALS.get(token)
     if special is not None:
         return special
     if token.startswith("'") and token.endswith("'") and len(token) >= 3:

@@ -32,7 +32,8 @@ def enumerate_executions_naive(
     init_client: Sequence[tuple[str, Value]] = (),
     init_obj: Any = None,
     max_steps: int = 10_000,
-    projection: str = "full",
+    *,
+    projection: str,
 ) -> frozenset[ExecutionResult]:
     """Schedule-by-schedule enumeration without configuration hashing.
 

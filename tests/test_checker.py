@@ -480,7 +480,7 @@ def test_check_reports_are_deterministic():
     a = check_strict(recs, m.seq_spec)
     b = check_strict(recs, m.seq_spec)
     assert a == b
-    assert a.lines(m.seq_spec.render_state) == b.lines(m.seq_spec.render_state)
+    assert a.lines() == b.lines()
 
 
 def test_recorded_executions_canonicalize_ms_node_names():
@@ -585,7 +585,7 @@ def _fields(e):
     return (e.ok, e.witness, e.completion, e.detail)
 
 
-def _assert_shared_equals_fresh(check, execs, spec, *args, render):
+def _assert_shared_equals_fresh(check, execs, spec, *args):
     """One ``check`` call over ``execs`` equals one call per execution, each
     with its own fresh table, entry by entry and line by line."""
     whole = check(execs, spec, *args)
@@ -597,7 +597,7 @@ def _assert_shared_equals_fresh(check, execs, spec, *args, render):
         assert _fields(got) == _fields(want), serialize_history(got.execution.history)
     rebuilt = CheckReport(whole.mode, whole.passed, tuple(expected), whole.impl)
     assert whole.passed == all(s.passed for s in singles)
-    assert whole.lines(render) == rebuilt.lines(render)
+    assert whole.lines() == rebuilt.lines()
     return whole
 
 
@@ -610,22 +610,22 @@ def _bench_query(monkeypatch, qid):
     recs = recorded_executions(
         explorer.explore(parse_program(workloads.PROGRAMS[prog_name]), model))
     if mode == "strict":
-        return recs, check_strict, (model.seq_spec,), model.seq_spec.render_state
+        return recs, check_strict, (model.seq_spec,)
     adt = specs.get_spec(adt_name)
     rf = (RenamingFunction.of(rename) if rename
           else RenamingFunction.identity(model.method_names()))
     states = list(model.enumerate_states(("a", "b")))
     args = (model.seq_spec, adt, specs.get_af(af_name), rf, states)
-    return recs, check_concurrent_implementation, args, adt.render_state
+    return recs, check_concurrent_implementation, args
 
 
 @pytest.mark.parametrize("qid", STRICT_QIDS)
 def test_shared_table_equals_fresh_tables_on_benchmark_queries(qid, monkeypatch):
-    recs, check, args, render = _bench_query(monkeypatch, qid)
-    whole = _assert_shared_equals_fresh(check, recs, *args, render=render)
+    recs, check, args = _bench_query(monkeypatch, qid)
+    whole = _assert_shared_equals_fresh(check, recs, *args)
     assert whole.passed == (qid != "strict/fig2")
     # the same executions in reverse order fill the table in another order
-    backward = _assert_shared_equals_fresh(check, recs[::-1], *args, render=render)
+    backward = _assert_shared_equals_fresh(check, recs[::-1], *args)
     if check is check_strict:
         assert backward.entries == whole.entries[::-1]
 
@@ -640,10 +640,9 @@ def test_shared_table_equals_fresh_tables_on_ms_state_keys():
     recs = recorded_executions(explorer.explore(p, m))
     key = m.seq_spec.state_key
     assert any(key(r.final_state) != r.final_state for r in recs if r.terminated)
-    _assert_shared_equals_fresh(check_strict, recs, m.seq_spec, render=m.seq_spec.render_state)
+    _assert_shared_equals_fresh(check_strict, recs, m.seq_spec)
     rf = RenamingFunction.identity(m.method_names())
-    _assert_shared_equals_fresh(check_general, recs, QUEUE, models.af_queue(), rf,
-                                render=QUEUE.render_state)
+    _assert_shared_equals_fresh(check_general, recs, QUEUE, models.af_queue(), rf)
 
 
 def _silent_bag() -> Adt:
@@ -669,7 +668,7 @@ def test_shared_table_equals_fresh_tables_on_nondeterministic_adts(spec):
         "thread { call z = Q.Remove() }"
     )
     recs = recorded_executions(explorer.run_atomic(p, spec))
-    rep = _assert_shared_equals_fresh(check_strict, recs, spec, render=spec.render_state)
+    rep = _assert_shared_equals_fresh(check_strict, recs, spec)
     assert rep.passed
     if spec.name == "silent-bag":
         assert max(len(legal_seq_outcomes(spec, e.execution.initial_state, e.witness))
@@ -677,7 +676,7 @@ def test_shared_table_equals_fresh_tables_on_nondeterministic_adts(spec):
     rf = RenamingFunction.identity(("Add", "Remove"))
     af = AbstractionFunction("identity", lambda s: s)
     _assert_shared_equals_fresh(check_concurrent_implementation, recs, spec, spec, af, rf,
-                                [(), ("a",), ("a", "b")], render=spec.render_state)
+                                [(), ("a",), ("a", "b")])
 
 
 _CALLS = st.sampled_from([
@@ -704,10 +703,10 @@ def test_shared_table_equals_fresh_tables_on_generated_programs(threads):
     for m, af, states in sides:
         recs = recorded_executions(explorer.explore(p, m))
         spec = m.seq_spec
-        _assert_shared_equals_fresh(check_strict, recs, spec, render=spec.render_state)
+        _assert_shared_equals_fresh(check_strict, recs, spec)
         rf = RenamingFunction.identity(m.method_names())
         _assert_shared_equals_fresh(check_concurrent_implementation, recs, spec, QUEUE,
-                                    af, rf, states, render=QUEUE.render_state)
+                                    af, rf, states)
 
 
 def test_check_strict_applies_each_spec_step_once():
@@ -809,7 +808,7 @@ def _assert_one_search_contract(execs, spec):
 
 @pytest.mark.parametrize("qid", STRICT_QIDS)
 def test_one_search_matches_oracles_on_benchmark_queries(qid, monkeypatch):
-    recs, check, args, _ = _bench_query(monkeypatch, qid)
+    recs, check, args = _bench_query(monkeypatch, qid)
     assert max(len(r.history) for r in recs) <= 8  # at most 4 operations
     if check is check_strict:
         _assert_one_search_contract(recs, *args)

@@ -371,6 +371,14 @@ def test_program_without_thread_is_usage_error(command, text, tmp_path, capsys):
     assert capsys.readouterr().err == "error: program has no thread\n"
 
 
+@pytest.mark.parametrize("command", ["explore", "compare"])
+def test_stray_program_character_is_usage_error(command, tmp_path, capsys):
+    f = tmp_path / "stray.txt"
+    f.write_text("thread { set x = 1 }\nthread { set y = 2 ! }\n")
+    assert main([command, "--program", str(f), "--model", "coarse-queue"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: line 2: unexpected character '!'\n")
+
+
 def test_explore_takes_no_spec(program_file, capsys):
     # strict and impl checks use the model's own sequential spec
     argv = ["explore", "--program", program_file, "--model", "ms-queue", "--mode", "strict",

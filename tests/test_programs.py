@@ -1,19 +1,22 @@
-"""Program parsing and rendering."""
+"""Program parsing."""
 
 import pytest
 
+from strictlin import explorer, models
 from strictlin.programs import (
     AssignStmt,
     AtomicStmt,
     CallStmt,
+    Cmp,
     IfStmt,
     Lit,
+    Program,
     ProgramParseError,
     ReadCellStmt,
+    Var,
     WhileStmt,
     WriteCellStmt,
     parse_program,
-    render_program,
 )
 
 def test_call_with_and_without_target():
@@ -67,7 +70,7 @@ def test_comments_and_semicolons():
     assert len(p.phases[0][0]) == 2
 
 
-def test_render_round_trip():
+def test_phases_threads_and_statements_parse_to_their_trees():
     text = """
     phase {
       thread { call Q.Enqueue('c') ; call y = Q.Dequeue() }
@@ -77,8 +80,41 @@ def test_render_round_trip():
       thread { while y != 'c' { set y = 'c' } ; if y == 'c' { set ok = 1 } }
     }
     """
-    p = parse_program(text)
-    assert parse_program(render_program(p)) == p
+    assert parse_program(text) == Program((
+        (
+            (CallStmt(None, "Enqueue", Lit("c")), CallStmt("y", "Dequeue", None)),
+            (ReadCellStmt("x", ("items", 2)), WriteCellStmt(("items", 1), Lit("x"))),
+        ),
+        (
+            (
+                WhileStmt(Cmp(Var("y"), "!=", Lit("c")), (AssignStmt("y", Lit("c")),)),
+                IfStmt(Cmp(Var("y"), "==", Lit("c")), (AssignStmt("ok", Lit(1)),), ()),
+            ),
+        ),
+    ))
+
+
+def test_symbol_may_hold_a_hash():
+    p = parse_program("thread { set x = 'a#b' # a comment\n}")
+    assert p == Program((((AssignStmt("x", Lit("a#b")),),),))
+    (line,) = explorer.final_states(explorer.explore(p, models.coarse_queue_model())).renderings
+    assert line.startswith("client: x='a#b' |")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("thread { set x = y + \u0663 }", "line 1: unexpected character '\u0663'"),
+        ("thread { write Q.items[\u0661] <- 'q' }", "line 1: unexpected character '\u0661'"),
+        ("thread { set y = x + 05 }", "line 1: expected integer after '+', got '05'"),
+        ("thread {\n set x = 1 $ ; set y = 2 ! }", "line 2: unexpected character '$'"),
+        ("thread { set x = 'abc }", "line 1: unexpected character \"'\""),
+    ],
+)
+def test_misread_programs_are_rejected(bad, message):
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(bad)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
