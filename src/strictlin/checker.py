@@ -1,16 +1,27 @@
 """Linearizability checking of recorded executions.
 
-Three checks, all bounded to the execution set supplied:
+Strict linearizability and linearizability through an abstraction are one
+criterion in three settings, and one loop, :func:`_check`, runs all three
+checks, bounded to the execution set supplied:
 
 * ``check_strict``: every execution linearizes against the object's own
-  sequential specification, and terminated executions additionally reach a
-  legal sequential final state equal to the recorded one.
+  sequential specification, and a terminated one onto a legal sequential
+  final state equal to the recorded one.
 * ``check_general``: every execution, with methods renamed and states
   abstracted, linearizes against an ADT from the abstracted initial state;
   final states are unconstrained.
 * ``check_concurrent_implementation``: the sequential-implementation check
-  over sampled states, plus general linearizability, plus agreement of the
-  abstracted final state with a legal abstract execution.
+  over sampled states, and every execution, abstracted as in
+  ``check_general``, linearizing against the ADT, a terminated one onto its
+  abstracted final state.
+
+The loop runs one search, :func:`find_linearization`, per execution.  For
+an execution checked onto its final state the search carries that state's
+key as a target, and one depth-first walk returns both the first witness
+and the first witness reaching that state.  One witness rule holds in
+every mode: an entry checked onto its final state carries the witness that
+reaches it and no completion; every other passing entry carries the first
+witness and its completion.
 
 The witness search (Wing & Gong style) is depth-first over (next operation
 to linearize) among operations minimal in happened-before order, threading
@@ -19,12 +30,9 @@ may be closed with any spec-allowed return or dropped.  It runs on integers:
 one walk over the history numbers the operations by ascending op id and
 gives each a predecessor bitmask, the operations whose response precedes
 its invocation.  The set of linearized operations is a bitmask ``done``, and
-operation ``i`` may come next when ``preds[i] & ~done == 0``.
-
-Each check runs one search, :func:`find_linearization`, per execution.  For
-a terminated execution in strict and impl checks it targets the recorded
-(or abstracted) final state, and one depth-first walk returns both the
-first witness and the first witness reaching that state.
+operation ``i`` may come next when ``preds[i] & ~done == 0``.  The walk
+keeps its open nodes on an explicit stack, so a history may hold more
+operations than Python's recursion limit.
 
 Each call of ``check_strict``, ``check_general`` and
 ``check_concurrent_implementation`` builds one :class:`SpecTable` for its
@@ -56,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .history import (
     Event,
@@ -226,17 +234,10 @@ def _search(
     trail: Trail = []
     first: list[tuple[Trail, int]] = []
 
-    def rec(done: int, sid: int) -> bool:
-        if done & complete == complete:
-            if not first:
-                first.append((trail[:], done))
-            if target_key is None or keys[sid] == target_key:
-                return True
-            # keep searching: closing a pending op or another order may
-            # reach the target state
-        key = sid << n | done
-        if key in failed:
-            return False
+    def moves(done: int, sid: int) -> Iterator[tuple[int, int, int, Value]]:
+        """The moves out of node (``done``, ``sid``) in search order: each
+        operation that may come next, lowest first, with each of its
+        outcomes that agrees with its recorded return."""
         todo = ~done
         undone = all_ops & todo
         while undone:
@@ -250,16 +251,42 @@ def _search(
                 outs = table.fill(cells[i], names[i], sid)
             want = rets[i]
             for s2, out in outs:
-                if want is not None and out != want:
-                    continue
-                trail.append((i, out))
-                if rec(done | bit, s2):
-                    return True
-                trail.pop()
-        failed.add(key)
-        return False
+                if want is None or out == want:
+                    yield i, done | bit, s2, out
 
-    hit = rec(0, table.intern(start))
+    def walk(done: int, sid: int) -> bool:
+        """Depth first from the root (``done``, ``sid``) until a node hits
+        the target; ``stack`` holds the open nodes, and ``trail[k]`` is the
+        move from ``stack[k]`` to the node after it."""
+        stack: list[tuple[int, Iterator]] = []
+        while True:
+            if done & complete == complete:
+                if not first:
+                    first.append((trail[:], done))
+                if target_key is None or keys[sid] == target_key:
+                    return True
+                # keep searching: closing a pending op or another order may
+                # reach the target state
+            key = sid << n | done
+            if key in failed:
+                trail.pop()  # the root is never failed
+            else:
+                stack.append((key, moves(done, sid)))
+            while True:
+                if not stack:
+                    return False
+                key, it = stack[-1]
+                move = next(it, None)
+                if move is not None:
+                    break
+                failed.add(key)
+                stack.pop()
+                if stack:
+                    trail.pop()
+            i, done, sid, out = move
+            trail.append((i, out))
+
+    hit = walk(0, table.intern(start))
     if not first:
         return None
     return first[0], trail if hit and target_key is not None else None
@@ -366,32 +393,6 @@ class CheckReport:
         return out
 
 
-def check_strict(
-    execs: Iterable[RecordedExecution], spec: SeqSpec
-) -> CheckReport:
-    """Strict linearizability over the supplied executions: incomplete ones
-    must linearize, terminated ones must linearize onto their final state."""
-    table = SpecTable(spec)
-    entries = []
-    for ex in execs:
-        lin = find_linearization(ex, spec, table=table)
-        if lin is None:
-            detail = "no linearization exists" if ex.terminated else "no completion linearizes"
-            entries.append(ExecutionVerdict(ex, False, detail=detail))
-        elif not ex.terminated:
-            entries.append(
-                ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
-            )
-        elif lin.strict is None:
-            detail = ("no linearization reaches the recorded final state "
-                      f"{spec.render_state(ex.final_state)}")
-            entries.append(ExecutionVerdict(ex, False, detail=detail))
-        else:
-            entries.append(ExecutionVerdict(ex, True, witness=lin.strict))
-    entries_t = tuple(entries)
-    return CheckReport("strict", all(e.ok for e in entries_t), entries_t)
-
-
 def _renamed(h: History, rf: RenamingFunction) -> History:
     """``h`` with its methods renamed by ``rf``; ``h`` itself when ``rf``
     maps each of its methods to itself."""
@@ -406,22 +407,63 @@ def _renamed(h: History, rf: RenamingFunction) -> History:
     ))
 
 
-def _abstracted(
-    ex: RecordedExecution, af: AbstractionFunction, rf: RenamingFunction
-) -> RecordedExecution:
-    """``ex`` with its methods renamed by ``rf`` and its states mapped by ``af``."""
-    return RecordedExecution(
-        af(ex.initial_state),
-        _renamed(ex.history, rf),
-        ex.terminated,
-        af(ex.final_state) if ex.terminated else None,
-    )
+def _check(
+    mode: str,
+    execs: Iterable[RecordedExecution],
+    spec: SeqSpec,
+    abstraction: Optional[tuple[AbstractionFunction, RenamingFunction]] = None,
+    finals: bool = True,
+    impl: Optional[ImplVerdict] = None,
+) -> CheckReport:
+    """The check of every mode: one search per execution against ``spec``.
+
+    With an ``abstraction`` each execution is searched with its states
+    mapped by the abstraction function and its methods renamed; without one
+    it is searched as recorded.  With ``finals`` a terminated execution must
+    also linearize onto its (abstracted) final state.  An entry checked onto
+    its final state carries the witness that reaches it and no completion;
+    every other passing entry carries the first witness and its completion.
+    ``impl``, the sequential-implementation verdict, must hold too."""
+    if abstraction is None:
+        missed = "no linearization reaches the recorded final state"
+    else:
+        af, rf = abstraction
+        missed = "no abstract linearization reaches the abstracted final state"
+    table = SpecTable(spec)
+    entries = []
+    for ex in execs:
+        onto_final = finals and ex.terminated
+        a = ex if abstraction is None else RecordedExecution(
+            af(ex.initial_state),
+            _renamed(ex.history, rf),
+            onto_final,
+            af(ex.final_state) if onto_final else None,
+        )
+        lin = find_linearization(a, spec, table=table)
+        if lin is None:
+            detail = ("no abstract linearization" if abstraction
+                      else "no linearization exists" if ex.terminated
+                      else "no completion linearizes")
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
+        elif not onto_final:
+            entries.append(
+                ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
+            )
+        elif lin.strict is None:
+            detail = f"{missed} {spec.render_state(a.final_state)}"
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
+        else:
+            entries.append(ExecutionVerdict(ex, True, witness=lin.strict))
+    passed = all(e.ok for e in entries) and (impl is None or impl.ok)
+    return CheckReport(mode, passed, tuple(entries), impl=impl)
 
 
-def _general_entry(ex: RecordedExecution, lin: Optional[Linearization]) -> ExecutionVerdict:
-    if lin is None:
-        return ExecutionVerdict(ex, False, detail="no abstract linearization")
-    return ExecutionVerdict(ex, True, witness=lin.witness, completion=lin.completion)
+def check_strict(
+    execs: Iterable[RecordedExecution], spec: SeqSpec
+) -> CheckReport:
+    """Strict linearizability over the supplied executions: incomplete ones
+    must linearize, terminated ones must linearize onto their final state."""
+    return _check("strict", execs, spec)
 
 
 def check_general(
@@ -433,15 +475,7 @@ def check_general(
     """Classical linearizability against an ADT through an abstraction
     function: each execution's completion must linearize to a legal abstract
     execution from the abstracted initial state; final states unconstrained."""
-    table = SpecTable(adt)
-    entries = []
-    for ex in execs:
-        # final states are unconstrained: search as if the execution had not terminated
-        a = RecordedExecution(af(ex.initial_state), _renamed(ex.history, rf), False)
-        lin = find_linearization(a, adt, table=table)
-        entries.append(_general_entry(ex, lin))
-    entries_t = tuple(entries)
-    return CheckReport("general", all(e.ok for e in entries_t), entries_t)
+    return _check("general", execs, adt, (af, rf), finals=False)
 
 
 def check_concurrent_implementation(
@@ -453,27 +487,11 @@ def check_concurrent_implementation(
     states: Iterable[Any],
 ) -> CheckReport:
     """Concurrent implementation of an ADT: sequential implementation over
-    the sampled states, general linearizability, and abstract final-state
-    agreement for terminated executions.
-
-    One entry per execution: its general-check entry, failed with the
-    final-state detail when the execution terminated, linearizes, and no
-    abstract linearization reaches its abstracted final state."""
+    the sampled states, and every execution linearizing against the ADT
+    through the abstraction, terminated ones onto their abstracted final
+    state."""
     impl = is_sequential_implementation(model_spec, adt, af, rf, states)
-    table = SpecTable(adt)
-    entries = []
-    for ex in execs:
-        a = _abstracted(ex, af, rf)
-        lin = find_linearization(a, adt, table=table)
-        if lin is not None and ex.terminated and lin.strict is None:
-            detail = ("no abstract linearization reaches the abstracted "
-                      f"final state {adt.render_state(a.final_state)}")
-            entries.append(ExecutionVerdict(ex, False, detail=detail))
-        else:
-            entries.append(_general_entry(ex, lin))
-    entries_t = tuple(entries)
-    passed = impl.ok and all(e.ok for e in entries_t)
-    return CheckReport("impl", passed, entries_t, impl=impl)
+    return _check("impl", execs, adt, (af, rf), impl=impl)
 
 
 # ---------------------------------------------------------------------------

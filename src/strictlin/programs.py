@@ -37,7 +37,9 @@ read as in history files: ``0``, or ASCII digits with no leading zero after
 an optional ``-``, so ``05`` is an error.  Integer-shaped text keeps its
 sign: ``x -1`` is ``x`` then ``-1``.  A symbol may contain ``#``; anywhere
 else ``#`` starts a comment that runs to the end of the line.  Any other
-character that is not part of a token is an error.
+character that is not part of a token is an error.  The literals ``null``,
+``EMPTY`` and ``unit`` and the keywords are no names.  Blocks nest at most
+``MAX_NESTING`` deep in one thread, its own body included.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ _TOKEN = re.compile(r"""
 _KEYWORDS = {"phase", "thread", "call", "read", "write", "set", "atomic",
              "while", "if", "else", "when"}
 
+# blocks open at once in one thread, its own body included; parsing and
+# compiling a block recurse into the blocks inside it
+MAX_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str) -> None:
@@ -180,6 +186,7 @@ class _Tokens:
             else:
                 self.toks.append((kind, tok, self.line))
         self.i = 0
+        self.depth = 0  # blocks open
 
     def fail(self, msg: str) -> NoReturn:
         raise ProgramParseError(f"line {self.line}: {msg}")
@@ -211,7 +218,7 @@ class _Tokens:
 
     def ident(self) -> str:
         kind, tok = self.take()
-        if kind != "name" or tok in _KEYWORDS:
+        if kind != "name" or tok in _KEYWORDS or tok in SPECIALS:
             self.fail(f"expected identifier, got {tok!r}")
         return tok
 
@@ -304,10 +311,14 @@ def _parse_stmt(ts: _Tokens) -> Stmt:
 
 def _parse_block(ts: _Tokens) -> tuple:
     ts.expect("{")
+    ts.depth += 1
+    if ts.depth > MAX_NESTING:
+        ts.fail(f"blocks nested more than {MAX_NESTING} deep")
     stmts: list[Stmt] = []
     while not ts.accept("}"):  # at the end of the text, take() fails
         if not ts.accept(";"):
             stmts.append(_parse_stmt(ts))
+    ts.depth -= 1
     return tuple(stmts)
 
 

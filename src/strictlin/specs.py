@@ -94,10 +94,6 @@ def apply(spec: SeqSpec, method: str, state: State, inp: Value) -> frozenset[Out
     return frozenset(rel(state, inp))
 
 
-def in_domain(spec: SeqSpec, method: str, state: State, inp: Value) -> bool:
-    return bool(apply(spec, method, state, inp))
-
-
 def legal_seq_outcomes(spec: SeqSpec, start: State, h_seq: History) -> frozenset[State]:
     """Final states of legal sequential executions of ``h_seq`` from ``start``.
 
@@ -138,15 +134,12 @@ class AbstractionFunction:
     """Total map from well-formed concrete states to abstract states.
 
     ``domain`` guards application (well-formedness of the concrete state);
-    applying outside it raises.  ``inverse`` is the injectivity certificate:
-    it is populated lazily by :func:`injectivity_scan` and maps every image
-    seen so far back to its unique preimage.
+    applying outside it raises.
     """
 
     name: str
     fn: Callable[[State], State]
     domain: Callable[[State], bool] = lambda s: True
-    inverse: dict = field(default_factory=dict)
 
     def __call__(self, state: State) -> State:
         if not self.domain(state):
@@ -192,8 +185,8 @@ def injectivity_scan(
     """Scan ``states`` for abstraction-image collisions.
 
     Returns the list of colliding state pairs (empty iff injective on the
-    sample) and extends ``af.inverse`` with every collision-free image.
-    States equal under ``key`` are the same state and never collide.
+    sample).  States equal under ``key`` are the same state and never
+    collide.
     """
     seen: dict[Hashable, State] = {}
     collisions: list[tuple[State, State]] = []
@@ -204,7 +197,6 @@ def injectivity_scan(
             collisions.append((s, img))
         else:
             seen[img] = k
-            af.inverse[img] = s
     return collisions
 
 
@@ -276,35 +268,6 @@ def is_sequential_implementation(
                                 f"{render_value(out)}) has no abstract match",
                             ),
                         )
-    return ImplVerdict(True, n)
-
-
-def check_domain_lifting(
-    model_spec: SeqSpec,
-    adt: Adt,
-    af: AbstractionFunction,
-    rf: RenamingFunction,
-    states: Iterable[State],
-) -> ImplVerdict:
-    """Check concrete domains lift: ``(s, in)`` in the concrete domain implies
-    ``(af(s), in)`` in the abstract domain, over the sampled states."""
-    n = 0
-    for sz in states:
-        n += 1
-        for zop in rf.concrete_names():
-            aop = rf.forward(zop)
-            for inp in _inputs_for(adt, aop):
-                if in_domain(model_spec, zop, sz, inp) and not in_domain(
-                    adt, aop, af(sz), inp
-                ):
-                    return ImplVerdict(
-                        False,
-                        n,
-                        ImplCounterexample(
-                            model_spec.render_state(sz), aop, inp,
-                            "concrete method defined where abstract blocks"
-                        ),
-                    )
     return ImplVerdict(True, n)
 
 

@@ -630,6 +630,29 @@ def test_shared_table_equals_fresh_tables_on_benchmark_queries(qid, monkeypatch)
         assert backward.entries == whole.entries[::-1]
 
 
+@pytest.mark.parametrize("qid", ["strict/ms-2x2", "impl-pseudo/ms-2x2",
+                                 "impl-multiset/ms-2x2", "strict/hw-2+2"])
+def test_passing_witnesses_replay_onto_their_final_states(qid, monkeypatch):
+    """Every passing entry's witness is legal from the (abstracted) initial
+    state, and an entry checked onto its final state, a terminated one,
+    carries a witness that can end there and no completion."""
+    recs, check, args = _bench_query(monkeypatch, qid)
+    if check is check_strict:
+        (spec,), af = args, (lambda s: s)
+    else:
+        _, spec, af, _, _ = args
+    key = spec.state_key
+    passing = [e for e in check(recs, *args).entries if e.ok]
+    assert passing
+    for e in passing:
+        ex = e.execution
+        finals = {key(s) for s in legal_seq_outcomes(spec, af(ex.initial_state), e.witness)}
+        assert finals, serialize_history(e.witness)
+        if ex.terminated:
+            assert key(af(ex.final_state)) in finals, serialize_history(ex.history)
+        assert (e.completion is None) == ex.terminated
+
+
 def test_shared_table_equals_fresh_tables_on_ms_state_keys():
     # ms-queue states with different node names share a state key
     m = models.ms_model(4)
@@ -769,6 +792,17 @@ def test_each_check_searches_once_per_recorded_execution(monkeypatch):
     assert not check_strict(recs, m.seq_spec).passed
 
 
+def _abstracted(ex, af, rf):
+    """``ex`` as an implementation check searches it: states mapped by
+    ``af``, methods renamed by ``rf``."""
+    return RecordedExecution(
+        af(ex.initial_state),
+        checker._renamed(ex.history, rf),
+        ex.terminated,
+        af(ex.final_state) if ex.terminated else None,
+    )
+
+
 def _assert_valid(h):
     """``h`` passes the checks of the public constructor and is well-formed."""
     assert History(h.events) == h and is_well_formed(h), serialize_history(h)
@@ -814,7 +848,7 @@ def test_one_search_matches_oracles_on_benchmark_queries(qid, monkeypatch):
         _assert_one_search_contract(recs, *args)
     else:
         _, adt, af, rf, _ = args
-        _assert_one_search_contract([checker._abstracted(r, af, rf) for r in recs], adt)
+        _assert_one_search_contract([_abstracted(r, af, rf) for r in recs], adt)
 
 
 @given(st.lists(st.lists(_CALLS, min_size=1, max_size=2), min_size=1, max_size=3)
@@ -827,12 +861,12 @@ def test_one_search_matches_oracles_on_generated_programs(threads):
                   (models.hw_model(2), models.af_hw_prefix())]:
         recs = recorded_executions(explorer.explore(p, m))
         _assert_one_search_contract(recs, m.seq_spec)
-        _assert_one_search_contract([checker._abstracted(r, af, rf) for r in recs], QUEUE)
+        _assert_one_search_contract([_abstracted(r, af, rf) for r in recs], QUEUE)
     # renamed methods: every history is rebuilt, unchecked, by the abstraction
     bag = AbstractionFunction("bag", lambda s: tuple(sorted(s[-1], key=value_key)))
     to_bag = RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
     for r in recorded_executions(explorer.explore(p, models.coarse_queue_model())):
-        a = checker._abstracted(r, bag, to_bag)
+        a = _abstracted(r, bag, to_bag)
         _assert_valid(a.history)
         for ex in (a, RecordedExecution(a.initial_state, a.history, False)):
             lin = find_linearization(ex, multiset_adt(("a", "b")))

@@ -379,6 +379,36 @@ def test_stray_program_character_is_usage_error(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: line 2: unexpected character '!'\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("thread { " + "if 0 == 0 { " * 1000 + "set x = 1" + " }" * 1000 + " }",
+                 "error: line 1: blocks nested more than 100 deep\n", id="deep-nesting"),
+    pytest.param("thread { set unit = 5 ; set y = unit }",
+                 "error: line 1: expected identifier, got 'unit'\n", id="reserved-name"),
+])
+def test_unparsable_program_is_usage_error(text, message, tmp_path, capsys):
+    f = tmp_path / "prog.txt"
+    f.write_text(text)
+    assert main(["explore", "--program", str(f), "--model", "coarse-queue"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("mode", [["--mode", "general", "--adt", "adt-queue"],
+                                  ["--mode", "strict", "--spec", "adt-queue"]],
+                         ids=["general", "strict"])
+def test_long_history_is_checked_without_recursion(mode, tmp_path, capsys):
+    # 500 enqueues, then 500 dequeues, by one thread: the witness search
+    # goes 1,000 operations deep, past Python's recursion limit
+    values = ["'a'", "'b'"] * 250
+    ops = [("Enqueue " + v, "unit") for v in values] + [("Dequeue unit", v) for v in values]
+    f = tmp_path / "long.txt"
+    f.write_text("".join(f"t=1 op={k} inv {call}\nt=1 op={k} ret {out}\n"
+                         for k, (call, out) in enumerate(ops, start=1)))
+    assert main(["check-history", "--file", str(f)] + mode) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"mode={mode[1]} verdict=pass executions=1\n" in out
+    assert out.count("\n  t=1 op=") == 2000  # the witness is the history itself
+
+
 def test_explore_takes_no_spec(program_file, capsys):
     # strict and impl checks use the model's own sequential spec
     argv = ["explore", "--program", program_file, "--model", "ms-queue", "--mode", "strict",

@@ -4,6 +4,7 @@ import pytest
 
 from strictlin import explorer, models
 from strictlin.programs import (
+    MAX_NESTING,
     AssignStmt,
     AtomicStmt,
     CallStmt,
@@ -101,6 +102,11 @@ def test_symbol_may_hold_a_hash():
     assert line.startswith("client: x='a#b' |")
 
 
+def _nested_ifs(k):
+    """A thread whose body nests ``k`` ``if`` blocks, each on a line of its own."""
+    return "thread {\n" + "if 0 == 0 {\n" * k + "set x = 1" + " }" * k + " }"
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -109,12 +115,27 @@ def test_symbol_may_hold_a_hash():
         ("thread { set y = x + 05 }", "line 1: expected integer after '+', got '05'"),
         ("thread {\n set x = 1 $ ; set y = 2 ! }", "line 2: unexpected character '$'"),
         ("thread { set x = 'abc }", "line 1: unexpected character \"'\""),
+        # a variable named after a constant could be written, never read
+        ("thread { set unit = 5 ; set y = unit }", "line 1: expected identifier, got 'unit'"),
+        ("thread { atomic x = 1, null = 2 }", "line 1: expected identifier, got 'null'"),
+        ("thread { read EMPTY <- Q.back }", "line 1: expected identifier, got 'EMPTY'"),
+        ("thread { call unit = Q.Dequeue() }", "line 1: expected identifier, got 'unit'"),
+        # the block that opens one too many is the MAX_NESTING-th if's
+        pytest.param(_nested_ifs(MAX_NESTING),
+                     f"line {MAX_NESTING + 1}: blocks nested more than {MAX_NESTING} deep",
+                     id="nested-past-the-limit"),
     ],
 )
 def test_misread_programs_are_rejected(bad, message):
     with pytest.raises(ProgramParseError) as exc:
         parse_program(bad)
     assert str(exc.value) == message
+
+
+def test_blocks_nest_up_to_the_limit():
+    p = parse_program(_nested_ifs(MAX_NESTING - 1))  # and the thread's body
+    (line,) = explorer.final_states(explorer.explore(p, models.coarse_queue_model())).renderings
+    assert line.startswith("client: x=1 |")
 
 
 @pytest.mark.parametrize(

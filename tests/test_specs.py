@@ -12,8 +12,6 @@ from strictlin.specs import (
     RenamingFunction,
     UnknownMethodError,
     apply,
-    check_domain_lifting,
-    in_domain,
     injectivity_scan,
     is_sequential_implementation,
     legal_seq_outcomes,
@@ -61,7 +59,7 @@ def test_pseudo_queue_dequeue_discards_front_returns_new_front():
 
 
 def test_pseudo_queue_blocks_on_empty():
-    assert not in_domain(pseudo_queue_adt(), "Dequeue", (), UNIT)
+    assert not apply(pseudo_queue_adt(), "Dequeue", (), UNIT)
 
 
 def test_unknown_method():
@@ -109,7 +107,7 @@ def test_legal_outcomes_deterministic_spec_at_most_one():
 
 
 # ---------------------------------------------------------------------------
-# sequential implementation and domain lifting
+# sequential implementation
 # ---------------------------------------------------------------------------
 
 RF_ID = RenamingFunction.identity(("Enqueue", "Dequeue"))
@@ -162,61 +160,9 @@ def test_broken_queue_spec_yields_counterexample():
     assert v.counterexample.method == "Dequeue"
 
 
-def test_domain_lifting_ms_pseudo_passes():
-    m = models.ms_model(4)
-    states = list(models.enumerate_ms_states(4, ("a", "b")))
-    assert check_domain_lifting(
-        m.seq_spec, pseudo_queue_adt(), models.af_pseudo(), RF_ID, states
-    ).ok
-
-
-def test_domain_lifting_total_concrete_vs_total_abstract():
-    m = models.coarse_queue_model(4)
-    af = AbstractionFunction("contents", lambda s: s[-1])
-    states = [(4, ()), (4, ("a",)), (4, ("a", "b"))]
-    assert check_domain_lifting(m.seq_spec, queue_adt(), af, RF_ID, states).ok
-
-
-def test_domain_lifting_failure_witness():
-    # one-state toy: the concrete op acts where the abstract blocks
-    toy = specs.SeqSpec(
-        name="toy",
-        methods={"Poke": lambda s, i: [(s, UNIT)]},
-        initial_states=(0,),
-        method_inputs={"Poke": (UNIT,)},
-    )
-    blocked = Adt(
-        name="toy-adt",
-        methods={"Poke": lambda s, i: []},
-        initial_states=(0,),
-        method_inputs={"Poke": (UNIT,)},
-    )
-    rf = RenamingFunction.identity(("Poke",))
-    v = check_domain_lifting(toy, blocked, AbstractionFunction("id", lambda s: s), rf, [0])
-    assert not v.ok and v.counterexample is not None
-
-
-def test_domain_lifting_ms_multiset_fails_on_empty_dequeue():
-    m = models.ms_model(4)
-    states = list(models.enumerate_ms_states(4, ("a", "b")))
-    v = check_domain_lifting(
-        m.seq_spec, multiset_adt(), models.af_multiset(), RF_MSET, states
-    )
-    assert not v.ok  # concrete Dequeue answers EMPTY where abstract Remove blocks
-
-
 # ---------------------------------------------------------------------------
 # abstraction functions
 # ---------------------------------------------------------------------------
-
-
-def test_injectivity_certificate_inverts():
-    af = models.af_pseudo()
-    states = list(models.enumerate_ms_states(4, ("a", "b")))
-    collisions = injectivity_scan(af, states, models.ms_state_key)
-    assert not collisions
-    for s in states:
-        assert models.ms_state_key(af.inverse[af(s)]) == models.ms_state_key(s)
 
 
 def test_af_queue_not_injective():
