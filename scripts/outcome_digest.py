@@ -16,6 +16,11 @@ Then, for each rung of the benchmark's ``STRICT_QUERIES`` and each row
 that ``check_rows`` adds, it runs the check on the recorded executions and
 prints the verdict, the execution count, a sha256 of the report's lines and
 a sha256 of every entry's verdict, witness, completion and detail.
+Last, for each of the benchmark's ``COMPARE_QUERIES`` and for two programs
+compared against a spec other than the model's own (``FOREIGN_COMPARES``),
+it prints every field of the ``observables_report`` and
+``divergence_report`` that ``compare`` prints, with the trace differences
+as counts and sha256s.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
@@ -54,6 +59,12 @@ RANDOM_BOUND = 20_000  # random programs are cut here, the same on every commit
 CAP_S = 30.0  # per exploration; the whole corpus takes about 20 s on 2 vCPUs
 SEEDED_PROGRAM = "thread { call y = Q.Dequeue() }\nthread { call Q.Enqueue('b') }"
 SEEDED_CONTENTS = (("a",), ("a", "b"))
+# (label, program, model, foreign spec, contents each side starts from)
+FOREIGN_COMPARES = (
+    ("foreign/deq-enq hw-queue adt-queue", SEEDED_PROGRAM, "hw-queue", "adt-queue", ("a",)),
+    ("foreign/enq-deq coarse-queue adt-queue",
+     "thread { call Q.Enqueue('c') ; call y = Q.Dequeue() }", "coarse-queue", "adt-queue", ()),
+)
 # (label, program, model) of the ladder's big rungs: their graphs are built
 # and classified, but enumerating their outcomes takes minutes
 BIG_RUNGS = (
@@ -231,6 +242,25 @@ def check_rows() -> list[tuple]:
     return rows
 
 
+def compare_digest(text: str, ref: str, spec_name=None, contents=()) -> list[str]:
+    """The observables and divergence reports of ``compare`` on one program,
+    each side started from ``contents`` in its own spec's domain."""
+    model = models.parse_model_ref(ref)
+    spec = specs.get_spec(spec_name) if spec_name else model.seq_spec
+    ex_m, ex_a = explorer.explore_both(
+        parse_program(text), model, spec, init_obj=model.seq_spec.seed_state(contents),
+        init_obj_atomic=spec.seed_state(contents))
+    obs, div = explorer.observables_report(ex_m, ex_a), explorer.divergence_report(ex_m, ex_a)
+    lines = [f"traces_equal={obs.traces_equal} states_equal={obs.states_equal} "
+             f"divergence={','.join(div.model_kinds) or 'none'}/"
+             f"{','.join(div.atomic_kinds) or 'none'}"]
+    for side, diff in (("fine-grained", obs.trace_diff_model), ("atomic", obs.trace_diff_atomic)):
+        lines.append(f"only {side}: traces={len(diff)} sha256={_text_sha(chr(10).join(diff))}")
+    lines += [f"final fine-grained: {line}" for line in obs.state_lines_model]
+    lines += [f"final atomic: {line}" for line in obs.state_lines_atomic]
+    return lines
+
+
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     for label, text, model, bound, projections, start in corpus():
@@ -253,6 +283,12 @@ def main() -> None:
             sys.stdout.flush()
     for label, *query in check_rows():
         print(f"== check {label}: {check_digest(*query)}")
+        sys.stdout.flush()
+    rows = [(qid, PROGRAMS[prog], ref) for qid, prog, ref in COMPARE_QUERIES]
+    for label, *query in rows + list(FOREIGN_COMPARES):
+        print(f"== compare {label}")
+        for line in compare_digest(*query):
+            print(f"  {line}")
         sys.stdout.flush()
 
 

@@ -16,13 +16,11 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
 def fig2_states() -> str:
-    m = models.hw_model(4)
-    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    ex_a = explorer.run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
+    ex, ex_a = explorer.explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
     lines = ["# final object states, fine-grained array queue (N=4)"]
-    lines += sorted({ex.render_object(ex.states[c.sid]) for c in ex.terminal_done})
+    lines += sorted({ex.spec.render_state(ex.states[c.sid]) for c in ex.terminal_done})
     lines += ["# final object states, atomic version"]
-    lines += sorted({ex_a.render_object(ex_a.states[c.sid]) for c in ex_a.terminal_done})
+    lines += sorted({ex_a.spec.render_state(ex_a.states[c.sid]) for c in ex_a.terminal_done})
     return "\n".join(lines) + "\n"
 
 

@@ -582,7 +582,7 @@ def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
     exploration, as recorded executions for the checkers."""
     from .explorer import Kind
 
-    key = exploration.state_key()
+    key = exploration.spec.state_key
     init = exploration.initial_object
     seen = {}
     for r in exploration.results("history"):

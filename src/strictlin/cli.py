@@ -279,7 +279,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print(f"  only fine-grained: {t}")
         for t in obs.trace_diff_atomic[:5]:
             print(f"  only atomic: {t}")
-    print(f"final states equal: {'yes' if obs.states_equal else 'no'}")
+    # a foreign spec's object states are printed, but not compared
+    print(f"final states equal: {'yes' if obs.states_equal else 'no'}"
+          + (" (client bindings, abort and bottom only)" if obs.client_only else ""))
     print("  fine-grained:")
     for line in obs.state_lines_model:
         print(f"    {line}")

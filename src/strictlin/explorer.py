@@ -201,8 +201,8 @@ class _Interp:
     machines run once per distinct input: ``starts`` maps ``(method,
     argument, sid)`` to the start moves as ``(local, target sid)`` pairs,
     and ``steps`` maps ``(method, local, sid)`` to the body steps as
-    ``(action, local, target sid, abort)`` tuples, the target being None
-    on an abort.  Events are interned too, so one configuration graph holds
+    ``(action, local, target sid)`` triples, the target being None on an
+    abort.  Events are interned too, so one configuration graph holds
     one :class:`Event` per distinct ``(thread, operation, label)``.  The
     tables live as long as the interpreter, which is one exploration."""
 
@@ -213,7 +213,7 @@ class _Interp:
         self.states: list[Any] = []
         self._sids: dict[Any, int] = {}
         self.starts: dict[tuple, tuple[tuple[Any, int], ...]] = {}
-        self.steps: dict[tuple, tuple[tuple[str, Any, Optional[int], bool], ...]] = {}
+        self.steps: dict[tuple, tuple[tuple[str, Any, Optional[int]], ...]] = {}
         self._events: dict[tuple, Event] = {}
         self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
         self._pcs: dict[tuple, int] = {}
@@ -298,7 +298,7 @@ class _Interp:
         outs = self.steps.get(key)
         if outs is None:
             outs = self.steps[key] = tuple(
-                (o.action, o.local, None if o.abort else self.state_id(o.shared), o.abort)
+                (o.action, o.local, None if o.abort else self.state_id(o.shared))
                 for o in self.model.methods[method].step(local, self.states[sid])
             )
         return outs
@@ -429,9 +429,9 @@ class _Interp:
             target = self._with_thread(c, i, after, reg, t.ops, c.client, c.sid)
             return [((self._event(tid, op, Ret, v),), target)]
         out = []
-        for action, local, sid, abort in self._step(s.method, t.reg, c.sid):
+        for action, local, sid in self._step(s.method, t.reg, c.sid):
             ev = self._event(tid, op, Act, action)
-            if abort:
+            if sid is None:
                 out.append(((ev, self._event(tid, op, RetAbort)), None))
             else:
                 out.append(((ev,), self._with_thread(c, i, t.pc, local, t.ops, c.client, sid)))
@@ -502,11 +502,10 @@ class Exploration:
     def initial_object(self) -> Any:
         return self.interp.states[self.interp.init.sid]
 
-    def state_key(self) -> Callable[[Any], Any]:
-        return self.interp.model.seq_spec.state_key
-
-    def render_object(self, obj: Any) -> str:
-        return self.interp.model.seq_spec.render_state(obj)
+    @property
+    def spec(self) -> SeqSpec:
+        """The sequential spec that owns this exploration's object states."""
+        return self.interp.model.seq_spec
 
     # -- graph construction -------------------------------------------------
 
@@ -934,11 +933,8 @@ def explore(
     init_obj: Any = None,
     bound: int = DEFAULT_BOUND,
 ) -> Exploration:
-    """Explore all schedules of ``prog`` over ``model``, whose start state
-    must lie in its sequential spec's state domain."""
-    spec = model.seq_spec
-    if not spec.is_state(spec.initial_states[0] if init_obj is None else init_obj):
-        raise ValueError(f"{model.name}: initial state not well-formed")
+    """Explore all schedules of ``prog`` over ``model`` from ``init_obj``,
+    as :func:`_explore` resolves and checks it."""
     return _explore(prog, model, init_client, init_obj, bound)
 
 
@@ -954,8 +950,8 @@ def run_atomic(
     Each call is one transition per spec outcome, emitting its invocation and
     response; where the spec relation is empty the call blocks.  A
     configuration with pending work and no enabled transition anywhere is a
-    livelock and classified as object divergence.  The start state is not
-    checked for well-formedness.
+    livelock and classified as object divergence.  The start state is
+    resolved and checked against ``spec`` as by :func:`_explore`.
     """
     return _explore(prog, atomic_model(spec), init_client, init_obj, bound)
 
@@ -964,7 +960,13 @@ def _explore(
     prog: Program, model: ObjectModel, init_client: Sequence[tuple[str, Value]],
     init_obj: Any, bound: int,
 ) -> Exploration:
-    obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
+    """The one place a start state is resolved, ``None`` meaning the first
+    start state of ``model.seq_spec``, and checked to lie in that spec's
+    state domain."""
+    spec = model.seq_spec
+    obj = spec.initial_states[0] if init_obj is None else init_obj
+    if not spec.is_state(obj):
+        raise ValueError(f"{model.name}: initial state not well-formed")
     return Exploration(_Interp(prog, model, tuple(sorted(init_client)), obj), bound).build()
 
 
@@ -1030,15 +1032,15 @@ class FinalStates:
 
 
 def final_states(exploration: Exploration) -> FinalStates:
-    key, objs = exploration.state_key(), exploration.states
+    spec, objs = exploration.spec, exploration.states
     states = set()
     render: dict = {}
     for c in exploration.terminal_done:
-        k = (c.client, key(objs[c.sid]))
+        k = (c.client, spec.state_key(objs[c.sid]))
         states.add(k)
         render[k] = (
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
-            exploration.render_object(objs[c.sid]),
+            spec.render_state(objs[c.sid]),
         )
     has_abort = any(t is None for trs in exploration.edges for _, t in trs)
     has_bottom = Kind.CLIENT_DIVERGENT in exploration.divergence_kinds()
@@ -1058,7 +1060,9 @@ def final_states(exploration: Exploration) -> FinalStates:
 @dataclass(frozen=True)
 class ObservablesReport:
     """Client-trace and final-state comparison of a model against the atomic
-    version of a sequential specification."""
+    version of a sequential specification.  ``client_only``: the spec is
+    not the model's own, so ``states_equal`` compares what the client
+    observes of the final states (see :func:`observables_report`)."""
 
     traces_equal: bool
     states_equal: bool
@@ -1066,7 +1070,7 @@ class ObservablesReport:
     trace_diff_atomic: tuple
     state_lines_model: tuple[str, ...]
     state_lines_atomic: tuple[str, ...]
-    unknown_present: bool
+    client_only: bool
 
     @property
     def equal(self) -> bool:
@@ -1077,59 +1081,51 @@ def explore_both(
     prog: Program,
     model: ObjectModel,
     spec: Optional[SeqSpec] = None,
-    init_client: Sequence[tuple[str, Value]] = (),
     init_obj: Any = None,
     bound: int = DEFAULT_BOUND,
     init_obj_atomic: Any = None,
 ) -> tuple[Exploration, Exploration]:
-    """Explore ``prog`` over the model and over the atomic version of its
-    sequential specification (``model.seq_spec`` by default).
+    """Explore ``prog`` over the model and over the atomic version of
+    ``spec`` (``model.seq_spec`` by default): the one two-sided entry.
 
-    The atomic side starts from ``init_obj_atomic`` when the spec's state
-    domain differs from the model's; by default both start from the same
-    state (the companion-spec case)."""
-    spec = spec or model.seq_spec
-    if init_obj_atomic is None:
-        init_obj_atomic = init_obj
-    ex_m = explore(prog, model, init_client, init_obj, bound)
-    ex_a = run_atomic(prog, spec, init_client, init_obj_atomic, bound)
-    return ex_m, ex_a
+    The model side starts from ``init_obj`` and the atomic side from
+    ``init_obj_atomic``, or from ``init_obj`` when that is None; each start
+    is resolved and checked against the spec that owns its side, as by
+    :func:`_explore`."""
+    ex_m = explore(prog, model, init_obj=init_obj, bound=bound)
+    init_a = init_obj if init_obj_atomic is None else init_obj_atomic
+    return ex_m, run_atomic(prog, spec or model.seq_spec, init_obj=init_a, bound=bound)
 
 
 def observables_report(ex_m: Exploration, ex_a: Exploration) -> ObservablesReport:
     """Client traces and final states of a fine-grained exploration against
-    an atomic one."""
-    rm = ex_m.results("client")
-    ra = ex_a.results("client")
-    mt_m, mt_a = client_traces(rm), client_traces(ra)
+    an atomic one.  Over the model's own spec the final states are compared
+    whole.  A foreign spec's object states lie in another domain, so then
+    only what the client observes is compared, the client bindings and the
+    abort and bottom markers: observational equivalence."""
+    mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
     fs_m, fs_a = final_states(ex_m), final_states(ex_a)
-    unknown = any(r.kind is Kind.UNKNOWN for r in rm | ra)
+    seen_m, seen_a = fs_m.markers(), fs_a.markers()
+    client_only = ex_a.spec is not ex_m.spec
+    if client_only:  # cut each (client, object key) to (client,); markers are 1-tuples
+        seen_m, seen_a = ({m[:1] for m in seen} for seen in (seen_m, seen_a))
     return ObservablesReport(
         traces_equal=mt_m == mt_a,
-        states_equal=fs_m.markers() == fs_a.markers(),
+        states_equal=seen_m == seen_a,
         trace_diff_model=tuple(sorted(map(render_client_trace, mt_m - mt_a))),
         trace_diff_atomic=tuple(sorted(map(render_client_trace, mt_a - mt_m))),
         state_lines_model=fs_m.renderings,
         state_lines_atomic=fs_a.renderings,
-        unknown_present=unknown,
+        client_only=client_only,
     )
 
 
 def compare_observables(
-    prog: Program,
-    model: ObjectModel,
-    spec: Optional[SeqSpec] = None,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    bound: int = DEFAULT_BOUND,
-    init_obj_atomic: Any = None,
+    prog: Program, model: ObjectModel, spec: Optional[SeqSpec] = None
 ) -> ObservablesReport:
     """Compare client traces and final states of ``prog`` over the model
-    against the atomic version of its sequential specification (both sides
-    explored as by :func:`explore_both`)."""
-    return observables_report(
-        *explore_both(prog, model, spec, init_client, init_obj, bound, init_obj_atomic)
-    )
+    against the atomic version of ``spec`` (as by :func:`explore_both`)."""
+    return observables_report(*explore_both(prog, model, spec))
 
 
 def render_client_trace(trace: tuple[tuple, tuple]) -> str:
@@ -1159,16 +1155,8 @@ def divergence_report(ex_m: Exploration, ex_a: Exploration) -> DivergenceReport:
 
 
 def compare_divergence(
-    prog: Program,
-    model: ObjectModel,
-    spec: Optional[SeqSpec] = None,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    bound: int = DEFAULT_BOUND,
-    init_obj_atomic: Any = None,
+    prog: Program, model: ObjectModel, spec: Optional[SeqSpec] = None
 ) -> DivergenceReport:
     """Report whether any divergent schedule exists on each side (both sides
     explored as by :func:`explore_both`)."""
-    return divergence_report(
-        *explore_both(prog, model, spec, init_client, init_obj, bound, init_obj_atomic)
-    )
+    return divergence_report(*explore_both(prog, model, spec))

@@ -571,6 +571,11 @@ def _coarse_render(s: tuple) -> str:
 
 
 def coarse_seq_spec(cap: int = 4) -> SeqSpec:
+    def from_contents(vs: tuple[Value, ...]) -> tuple:
+        if len(vs) > cap:
+            raise ValueError(f"queue capacity {cap} cannot hold {len(vs)} values")
+        return (cap, vs)
+
     return SeqSpec(
         name="coarse-queue-seq",
         methods={m: sequential_relation(mm) for m, mm in COARSE_MACHINES.items()},
@@ -578,7 +583,7 @@ def coarse_seq_spec(cap: int = 4) -> SeqSpec:
         is_state=lambda s: (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)
                             and s[0] == cap and isinstance(s[1], tuple) and len(s[1]) <= cap),
         render_state=_coarse_render,
-        from_contents=lambda vs: (cap, vs),
+        from_contents=from_contents,
     )
 
 

@@ -123,10 +123,8 @@ FIG3_LEGAL_FINAL = models.HWQueueState(3, (NULL, "c", NULL, NULL))
 
 
 def fig2() -> Report:
-    m = models.hw_model(4)
-    ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    ex_a = explorer.run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
-    fs, fs_a = explorer.final_states(ex), explorer.final_states(ex_a)
+    sides = explorer.explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
+    fs, fs_a = map(explorer.final_states, sides)
     n, n_a = len(fs.object_keys()), len(fs_a.object_keys())
     subset = fs_a.object_keys() <= fs.object_keys()
     ok = n == 4 and n_a == 2 and subset
@@ -185,8 +183,9 @@ def fig3() -> Report:
 
 
 def sec52_divergence() -> Report:
-    m = models.hw_model(4)
-    rep = explorer.compare_divergence(THREE_PHASE_DIVERGENCE, m)
+    rep = explorer.divergence_report(
+        *explorer.explore_both(THREE_PHASE_DIVERGENCE, models.hw_model(4))
+    )
     ok = rep.model_diverges and not rep.atomic_diverges
     lines = [
         "P(fine-grained): "
@@ -198,11 +197,9 @@ def sec52_divergence() -> Report:
 
 
 def sec62_observation() -> Report:
-    m = models.hw_model(4)
-    ex = explorer.explore(ENQUEUE_VS_DEQUEUE, m)
-    ex_a = explorer.run_atomic(ENQUEUE_VS_DEQUEUE, specs.queue_adt(("c",)))
-    ys = {dict(c.client).get("y") for c in ex.terminal_done}
-    ys_a = {dict(c.client).get("y") for c in ex_a.terminal_done}
+    sides = explorer.explore_both(ENQUEUE_VS_DEQUEUE, models.hw_model(4), specs.queue_adt(("c",)))
+    ys, ys_a = ({dict(cl).get("y") for cl, _ in explorer.final_states(ex).states}
+                for ex in sides)
     ok = ys == {"c"} and ys_a == {"c", EMPTY} and ys != ys_a
     fmt = lambda s: "{" + ",".join(sorted(render_value(v) for v in s)) + "}"
     lines = [

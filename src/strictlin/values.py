@@ -58,11 +58,12 @@ def render_value(v: Value) -> str:
 
 INT_TEXT = r"0|-?[1-9][0-9]*"  # how render_value writes an integer
 _INT = re.compile(INT_TEXT)
+_SYMBOL = re.compile(r"'[^'\s]+'")  # a symbol holds neither quotes nor whitespace
 
 #: A token of a whitespace-separated line that :func:`parse_value` accepts,
 #: as a regular expression without groups: a symbol, a reserved constant or
 #: an integer as :func:`render_value` writes them.
-VALUE_TEXT = r"'[^'\s]+'|" + "|".join(SPECIALS) + "|" + INT_TEXT
+VALUE_TEXT = _SYMBOL.pattern + "|" + "|".join(SPECIALS) + "|" + INT_TEXT
 
 
 def parse_int(token: str) -> int:
@@ -75,15 +76,15 @@ def parse_int(token: str) -> int:
 def parse_value(token: str) -> Value:
     """Inverse of :func:`render_value`.
 
-    Raises ``ValueError`` on anything that does not round-trip.
+    Accepts exactly the tokens that match :data:`VALUE_TEXT` and raises
+    ``ValueError`` on anything else.
     """
     special = SPECIALS.get(token)
     if special is not None:
         return special
-    if token.startswith("'") and token.endswith("'") and len(token) >= 3:
-        sym = token[1:-1]
-        if sym and "'" not in sym and not sym.isspace():
-            return sym
+    if len(token) >= 3 and token[0] == token[-1] == "'":
+        if _SYMBOL.fullmatch(token):
+            return token[1:-1]
         raise ValueError(f"bad symbol token: {token!r}")
     if _INT.fullmatch(token):
         return int(token)

@@ -20,7 +20,7 @@ from strictlin.checker import (
     find_strict_linearization,
     recorded_executions,
 )
-from strictlin.explorer import compare_observables, explore, run_atomic
+from strictlin.explorer import compare_observables, explore, explore_both, observables_report
 from strictlin.history import completions, history, inv, pending, ret
 from strictlin.models import HWQueueState
 from strictlin.programs import parse_program
@@ -73,9 +73,7 @@ FIG2_EXPECTED_ATOMIC = {
 
 def test_criterion_1_final_state_gap():
     with _timer(10.0) as t:
-        m = models.hw_model(4)
-        ex = explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-        ex_a = run_atomic(TWO_ENQUEUES_ONE_DEQUEUE, m.seq_spec)
+        ex, ex_a = explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
         got_hw = {ex.states[c.sid] for c in ex.terminal_done}
         got_at = {ex_a.states[c.sid] for c in ex_a.terminal_done}
         golden = (GOLDEN / "fig2-states.txt").read_text()
@@ -92,9 +90,9 @@ def test_criterion_1_final_state_gap():
 
 def _fig2_golden_text(ex, ex_a) -> str:
     lines = ["# final object states, fine-grained array queue (N=4)"]
-    lines += sorted({ex.render_object(ex.states[c.sid]) for c in ex.terminal_done})
+    lines += sorted({ex.spec.render_state(ex.states[c.sid]) for c in ex.terminal_done})
     lines += ["# final object states, atomic version"]
-    lines += sorted({ex_a.render_object(ex_a.states[c.sid]) for c in ex_a.terminal_done})
+    lines += sorted({ex_a.spec.render_state(ex_a.states[c.sid]) for c in ex_a.terminal_done})
     return "\n".join(lines) + "\n"
 
 
@@ -273,8 +271,10 @@ def test_criterion_8_atomic_equivalence_controls():
     with _timer(60.0) as t:
         coarse_ok = True
         for p in CONTROL_PROGRAMS:
-            rep = compare_observables(p, models.coarse_queue_model(4))
-            coarse_ok &= rep.equal and not rep.unknown_present
+            # every outcome explored: no truncation and no approximate set
+            sides = explore_both(p, models.coarse_queue_model(4))
+            rep = observables_report(*sides)
+            coarse_ok &= rep.equal and not any(ex.truncated or ex.approximate for ex in sides)
         hw = compare_observables(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
         ok = coarse_ok and not hw.states_equal
     _verdict(8, ok and t.elapsed < 60,

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictlin import cli, explorer, reproductions, specs
 from strictlin.cli import (
@@ -428,20 +432,37 @@ def test_out_of_memory_is_usage_error(program_file, capsys, monkeypatch):
 
 
 def test_compare_seeds_foreign_spec_from_init(tmp_path, capsys):
-    # the atomic side starts from the queue ADT's own state holding 'a'
+    # the atomic side starts from the queue ADT's own state holding 'a'; its
+    # object states lie in another domain, so only the client's are compared
     f = tmp_path / "deq-enq.txt"
     f.write_text("thread { call y = Q.Dequeue() }\nthread { call Q.Enqueue('b') }\n")
     assert main(["compare", "--program", str(f), "--model", "hw-queue", "--spec", "adt-queue",
-                 "--init", "'a'"]) == EXIT_CHECK_FAILED
+                 "--init", "'a'"]) == EXIT_OK
     assert capsys.readouterr().out == (
         "client traces equal: yes\n"
-        "final states equal: no\n"
+        "final states equal: yes (client bindings, abort and bottom only)\n"
         "  fine-grained:\n"
         "    client: y='a' | object: back=3 items=[·,b,·,·]\n"
         "  atomic:\n"
         "    client: y='a' | object: <'b'>\n"
         "divergence: fine-grained=none atomic=none\n"
     )
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["explore", "--model", "coarse-queue", "--init", "'a b'"],
+                 "bad --init: bad symbol token: \"'a b'\"", id="symbol-with-space"),
+    pytest.param(["explore", "--model", "coarse-queue,C=2", "--init", "'a','b','c'"],
+                 "bad --init: queue capacity 2 cannot hold 3 values", id="over-full-coarse"),
+    pytest.param(["compare", "--model", "ms-queue,P=9", "--spec", "coarse-queue-seq",
+                  "--init", "'a','b','c','d','e'"],
+                 "bad --init: queue capacity 4 cannot hold 5 values", id="over-full-foreign"),
+])
+def test_init_outside_the_spec_is_usage_error(argv, message, tmp_path, capsys):
+    f = tmp_path / "deq.txt"
+    f.write_text("thread { call y = Q.Dequeue() }\n")
+    assert main(argv[:1] + ["--program", str(f)] + argv[1:]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_compare_against_own_spec_keeps_model_size(tmp_path, capsys):
@@ -659,3 +680,67 @@ def test_bound_below_one_is_usage_error(command, bound, program_file, capsys):
                  "--bound", bound]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "--bound: must be at least 1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs
+# ---------------------------------------------------------------------------
+
+# seeds: every statement kind, phases and a cell access; a pending and an
+# aborted operation
+FUZZ_PROGRAMS = (FIG2_PROGRAM, """\
+phase { thread { call Q.Enqueue('c') } thread { call y0 = Q.Dequeue() } }
+phase { thread { write Q.items[1] <- 'x' ; read z <- Q.back } }
+phase { thread { set n = 1 ; while n != 0 { set n = n - 1 } ;
+  if n == 0 { call y1 = Q.Dequeue() } else { atomic u = 1, v = u when n == 0 } } }
+""")
+FUZZ_HISTORIES = (STRICT_PASSING_HISTORY + "t=5 op=8 inv Dequeue unit\n# a comment\n",
+                  STRICT_ABORTED_HISTORY)
+FUZZ_COMMANDS = {
+    "explore": (FUZZ_PROGRAMS, ["explore", "--model", "hw-queue,N=2", "--bound", "300",
+                                "--mode", "strict", "--program"]),
+    "compare": (FUZZ_PROGRAMS, ["compare", "--model", "hw-queue,N=2", "--bound", "300",
+                                "--program"]),
+    "check-strict": (FUZZ_HISTORIES, ["check-history", "--mode", "strict", "--spec",
+                                      "adt-queue", "--file"]),
+    "check-general": (FUZZ_HISTORIES, ["check-history", "--mode", "general", "--adt",
+                                       "adt-queue", "--file"]),
+}
+# (kind, position, byte or text): flip one bit of the byte there, insert, or delete
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["flip", "insert", "delete"]),
+    st.integers(0, 1_000),
+    st.sampled_from(["'", " ", "{", "}", ";", "\n", "0", "-", "x", "\u00e9", "\u0663",
+                     "\u00a0", "\u2192"]),
+), min_size=1, max_size=4)
+
+
+def _mutate(text: str, edits) -> bytes:
+    data = bytearray(text.encode())
+    for kind, pos, ch in edits:
+        i = pos % (len(data) + 1)
+        if kind == "insert":
+            data[i:i] = ch.encode()
+        elif i < len(data):
+            if kind == "delete":
+                del data[i]
+            else:
+                data[i] ^= 1 << (ord(ch) % 8)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@given(seed=st.integers(0, 1), edits=EDITS)
+@settings(max_examples=100, deadline=None)
+def test_mutated_input_exits_with_a_status(command, seed, edits):
+    # a mutated program or history is read, rejected or checked, never a crash
+    seeds, argv = FUZZ_COMMANDS[command]
+    text = seeds[seed]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / "input.txt"
+        f.write_bytes(_mutate(text, edits))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv + [str(f)])
+    assert status in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INCONCLUSIVE)
+    assert "Traceback" not in err.getvalue()

@@ -20,6 +20,7 @@ from strictlin.explorer import (
     compare_observables,
     explore,
     final_states,
+    observables_report,
     run_atomic,
 )
 from strictlin.history import Inv, Ret
@@ -356,8 +357,10 @@ def test_compare_observables_positive_control():
     p = parse_program(
         "thread { call Q.Enqueue('c') }\nthread { call y = Q.Dequeue() }"
     )
-    rep = compare_observables(p, models.coarse_queue_model())
-    assert rep.equal and not rep.unknown_present
+    sides = explorer.explore_both(p, models.coarse_queue_model())
+    assert observables_report(*sides).equal
+    assert not any(ex.truncated or ex.approximate for ex in sides)
+    assert compare_observables(p, models.coarse_queue_model()) == observables_report(*sides)
 
 
 def test_compare_divergence_straight_line_program():
@@ -396,6 +399,35 @@ def test_initial_state_must_be_well_formed():
 def test_start_state_outside_spec_domain_is_rejected(model, start):
     with pytest.raises(ValueError, match=f"{model.name}: initial state not well-formed"):
         explore(parse_program("thread { }"), model, init_obj=start)
+
+
+def test_start_state_is_checked_against_the_spec_that_owns_it():
+    # an array state is outside the queue ADT's domain, on either entry
+    p = parse_program("thread { call y = Q.Dequeue() }")
+    start = models.hw_seq_spec(4).seed_state(("a",))
+    with pytest.raises(ValueError, match="adt-queue: initial state not well-formed"):
+        run_atomic(p, queue_adt(), init_obj=start)
+    with pytest.raises(ValueError, match="adt-queue: initial state not well-formed"):
+        explorer.explore_both(p, models.hw_model(4), queue_adt(), init_obj=start)
+    # each side seeded in its own domain runs
+    ex_m, ex_a = explorer.explore_both(p, models.hw_model(4), queue_adt(), init_obj=start,
+                                       init_obj_atomic=("a",))
+    assert (ex_m.initial_object, ex_a.initial_object) == (start, ("a",))
+    assert ex_a.spec.name == "adt-queue"
+
+
+def test_foreign_spec_compares_what_the_client_observes():
+    # the object states differ in domain, the client bindings agree
+    p = parse_program("thread { call Q.Enqueue('c') ; call y = Q.Dequeue() }")
+    rep = compare_observables(p, models.coarse_queue_model(), queue_adt())
+    assert rep.client_only and rep.equal
+    assert rep.state_lines_model == ("client: y='c' | object: queue=<>",)
+    assert rep.state_lines_atomic == ("client: y='c' | object: <>",)
+    own = compare_observables(p, models.coarse_queue_model())
+    assert not own.client_only and own.equal
+    # on the array queue the dequeue waits for the enqueue; atomically it may not
+    rep = compare_observables(reproductions.ENQUEUE_VS_DEQUEUE, models.hw_model(4), queue_adt())
+    assert rep.client_only and not rep.states_equal
 
 
 def test_result_sets_identical_across_runs():
@@ -676,8 +708,9 @@ def test_memo_entries_equal_fresh_machine_runs(monkeypatch):
                 assert [(local, states[t]) for local, t in moves] == list(fresh)
             for (method, local, sid), outs in interp.steps.items():
                 fresh = machines[method].step(local, states[sid])
-                assert [(a, lo, None if ab else states[t], ab) for a, lo, t, ab in outs] == [
-                    (o.action, o.local, None if o.abort else o.shared, o.abort) for o in fresh
+                # the target is None exactly on an abort
+                assert [(a, lo, None if t is None else states[t]) for a, lo, t in outs] == [
+                    (o.action, o.local, None if o.abort else o.shared) for o in fresh
                 ]
 
 

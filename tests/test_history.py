@@ -1,9 +1,10 @@
 """Histories: projections, completions, happened-before, linearization."""
 
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strictlin.history import (
     History,
@@ -26,7 +27,7 @@ from strictlin.history import (
     serialize_history,
 )
 from strictlin.history import _EVENT_LINE, _parse_event
-from strictlin.values import EMPTY, NULL, UNIT, parse_value, render_value
+from strictlin.values import EMPTY, NULL, UNIT, VALUE_TEXT, parse_value, render_value
 
 
 def fig3():
@@ -64,6 +65,28 @@ NON_CANONICAL_INTS = ["1_000", "+5", " 5", "5 ", "\u0663", "05", "-0", "00", "-"
 def test_non_canonical_integer_text_is_rejected(token):
     with pytest.raises(ValueError):
         parse_value(token)
+
+
+# tokens near the value syntax: quotes, whitespace, digits, signs, letters
+VALUE_LIKE = st.one_of(
+    st.from_regex(VALUE_TEXT, fullmatch=True),
+    st.text(alphabet="'a1-0 \t\n\u00a0\u0663lnu", max_size=6),
+    st.builds("'{}'".format, st.text(max_size=4)),
+)
+
+
+@given(VALUE_LIKE)
+@example("'a b'")
+@example("'a\tb'")
+@example("' a'")
+@settings(max_examples=300, deadline=None)
+def test_parse_value_accepts_exactly_value_text(token):
+    # the history parser, the program lexer and --init read the same tokens
+    if re.fullmatch(VALUE_TEXT, token):
+        assert render_value(parse_value(token)) == token
+    else:
+        with pytest.raises(ValueError):
+            parse_value(token)
 
 
 # ---------------------------------------------------------------------------
