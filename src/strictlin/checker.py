@@ -584,13 +584,25 @@ def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
 
     key = exploration.spec.state_key
     init = exploration.initial_object
+    # the explorer interns events, so each distinct event is rendered once
+    lines: dict[int, str] = {}
+
+    def text(h: History) -> str:
+        out = []
+        for e in h:
+            line = lines.get(id(e))
+            if line is None:
+                line = lines[id(e)] = e.render() + "\n"
+            out.append(line)
+        return "".join(out)
+
     seen = {}
     for r in exploration.results("history"):
         if r.kind is Kind.TERMINATED:
             rec = RecordedExecution(init, r.history(), True, r.final_object)
-            k = (serialize_history(rec.history), True, key(r.final_object))
+            k = (text(rec.history), True, key(r.final_object))
         else:
             rec = RecordedExecution(init, r.history(), False)
-            k = (serialize_history(rec.history), False, None)
+            k = (text(rec.history), False, None)
         seen.setdefault(k, rec)
     return tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0], str(k[2]))))

@@ -18,8 +18,13 @@ for ``hw-queue``, ``P`` for ``ms-queue``, ``C`` for ``coarse-queue``), given
 once as an integer; any other parameter is an input error.  ``explore
 --mode strict|impl`` checks against the model's own sequential spec.
 
+``explore --histories DIR`` writes one ``exec-NNNN.txt`` file per recorded
+execution; it refuses, before exploring, a DIR that already holds
+``exec-*.txt`` files, so the files of two runs never mix.
+
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error (also an unusable input or output path, a ``--bound``
+2 usage or input error (also an unusable input or output path, a
+``--histories`` directory holding files of an earlier run, a ``--bound``
 below 1, or running out of memory, reported as ``error: out of memory``
 with no partial verdict), 3 inconclusive (a check found no violation, or
 ``compare`` ran, on an exploration that was truncated by ``--bound`` or whose
@@ -220,6 +225,9 @@ def _run_checks(
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    # files of an earlier run would mix with this run's under the same names
+    if args.histories and any(Path(args.histories).glob("exec-*.txt")):
+        raise UsageError(f"--histories: {args.histories} already holds exec-*.txt files")
     prog = _load_program(args.program)
     model = models.parse_model_ref(args.model)
     init = _parse_init(args.init, model.seq_spec)

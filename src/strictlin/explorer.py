@@ -40,12 +40,14 @@ computing the strongly connected components it searches each cyclic
 component once for an object lasso and a client lasso.  Sets of execution
 outcomes are computed per observation projection by dynamic programming
 over the components, projecting those lassos rather than searching again.
-The dynamic program works on interned integers local to one projection: a
-trace is an id in a cons table of ``(event id, tail id)`` cells, so traces
-sharing a suffix share its storage, and an outcome is a ``(trace id, leaf
-id)`` pair whose leaf holds the kind, final state, cycle and note.  Only the
-initial configuration's outcomes are turned into :class:`ExecutionResult`
-objects.
+The dynamic program works on interned integers local to one projection: an
+outcome is a trace of event ids and a leaf id, the leaf holding the kind,
+final state, cycle and note, and each configuration's set of outcomes is one
+node of a hash-consed trie whose children are keyed by first event.  An edge
+puts one trie node per kept event before its target's set, and a union
+merges children by event id, memoized per pair of nodes; sets that share a
+sub-trie share its storage.  Only the initial configuration's trie is walked
+to build :class:`ExecutionResult` objects.
 The test suite checks them against a naive schedule-by-schedule enumerator.
 
 Conventions mirroring the trace model:
@@ -65,7 +67,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .history import Act, Event, History, Inv, Ret, RetAbort
 from .models import Done, ObjectModel, atomic_model
@@ -654,12 +656,12 @@ class Exploration:
         ``history``: invocations/responses only; ``client``: client events
         only.  Internal method-body steps never distinguish outcomes.
 
-        Outcomes are computed over the SCCs, callees first, as sets of
-        ``(trace id, leaf id)`` pairs (see :class:`_Outcomes`): traces are
-        hash-consed, so all outcomes below a configuration share their
-        suffixes, and an edge that emits no kept event passes its target's
-        set on unchanged.  :class:`ExecutionResult` objects are built for
-        the initial configuration only.
+        Outcomes are computed over the SCCs, callees first, as nodes of
+        hash-consed tries (see :class:`_Outcomes`): an edge puts one trie
+        node per kept event before its target's set, and an edge that emits
+        no kept event passes the target's set on unchanged.
+        :class:`ExecutionResult` objects are built only by walking the
+        initial configuration's trie.
         """
         if projection in self._results:
             return self._results[projection]
@@ -675,12 +677,13 @@ class Exploration:
             members = sorted(comp)
             if len(members) > 512:
                 self.approximate = True
-                too_large = frozenset({(0, tables.leaf(Kind.UNKNOWN, note="scc too large"))})
+                too_large = tables.single(tables.leaf(Kind.UNKNOWN, note="scc too large"))
                 for i in members:
                     outcomes[i] = too_large
                 continue
             self._cyclic_outcomes(members, tables, info["lassos"][ci])
-        res = frozenset(map(tables.result, outcomes[0]))  # the initial configuration
+        # the initial configuration
+        res = frozenset(map(tables.result, tables.walk(outcomes[0])))
         self._results[projection] = res
         return res
 
@@ -706,28 +709,29 @@ class Exploration:
             # terminating schedules that lap an observable cycle more than
             # once are not enumerated separately
             self.approximate = True
-        follow = tables.follow
+        union, follow = tables.union, tables.follow
         for start in members:
-            out = {
-                (tables.prepend(_bfs_path(edges, start, entry, group), 0), leaf)
-                for entry, leaf in entries
-            }
+            out = 0
+            for entry, leaf in entries:
+                path = _bfs_path(edges, start, entry, group)
+                out = union(out, tables.prepend(path, tables.single(leaf)))
             # terminating / exiting continuations: simple paths inside the
             # component, then whatever follows outside it
             seen = {start}
 
             def walk(i: int, acc: tuple[int, ...]) -> None:
+                nonlocal out
                 for evs, t in edges[i]:
                     evs = acc + evs
                     if t is None or t not in group:
-                        out.update(follow(evs, t))
+                        out = union(out, follow(evs, t))
                     elif t not in seen:
                         seen.add(t)
                         walk(t, evs)
                         seen.discard(t)
 
             walk(start, ())
-            tables.outcomes[start] = frozenset(out)
+            tables.outcomes[start] = out
 
 
 def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
@@ -817,16 +821,23 @@ def _projector(projection: str) -> Callable[[Event], bool]:
 
 
 class _Outcomes:
-    """Hash-consed outcome tables, local to one :meth:`Exploration.results` call.
+    """Outcome tries, local to one :meth:`Exploration.results` call.
 
-    An outcome is a pair of ints ``(trace id, leaf id)``.  A trace id names
-    a cell ``(event id, tail trace id)`` of a cons table, 0 being the empty
-    trace, so traces that share a suffix share its cells.  A leaf id names
+    An outcome is a trace of kept event ids and a leaf id.  A leaf id names
     the rest of an outcome, ``(kind, final_client, final_object, cycle,
-    note)``.  Events are interned by identity: the exploration holds one
+    note)``.  A set of outcomes is a node of a trie: ``nodes[n]`` is
+    ``(leaves, children)``, the frozenset of leaf ids of the outcomes whose
+    trace is empty and a tuple of ``(event id, child node)`` pairs sorted by
+    event id, the child holding the outcomes that start with that event,
+    with the event cut off.  Nodes are interned by value, so each set has
+    exactly one id and sets share every common sub-trie; node 0 is the empty
+    set.  Prepending a trace to a set costs one node per event, and
+    :meth:`union` merges children by event id, memoized per pair of ids.
+
+    Events are interned by identity: the exploration holds one
     :class:`Event` object per distinct event, and ``events`` keeps each
-    alive while its ``id`` keys ``event_ids``.  Cells and leaves are
-    interned by value.  So two outcomes are equal exactly when the
+    alive while its ``id`` keys ``event_ids``.  Leaves are interned by
+    value.  So two outcomes are equal exactly when the
     :class:`ExecutionResult` objects they stand for are.  Configurations are
     the exploration's ids.
     """
@@ -835,30 +846,32 @@ class _Outcomes:
         self.keep = keep
         self.events: list[Event] = []
         self.event_ids: dict[int, int] = {}  # id of an event -> its index
-        self.cells: list[tuple[int, int]] = [(-1, 0)]
-        self.cons: dict[tuple[int, int], int] = {}
+        self.nodes: list[tuple[frozenset, tuple]] = []
+        self.node_ids: dict[tuple[frozenset, tuple], int] = {}
+        self.unions: dict[tuple[int, int], int] = {}
+        self._node(frozenset(), ())  # node 0, the empty set
         self.leaves: list[tuple] = []
         self.leaf_ids: dict[tuple, int] = {}
-        self.aborted = self.leaf(Kind.ABORTED, note="runtime error")
+        self.aborted = self.single(self.leaf(Kind.ABORTED, note="runtime error"))
         order, states = ex.order, ex.states
         # the exploration's edges with their events projected to kept ids
         self.edges: list[tuple] = [
             tuple((self.project(events), t) for events, t in trs)
             for trs in ex.edges
         ]
-        # per configuration, once known: its frozenset of outcomes
-        self.outcomes: list[Optional[frozenset]] = [None] * len(order)
-        unknown = frozenset({(0, self.leaf(Kind.UNKNOWN, note="step budget exhausted"))})
+        # per configuration, once known: the node of its outcomes
+        self.outcomes: list[Optional[int]] = [None] * len(order)
+        unknown = self.single(self.leaf(Kind.UNKNOWN, note="step budget exhausted"))
         for c in ex.truncated:
             self.outcomes[order[c]] = unknown
-        livelock = frozenset(
-            {(0, self.leaf(Kind.OBJECT_DIVERGENT, note="all pending threads blocked"))}
+        livelock = self.single(
+            self.leaf(Kind.OBJECT_DIVERGENT, note="all pending threads blocked")
         )
         for c in ex.terminal_livelock:
             self.outcomes[order[c]] = livelock
         for c in ex.terminal_done:
             leaf = self.leaf(Kind.TERMINATED, c.client, states[c.sid])
-            self.outcomes[order[c]] = frozenset({(0, leaf)})
+            self.outcomes[order[c]] = self.single(leaf)
 
     def project(self, events: Iterable[Event]) -> tuple[int, ...]:
         """Ids of the kept ``events``, in order."""
@@ -883,40 +896,102 @@ class _Outcomes:
             self.leaves.append(key)
         return i
 
-    def prepend(self, evs: tuple[int, ...], trace: int) -> int:
-        """The trace ``evs`` followed by ``trace``."""
-        cons, cells = self.cons, self.cells
+    def _node(self, leaves: frozenset, children: tuple) -> int:
+        key = (leaves, children)
+        n = self.node_ids.get(key)
+        if n is None:
+            n = self.node_ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return n
+
+    def single(self, leaf: int) -> int:
+        """The set of one outcome, leaf ``leaf`` after the empty trace."""
+        return self._node(frozenset((leaf,)), ())
+
+    def prepend(self, evs: tuple[int, ...], n: int) -> int:
+        """The set ``n`` with the trace ``evs`` put before each outcome."""
+        if not n:
+            return 0
+        empty = self.nodes[0][0]
         for e in reversed(evs):
-            cell = (e, trace)
-            trace = cons.get(cell)
-            if trace is None:
-                trace = cons[cell] = len(cells)
-                cells.append(cell)
-        return trace
+            n = self._node(empty, ((e, n),))
+        return n
 
-    def follow(self, evs: tuple[int, ...], target: Optional[int]) -> frozenset:
-        """Outcomes of an edge emitting ``evs`` into ``target`` (None: abort).
-        An edge that emits nothing passes the target's set on unchanged."""
-        if target is None:
-            return frozenset({(self.prepend(evs, 0), self.aborted)})
-        outs = self.outcomes[target]
-        if not evs:
-            return outs
-        prepend = self.prepend
-        return frozenset([(prepend(evs, trace), leaf) for trace, leaf in outs])
+    def union(self, a: int, b: int) -> int:
+        """The union of sets ``a`` and ``b``.  Children are merged by event
+        id; an event both have gets the union of its two children, computed
+        first on an explicit stack.  Every union is memoized per pair."""
+        memo, nodes = self.unions, self.nodes
 
-    def node(self, i: int) -> frozenset:
+        def known(a: int, b: int) -> Optional[int]:
+            if a == b or not b:
+                return a
+            if not a:
+                return b
+            return memo.get((a, b) if a < b else (b, a))
+
+        result = known(a, b)
+        if result is not None:
+            return result
+        todo = [(a, b) if a < b else (b, a)]
+        while todo:
+            pair = todo[-1]
+            if pair in memo:
+                todo.pop()
+                continue
+            (leaves, ca), (leaves_b, cb) = nodes[pair[0]], nodes[pair[1]]
+            children = dict(ca)
+            missing = []
+            for e, c in cb:
+                d = children.get(e)
+                if d is None:
+                    children[e] = c
+                    continue
+                u = known(d, c)
+                if u is None:
+                    missing.append((d, c) if d < c else (c, d))
+                else:
+                    children[e] = u
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            memo[pair] = self._node(leaves | leaves_b, tuple(sorted(children.items())))
+        return known(a, b)
+
+    def follow(self, evs: tuple[int, ...], target: Optional[int]) -> int:
+        """Outcomes of an edge emitting ``evs`` into ``target`` (None: abort)."""
+        return self.prepend(evs, self.aborted if target is None else self.outcomes[target])
+
+    def node(self, i: int) -> int:
         """Outcomes of a configuration outside any cycle, from its edges."""
-        parts = [self.follow(evs, t) for evs, t in self.edges[i]]
-        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+        out = 0
+        for evs, t in self.edges[i]:
+            out = self.union(out, self.follow(evs, t))
+        return out
 
-    def result(self, outcome: tuple[int, int]) -> ExecutionResult:
+    def walk(self, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every outcome of set ``n`` as a ``(trace, leaf id)`` pair, the
+        trace a tuple of event ids.  The walk keeps its own stack."""
+        nodes, path = self.nodes, []
+        stack: list[tuple[int, int, int]] = [(0, -1, n)]  # (depth, event, node)
+        while stack:
+            depth, e, n = stack.pop()
+            del path[depth:]
+            if e >= 0:
+                path.append(e)
+            leaves, children = nodes[n]
+            if leaves:
+                trace = tuple(path)
+                for leaf in leaves:
+                    yield trace, leaf
+            depth = len(path)
+            stack.extend([(depth, e, c) for e, c in children])
+
+    def result(self, outcome: tuple[tuple[int, ...], int]) -> ExecutionResult:
         trace, leaf = outcome
-        events = []
-        while trace:
-            e, trace = self.cells[trace]
-            events.append(self.events[e])
-        return ExecutionResult(tuple(events), *self.leaves[leaf])
+        events = self.events
+        return ExecutionResult(tuple([events[e] for e in trace]), *self.leaves[leaf])
 
 
 # ---------------------------------------------------------------------------

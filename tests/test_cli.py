@@ -99,6 +99,27 @@ def test_explore_emits_history_files(program_file, tmp_path, capsys):
     parse_history(files[0].read_text())
 
 
+def test_histories_directory_of_an_earlier_run_is_usage_error(program_file, tmp_path, capsys):
+    outdir = tmp_path / "hists"
+    assert main(["explore", "--program", program_file, "--model", "hw-queue,N=4",
+                 "--histories", str(outdir)]) == EXIT_OK
+    assert f"wrote 223 history files to {outdir}" in capsys.readouterr().out
+    before = {f.name: f.read_text() for f in outdir.iterdir()}
+    one = tmp_path / "one.txt"
+    one.write_text("thread { call Q.Enqueue('c') }\n")
+    assert main(["explore", "--program", str(one), "--model", "hw-queue,N=4",
+                 "--histories", str(outdir)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --histories: {outdir} already holds exec-*.txt files\n"
+    assert {f.name: f.read_text() for f in outdir.iterdir()} == before
+    # an existing directory without history files is used as before
+    (tmp_path / "empty").mkdir()
+    assert main(["explore", "--program", str(one), "--model", "hw-queue,N=4",
+                 "--histories", str(tmp_path / "empty")]) == EXIT_OK
+    assert "wrote 1 history files" in capsys.readouterr().out
+
+
 def test_explore_json_report(program_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     main(

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import importlib
 from pathlib import Path
@@ -659,6 +660,76 @@ def test_terminating_schedule_lapping_an_observable_cycle_is_approximate():
     kinds = {r.kind for r in ex.results("client")}
     assert ex.approximate
     assert kinds == {Kind.TERMINATED, Kind.CLIENT_DIVERGENT}
+
+
+# ---------------------------------------------------------------------------
+# Outcome tries
+# ---------------------------------------------------------------------------
+
+
+def _trie_table() -> "explorer._Outcomes":
+    """An empty table of outcome tries; its sets hold any integer ids."""
+    ex = explore(parse_program("thread { set x = 0 }"), models.coarse_queue_model())
+    return explorer._Outcomes(ex, explorer._projector("history"))
+
+
+def _chain(t, trace, leaf) -> int:
+    return t.prepend(tuple(trace), t.single(leaf))
+
+
+def _by_first_event(t, pairs) -> int:
+    """The set of ``pairs`` built top-down: one prepend per first event."""
+    out = 0
+    for e in sorted({trace[0] for trace, _ in pairs if trace}, reverse=True):
+        rest = {(trace[1:], leaf) for trace, leaf in pairs if trace and trace[0] == e}
+        out = t.union(out, t.prepend((e,), _by_first_event(t, rest)))
+    for leaf in {leaf for trace, leaf in pairs if not trace}:
+        out = t.union(t.single(leaf), out)
+    return out
+
+
+_OUTCOME_SETS = st.sets(
+    st.tuples(st.lists(st.integers(0, 3), max_size=4).map(tuple), st.integers(0, 2)),
+    max_size=10,
+)
+
+
+@given(_OUTCOME_SETS, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_trie_node_is_the_same_however_the_set_is_built(pairs, rng):
+    t = _trie_table()
+    chains = [_chain(t, trace, leaf) for trace, leaf in sorted(pairs)]
+    ids = []
+    for _ in range(3):
+        rng.shuffle(chains)
+        ids.append(functools.reduce(t.union, chains, 0))
+    # pairwise, in a balanced tree
+    parts = list(chains)
+    while len(parts) > 1:
+        parts = [t.union(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    ids.append(parts[0] if parts else 0)
+    ids.append(_by_first_event(t, pairs))
+    n = ids[0]
+    assert set(ids) == {n}
+    assert (n == 0) == (not pairs)
+    walked = list(t.walk(n))
+    assert len(walked) == len(pairs) and set(walked) == pairs
+    assert t.union(n, n) == n
+    for a in chains:
+        assert t.union(n, a) == n == t.union(a, n)
+        for b in chains:
+            assert t.union(a, b) == t.union(b, a)
+
+
+def test_trie_union_and_walk_keep_their_own_stack():
+    t = _trie_table()
+    prefix = tuple(range(4, 5004))
+    a = t.prepend(prefix, t.prepend((1, 2), t.single(0)))
+    b = t.prepend(prefix, t.prepend((1, 3), t.single(1)))
+    n = t.union(a, b)
+    assert set(t.walk(n)) == {(prefix + (1, 2), 0), (prefix + (1, 3), 1)}
+    assert t.union(b, a) == n and t.union(n, a) == n
 
 
 # ---------------------------------------------------------------------------
