@@ -918,56 +918,58 @@ class _Outcomes:
         return n
 
     def union(self, a: int, b: int) -> int:
-        """The union of sets ``a`` and ``b``.  Children are merged by event
-        id; an event both have gets the union of its two children, computed
-        first on an explicit stack.  Every union is memoized per pair."""
+        """The union of sets ``a`` and ``b``, memoized per pair of ids."""
+        if a == b or not b:
+            return a
+        if not a:
+            return b
+        pair = (a, b) if a < b else (b, a)
+        n = self.unions.get(pair)
+        return self._merge(pair) if n is None else n
+
+    def _merge(self, pair: tuple[int, int]) -> int:
+        """The union of the two distinct non-empty sets of ``pair``, smaller
+        id first.  Children are merged by event id; an event both sets have
+        gets the union of its two children, computed first on an explicit
+        stack."""
         memo, nodes = self.unions, self.nodes
-
-        def known(a: int, b: int) -> Optional[int]:
-            if a == b or not b:
-                return a
-            if not a:
-                return b
-            return memo.get((a, b) if a < b else (b, a))
-
-        result = known(a, b)
-        if result is not None:
-            return result
-        todo = [(a, b) if a < b else (b, a)]
+        todo = [pair]
         while todo:
-            pair = todo[-1]
-            if pair in memo:
+            a, b = todo[-1]
+            if (a, b) in memo:
                 todo.pop()
                 continue
-            (leaves, ca), (leaves_b, cb) = nodes[pair[0]], nodes[pair[1]]
+            (leaves, ca), (leaves_b, cb) = nodes[a], nodes[b]
             children = dict(ca)
             missing = []
             for e, c in cb:
                 d = children.get(e)
-                if d is None:
+                if d is None or d == c:
                     children[e] = c
                     continue
-                u = known(d, c)
+                sub = (d, c) if d < c else (c, d)
+                u = memo.get(sub)
                 if u is None:
-                    missing.append((d, c) if d < c else (c, d))
+                    missing.append(sub)
                 else:
                     children[e] = u
             if missing:
                 todo.extend(missing)
                 continue
             todo.pop()
-            memo[pair] = self._node(leaves | leaves_b, tuple(sorted(children.items())))
-        return known(a, b)
+            memo[a, b] = self._node(leaves | leaves_b, tuple(sorted(children.items())))
+        return memo[pair]
 
     def follow(self, evs: tuple[int, ...], target: Optional[int]) -> int:
         """Outcomes of an edge emitting ``evs`` into ``target`` (None: abort)."""
-        return self.prepend(evs, self.aborted if target is None else self.outcomes[target])
+        n = self.aborted if target is None else self.outcomes[target]
+        return self.prepend(evs, n) if evs else n
 
     def node(self, i: int) -> int:
         """Outcomes of a configuration outside any cycle, from its edges."""
-        out = 0
+        out, union, follow = 0, self.union, self.follow
         for evs, t in self.edges[i]:
-            out = self.union(out, self.follow(evs, t))
+            out = union(out, follow(evs, t))
         return out
 
     def walk(self, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
