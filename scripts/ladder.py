@@ -17,7 +17,8 @@ instead of exhausting the host.
 For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
 finished (configurations, transitions, truncated frontier, SCC count and
-largest SCC, histories, recorded executions), the wall seconds of each
+largest SCC, histories, recorded executions, distinct search problems the
+check searched), the wall seconds of each
 finished layer, the verdict (``pass``, ``fail``, or ``inconclusive`` when
 the exploration was truncated or its outcome sets approximate) and the
 child's peak resident set.  The file is named after the short commit id of
@@ -89,7 +90,7 @@ def run_rung(index: int) -> None:
         recs = layer("record", lambda: checker.recorded_executions(ex),
                      lambda recs: {"records": len(recs)})
         layer("check", lambda: checker.check_strict(recs, model.seq_spec), lambda rep: {
-            "verdict": "fail" if not rep.passed
+            "searches": rep.searches, "verdict": "fail" if not rep.passed
             else "inconclusive" if ex.truncated or ex.approximate else "pass"})
     except MemoryError:
         os._exit(OOM_EXIT)  # nothing more can be printed safely

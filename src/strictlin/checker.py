@@ -15,7 +15,7 @@ checks, bounded to the execution set supplied:
   ``check_general``, linearizing against the ADT, a terminated one onto its
   abstracted final state.
 
-The loop runs one search, :func:`find_linearization`, per execution.  For
+The loop runs :func:`find_linearization` once per execution.  For
 an execution checked onto its final state the search carries that state's
 key as a target, and one depth-first walk returns both the first witness
 and the first witness reaching that state.  One witness rule holds in
@@ -46,6 +46,18 @@ state.  Ties are broken by ascending operation id, then by the ``repr`` of
 the outcome, which fixes the witness and makes reports deterministic.  The
 table lives for one call only; ``find_linearization`` takes one as a
 keyword and otherwise makes a fresh one.
+
+The table also keeps the result of each distinct search problem: the start
+state, the target key, the predecessor masks, and each operation's (method,
+argument) and recorded response, an abort told apart from a return.  The
+executions of one exploration come from one program, so most of them pose a
+problem another already posed (hw 2+2 records 4,528 executions and poses 352
+problems), and each problem is searched once per check.  A result depends on
+its problem alone: the search never sees an event, the order of operations
+and of outcomes does not depend on how states are numbered, and the trail
+names operations by index.  Each execution still builds its witness and
+completion from its own events, so every entry is the one its own search
+would give.  ``CheckReport.searches`` counts the problems searched.
 
 Results come from the search's trail.  The witness reuses the input
 history's own invocation events and the response events of its completed
@@ -105,9 +117,16 @@ class RecordedExecution:
             raise ValueError("terminated execution with pending operations")
 
 
+# a search's trail: the operations it linearized, in order, each with its
+# return; and its result, see :func:`_solve`
+Trail = tuple[tuple[int, Value], ...]
+Found = Optional[tuple[tuple[Trail, int], Optional[Trail]]]
+
+
 class SpecTable:
-    """One check's table for one spec: spec states numbered by ints, and the
-    spec's outcomes per (method, argument, state id).
+    """One check's table for one spec: spec states numbered by ints, the
+    spec's outcomes per (method, argument, state id), and the result of each
+    distinct search problem.
 
     ``states[sid]`` is the state numbered ``sid`` (the first of its equals
     seen) and ``keys[sid]`` its ``spec.state_key``.  ``calls[(method, arg)]``
@@ -115,6 +134,9 @@ class SpecTable:
     pairs sorted by the ``repr`` of the raw ``(state, return)`` pair; it
     fills as searches ask, so a spec method runs once per distinct
     (method, argument, state) however many searches share the table.
+    ``searches`` maps each search problem to its result (see
+    :func:`_search`), so a problem is searched once however many executions
+    pose it.
     """
 
     def __init__(self, spec: SeqSpec) -> None:
@@ -123,6 +145,7 @@ class SpecTable:
         self.states: list[Any] = []
         self.keys: list[Any] = []
         self.calls: dict[tuple[str, Value], dict[int, tuple[tuple[int, Value], ...]]] = {}
+        self.searches: dict[tuple, Found] = {}
 
     def intern(self, state: Any) -> int:
         sid = self.ids.get(state)
@@ -194,7 +217,8 @@ class Linearization:
     strict: Optional[History]
 
 
-Trail = list[tuple[int, Value]]
+_ABORTED = object()  # the recorded response of an operation closed by an abort
+_UNSEEN = object()
 
 
 def _search(
@@ -204,9 +228,36 @@ def _search(
     ends: Sequence[Optional[Event]],
     preds: Sequence[int],
     target_key: Optional[Any],
-) -> Optional[tuple[tuple[Trail, int], Optional[Trail]]]:
-    """Core witness search over the operations and predecessor masks of
-    :func:`_operations`.
+) -> Found:
+    """Witness search over the operations and predecessor masks of
+    :func:`_operations`, once per distinct problem in ``table``.
+
+    The problem is the start state, ``target_key``, the predecessor masks,
+    and each operation's (method, argument) and recorded response (a
+    return value, ``_ABORTED``, or None while pending).  :func:`_solve`
+    reads nothing else, and its trail names operations by index, so an
+    execution posing a problem that an earlier search of the table solved
+    takes that result.
+    """
+    names = tuple((c.label.method, c.label.arg) for c in calls)  # type: ignore[union-attr]
+    rets = tuple(None if e is None else e.label.value if isinstance(e.label, Ret)  # type: ignore[union-attr]
+                 else _ABORTED for e in ends)
+    key = (table.intern(start), target_key, preds, names, rets)
+    got = table.searches.get(key, _UNSEEN)
+    if got is _UNSEEN:
+        got = table.searches[key] = _solve(table, key[0], names, rets, preds, target_key)
+    return got  # type: ignore[return-value]
+
+
+def _solve(
+    table: SpecTable,
+    start: int,
+    names: Sequence[tuple[str, Value]],
+    rets: Sequence[Any],
+    preds: Sequence[int],
+    target_key: Optional[Any],
+) -> Found:
+    """The search itself, from spec state id ``start``.
 
     A node is complete when every completed operation is linearized.
     Returns None when no node is complete; otherwise the first complete
@@ -221,17 +272,15 @@ def _search(
     nodes failed and visit nodes in the same order.  Past it, the search
     goes on for the target alone.
     """
-    if any(e is not None and isinstance(e.label, RetAbort) for e in ends):
+    if _ABORTED in rets:
         return None
-    n = len(calls)
-    rets = [None if e is None else e.label.value for e in ends]  # type: ignore[union-attr]
-    complete = sum(1 << i for i, e in enumerate(ends) if e is not None)
+    n = len(names)
+    complete = sum(1 << i for i, r in enumerate(rets) if r is not None)
     all_ops = (1 << n) - 1
-    names = [(c.label.method, c.label.arg) for c in calls]  # type: ignore[union-attr]
     cells = [table.calls.setdefault(name, {}) for name in names]
     keys = table.keys
     failed: set[int] = set()  # sid << n | done
-    trail: Trail = []
+    trail: list[tuple[int, Value]] = []
     first: list[tuple[Trail, int]] = []
 
     def moves(done: int, sid: int) -> Iterator[tuple[int, int, int, Value]]:
@@ -262,7 +311,7 @@ def _search(
         while True:
             if done & complete == complete:
                 if not first:
-                    first.append((trail[:], done))
+                    first.append((tuple(trail), done))
                 if target_key is None or keys[sid] == target_key:
                     return True
                 # keep searching: closing a pending op or another order may
@@ -286,10 +335,10 @@ def _search(
             i, done, sid, out = move
             trail.append((i, out))
 
-    hit = walk(0, table.intern(start))
+    hit = walk(0, start)
     if not first:
         return None
-    return first[0], trail if hit and target_key is not None else None
+    return first[0], tuple(trail) if hit and target_key is not None else None
 
 
 def _witness(
@@ -364,10 +413,14 @@ class ExecutionVerdict:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A check's verdict and one entry per execution; ``searches`` counts the
+    distinct search problems the check searched, at most one per entry."""
+
     mode: str
     passed: bool
     entries: tuple[ExecutionVerdict, ...]
     impl: Optional[ImplVerdict] = None
+    searches: int = 0
 
     def failing(self) -> tuple[ExecutionVerdict, ...]:
         return tuple(e for e in self.entries if not e.ok)
@@ -455,7 +508,7 @@ def _check(
         else:
             entries.append(ExecutionVerdict(ex, True, witness=lin.strict))
     passed = all(e.ok for e in entries) and (impl is None or impl.ok)
-    return CheckReport(mode, passed, tuple(entries), impl=impl)
+    return CheckReport(mode, passed, tuple(entries), impl=impl, searches=len(table.searches))
 
 
 def check_strict(
@@ -579,7 +632,13 @@ def brute_force_linearizations(h: History) -> frozenset[History]:
 
 def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
     """Distinct (history, classification, final state) triples of an
-    exploration, as recorded executions for the checkers."""
+    exploration, as recorded executions for the checkers.
+
+    Each history is a ``results("history")`` trace taken as it is, with
+    ``History._trusted``: that projection keeps interface events only, and
+    the explorer emits one invocation and at most one response per
+    operation id, so filtering or validating the trace again would find
+    nothing."""
     from .explorer import Kind
 
     key = exploration.spec.state_key
@@ -598,11 +657,12 @@ def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
 
     seen = {}
     for r in exploration.results("history"):
+        h = History._trusted(r.trace)
         if r.kind is Kind.TERMINATED:
-            rec = RecordedExecution(init, r.history(), True, r.final_object)
-            k = (text(rec.history), True, key(r.final_object))
+            rec = RecordedExecution(init, h, True, r.final_object)
+            k = (text(h), True, key(r.final_object))
         else:
-            rec = RecordedExecution(init, r.history(), False)
-            k = (text(rec.history), False, None)
+            rec = RecordedExecution(init, h, False)
+            k = (text(h), False, None)
         seen.setdefault(k, rec)
     return tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0], str(k[2]))))

@@ -67,9 +67,25 @@ class Event:
     label: Label
     op: Optional[int] = None
 
+    _hash = None  # not a field: the hash, once computed
+
     def __post_init__(self) -> None:
         if isinstance(self.label, (Inv, Ret, RetAbort)) and self.op is None:
             raise ValueError(f"interface event without operation id: {self}")
+
+    def __hash__(self) -> int:
+        # computed on first use and kept: the explorer interns events, so
+        # the traces, result sets and keys that hold one hash it once
+        h = self._hash
+        if h is None:
+            h = hash((self.thread, self.label, self.op))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self) -> tuple:
+        # rebuilt from its fields alone: string hashes differ between
+        # processes, so a pickled or copied event must not carry its hash
+        return Event, (self.thread, self.label, self.op)
 
     @property
     def is_client(self) -> bool:
@@ -146,9 +162,12 @@ class History:
 
         For histories built from the events of one history that passed them,
         in any order, with some operations left out, invocations renamed,
-        and at most one new response for each operation pending there.  Each
-        event is an interface event, and each operation id keeps at most one
-        invocation and at most one response, so the checks would pass.
+        and at most one new response for each operation pending there; and
+        for an exploration's traces under the ``history`` projection, which
+        keeps interface events only of an explorer that emits one invocation
+        and at most one response per operation id.  Each event is an
+        interface event, and each operation id keeps at most one invocation
+        and at most one response, so the checks would pass.
         """
         h = object.__new__(cls)
         object.__setattr__(h, "events", events)
@@ -226,10 +245,12 @@ def is_complete(h: History) -> bool:
 
 
 def pending(h: History) -> frozenset[int]:
-    """Operation ids with an invocation but no response."""
-    invs = {e.op for e in h if isinstance(e.label, Inv)}
-    rets = {e.op for e in h if isinstance(e.label, (Ret, RetAbort))}
-    return frozenset(invs - rets)  # type: ignore[arg-type]
+    """Operation ids with an invocation but no response, in one walk."""
+    invs: list[int] = []
+    rets: list[int] = []
+    for e in h.events:
+        (invs if isinstance(e.label, Inv) else rets).append(e.op)  # type: ignore[arg-type]
+    return frozenset(invs).difference(rets)
 
 
 def completions(

@@ -879,3 +879,125 @@ def test_table_of_another_spec_is_refused():
     rec = RecordedExecution((), history([]), True, ())
     with pytest.raises(ValueError):
         find_linearization(rec, QUEUE, table=SpecTable(multiset_adt()))
+
+
+# ---------------------------------------------------------------------------
+# one search per distinct problem: every entry is that of a fresh search
+# ---------------------------------------------------------------------------
+
+
+def _fresh_entry(ex, spec, abstraction=None, finals=True):
+    """The verdict, witness, completion and detail of ``ex``'s entry, from
+    its own ``find_linearization`` with a fresh table: the checker's witness
+    rule restated."""
+    onto_final = finals and ex.terminated
+    a = ex if abstraction is None else _abstracted(ex, *abstraction)
+    a = RecordedExecution(a.initial_state, a.history, onto_final,
+                          a.final_state if onto_final else None)
+    lin = find_linearization(a, spec)
+    if lin is None:
+        return (False, None, None, "no abstract linearization" if abstraction
+                else "no linearization exists" if ex.terminated
+                else "no completion linearizes")
+    if not onto_final:
+        return True, lin.witness, lin.completion, ""
+    if lin.strict is None:
+        missed = ("no linearization reaches the recorded final state" if abstraction is None
+                  else "no abstract linearization reaches the abstracted final state")
+        return False, None, None, f"{missed} {spec.render_state(a.final_state)}"
+    return True, lin.strict, None, ""
+
+
+def _assert_memo_equals_fresh(rep, execs, spec, abstraction=None, finals=True):
+    assert [e.execution for e in rep.entries] == list(execs)
+    for e in rep.entries:
+        want = _fresh_entry(e.execution, spec, abstraction, finals)
+        assert _fields(e) == want, serialize_history(e.execution.history)
+    assert 0 < rep.searches <= len(execs) or rep.searches == len(execs) == 0
+
+
+def _assert_checks_equal_fresh(execs, check, args):
+    """``check`` over ``execs`` (a strict or implementation check, with the
+    arguments ``_bench_query`` gives) equals one fresh search per execution;
+    an implementation check's execution set also runs as a general check."""
+    rep = check(execs, *args)
+    if check is check_strict:
+        _assert_memo_equals_fresh(rep, execs, *args)
+        return
+    _, adt, af, rf, _ = args
+    _assert_memo_equals_fresh(rep, execs, adt, (af, rf))
+    _assert_memo_equals_fresh(check_general(execs, adt, af, rf), execs, adt, (af, rf),
+                              finals=False)
+
+
+@pytest.mark.parametrize("qid", STRICT_QIDS)
+def test_memoized_checks_equal_fresh_searches_on_benchmark_queries(qid, monkeypatch):
+    recs, check, args = _bench_query(monkeypatch, qid)
+    _assert_checks_equal_fresh(recs, check, args)
+
+
+def test_memoized_checks_equal_fresh_searches_on_hw_2_plus_2(monkeypatch):
+    recs, _, (spec,) = _bench_query(monkeypatch, "strict/hw-2+2")
+    m = models.hw_model(4)
+    states = list(m.enumerate_states(("a", "b")))
+    rf = RenamingFunction.identity(m.method_names())
+    args = (spec, queue_adt(("c", "d")), models.af_hw_prefix(), rf, states)
+    _assert_checks_equal_fresh(recs, check_concurrent_implementation, args)
+
+
+@given(st.lists(st.lists(_CALLS, min_size=1, max_size=2), min_size=1, max_size=3)
+       .filter(lambda threads: sum(map(len, threads)) <= 4))
+@settings(max_examples=20, deadline=None)
+def test_memoized_checks_equal_fresh_searches_on_generated_programs(threads):
+    p = parse_program("\n".join("thread { " + " ; ".join(t) + " }" for t in threads))
+    for m, af in [(models.coarse_queue_model(), AbstractionFunction("contents", lambda s: s[-1])),
+                  (models.hw_model(2), models.af_hw_prefix())]:
+        recs = recorded_executions(explorer.explore(p, m))
+        _assert_checks_equal_fresh(recs, check_strict, (m.seq_spec,))
+        rf = RenamingFunction.identity(m.method_names())
+        args = (m.seq_spec, QUEUE, af, rf, list(m.enumerate_states(("a", "b"))))
+        _assert_checks_equal_fresh(recs, check_concurrent_implementation, args)
+
+
+def _overlap(deq_end, enq_arg="a", deq_first=False):
+    """An Enqueue(``enq_arg``) and a Dequeue that overlap, or with
+    ``deq_first`` the Dequeue returning before the Enqueue starts; the
+    Dequeue closed by ``deq_end``, an event or None for pending."""
+    enq = [inv(1, 1, "Enqueue", enq_arg), ret(1, 1, UNIT)]
+    deq = [inv(2, 2, "Dequeue", UNIT)] + ([] if deq_end is None else [deq_end])
+    if deq_first:
+        return history(deq + enq)
+    return history([enq[0], deq[0], enq[1]] + deq[1:])
+
+
+def test_memo_key_tells_apart_each_field_of_a_problem():
+    """Executions whose problems differ in exactly one field, each right
+    after the one it differs from, in one check: a key without that field
+    hands the second the first's result."""
+    back = ret(2, 2, "a")
+    base = RecordedExecution((), _overlap(back), True, ())  # passes
+    variants = [
+        RecordedExecution(("b",), _overlap(back), True, ()),  # start state
+        RecordedExecution((), _overlap(back), True, ("a",)),  # final-state key
+        RecordedExecution((), _overlap(ret(2, 2, "b")), True, ()),  # a response
+        RecordedExecution((), _overlap(back, enq_arg="b"), True, ()),  # an argument
+        RecordedExecution((), _overlap(back, deq_first=True), True, ()),  # predecessors
+    ]
+    running = RecordedExecution((), _overlap(back), False)  # passes
+    aborted = RecordedExecution((), _overlap(ret_abort(2, 2)), False)  # abort, not a return
+    dropped = RecordedExecution((), _overlap(None), False)  # pending, passes
+    execs = [e for v in variants for e in (base, v)] + [running, aborted, dropped, aborted]
+    for order in (execs, execs[::-1]):
+        rep = check_strict(order, QUEUE)
+        _assert_memo_equals_fresh(rep, order, QUEUE)
+        assert rep.searches == 9
+    verdicts = [e.ok for e in check_strict(execs, QUEUE).entries]
+    assert verdicts == [True, False] * len(variants) + [True, False, True, False]
+
+
+def test_check_report_counts_distinct_searches(monkeypatch):
+    recs, _, (spec,) = _bench_query(monkeypatch, "strict/hw-2+2")
+    assert (len(recs), check_strict(recs, spec).searches) == (4528, 352)
+    assert check_strict(recs[:1], spec).searches == 1
+    assert check_strict(recs[:1] * 3, spec).searches == 1
+    assert check_strict([], spec).searches == 0

@@ -1,16 +1,23 @@
 """Histories: projections, completions, happened-before, linearization."""
 
+import copy
 import itertools
+import os
+import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import strictlin
 from strictlin.history import (
     History,
     HistoryError,
     HistoryParseError,
     Inv,
+    RetAbort,
     completions,
     happened_before,
     history,
@@ -133,6 +140,9 @@ def test_pending():
     assert pending(fig3()) == frozenset()
     h = history([inv(1, 1, "A", UNIT), inv(2, 2, "B", UNIT), ret(1, 1, UNIT)])
     assert pending(h) == {2}
+    # an abort closes its operation; a response counts wherever it stands
+    h = history([inv(1, 1, "A", UNIT), ret_abort(1, 1), ret(2, 2, UNIT), inv(2, 2, "B", UNIT)])
+    assert pending(h) == frozenset()
 
 
 def test_duplicate_invocation_rejected():
@@ -481,3 +491,56 @@ def test_event_line_pattern_agrees_with_field_checks(line):
     if want is not None:
         prefix = "" if isinstance(want.label, Inv) else f"t=9 op={want.op} inv A unit\n"
         assert parse_history(prefix + line)[-1] == want
+
+
+# ---------------------------------------------------------------------------
+# Event hashes
+# ---------------------------------------------------------------------------
+
+
+def test_interned_and_parsed_events_hash_alike():
+    from strictlin import explorer, models
+    from strictlin.checker import recorded_executions
+    from strictlin.programs import parse_program
+
+    p = parse_program("thread { call Q.Enqueue('a') ; call y = Q.Dequeue() }\n"
+                      "thread { call Q.Enqueue('b') }")  # one cell: an enqueue aborts
+    recs = recorded_executions(explorer.explore(p, models.hw_model(1)))
+    assert any(isinstance(e.label, RetAbort) for rec in recs for e in rec.history)
+    for rec in recs:
+        parsed = parse_history(serialize_history(rec.history))
+        assert parsed == rec.history
+        for a, b in zip(rec.history, parsed):
+            assert a is not b and hash(a) == hash(b)
+        assert set(parsed) == set(rec.history)
+        assert hash(parsed.events) == hash(rec.history.events)
+
+
+_PICKLE_EVENTS = """
+import pickle, sys
+from strictlin.history import inv, ret, ret_abort
+from strictlin.values import EMPTY
+events = [inv(1, 7, "Enqueue", "c"), ret(2, 8, EMPTY), ret_abort(3, 9)]
+for e in events:
+    hash(e)
+sys.stdout.buffer.write(pickle.dumps((hash("Enqueue"), events)))
+"""
+
+
+def test_event_hash_does_not_travel_through_pickle_or_copy():
+    """String hashes differ between processes, so an event pickled after its
+    hash was taken must hash as the same event built here."""
+    here = [inv(1, 7, "Enqueue", "c"), ret(2, 8, EMPTY), ret_abort(3, 9)]
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = os.path.dirname(os.path.dirname(strictlin.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _PICKLE_EVENTS], env=env,
+                         capture_output=True, check=True).stdout
+    their_str_hash, theirs = pickle.loads(out)
+    assert their_str_hash != hash("Enqueue")  # the child hashed strings differently
+    assert theirs == here
+    assert [hash(e) for e in theirs] == [hash(e) for e in here]
+    assert set(theirs) == set(here)
+    for e in here:
+        for c in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert c == e and hash(c) == hash(e)
