@@ -242,10 +242,11 @@ def _search(
     names = tuple((c.label.method, c.label.arg) for c in calls)  # type: ignore[union-attr]
     rets = tuple(None if e is None else e.label.value if isinstance(e.label, Ret)  # type: ignore[union-attr]
                  else _ABORTED for e in ends)
-    key = (table.intern(start), target_key, preds, names, rets)
+    sid = table.intern(start)
+    key = (sid, target_key, preds, names, rets)
     got = table.searches.get(key, _UNSEEN)
     if got is _UNSEEN:
-        got = table.searches[key] = _solve(table, key[0], names, rets, preds, target_key)
+        got = table.searches[key] = _solve(table, sid, names, rets, preds, target_key)
     return got  # type: ignore[return-value]
 
 
@@ -643,26 +644,32 @@ def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
 
     key = exploration.spec.state_key
     init = exploration.initial_object
-    # the explorer interns events, so each distinct event is rendered once
+    # the explorer interns events and object states, so each distinct event
+    # is rendered once, and each final state keyed and rendered once
     lines: dict[int, str] = {}
+    # a final state's key and its text, which orders the records; None
+    # stands for an execution that did not terminate
+    finals: dict[int, tuple[Any, str]] = {id(None): (None, "None")}
 
     def text(h: History) -> str:
         out = []
-        for e in h:
+        for e in h.events:
             line = lines.get(id(e))
             if line is None:
                 line = lines[id(e)] = e.render() + "\n"
             out.append(line)
         return "".join(out)
 
-    seen = {}
+    seen: dict[tuple, tuple[str, RecordedExecution]] = {}
     for r in exploration.results("history"):
         h = History._trusted(r.trace)
-        if r.kind is Kind.TERMINATED:
-            rec = RecordedExecution(init, h, True, r.final_object)
-            k = (text(h), True, key(r.final_object))
-        else:
-            rec = RecordedExecution(init, h, False)
-            k = (text(h), False, None)
-        seen.setdefault(k, rec)
-    return tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0], str(k[2]))))
+        terminated = r.kind is Kind.TERMINATED
+        final = r.final_object if terminated else None
+        f = finals.get(id(final))
+        if f is None:
+            k = key(final)
+            f = finals[id(final)] = (k, str(k))
+        rec = RecordedExecution(init, h, terminated, final)
+        seen.setdefault((text(h), terminated, f[0]), (f[1], rec))
+    order = sorted(seen.items(), key=lambda item: (item[0][0], item[1][0]))
+    return tuple(rec for _, (_, rec) in order)
