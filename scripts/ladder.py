@@ -21,9 +21,11 @@ largest SCC, histories, recorded executions, distinct search problems the
 check searched), the wall seconds of each
 finished layer, the verdict (``pass``, ``fail``, or ``inconclusive`` when
 the exploration was truncated or its outcome sets approximate) and the
-child's peak resident set.  The file is named after the short commit id of
-the measured checkout, with ``-dirty`` when its ``src/`` differs from that
-commit, and is written to the root of this repository.
+child's peak resident set; ``src_lines`` is the line count of the measured
+tree's ``src/strictlin/*.py``, as ``wc -l`` counts it, so that one file
+reads both the times and the size of the code.  The file is named after the
+short commit id of the measured checkout, with ``-dirty`` when its ``src/``
+differs from that commit, and is written to the root of this repository.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def _git(tree: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def src_lines(tree: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "strictlin").glob("*.py"))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=ROOT,
@@ -165,6 +171,7 @@ def main() -> None:
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "mem_cap_mb": MEM_CAP_MB,
         "wall_cap_s": WALL_CAP_S,
+        "src_lines": src_lines(tree),
         "rungs": rungs,
     }
     path = ROOT / f"BENCH_{sha}.json"

@@ -21,6 +21,13 @@ compared against a spec other than the model's own (``FOREIGN_COMPARES``),
 it prints every field of the ``observables_report`` and
 ``divergence_report`` that ``compare`` prints, with the trace differences
 as counts and sha256s.
+Then the ``history`` section: for ``HISTORIES`` queue histories from
+``bench.workloads.generate_history`` (some pending, some mutated so that
+they do not linearize) and ill-formed variants of a few of them, and for the
+triples of the ``prop2-fuzz`` reproduction, it prints whether each history
+is well-formed and complete and sha256s of ``linearizes``, of every witness,
+completion and strict witness ``find_linearization`` returns, and of the
+error text an ill-formed history raises.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
@@ -47,8 +54,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 from bench.workloads import COMPARE_QUERIES, PROGRAMS, STRICT_QUERIES  # noqa: E402
-from strictlin import checker, explorer, models, specs  # noqa: E402
-from strictlin.history import serialize_history  # noqa: E402
+from bench.workloads import generate_history  # noqa: E402
+from strictlin import checker, explorer, models, reproductions, specs  # noqa: E402
+from strictlin.history import (  # noqa: E402
+    Event,
+    History,
+    Inv,
+    is_complete,
+    is_well_formed,
+    linearizes,
+    parse_history,
+    serialize_history,
+)
 from strictlin.models import ObjectModel  # noqa: E402
 from strictlin.programs import parse_program  # noqa: E402
 from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
@@ -65,6 +82,9 @@ FOREIGN_COMPARES = (
     ("foreign/enq-deq coarse-queue adt-queue",
      "thread { call Q.Enqueue('c') ; call y = Q.Dequeue() }", "coarse-queue", "adt-queue", ()),
 )
+HISTORIES = 200
+HISTORY_SEED = 44
+ILL_FORMED_EVERY = 20  # every 20th generated history also gets ill-formed variants
 # (label, program, model) of the ladder's big rungs: their graphs are built
 # and classified, but enumerating their outcomes takes minutes
 BIG_RUNGS = (
@@ -261,6 +281,73 @@ def compare_digest(text: str, ref: str, spec_name=None, contents=()) -> list[str
     return lines
 
 
+def _ill_formed(h: History) -> list[tuple[str, History]]:
+    """Variants of ``h`` that break well-formedness: its first response
+    moved to the front, answering an operation before its invocation; that
+    response given to a thread with no operation open; every event on one
+    thread, which opens a second invocation on it when operations overlap."""
+    events = list(h.events)
+    first = next((k for k, e in enumerate(events) if not isinstance(e.label, Inv)), None)
+    out = [("all-on-one-thread", [Event(1, e.label, e.op) for e in events])]
+    if first is not None:
+        e = events[first]
+        out.append(("response-first", [e] + events[:first] + events[first + 1:]))
+        out.append(("response-on-idle-thread", events[:first]
+                    + [Event(e.thread + 100, e.label, e.op)] + events[first + 1:]))
+    return [(label, History(tuple(evs))) for label, evs in out]
+
+
+def history_rows() -> list[tuple[str, History, object]]:
+    """(label, history, final queue contents or None) of the section."""
+    rng = random.Random(HISTORY_SEED)
+    rows = []
+    for k in range(HISTORIES):
+        threads, ops = rng.randint(3, 6), rng.randint(2, 5)
+        pending = k % 4 == 1
+        mutation = ("none", "none", "never", "twice")[k % 8 // 2]
+        text, final, _ = generate_history(rng, threads, ops, pending, mutation)
+        label = f"gen/{k} threads={threads} ops={ops} pending={pending} mutation={mutation}"
+        h = parse_history(text)
+        rows.append((label, h, final))
+        if k % ILL_FORMED_EVERY == 0:
+            rows += [(f"{label} {kind}", bad, final) for kind, bad in _ill_formed(h)]
+    return rows
+
+
+def history_digest(h: History, final) -> str:
+    """Well-formedness and completeness of ``h``, and a sha256 of what
+    ``find_linearization`` returns against the queue ADT (its witness,
+    completion, strict witness, and whether the completion linearizes to
+    the witness) or of the error it raises."""
+    rec = checker.RecordedExecution((), h, final is not None, final)
+    try:
+        lin = checker.find_linearization(rec, specs.queue_adt())
+    except ValueError as exc:
+        got = ["error", str(exc)]
+    else:
+        got = None if lin is None else [
+            serialize_history(lin.witness), serialize_history(lin.completion),
+            lin.strict and serialize_history(lin.strict), linearizes(lin.completion, lin.witness)]
+    return (f"well_formed={is_well_formed(h)} complete={is_complete(h)} "
+            f"sha256={_text_sha(json.dumps(got))}")
+
+
+def fuzz_digest() -> str:
+    """The ``prop2-fuzz`` triples regenerated as the reproduction draws them
+    (``transitivity_fuzz``'s default count and seed), with ``linearizes``
+    between every two of each triple."""
+    rng = random.Random(20260810)
+    got = []
+    for _ in range(1000):
+        h2 = reproductions._random_history(rng, ("a", "b"))
+        h1 = reproductions._perturb(rng, h2, weaken=True, swaps=rng.randint(0, 4))
+        h3 = reproductions._perturb(rng, h2, weaken=False, swaps=rng.randint(0, 4))
+        triple = (h1, h2, h3)
+        got.append([[is_well_formed(h), is_complete(h)] for h in triple]
+                   + [linearizes(a, b) for a in triple for b in triple])
+    return f"triples={len(got)} sha256={_text_sha(json.dumps(got))}"
+
+
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     for label, text, model, bound, projections, start in corpus():
@@ -290,6 +377,9 @@ def main() -> None:
         for line in compare_digest(*query):
             print(f"  {line}")
         sys.stdout.flush()
+    for label, h, final in history_rows():
+        print(f"== history {label}: {history_digest(h, final)}")
+    print(f"== history prop2-fuzz: {fuzz_digest()}")
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ The witness search (Wing & Gong style) is depth-first over (next operation
 to linearize) among operations minimal in happened-before order, threading
 specification state and matching recorded return values; pending operations
 may be closed with any spec-allowed return or dropped.  It runs on integers:
-one walk over the history numbers the operations by ascending op id and
+``history.operation_table`` numbers the operations by ascending op id and
 gives each a predecessor bitmask, the operations whose response precedes
-its invocation.  The set of linearized operations is a bitmask ``done``, and
+its invocation, in the same walk over the history that tells whether it is
+well-formed.  The set of linearized operations is a bitmask ``done``, and
 operation ``i`` may come next when ``preds[i] & ~done == 0``.  The walk
 keeps its open nodes on an explicit stack, so a history may hold more
 operations than Python's recursion limit.
@@ -47,9 +48,10 @@ the outcome, which fixes the witness and makes reports deterministic.  The
 table lives for one call only; ``find_linearization`` takes one as a
 keyword and otherwise makes a fresh one.
 
-The table also keeps the result of each distinct search problem: the start
-state, the target key, the predecessor masks, and each operation's (method,
-argument) and recorded response, an abort told apart from a return.  The
+The table also keeps the result of each distinct search problem, which
+``find_linearization`` looks up before it searches: the start state, the
+target key, the predecessor masks, and each operation's (method, argument)
+and recorded response, an abort told apart from a return.  The
 executions of one exploration come from one program, so most of them pose a
 problem another already posed (hw 2+2 records 4,528 executions and poses 352
 problems), and each problem is searched once per check.  A result depends on
@@ -85,7 +87,7 @@ from .history import (
     Ret,
     RetAbort,
     is_complete,
-    is_well_formed,
+    operation_table,
     pending,
     project_thread,
     ret as ret_event,
@@ -135,8 +137,8 @@ class SpecTable:
     fills as searches ask, so a spec method runs once per distinct
     (method, argument, state) however many searches share the table.
     ``searches`` maps each search problem to its result (see
-    :func:`_search`), so a problem is searched once however many executions
-    pose it.
+    :func:`find_linearization`), so a problem is searched once however many
+    executions pose it.
     """
 
     def __init__(self, spec: SeqSpec) -> None:
@@ -173,39 +175,6 @@ def _table_for(spec: SeqSpec, table: Optional[SpecTable]) -> SpecTable:
     return table
 
 
-def _operations(h: History) -> tuple[tuple[Event, ...], tuple[Optional[Event], ...],
-                                     tuple[int, ...]]:
-    """The operations of a well-formed ``h`` in ascending op-id order: their
-    invocation events, their response events (None while pending) and their
-    predecessor masks.
-
-    Bit ``i`` of a mask stands for operation ``i``; the mask of an operation
-    holds the operations whose response precedes its invocation, its
-    predecessors in happened-before order.  One walk over the events
-    records, for each invocation, how many responses came before it.
-    """
-    invoked: dict[int, tuple[Event, int]] = {}
-    closing: dict[int, Event] = {}
-    responders: list[int] = []  # op ids in response order
-    for e in h:
-        if isinstance(e.label, Inv):
-            invoked[e.op] = (e, len(responders))  # type: ignore[index]
-        else:
-            closing[e.op] = e  # type: ignore[index]
-            responders.append(e.op)  # type: ignore[arg-type]
-    index = {op: i for i, op in enumerate(sorted(invoked))}
-    before = [0]  # before[k]: mask of the first k responders
-    for op in responders:
-        before.append(before[-1] | 1 << index[op])
-    calls = []
-    preds = []
-    for op in index:
-        e, seen = invoked[op]
-        calls.append(e)
-        preds.append(before[seen])
-    return tuple(calls), tuple(closing.get(op) for op in index), tuple(preds)
-
-
 @dataclass(frozen=True)
 class Linearization:
     """A successful search: the completion used, its sequential witness, and,
@@ -219,35 +188,6 @@ class Linearization:
 
 _ABORTED = object()  # the recorded response of an operation closed by an abort
 _UNSEEN = object()
-
-
-def _search(
-    table: SpecTable,
-    start: Any,
-    calls: Sequence[Event],
-    ends: Sequence[Optional[Event]],
-    preds: Sequence[int],
-    target_key: Optional[Any],
-) -> Found:
-    """Witness search over the operations and predecessor masks of
-    :func:`_operations`, once per distinct problem in ``table``.
-
-    The problem is the start state, ``target_key``, the predecessor masks,
-    and each operation's (method, argument) and recorded response (a
-    return value, ``_ABORTED``, or None while pending).  :func:`_solve`
-    reads nothing else, and its trail names operations by index, so an
-    execution posing a problem that an earlier search of the table solved
-    takes that result.
-    """
-    names = tuple((c.label.method, c.label.arg) for c in calls)  # type: ignore[union-attr]
-    rets = tuple(None if e is None else e.label.value if isinstance(e.label, Ret)  # type: ignore[union-attr]
-                 else _ABORTED for e in ends)
-    sid = table.intern(start)
-    key = (sid, target_key, preds, names, rets)
-    got = table.searches.get(key, _UNSEEN)
-    if got is _UNSEEN:
-        got = table.searches[key] = _solve(table, sid, names, rets, preds, target_key)
-    return got  # type: ignore[return-value]
 
 
 def _solve(
@@ -370,11 +310,23 @@ def find_linearization(
     searches against ``spec`` share one :class:`SpecTable`.
     """
     h = exec.history
-    if not is_well_formed(h):
+    _, calls, ends, preds, well_formed = operation_table(h)
+    if not well_formed:
         raise ValueError("history is not well-formed")
-    calls, ends, preds = _operations(h)
     target = spec.state_key(exec.final_state) if exec.terminated else None
-    got = _search(_table_for(spec, table), exec.initial_state, calls, ends, preds, target)
+    table = _table_for(spec, table)
+    # the search problem: start state, target, predecessor masks, and each
+    # operation's (method, argument) and recorded response, an abort as
+    # _ABORTED and None while pending; _solve reads nothing else, and its
+    # trail names operations by index, so a problem is searched once
+    names = tuple((c.label.method, c.label.arg) for c in calls)  # type: ignore[union-attr]
+    rets = tuple(None if e is None else e.label.value if isinstance(e.label, Ret)  # type: ignore[union-attr]
+                 else _ABORTED for e in ends)
+    sid = table.intern(exec.initial_state)
+    key = (sid, target, preds, names, rets)
+    got = table.searches.get(key, _UNSEEN)
+    if got is _UNSEEN:
+        got = table.searches[key] = _solve(table, sid, names, rets, preds, target)
     if got is None:
         return None
     (trail, done), hit = got

@@ -69,7 +69,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .history import Act, Event, History, Inv, Ret, RetAbort
+from .history import Act, Event, Inv, Ret, RetAbort
 from .models import Done, ObjectModel, atomic_model
 from .programs import (
     Arith,
@@ -109,9 +109,6 @@ class ExecutionResult:
     final_object: Any = None
     cycle: tuple[Event, ...] = ()
     note: str = ""
-
-    def history(self) -> History:
-        return History(tuple(e for e in self.trace if e.is_interface))
 
     def client_events(self) -> tuple[Event, ...]:
         return tuple(e for e in self.trace if e.is_client)

@@ -4,9 +4,15 @@ A history is the subsequence of an execution trace consisting of invocation
 and response events.  Each method call (an *operation*) carries a unique
 integer operation id; an invocation matches a response when their ids are
 equal.  On top of histories this module provides the per-thread projection,
-well-formedness and sequentiality tests, pending-operation completion
-enumeration, the happened-before order on operations, and the linearization
-relation ``linearizes(h, h_seq)``.
+the sequentiality test, pending-operation completion enumeration, and the
+linearization relation ``linearizes(h, h_seq)``.
+
+:func:`operation_table` numbers a history's operations by ascending op id
+and gives each its invocation, its response and the bitmask of operations
+that precede it in happened-before order, and tells whether the history is
+well-formed, all in one walk over the events.  Well-formedness,
+completeness, happened-before, completions and the checker's witness
+search read that table.
 
 Everything here is immutable and purely functional.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .values import INT_TEXT, VALUE_TEXT, Value, parse_int, parse_value, render_value
 
@@ -220,28 +226,76 @@ def is_sequential(h: History) -> bool:
     return True
 
 
-def is_well_formed(h: History) -> bool:
-    """True iff every per-thread projection is sequential.
+class OperationTable(NamedTuple):
+    """The operations of a history, numbered by ascending op id: see
+    :func:`operation_table`."""
 
-    One walk over the events: ``open_op[t]`` is the operation whose
-    invocation is thread ``t``'s latest event.  A response must close that
-    operation, and an invocation may not follow another; a trailing open
-    invocation per thread is allowed.
+    ids: tuple[int, ...]
+    calls: tuple[Optional[Event], ...]
+    ends: tuple[Optional[Event], ...]
+    preds: tuple[int, ...]
+    well_formed: bool
+
+
+def operation_table(h: History) -> OperationTable:
+    """The operations of ``h`` and their order, from one walk over its events.
+
+    ``ids`` lists every op id that appears, invoked or answered, in
+    ascending order; operation ``i`` is ``ids[i]``.  ``calls[i]`` and
+    ``ends[i]`` are its invocation and response events, None when absent.
+    Bit ``j`` of ``preds[i]`` is set when operation ``j`` (``j != i``)
+    responded before operation ``i`` was invoked: its predecessors in
+    happened-before order; an operation never invoked has mask 0.
+    ``well_formed`` tells whether every per-thread projection is
+    sequential: ``open_op[t]`` is the operation whose invocation is thread
+    ``t``'s latest event, a response must close it, and an invocation may
+    not follow another.
+
+    In a well-formed history every response closes an invoked operation,
+    so only an ill-formed one can answer an operation not yet invoked.
     """
+    invoked: dict[int, tuple[Event, int]] = {}  # op id: (invocation, responses before it)
+    closing: dict[int, Event] = {}
+    responders: list[int] = []  # op ids in response order
     open_op: dict[int, int] = {}
-    for e in h:
+    well_formed = True
+    for e in h.events:
         if isinstance(e.label, Inv):
+            invoked[e.op] = (e, len(responders))  # type: ignore[index]
             if e.thread in open_op:
-                return False
+                well_formed = False
             open_op[e.thread] = e.op  # type: ignore[assignment]
-        elif open_op.pop(e.thread, None) != e.op:
-            return False
-    return True
+        else:
+            closing[e.op] = e  # type: ignore[index]
+            responders.append(e.op)  # type: ignore[arg-type]
+            if open_op.pop(e.thread, None) != e.op:
+                well_formed = False
+    ids = sorted(invoked if well_formed else invoked.keys() | closing.keys())
+    index = {op: i for i, op in enumerate(ids)}
+    before = [0]  # before[k]: mask of the first k responders
+    for op in responders:
+        before.append(before[-1] | 1 << index[op])
+    calls = []
+    preds = []
+    for op in ids:
+        e, seen = invoked.get(op, (None, 0))
+        calls.append(e)
+        preds.append(before[seen])
+    if not well_formed:  # an operation answered before its own invocation
+        preds = [mask & ~(1 << i) for i, mask in enumerate(preds)]
+    return OperationTable(tuple(ids), tuple(calls), tuple(closing.get(op) for op in ids),
+                          tuple(preds), well_formed)
+
+
+def is_well_formed(h: History) -> bool:
+    """True iff every per-thread projection is sequential."""
+    return operation_table(h).well_formed
 
 
 def is_complete(h: History) -> bool:
     """True iff well-formed and every invocation has a matching response."""
-    return is_well_formed(h) and not pending(h)
+    ops = operation_table(h)
+    return ops.well_formed and all(e is not None for e in ops.ends)
 
 
 def pending(h: History) -> frozenset[int]:
@@ -264,18 +318,17 @@ def completions(
     from ``candidates[op]``; every append order of the added responses is
     produced.  For a complete history the stream contains exactly ``h``.
     """
-    pend = sorted(pending(h))
-    by_op = {e.op: e for e in h if isinstance(e.label, Inv)}
+    ops = operation_table(h)
+    # the invocations of the pending operations, by ascending op id
+    pend = [c for c, e in zip(ops.calls, ops.ends) if c is not None and e is None]
     for r in range(len(pend) + 1):
         for closed in itertools.combinations(pend, r):
-            dropped = set(pend) - set(closed)
+            dropped = {c.op for c in pend} - {c.op for c in closed}
             base = tuple(e for e in h if not (e.op in dropped))
             for order in itertools.permutations(closed):
-                pools = [tuple(candidates.get(o, ())) for o in order]
+                pools = [tuple(candidates.get(c.op, ())) for c in order]
                 for vals in itertools.product(*pools):
-                    tail = tuple(
-                        ret(by_op[o].thread, o, v) for o, v in zip(order, vals)
-                    )
+                    tail = tuple(ret(c.thread, c.op, v) for c, v in zip(order, vals))
                     yield History(base + tail)
 
 
@@ -284,32 +337,12 @@ def completions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpOrder:
-    """Strict partial order on operation ids: ``o`` before ``o'`` when the
-    response of ``o`` precedes the invocation of ``o'`` in the history."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def precedes(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-    def issubset(self, other: "OpOrder") -> bool:
-        return self.pairs <= other.pairs
-
-
-def happened_before(h: History) -> OpOrder:
-    pairs = set()
-    ret_at: dict[int, int] = {}
-    for i, e in enumerate(h):
-        if isinstance(e.label, (Ret, RetAbort)):
-            ret_at[e.op] = i  # type: ignore[index]
-    for j, e in enumerate(h):
-        if isinstance(e.label, Inv):
-            for o, i in ret_at.items():
-                if i < j and o != e.op:
-                    pairs.add((o, e.op))
-    return OpOrder(frozenset(pairs))
+def happened_before(h: History) -> frozenset[tuple[int, int]]:
+    """The strict partial order on operation ids, as the pairs ``(o, o')``
+    where the response of ``o`` precedes the invocation of ``o'`` in ``h``."""
+    ids, _, _, preds, _ = operation_table(h)
+    return frozenset((ids[j], o) for o, mask in zip(ids, preds)
+                     for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def linearizes(h: History, h_seq: History) -> bool:
@@ -326,7 +359,7 @@ def linearizes(h: History, h_seq: History) -> bool:
     for t in h.threads():
         if project_thread(h, t) != project_thread(h_seq, t):
             return False
-    return happened_before(h).issubset(happened_before(h_seq))
+    return happened_before(h) <= happened_before(h_seq)
 
 
 # ---------------------------------------------------------------------------

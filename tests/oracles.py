@@ -6,11 +6,15 @@ transition rules (``_Interp``), so it cannot catch a fault in them.
 :func:`run_single_thread` shares no code with the explorer: it runs a
 one-thread program over a coarse-grained queue by direct recursion over its
 syntax tree.
+:func:`happened_before_by_scan` compares every response with every later
+invocation, with none of the numbering or bitmasks of
+``history.operation_table``.
 """
 
 from typing import Any, Sequence
 
 from strictlin.explorer import Config, ExecutionResult, Kind, _Interp, _projector
+from strictlin.history import History, Inv, Ret, RetAbort
 from strictlin.models import ObjectModel
 from strictlin.programs import (
     Arith,
@@ -169,3 +173,19 @@ def run_single_thread(prog: Program, max_steps: int = 10_000) -> tuple:
     except _Stop as stop:
         return stop.args[0]
     return ("terminated", tuple(sorted(env.items())), tuple(queue))
+
+
+def happened_before_by_scan(h: History) -> frozenset[tuple[int, int]]:
+    """The pairs ``(o, o')`` whose response of ``o`` precedes the invocation
+    of ``o'`` in ``h`` (``o != o'``), by an O(n^2) scan over the events."""
+    pairs = set()
+    ret_at: dict[int, int] = {}
+    for i, e in enumerate(h):
+        if isinstance(e.label, (Ret, RetAbort)):
+            ret_at[e.op] = i  # type: ignore[index]
+    for j, e in enumerate(h):
+        if isinstance(e.label, Inv):
+            for o, i in ret_at.items():
+                if i < j and o != e.op:
+                    pairs.add((o, e.op))
+    return frozenset(pairs)

@@ -307,7 +307,7 @@ def test_fig3_has_three_order_consistent_permutations():
     assert len(perms) == 3
     hb = happened_before(fig3_history())
     for p in perms:
-        assert hb.issubset(happened_before(p))
+        assert hb <= happened_before(p)
 
 
 def test_bijection_check_agrees_with_canonical_on_samples():

@@ -24,7 +24,7 @@ from strictlin.explorer import (
     observables_report,
     run_atomic,
 )
-from strictlin.history import Inv, Ret
+from strictlin.history import Inv, Ret, history
 from strictlin.models import MethodMachine, atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
@@ -73,7 +73,7 @@ def test_op_ids_unique_and_stable():
     )
     rs = explore(p, models.coarse_queue_model()).results()
     for r in rs:
-        ops = r.history().operations()
+        ops = history(e for e in r.trace if e.is_interface).operations()
         assert sorted(ops) == [101, 102, 201]
 
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import strictlin
+from oracles import happened_before_by_scan
+from strictlin.checker import RecordedExecution, find_linearization
 from strictlin.history import (
     History,
     HistoryError,
@@ -26,6 +29,7 @@ from strictlin.history import (
     is_sequential,
     is_well_formed,
     linearizes,
+    operation_table,
     parse_history,
     pending,
     project_thread,
@@ -34,6 +38,7 @@ from strictlin.history import (
     serialize_history,
 )
 from strictlin.history import _EVENT_LINE, _parse_event
+from strictlin.specs import SeqSpec, queue_adt
 from strictlin.values import EMPTY, NULL, UNIT, VALUE_TEXT, parse_value, render_value
 
 
@@ -205,17 +210,17 @@ def test_happened_before_sequential_total():
         [inv(1, 1, "A", UNIT), ret(1, 1, UNIT), inv(1, 2, "B", UNIT), ret(1, 2, UNIT),
          inv(2, 3, "C", UNIT), ret(2, 3, UNIT)]
     )
-    assert happened_before(h).pairs == {(1, 2), (1, 3), (2, 3)}
+    assert happened_before(h) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_happened_before_overlap_empty():
     h = history([inv(1, 1, "A", UNIT), inv(2, 2, "B", UNIT), ret(1, 1, UNIT), ret(2, 2, UNIT)])
-    assert happened_before(h).pairs == frozenset()
+    assert happened_before(h) == frozenset()
 
 
 def test_happened_before_fig3():
     # only the completed second enqueue precedes the dequeue
-    assert happened_before(fig3()).pairs == {(201, 301)}
+    assert happened_before(fig3()) == {(201, 301)}
 
 
 @st.composite
@@ -270,15 +275,66 @@ def test_well_formed_is_sequential_per_thread(h):
     )
 
 
+# any return of "M", the method of the generated histories, at one state
+ANY_M = SeqSpec("any-m", {"M": lambda s, x: {(s, "a"), (s, "b"), (s, EMPTY)}}, (0,))
+
+
+@given(st.one_of(_event_soups(), _histories()))
+@example(history([ret(1, 1, "a"), inv(1, 1, "M", UNIT)]))  # answered before its invocation
+@example(history([inv(1, 1, "M", UNIT), ret(2, 2, "a"), inv(2, 3, "M", UNIT)]))  # never invoked
+@settings(max_examples=300, deadline=None)
+def test_operation_table_agrees_with_references(h):
+    ops = operation_table(h)
+    assert ops.ids == tuple(sorted({e.op for e in h}))
+    assert ops.calls == tuple(next((e for e in h if e.op == o and isinstance(e.label, Inv)), None)
+                              for o in ops.ids)
+    assert ops.ends == tuple(next((e for e in h if e.op == o and not isinstance(e.label, Inv)),
+                                  None) for o in ops.ids)
+    assert happened_before(h) == happened_before_by_scan(h)
+    well_formed = all(is_sequential(project_thread(h, t)) for t in h.threads())
+    assert ops.well_formed == is_well_formed(h) == well_formed
+    assert is_complete(h) == (well_formed and not pending(h))
+    rec = RecordedExecution(0, h, False)
+    if well_formed:
+        lin = find_linearization(rec, ANY_M)
+        assert lin is None or linearizes(lin.completion, lin.witness)
+    else:
+        with pytest.raises(ValueError, match="^history is not well-formed$"):
+            find_linearization(rec, ANY_M)
+
+
+def test_operation_table_of_a_long_history():
+    # 2,000 operations, so that masks run far past 64 bits: ops 11..2000 on
+    # threads of their own overlap one another, then ops 1..10 run one after
+    # another on thread 11, each after all of the first ones
+    rng = random.Random(5)
+    block = list(range(11, 2001))
+    returns = [ret(o - 10, o, UNIT) for o in block]
+    rng.shuffle(returns)
+    events = [inv(o - 10, o, "Enqueue", o) for o in block] + returns
+    for o in range(1, 11):
+        events += [inv(11, o, "Enqueue", o), ret(11, o, UNIT)]
+    h = history(events)
+    ops = operation_table(h)
+    assert ops.well_formed and is_complete(h)
+    assert ops.preds[0].bit_length() == 2000 and ops.preds[9].bit_length() == 2000
+    hb = happened_before(h)
+    assert hb == happened_before_by_scan(h)
+    assert len(hb) == 1990 * 10 + 45
+    order = tuple(block) + tuple(range(1, 11))
+    lin = find_linearization(RecordedExecution((), h, True, order), queue_adt())
+    assert lin.strict is not None and lin.strict.operations() == order
+
+
 @given(_histories())
 @settings(max_examples=200, deadline=None)
 def test_happened_before_is_strict_partial_order(h):
     hb = happened_before(h)
-    for (a, b) in hb.pairs:
+    for (a, b) in hb:
         assert a != b
-        for (c, d) in hb.pairs:
+        for (c, d) in hb:
             if b == c:
-                assert (a, d) in hb.pairs
+                assert (a, d) in hb
 
 
 @given(_histories())
@@ -299,7 +355,7 @@ def test_happened_before_totally_orders_each_thread(h):
         ops = project_thread(h, t).operations()
         for i, a in enumerate(ops):
             for b in ops[i + 1 :]:
-                assert hb.precedes(a, b)
+                assert (a, b) in hb
 
 
 # ---------------------------------------------------------------------------
