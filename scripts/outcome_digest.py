@@ -16,11 +16,11 @@ Then, for each rung of the benchmark's ``STRICT_QUERIES`` and each row
 that ``check_rows`` adds, it runs the check on the recorded executions and
 prints the verdict, the execution count, a sha256 of the report's lines and
 a sha256 of every entry's verdict, witness, completion and detail.
-Last, for each of the benchmark's ``COMPARE_QUERIES`` and for two programs
-compared against a spec other than the model's own (``FOREIGN_COMPARES``),
-it prints every field of the ``observables_report`` and
-``divergence_report`` that ``compare`` prints, with the trace differences
-as counts and sha256s.
+Last, for each of the benchmark's ``COMPARE_QUERIES``, for two programs
+compared against a spec other than the model's own (``FOREIGN_COMPARES``)
+and for each mutant's program, it prints every field of the
+``observables_report`` and ``divergence_report`` that ``compare`` prints,
+with the trace differences as counts and sha256s.
 Then the ``history`` section: for ``HISTORIES`` queue histories from
 ``bench.workloads.generate_history`` (some pending, some mutated so that
 they do not linearize) and ill-formed variants of a few of them, and for the
@@ -35,7 +35,8 @@ and fall-through programs of ``tests/test_explorer.py``, 40 seeded
 two-thread programs with loops, ``if``s and calls inside branches, each on
 ``coarse-queue`` and ``hw-queue,N=2``, and a dequeue racing an enqueue on
 each model from start states that already hold values (built by the spec's
-``seed_state``), and the two largest rungs of the ladder in ``ROADMAP.md``,
+``seed_state``), the mutant models of ``tests/mutants.py`` on their pinned
+programs, and the two largest rungs of the ladder in ``ROADMAP.md``,
 digested without their outcome sets.  An exploration that runs past
 ``CAP_S`` seconds prints ``timeout`` in place of the rest of its digest.
 """
@@ -68,6 +69,7 @@ from strictlin.history import (  # noqa: E402
 )
 from strictlin.models import ObjectModel  # noqa: E402
 from strictlin.programs import parse_program  # noqa: E402
+from mutants import mutants  # noqa: E402
 from test_explorer import FALL_THROUGH, SPIN_PROGRAMS  # noqa: E402
 
 PROJECTIONS = ("interface", "history", "client")
@@ -175,6 +177,8 @@ def corpus() -> list[tuple[str, str, ObjectModel, int, tuple[str, ...], Any]]:
             start = model.seq_spec.seed_state(contents)
             out.append((f"seeded/{','.join(contents)} {ref}", SEEDED_PROGRAM, model,
                         explorer.DEFAULT_BOUND, PROJECTIONS, start))
+    out += [(f"mutant/{m.name}", m.program, m.model, explorer.DEFAULT_BOUND, PROJECTIONS, None)
+            for m in mutants()]
     out += [(label, text, models.parse_model_ref(ref), explorer.DEFAULT_BOUND, (), None)
             for label, text, ref in BIG_RUNGS]
     return out
@@ -211,13 +215,13 @@ def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
     return lines
 
 
-def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=None) -> str:
+def check_digest(text: str, model: ObjectModel, mode: str, adt_name, af, rename,
+                 states=None) -> str:
     """One check on a program's recorded executions, as ``explore --mode``
     runs it: the verdict, the execution count, a sha256 of the report's
     lines and one of every entry's verdict, witness, completion and detail
     as ``--json`` carries them.  An implementation check samples
-    ``states``, by default the model's states over ``'a'`` and ``'b'``."""
-    model = models.parse_model_ref(ref)
+    ``states``, by default the model's states over ``specs.DEFAULT_ALPHABET``."""
     recs = checker.recorded_executions(explorer.explore(parse_program(text), model))
     if mode == "strict":
         report = checker.check_strict(recs, model.seq_spec)
@@ -230,7 +234,8 @@ def check_digest(text: str, ref: str, mode: str, adt_name, af, rename, states=No
         else:
             report = checker.check_concurrent_implementation(
                 recs, model.seq_spec, adt, af, rf,
-                list(model.enumerate_states(("a", "b"))) if states is None else states)
+                list(model.enumerate_states(specs.DEFAULT_ALPHABET)) if states is None
+                else states)
     lines = "\n".join(report.lines())
     entries = [[e.ok, serialize_history(e.witness) if e.witness else None,
                 serialize_history(e.completion) if e.completion else None, e.detail]
@@ -247,25 +252,30 @@ def check_rows() -> list[tuple]:
     linearizes, its strict check, and an implementation check whose
     abstraction reverses coarse-queue contents, so that every two enqueues
     end in a state no abstract execution reaches (checked on no sampled
-    state, as ``tests/test_checker.py`` checks it).  Between them the rows
-    meet every detail the checks write."""
-    rows = [(qid, PROGRAMS[prog], ref, mode, adt, af and specs.get_af(af), rename)
+    state, as ``tests/test_checker.py`` checks it), and each mode on each
+    mutant's program.  Between them the rows meet every detail the checks
+    write."""
+    rows = [(qid, PROGRAMS[prog], models.parse_model_ref(ref), mode, adt,
+             af and specs.get_af(af), rename)
             for qid, prog, ref, mode, adt, af, rename in STRICT_QUERIES]
+    hw = models.hw_model(4)
     for prog in ("fig2", "three-phase"):
-        rows.append((f"general/{prog}", PROGRAMS[prog], "hw-queue,N=4", "general", "adt-queue",
+        rows.append((f"general/{prog}", PROGRAMS[prog], hw, "general", "adt-queue",
                      specs.get_af("af-hw-prefix"), None))
-    rows.append(("strict/three-phase", PROGRAMS["three-phase"], "hw-queue,N=4", "strict",
-                 None, None, None))
+    rows.append(("strict/three-phase", PROGRAMS["three-phase"], hw, "strict", None, None, None))
     rows.append(("impl-reversed/coarse", "thread { call Q.Enqueue('a') ; call Q.Enqueue('b') }",
-                 "coarse-queue,C=4", "impl", "adt-queue",
+                 models.coarse_queue_model(4), "impl", "adt-queue",
                  specs.AbstractionFunction("reversed", lambda s: s[-1][::-1]), None, []))
+    for m in mutants():
+        rows.append((f"strict/mutant/{m.name}", m.program, m.model, "strict", None, None, None))
+        rows += [(f"{mode}/mutant/{m.name}", m.program, m.model, mode, "adt-queue", m.af, None)
+                 for mode in ("general", "impl")]
     return rows
 
 
-def compare_digest(text: str, ref: str, spec_name=None, contents=()) -> list[str]:
+def compare_digest(text: str, model: ObjectModel, spec_name=None, contents=()) -> list[str]:
     """The observables and divergence reports of ``compare`` on one program,
     each side started from ``contents`` in its own spec's domain."""
-    model = models.parse_model_ref(ref)
     spec = specs.get_spec(spec_name) if spec_name else model.seq_spec
     ex_m, ex_a = explorer.explore_both(
         parse_program(text), model, spec, init_obj=model.seq_spec.seed_state(contents),
@@ -371,8 +381,12 @@ def main() -> None:
     for label, *query in check_rows():
         print(f"== check {label}: {check_digest(*query)}")
         sys.stdout.flush()
-    rows = [(qid, PROGRAMS[prog], ref) for qid, prog, ref in COMPARE_QUERIES]
-    for label, *query in rows + list(FOREIGN_COMPARES):
+    rows = [(qid, PROGRAMS[prog], models.parse_model_ref(ref))
+            for qid, prog, ref in COMPARE_QUERIES]
+    rows += [(label, text, models.parse_model_ref(ref), *rest)
+             for label, text, ref, *rest in FOREIGN_COMPARES]
+    rows += [(f"mutant/{m.name}", m.program, m.model) for m in mutants()]
+    for label, *query in rows:
         print(f"== compare {label}")
         for line in compare_digest(*query):
             print(f"  {line}")

@@ -39,14 +39,14 @@ Each call of ``check_strict``, ``check_general`` and
 ``check_concurrent_implementation`` builds one :class:`SpecTable` for its
 spec and shares it among all its searches.  The table numbers spec states
 by ints on first sight, caches each state's ``state_key``, and caches the
-spec's outcomes per (method, argument, state id), sorted by the ``repr`` of
-the raw (state, return) pair, so a spec method runs once per distinct
+spec's outcomes per (method, argument, state id), in the order
+:func:`specs.apply` gives them, so a spec method runs once per distinct
 (method, argument, state) in the whole check.  A search memoizes failed
 (``done``, state id) pairs (Lowe's memoization) without hashing a raw
-state.  Ties are broken by ascending operation id, then by the ``repr`` of
-the outcome, which fixes the witness and makes reports deterministic.  The
-table lives for one call only; ``find_linearization`` takes one as a
-keyword and otherwise makes a fresh one.
+state.  Ties are broken by ascending operation id, then in ``apply``'s
+order of the outcomes, which fixes the witness and makes reports
+deterministic.  The table lives for one call only; ``find_linearization``
+takes one as a keyword and otherwise makes a fresh one.
 
 The table also keeps the result of each distinct search problem, which
 ``find_linearization`` looks up before it searches: the start state, the
@@ -133,9 +133,9 @@ class SpecTable:
     ``states[sid]`` is the state numbered ``sid`` (the first of its equals
     seen) and ``keys[sid]`` its ``spec.state_key``.  ``calls[(method, arg)]``
     maps a state id to the method's outcomes there, as ``(state id, return)``
-    pairs sorted by the ``repr`` of the raw ``(state, return)`` pair; it
-    fills as searches ask, so a spec method runs once per distinct
-    (method, argument, state) however many searches share the table.
+    pairs in :func:`specs.apply`'s order; it fills as searches ask, so a
+    spec method runs once per distinct (method, argument, state) however
+    many searches share the table.
     ``searches`` maps each search problem to its result (see
     :func:`find_linearization`), so a problem is searched once however many
     executions pose it.
@@ -161,18 +161,8 @@ class SpecTable:
         """Apply ``call`` at state ``sid`` and store its outcomes in ``cell``,
         the table's map for ``call``."""
         raw = apply(self.spec, call[0], self.states[sid], call[1])
-        if len(raw) > 1:
-            raw = sorted(raw, key=repr)
         outs = cell[sid] = tuple((self.intern(s2), out) for s2, out in raw)
         return outs
-
-
-def _table_for(spec: SeqSpec, table: Optional[SpecTable]) -> SpecTable:
-    if table is None:
-        return SpecTable(spec)
-    if table.spec is not spec:
-        raise ValueError("spec table belongs to another spec")
-    return table
 
 
 @dataclass(frozen=True)
@@ -314,7 +304,10 @@ def find_linearization(
     if not well_formed:
         raise ValueError("history is not well-formed")
     target = spec.state_key(exec.final_state) if exec.terminated else None
-    table = _table_for(spec, table)
+    if table is None:
+        table = SpecTable(spec)
+    elif table.spec is not spec:
+        raise ValueError("spec table belongs to another spec")
     # the search problem: start state, target, predecessor masks, and each
     # operation's (method, argument) and recorded response, an abort as
     # _ABORTED and None while pending; _solve reads nothing else, and its

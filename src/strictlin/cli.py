@@ -207,7 +207,7 @@ def _run_checks(
         if args.mode == "general":
             report = checker.check_general(recs, adt, af, rf)
         else:
-            states = list(model.enumerate_states(("a", "b")))
+            states = list(model.enumerate_states(specs.DEFAULT_ALPHABET))
             report = checker.check_concurrent_implementation(
                 recs, spec, adt, af, rf, states
             )

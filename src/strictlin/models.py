@@ -109,13 +109,13 @@ def sequential_relation(machine: MethodMachine) -> specs.MethodRelation:
 
 def atomic_model(spec: SeqSpec) -> ObjectModel:
     """The atomic version of ``spec``: a call returns in its invoking
-    transition, one per spec outcome in ``repr`` order, and blocks where the
-    spec relation is empty, retrying whenever the state changes."""
+    transition, one per spec outcome in :func:`specs.apply`'s order, and
+    blocks where the spec relation is empty, retrying whenever the state
+    changes."""
 
     def machine(method: str) -> MethodMachine:
         def start(arg: Value, s: Any) -> tuple:
-            outcomes = sorted(specs.apply(spec, method, s, arg), key=repr)
-            return tuple((Done(ret), s2) for s2, ret in outcomes)
+            return tuple((Done(ret), s2) for s2, ret in specs.apply(spec, method, s, arg))
 
         return MethodMachine(start, lambda local, s: ())  # no body to step
 

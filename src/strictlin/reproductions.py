@@ -158,7 +158,7 @@ def fig3() -> Report:
     lines.extend("  " + l for l in serialize_history(rec.history).splitlines())
     lines.append(f"recorded final state: {m.seq_spec.render_state(rec.final_state)}")
 
-    adt = specs.queue_adt(("c", "d"))
+    adt = specs.queue_adt()
     rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
     general = checker.check_general([rec], adt, models.af_hw_prefix(), rf)
     lines.append(f"general linearizability vs queue ADT: "
@@ -197,7 +197,7 @@ def sec52_divergence() -> Report:
 
 
 def sec62_observation() -> Report:
-    sides = explorer.explore_both(ENQUEUE_VS_DEQUEUE, models.hw_model(4), specs.queue_adt(("c",)))
+    sides = explorer.explore_both(ENQUEUE_VS_DEQUEUE, models.hw_model(4), specs.queue_adt())
     ys, ys_a = ({dict(cl).get("y") for cl, _ in explorer.final_states(ex).states}
                 for ex in sides)
     ok = ys == {"c"} and ys_a == {"c", EMPTY} and ys != ys_a
@@ -219,10 +219,10 @@ def proph_msqueue_strict() -> Report:
     strict = checker.check_strict(recs, m.seq_spec)
     lines.append(f"strict linearizability: {'pass' if strict.passed else 'fail'}")
 
-    states = list(models.enumerate_ms_states(4, ("a", "b")))
+    states = list(m.enumerate_states(specs.DEFAULT_ALPHABET))
     rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
     pseudo = checker.check_concurrent_implementation(
-        recs, m.seq_spec, specs.pseudo_queue_adt(("a", "b")), models.af_pseudo(), rf, states
+        recs, m.seq_spec, specs.pseudo_queue_adt(), models.af_pseudo(), rf, states
     )
     lines.append(
         f"concurrent implementation of pseudo-queue: "
@@ -236,7 +236,7 @@ def proph_msqueue_strict() -> Report:
 
     rf_ms = specs.RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
     mset = checker.check_concurrent_implementation(
-        recs, m.seq_spec, specs.multiset_adt(("a", "b")), models.af_multiset(), rf_ms, states
+        recs, m.seq_spec, specs.multiset_adt(), models.af_multiset(), rf_ms, states
     )
     lines.append(
         f"concurrent implementation of multiset: {'pass' if mset.passed else 'fail'}"

@@ -85,13 +85,17 @@ class CellError(ValueError):
     """Raised by cell accessors on a bad address or value (a runtime error)."""
 
 
-def apply(spec: SeqSpec, method: str, state: State, inp: Value) -> frozenset[Outcome]:
-    """Outcome set of ``method`` at ``(state, inp)``; empty = out of domain."""
+def apply(spec: SeqSpec, method: str, state: State, inp: Value) -> tuple[Outcome, ...]:
+    """The distinct outcomes of ``method`` at ``(state, inp)``, sorted by the
+    ``repr`` of the (state, return) pair; empty = out of domain.  This is the
+    one order in which the checks, the witness search and the atomic model
+    read a spec's outcomes, so their reports do not depend on hashing."""
     try:
         rel = spec.methods[method]
     except KeyError:
         raise UnknownMethodError(f"{spec.name}: unknown method {method!r}") from None
-    return frozenset(rel(state, inp))
+    outs = frozenset(rel(state, inp))
+    return tuple(sorted(outs, key=repr)) if len(outs) > 1 else tuple(outs)
 
 
 def legal_seq_outcomes(spec: SeqSpec, start: State, h_seq: History) -> frozenset[State]:
@@ -220,10 +224,6 @@ class ImplVerdict:
     counterexample: Optional[ImplCounterexample] = None
 
 
-def _inputs_for(spec: SeqSpec, method: str) -> tuple[Value, ...]:
-    return tuple(spec.method_inputs.get(method, (UNIT,)))
-
-
 def is_sequential_implementation(
     model_spec: SeqSpec,
     adt: Adt,
@@ -246,7 +246,7 @@ def is_sequential_implementation(
         sa = af(sz)
         for aop in adt.method_names():
             zop = rf.backward(aop)
-            for inp in _inputs_for(adt, aop):
+            for inp in adt.method_inputs.get(aop, (UNIT,)):
                 abstract = apply(adt, aop, sa, inp)
                 if not abstract:
                     continue
@@ -323,40 +323,43 @@ def _mset_render(state: tuple) -> str:
     return "{" + ",".join(render_value(v) for v in state) + "}"
 
 
+# The one sample of the bounded implementation check: the built-in ADTs take
+# their arguments from it, and ``explore --mode impl`` samples concrete states
+# through ``ObjectModel.enumerate_states(DEFAULT_ALPHABET)``.
 DEFAULT_ALPHABET: tuple[Value, ...] = ("a", "b")
 
 
-def queue_adt(alphabet: Sequence[Value] = DEFAULT_ALPHABET) -> Adt:
+def queue_adt() -> Adt:
     return Adt(
         name="adt-queue",
         methods={"Enqueue": _queue_enqueue, "Dequeue": _queue_dequeue},
         initial_states=((),),
         is_state=lambda s: isinstance(s, tuple),
-        method_inputs={"Enqueue": tuple(alphabet), "Dequeue": (UNIT,)},
+        method_inputs={"Enqueue": DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=_seq_render,
         from_contents=lambda vs: vs,
     )
 
 
-def pseudo_queue_adt(alphabet: Sequence[Value] = DEFAULT_ALPHABET) -> Adt:
+def pseudo_queue_adt() -> Adt:
     return Adt(
         name="adt-pseudo-queue",
         methods={"Enqueue": _queue_enqueue, "Dequeue": _pseudo_dequeue},
         initial_states=((),),
         is_state=lambda s: isinstance(s, tuple),
-        method_inputs={"Enqueue": tuple(alphabet), "Dequeue": (UNIT,)},
+        method_inputs={"Enqueue": DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=_seq_render,
         from_contents=lambda vs: vs,
     )
 
 
-def multiset_adt(alphabet: Sequence[Value] = DEFAULT_ALPHABET) -> Adt:
+def multiset_adt() -> Adt:
     return Adt(
         name="adt-multiset",
         methods={"Add": _mset_add, "Remove": _mset_remove},
         initial_states=((),),
         is_state=lambda s: isinstance(s, tuple) and list(s) == sorted(s, key=value_key),
-        method_inputs={"Add": tuple(alphabet), "Remove": (UNIT,)},
+        method_inputs={"Add": DEFAULT_ALPHABET, "Remove": (UNIT,)},
         render_state=_mset_render,
         from_contents=lambda vs: tuple(sorted(vs, key=value_key)),
     )

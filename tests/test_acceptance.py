@@ -102,7 +102,7 @@ def test_criterion_2_recorded_execution_contrast():
         rec = RecordedExecution(m.seq_spec.initial_states[0], fig3_history(), True, FIG3_FINAL)
         rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
         general = checker.check_general(
-            [rec], queue_adt(("c", "d")), models.af_hw_prefix(), rf
+            [rec], queue_adt(), models.af_hw_prefix(), rf
         )
         strict_witness = find_strict_linearization(rec, m.seq_spec)
         lin = find_linearization(rec, m.seq_spec)
@@ -150,7 +150,7 @@ def test_criterion_5_transitivity_fuzz():
 
 
 def _oracle_linearizable(h) -> bool:
-    adt = queue_adt(("a", "b"))
+    adt = queue_adt()
     cands = {}
     for e in h:
         if e.op in pending(h):
@@ -185,7 +185,7 @@ def _exhaustive_one_op_pairs():
 def test_criterion_6_oracle_equivalence():
     from test_checker import random_queue_history
 
-    adt = queue_adt(("a", "b"))
+    adt = queue_adt()
     with _timer(120.0) as t:
         disagreements = 0
         total = 0
@@ -224,7 +224,7 @@ def test_criterion_7_lock_free_queue_instances():
         states = list(models.enumerate_ms_states(4, ("a", "b")))
         rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
         pseudo = check_concurrent_implementation(
-            recs, m.seq_spec, specs.pseudo_queue_adt(("a", "b")),
+            recs, m.seq_spec, specs.pseudo_queue_adt(),
             models.af_pseudo(), rf, states,
         )
         collisions = specs.injectivity_scan(
@@ -232,7 +232,7 @@ def test_criterion_7_lock_free_queue_instances():
         )
         rf_ms = specs.RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
         mset = check_concurrent_implementation(
-            recs, m.seq_spec, specs.multiset_adt(("a", "b")),
+            recs, m.seq_spec, specs.multiset_adt(),
             models.af_multiset(), rf_ms, states,
         )
         ok = (

@@ -52,7 +52,7 @@ from strictlin.specs import (
 from strictlin.values import EMPTY, UNIT, value_key
 
 
-QUEUE = queue_adt(("a", "b"))
+QUEUE = queue_adt()
 
 
 def test_empty_history_linearizes_to_empty():
@@ -222,7 +222,7 @@ PINNED_WITNESSES = [
         # the pending remove op 3 is tried before op 4 and may take 'a' or
         # 'b', and both lead to a witness; outcomes are tried in repr order,
         # which removes 'b' first
-        multiset_adt(("a", "b")),
+        multiset_adt(),
         """t=1 op=1 inv Add 'a'
         t=1 op=1 ret unit
         t=1 op=2 inv Add 'b'
@@ -552,7 +552,7 @@ def test_hw_bounded_executions_fail_strict_with_contrast_witness():
 def test_hw_bounded_executions_pass_general_vs_queue_adt():
     m, recs = _hw_recs()
     rf = RenamingFunction.identity(("Enqueue", "Dequeue"))
-    rep = check_general(recs, queue_adt(("c", "d")), models.af_hw_prefix(), rf)
+    rep = check_general(recs, queue_adt(), models.af_hw_prefix(), rf)
     assert rep.passed
 
 
@@ -671,7 +671,7 @@ def test_shared_table_equals_fresh_tables_on_ms_state_keys():
 def _silent_bag() -> Adt:
     """A multiset whose Remove takes any element and returns unit, so a
     witness may end in several legal final states."""
-    base = multiset_adt(("a", "b"))
+    base = multiset_adt()
     remove = base.methods["Remove"]
     return Adt(
         name="silent-bag",
@@ -682,7 +682,7 @@ def _silent_bag() -> Adt:
     )
 
 
-@pytest.mark.parametrize("spec", [multiset_adt(("a", "b")), _silent_bag()],
+@pytest.mark.parametrize("spec", [multiset_adt(), _silent_bag()],
                          ids=["adt-multiset", "silent-bag"])
 def test_shared_table_equals_fresh_tables_on_nondeterministic_adts(spec):
     p = parse_program(
@@ -774,7 +774,7 @@ def _counting_searches(monkeypatch):
 
 def test_each_check_searches_once_per_recorded_execution(monkeypatch):
     m, recs = _hw_recs()
-    adt, af = queue_adt(("c", "d")), models.af_hw_prefix()
+    adt, af = queue_adt(), models.af_hw_prefix()
     rf = RenamingFunction.identity(m.method_names())
     states = list(m.enumerate_states(("a", "b")))
     checks = {
@@ -869,7 +869,7 @@ def test_one_search_matches_oracles_on_generated_programs(threads):
         a = _abstracted(r, bag, to_bag)
         _assert_valid(a.history)
         for ex in (a, RecordedExecution(a.initial_state, a.history, False)):
-            lin = find_linearization(ex, multiset_adt(("a", "b")))
+            lin = find_linearization(ex, multiset_adt())
             for h in () if lin is None else (lin.witness, lin.completion, lin.strict):
                 if h is not None:
                     _assert_valid(h)
@@ -941,7 +941,7 @@ def test_memoized_checks_equal_fresh_searches_on_hw_2_plus_2(monkeypatch):
     m = models.hw_model(4)
     states = list(m.enumerate_states(("a", "b")))
     rf = RenamingFunction.identity(m.method_names())
-    args = (spec, queue_adt(("c", "d")), models.af_hw_prefix(), rf, states)
+    args = (spec, queue_adt(), models.af_hw_prefix(), rf, states)
     _assert_checks_equal_fresh(recs, check_concurrent_implementation, args)
 
 

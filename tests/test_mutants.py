@@ -1,0 +1,83 @@
+"""Mutant models: which checks catch each seeded fault, and on what history.
+
+The mutants and their pins are in ``tests/mutants.py``.
+"""
+
+import pytest
+
+from mutants import mutants
+from strictlin import checker, explorer, specs
+from strictlin.checker import RecordedExecution, brute_force_linearizations, find_linearization
+from strictlin.history import parse_history, serialize_history
+from strictlin.programs import parse_program
+from strictlin.specs import legal_seq_outcomes
+
+MUTANTS = mutants()
+IDS = [m.name for m in MUTANTS]
+
+
+def _verdicts(model, m):
+    """The records of ``m``'s program over ``model``, the strict, general and
+    impl reports on them, and whether ``compare`` finds the two sides alike,
+    each as the CLI runs it."""
+    prog = parse_program(m.program)
+    recs = checker.recorded_executions(explorer.explore(prog, model))
+    adt = specs.queue_adt()
+    rf = specs.RenamingFunction.identity(model.method_names())
+    states = list(model.enumerate_states(specs.DEFAULT_ALPHABET))
+    reports = {
+        "strict": checker.check_strict(recs, model.seq_spec),
+        "general": checker.check_general(recs, adt, m.af, rf),
+        "impl": checker.check_concurrent_implementation(
+            recs, model.seq_spec, adt, m.af, rf, states),
+    }
+    ex_m, ex_a = explorer.explore_both(prog, model)
+    obs, div = explorer.observables_report(ex_m, ex_a), explorer.divergence_report(ex_m, ex_a)
+    alike = obs.equal and div.model_diverges == div.atomic_diverges
+    return recs, reports, alike
+
+
+@pytest.mark.parametrize("m", MUTANTS, ids=IDS)
+def test_mutant_keeps_the_shipped_spec(m):
+    assert m.model.seq_spec is m.shipped.seq_spec
+    assert m.model.methods != m.shipped.methods
+
+
+@pytest.mark.parametrize("m", MUTANTS, ids=IDS)
+def test_shipped_model_passes_the_mutant_program(m):
+    _, reports, alike = _verdicts(m.shipped, m)
+    assert [mode for mode, r in reports.items() if not r.passed] == []
+    assert alike
+
+
+@pytest.mark.parametrize("m", MUTANTS, ids=IDS)
+def test_mutant_is_caught_by_the_pinned_checks(m):
+    recs, reports, alike = _verdicts(m.model, m)
+    caught = {mode for mode, r in reports.items() if not r.passed}
+    if not alike:
+        caught.add("compare")
+    assert caught == m.caught
+    for mode in caught - {"compare"}:
+        assert (len(reports[mode].failing()), len(recs)) == m.failing, mode
+    first = reports["strict"].failing()[0].execution
+    assert serialize_history(first.history) == m.history
+    assert first.final_state == m.final
+
+
+@pytest.mark.parametrize("m", MUTANTS, ids=IDS)
+def test_pinned_history_fails_by_brute_force(m):
+    # no order-consistent permutation of the history is a legal sequential
+    # run reaching its final state; one is legal at all exactly when the
+    # general check, which ignores final states, lets the mutant pass
+    h = parse_history(m.history)
+    assert len(h.operations()) <= 4
+    spec = m.shipped.seq_spec
+    start = spec.initial_states[0]
+    perms = brute_force_linearizations(h)
+    assert perms
+    finals = [spec.state_key(s) for w in perms for s in legal_seq_outcomes(spec, start, w)]
+    assert spec.state_key(m.final) not in finals
+    assert bool(finals) == ("general" not in m.caught)
+    lin = find_linearization(RecordedExecution(start, h, True, m.final), spec)
+    assert (lin is None) == ("general" in m.caught)
+    assert lin is None or lin.strict is None

@@ -1,9 +1,13 @@
 """Sequential specs, ADTs, abstraction functions, refinement checks."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import strictlin
 from strictlin import models, specs
 from strictlin.history import history, inv, ret
 from strictlin.specs import (
@@ -36,26 +40,27 @@ def seq(*pairs):
 
 
 def test_queue_enqueue_appends():
-    assert apply(queue_adt(), "Enqueue", (), "c") == {(("c",), UNIT)}
+    assert apply(queue_adt(), "Enqueue", (), "c") == ((("c",), UNIT),)
 
 
 def test_queue_dequeue_empty_returns_empty():
-    assert apply(queue_adt(), "Dequeue", (), UNIT) == {((), EMPTY)}
+    assert apply(queue_adt(), "Dequeue", (), UNIT) == (((), EMPTY),)
 
 
 def test_multiset_remove_two_outcomes():
+    # distinct outcomes in repr order of the (state, return) pair
     got = apply(multiset_adt(), "Remove", ("a", "b"), UNIT)
-    assert got == {(("b",), "a"), (("a",), "b")}
+    assert got == ((("a",), "b"), (("b",), "a"))
 
 
 def test_pseudo_queue_single_element_keeps_it():
-    assert apply(pseudo_queue_adt(), "Dequeue", ("x",), UNIT) == {(("x",), EMPTY)}
+    assert apply(pseudo_queue_adt(), "Dequeue", ("x",), UNIT) == ((("x",), EMPTY),)
 
 
 def test_pseudo_queue_dequeue_discards_front_returns_new_front():
-    assert apply(pseudo_queue_adt(), "Dequeue", ("x", "a", "b"), UNIT) == {
-        (("a", "b"), "a")
-    }
+    assert apply(pseudo_queue_adt(), "Dequeue", ("x", "a", "b"), UNIT) == (
+        (("a", "b"), "a"),
+    )
 
 
 def test_pseudo_queue_blocks_on_empty():
@@ -158,6 +163,30 @@ def test_broken_queue_spec_yields_counterexample():
     )
     assert not v.ok
     assert v.counterexample.method == "Dequeue"
+
+
+_MULTISET_AS_QUEUE = """
+from strictlin.specs import (AbstractionFunction, RenamingFunction,
+                             is_sequential_implementation, multiset_adt, queue_adt)
+v = is_sequential_implementation(
+    multiset_adt(), queue_adt(), AbstractionFunction("identity", lambda s: s),
+    RenamingFunction.of({"Add": "Enqueue", "Remove": "Dequeue"}), [("a", "b", "c")])
+print(v.counterexample.detail)
+"""
+
+
+def test_impl_counterexample_does_not_depend_on_hash_seed():
+    """A multiset Remove has three outcomes at {a,b,c}, two of them with no
+    queue match; the one reported is the first in ``apply``'s order under
+    every string hash seed."""
+    src = os.path.dirname(os.path.dirname(strictlin.__file__))
+    details = [
+        subprocess.run([sys.executable, "-c", _MULTISET_AS_QUEUE],
+                       env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+                       capture_output=True, text=True, check=True).stdout
+        for seed in range(10)
+    ]
+    assert details == ["concrete outcome ({'a','b'}, 'c') has no abstract match\n"] * 10
 
 
 # ---------------------------------------------------------------------------
