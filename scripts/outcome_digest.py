@@ -8,10 +8,12 @@ Run from the repository root:
 For each program it prints a sha256 of the syntax tree the parser builds
 (``repr(parse_program(text))``).  For each (program, model, fine-grained
 or atomic) exploration it prints the configuration, transition and
-truncation counts, the SCC classification (size and divergence kinds of
-each cyclic component), the final-state renderings and divergence kinds,
-and for each projection the outcome count, an order-free sha256 of the
-outcomes and whether the sets are approximate.
+truncation counts, a sha256 of the graph (every configuration in id order
+with its edges and rendered events, and the object-state table), the SCC
+classification (size and divergence kinds of each cyclic component), the
+final-state renderings and divergence kinds, and for each projection the
+outcome count, an order-free sha256 of the outcomes and whether the sets
+are approximate.
 Then, for each rung of the benchmark's ``STRICT_QUERIES`` and each row
 that ``check_rows`` adds, it runs the check on the recorded executions and
 prints the verdict, the execution count, a sha256 of the report's lines and
@@ -192,9 +194,22 @@ def _sha(results) -> str:
     return _text_sha("\n".join(sorted(map(repr, results))))
 
 
+def _graph_sha(ex: explorer.Exploration) -> str:
+    """A sha256 of the graph itself: every configuration in id order with
+    its edges, each event rendered, then the object-state table by id."""
+    h = hashlib.sha256()
+    for c, trs in zip(ex.configs, ex.edges):
+        h.update(f"{c!r}\n".encode())
+        for events, target in trs:
+            h.update(f"  {' ; '.join(e.render() for e in events)} -> {target}\n".encode())
+    for s in ex.states:
+        h.update(f"{s!r}\n".encode())
+    return h.hexdigest()[:16]
+
+
 def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
     lines = [f"configs={len(ex.order)} transitions={ex.transitions_explored} "
-             f"truncated={len(ex.truncated)}"]
+             f"truncated={len(ex.truncated)}", f"graph_sha256={_graph_sha(ex)}"]
     info = ex.scc_info()
     cyclic = sorted(
         (len(info["comps"][k]),

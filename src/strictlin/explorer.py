@@ -24,8 +24,12 @@ table lives in the interpreter, one per exploration and shared with none,
 beside a memo of the model's machines: ``start`` runs once per distinct
 ``(method, argument, state id)`` and ``step`` once per distinct ``(method,
 local, state id)``, and the atomic version of a spec runs its spec
-relation in ``start``.  Events are interned too, one object per distinct
-event.
+relation in ``start``.  A thread's step reads only the thread, the client's
+bindings and the object state, so a move table beside them runs each rule
+once per distinct ``(thread id, thread state, bindings, state id)``: a
+successor is a table lookup per running thread and a copy of the
+configuration with that thread, the bindings and the state id replaced.
+Events are interned too, one object per distinct event.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -201,9 +205,14 @@ class _Interp:
     argument, sid)`` to the start moves as ``(local, target sid)`` pairs,
     and ``steps`` maps ``(method, local, sid)`` to the body steps as
     ``(action, local, target sid)`` triples, the target being None on an
-    abort.  Events are interned too, so one configuration graph holds
-    one :class:`Event` per distinct ``(thread, operation, label)``.  The
-    tables live as long as the interpreter, which is one exploration."""
+    abort.  A thread's rule runs once per distinct input too: ``moves``
+    maps ``(tid, thread state, client, sid)`` to the thread's moves in rule
+    order, as ``(events, (thread state, client, sid))`` pairs, the target
+    being None for a runtime error.  Events are interned, so one
+    configuration graph holds one :class:`Event` per distinct ``(thread,
+    operation, label)``.  The tables live as long as the interpreter, which
+    is one exploration; the code table holds plain functions, not bound
+    methods, so no cycle keeps the interpreter alive past its exploration."""
 
     def __init__(
         self, prog: Program, model: ObjectModel, init_client: tuple, init_obj: Any
@@ -213,13 +222,10 @@ class _Interp:
         self._sids: dict[Any, int] = {}
         self.starts: dict[tuple, tuple[tuple[Any, int], ...]] = {}
         self.steps: dict[tuple, tuple[tuple[str, Any, Optional[int]], ...]] = {}
+        self.moves: dict[tuple, tuple[tuple, ...]] = {}
         self._events: dict[tuple, Event] = {}
         self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
         self._pcs: dict[tuple, int] = {}
-        self._rules = {
-            AssignStmt: self._assign, AtomicStmt: self._atomic, ReadCellStmt: self._read_cell,
-            WriteCellStmt: self._write_cell, WhileStmt: self._branch, IfStmt: self._branch,
-        }
         # per phase, the entry pc of each thread and the id of its first thread
         self.entries = [
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
@@ -255,10 +261,10 @@ class _Interp:
                 # a returning call goes on to its assignment, if any
                 after = pc + 3 if s.target else nxt
                 self.code[pc : pc + _width(s)] = [
-                    (self._call_arg, s, pc + 1, None),
-                    (self._invoke, s, pc + 2, after),
-                    (self._body, s, after, None),
-                ] + [(self._assign_result, s, nxt, None)] * bool(s.target)
+                    (_Interp._call_arg, s, pc + 1, None),
+                    (_Interp._invoke, s, pc + 2, after),
+                    (_Interp._body, s, after, None),
+                ] + [(_Interp._assign_result, s, nxt, None)] * bool(s.target)
                 continue
             if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.seq_spec.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
@@ -267,7 +273,7 @@ class _Interp:
                 taken = self._compile(s.body, pc)
             elif isinstance(s, IfStmt):
                 taken, nxt = self._compile(s.then, nxt), self._compile(s.els, nxt)
-            self.code[pc] = (self._rules[type(s)], s, nxt, taken)
+            self.code[pc] = (_RULES[type(s)], s, nxt, taken)
         return base
 
     def _phase_threads(self, phase: int) -> tuple[ThreadState, ...]:
@@ -315,87 +321,91 @@ class _Interp:
 
     def successors(self, c: Config) -> tuple[tuple, ...]:
         """The transitions out of ``c`` as ``(events, target)`` pairs, the
-        target being None for a runtime error.  Each running thread takes
-        the step of the rule its pc names; a client statement that cannot
-        evaluate aborts."""
-        if all(t.pc == DONE for t in c.threads):
+        target being None for a runtime error: each running thread's moves,
+        in thread order, with the thread and the configuration's bindings
+        and object state replaced by the move's."""
+        threads = c.threads
+        if all(t.pc == DONE for t in threads):
             if c.phase + 1 < len(self.entries):
                 nxt = Config(c.phase + 1, self._phase_threads(c.phase + 1), c.client, c.sid)
                 return (((), nxt),)
             return ()
         out: list[tuple] = []
-        code, first = self.code, self.first_tid[c.phase]
-        for i, t in enumerate(c.threads):
+        table, first = self.moves, self.first_tid[c.phase]
+        for i, t in enumerate(threads):
             if t.pc != DONE:
-                rule, s, nxt, taken = code[t.pc]
-                try:
-                    out.extend(rule(c, i, first + i, s, nxt, taken))
-                except (EvalError, CellError) as exc:
-                    out.append(((self._event(first + i, None, Act, f"error: {exc}"),), None))
+                key = (first + i, t, c.client, c.sid)
+                moves = table.get(key)
+                if moves is None:
+                    moves = table[key] = self.thread_moves(*key)
+                for events, to in moves:
+                    if to is not None:
+                        nt, client, sid = to
+                        to = _new(Config, (c.phase, threads[:i] + (nt,) + threads[i + 1 :],
+                                           client, sid))
+                    out.append((events, to))
         return tuple(out)
 
-    @staticmethod
-    def _with_thread(
-        c: Config, i: int, pc: int, reg: Any, ops: int, client: tuple, sid: int
-    ) -> Config:
-        """``c`` with thread ``i`` at ``(pc, reg, ops)``, client bindings
-        ``client`` and object state ``sid``: every successor is built here."""
-        threads = list(c.threads)
-        threads[i] = _new(ThreadState, (pc, reg, ops))
-        return _new(Config, (c.phase, tuple(threads), client, sid))
+    def thread_moves(self, tid: int, t: ThreadState, client: tuple, sid: int) -> tuple:
+        """Thread ``tid``'s moves from ``t`` under ``client`` and object
+        state ``sid``: the step of the rule its pc names, as ``(events,
+        (thread state, client, sid))`` pairs; a client statement that cannot
+        evaluate aborts, its target None."""
+        rule, s, nxt, taken = self.code[t.pc]
+        try:
+            return tuple(rule(self, tid, t, client, sid, s, nxt, taken))
+        except (EvalError, CellError) as exc:
+            return (((self._event(tid, None, Act, f"error: {exc}"),), None),)
 
-    def _client(self, c: Config, i: int, tid: int, action: str, pc: int, reg: Any = None,
-                client: Optional[tuple] = None, sid: Optional[int] = None) -> list[tuple]:
-        """Thread ``i``'s client event ``action``, moving it to ``pc`` and
-        the configuration to ``client`` and ``sid`` where they are given."""
-        target = self._with_thread(
-            c, i, pc, reg, c.threads[i].ops,
-            c.client if client is None else client, c.sid if sid is None else sid,
-        )
-        return [((self._event(tid, None, Act, action),), target)]
+    def _client(self, tid: int, t: ThreadState, client: tuple, sid: int, action: str,
+                pc: int, reg: Any = None) -> list[tuple]:
+        """Thread ``tid``'s client event ``action``, moving it to ``pc`` and
+        ``reg``, the bindings to ``client`` and the object to ``sid``."""
+        return [((self._event(tid, None, Act, action),),
+                 (_new(ThreadState, (pc, reg, t.ops)), client, sid))]
 
-    # Rules: each steps thread ``i`` (id ``tid``) at an entry ``(rule,
+    # Rules: each returns the moves of thread ``tid`` from ``t``, under
+    # bindings ``client`` and object state ``sid``, at an entry ``(rule,
     # statement, next pc, taken pc)`` of the code table.
 
-    def _assign(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        v = _eval(s.expr, dict(c.client))
+    def _assign(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        v = _eval(s.expr, dict(client))
         action = f"{s.target}:={render_value(v)}"
-        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+        return self._client(tid, t, _bind(client, s.target, v), sid, action, nxt)
 
-    def _read_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        v = self.model.seq_spec.cells.read(self.states[c.sid], s.cell)
+    def _read_cell(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        v = self.model.seq_spec.cells.read(self.states[sid], s.cell)
         action = f"{s.target}:=Q.{_cellname(s.cell)}={render_value(v)}"
-        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+        return self._client(tid, t, _bind(client, s.target, v), sid, action, nxt)
 
-    def _write_cell(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        v = _eval(s.expr, dict(c.client))
-        sid = self.state_id(self.model.seq_spec.cells.write(self.states[c.sid], s.cell, v))
-        return self._client(c, i, tid, f"Q.{_cellname(s.cell)}:={render_value(v)}", nxt, sid=sid)
+    def _write_cell(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        v = _eval(s.expr, dict(client))
+        to = self.state_id(self.model.seq_spec.cells.write(self.states[sid], s.cell, v))
+        return self._client(tid, t, client, to, f"Q.{_cellname(s.cell)}:={render_value(v)}", nxt)
 
-    def _atomic(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        scratch = dict(c.client)
+    def _atomic(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        scratch = dict(client)
         if s.guard is not None and not _test(s.guard, scratch):
             return []  # blocked until the guard holds
-        client = c.client
+        bound = client
         for name, e in s.assigns:
             scratch[name] = val = _eval(e, scratch)
-            client = _bind(client, name, val)
+            bound = _bind(bound, name, val)
         names = ",".join(n for n, _ in s.assigns)
-        return self._client(c, i, tid, f"atomic[{names}]", nxt, client=client)
+        return self._client(tid, t, bound, sid, f"atomic[{names}]", nxt)
 
-    def _branch(self, c: Config, i: int, tid: int, s, nxt: int, taken: int) -> list[tuple]:
-        b = _test(s.pred, dict(c.client))
+    def _branch(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, taken: int):
+        b = _test(s.pred, dict(client))
         action = f"test({s.pred.render()})={str(b).lower()}"
-        return self._client(c, i, tid, action, taken if b else nxt)
+        return self._client(tid, t, client, sid, action, taken if b else nxt)
 
-    def _call_arg(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        arg = _eval(s.arg, dict(c.client)) if s.arg is not None else UNIT
+    def _call_arg(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        arg = _eval(s.arg, dict(client)) if s.arg is not None else UNIT
         rendered = s.arg.render() if s.arg is not None else ""
         action = f"eval {s.method}({rendered})={render_value(arg)}"
-        return self._client(c, i, tid, action, nxt, reg=arg)
+        return self._client(tid, t, client, sid, action, nxt, reg=arg)
 
-    def _invoke(self, c: Config, i: int, tid: int, s, body: int, after: int) -> list[tuple]:
-        t = c.threads[i]
+    def _invoke(self, tid: int, t: ThreadState, client: tuple, sid: int, s, body: int, after: int):
         if t.ops >= MAX_OPS_PER_THREAD:
             raise ExplorationError(
                 f"operation-id space exhausted for thread {tid}: a thread may "
@@ -406,40 +416,41 @@ class _Interp:
         inv = self._event(tid, op, Inv, s.method, t.reg)
         out = []
         # a call answered at once emits its response in the invoking step
-        for local, sid in self._start(s.method, t.reg, c.sid):
+        for local, to in self._start(s.method, t.reg, sid):
             if isinstance(local, Done):
                 events = (inv, self._event(tid, op, Ret, local.value))
-                target = self._with_thread(
-                    c, i, after, local.value if s.target else None, ops, c.client, sid
-                )
+                t2 = _new(ThreadState, (after, local.value if s.target else None, ops))
             else:
-                events = (inv,)
-                target = self._with_thread(c, i, body, local, ops, c.client, sid)
-            out.append((events, target))
+                events, t2 = (inv,), _new(ThreadState, (body, local, ops))
+            out.append((events, (t2, client, to)))
         return out
 
-    def _body(self, c: Config, i: int, tid: int, s, after: int, _) -> list[tuple]:
-        t = c.threads[i]
+    def _body(self, tid: int, t: ThreadState, client: tuple, sid: int, s, after: int, _):
         op = tid * 100 + t.ops
         if isinstance(t.reg, Done):
             # the result stays in the register only for an assignment to take
             v = t.reg.value
-            reg = v if s.target else None
-            target = self._with_thread(c, i, after, reg, t.ops, c.client, c.sid)
-            return [((self._event(tid, op, Ret, v),), target)]
+            t2 = _new(ThreadState, (after, v if s.target else None, t.ops))
+            return [((self._event(tid, op, Ret, v),), (t2, client, sid))]
         out = []
-        for action, local, sid in self._step(s.method, t.reg, c.sid):
+        for action, local, to in self._step(s.method, t.reg, sid):
             ev = self._event(tid, op, Act, action)
-            if sid is None:
+            if to is None:
                 out.append(((ev, self._event(tid, op, RetAbort)), None))
             else:
-                out.append(((ev,), self._with_thread(c, i, t.pc, local, t.ops, c.client, sid)))
+                out.append(((ev,), (_new(ThreadState, (t.pc, local, t.ops)), client, to)))
         return out
 
-    def _assign_result(self, c: Config, i: int, tid: int, s, nxt: int, _) -> list[tuple]:
-        v = c.threads[i].reg
-        action = f"{s.target}:={render_value(v)}"
-        return self._client(c, i, tid, action, nxt, client=_bind(c.client, s.target, v))
+    def _assign_result(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
+        action = f"{s.target}:={render_value(t.reg)}"
+        return self._client(tid, t, _bind(client, s.target, t.reg), sid, action, nxt)
+
+
+# the rule of each one-entry statement, a plain function of the interpreter
+_RULES = {
+    AssignStmt: _Interp._assign, AtomicStmt: _Interp._atomic, ReadCellStmt: _Interp._read_cell,
+    WriteCellStmt: _Interp._write_cell, WhileStmt: _Interp._branch, IfStmt: _Interp._branch,
+}
 
 
 def _width(s) -> int:

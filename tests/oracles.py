@@ -2,7 +2,10 @@
 
 :func:`enumerate_executions_naive` replaces the configuration graph by a walk
 over every schedule, but it takes each step with the explorer's own
-transition rules (``_Interp``), so it cannot catch a fault in them.
+transition rules (``_Interp.successors``), and so through the interpreter's
+move table, so it cannot catch a fault in either.  The move table is guarded
+by ``tests/test_explorer.py`` instead: every entry equals a fresh run of its
+rule, and each entry's rule runs once.
 :func:`run_single_thread` shares no code with the explorer: it runs a
 one-thread program over a coarse-grained queue by direct recursion over its
 syntax tree.

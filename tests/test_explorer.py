@@ -3,8 +3,10 @@
 import collections
 import dataclasses
 import functools
+import gc
 import hashlib
 import importlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -764,12 +766,16 @@ def test_compare_graph_shapes_are_pinned(qid, fine, atomic, monkeypatch):
         assert len(set(ex.states)) == len(ex.states)
 
 
-def test_memo_entries_equal_fresh_machine_runs(monkeypatch):
+def _ladder_cases(monkeypatch) -> list:
+    """Every (program, model) of the benchmark's strict and compare queries."""
     workloads = _workloads(monkeypatch)
     ladder = sorted({(name, ref) for _, name, ref, *_ in
                      workloads.STRICT_QUERIES + workloads.COMPARE_QUERIES})
-    cases = [(workloads.PROGRAMS[name], models.parse_model_ref(ref)) for name, ref in ladder]
-    for text, model in cases + SPIN_PROGRAMS:
+    return [(workloads.PROGRAMS[name], models.parse_model_ref(ref)) for name, ref in ladder]
+
+
+def test_memo_entries_equal_fresh_machine_runs(monkeypatch):
+    for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS:
         for ex in explorer.explore_both(parse_program(text), model):
             interp, states = ex.interp, ex.states
             machines = interp.model.methods
@@ -810,3 +816,69 @@ def test_each_machine_input_runs_once():
     ex_a = run_atomic(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, spec)
     starts = [n for key, n in calls.items() if key[0] == "start"]
     assert starts and set(starts) == {1} and len(starts) == len(ex_a.interp.starts)
+
+
+# ---------------------------------------------------------------------------
+# The move table: each thread's step once per (thread, its state, bindings,
+# object state)
+# ---------------------------------------------------------------------------
+
+# runtime errors of both kinds, stored as moves: an unbound variable, a cell
+# address the model lacks, and a write of a value the cell cannot hold
+ERROR_PROGRAMS = [
+    ("thread { call Q.Enqueue(z) }\nthread { call Q.Enqueue('a') ; call y = Q.Dequeue() }",
+     models.coarse_queue_model()),
+    ("thread { read z <- Q.items[9] }\nthread { write Q.back <- 'x' }\n"
+     "thread { call Q.Enqueue('c') ; read w <- Q.items[1] }",
+     models.hw_model(2)),
+]
+
+
+def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
+    errors = set()
+    for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS:
+        prog = parse_program(text)
+        for ex in explorer.explore_both(prog, model):
+            interp, states = ex.interp, ex.states
+            # a new interpreter, its tables empty, runs each key's rule afresh
+            fresh = explorer._Interp(prog, interp.model, interp.init.client, ex.initial_object)
+            assert fresh.code == interp.code and not fresh.moves
+            for (tid, t, client, sid), moves in interp.moves.items():
+                got = fresh.thread_moves(tid, t, client, fresh.state_id(states[sid]))
+                # events compare by value, targets by the object state itself
+                assert [(ev, to and (to[0], to[1], states[to[2]])) for ev, to in moves] == [
+                    (ev, to and (to[0], to[1], fresh.states[to[2]])) for ev, to in got
+                ]
+                errors |= {e[0].label.action for e, to in moves if to is None and e[0].is_client}
+            assert not fresh.moves
+    # the error programs stored runtime errors of both kinds
+    assert any("unbound" in e for e in errors) and any("bad cell" in e for e in errors)
+
+
+def test_each_thread_move_input_runs_its_rule_once(monkeypatch):
+    for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS:
+        calls = collections.Counter()
+
+        def counted(rule):
+            def wrapped(interp, tid, t, client, sid, *entry):
+                calls[tid, t, client, sid] += 1
+                return rule(interp, tid, t, client, sid, *entry)
+            return wrapped
+
+        interp = explorer._Interp(parse_program(text), model, (), model.seq_spec.initial_states[0])
+        interp.code = [(counted(rule), *rest) for rule, *rest in interp.code]
+        ex = explorer.Exploration(interp, explorer.DEFAULT_BOUND).build()
+        assert set(calls.values()) == {1}
+        assert len(calls) == len(ex.interp.moves)
+
+
+def test_finished_exploration_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        ex = explore(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
+        ex.scc_info()
+        interp = weakref.ref(ex.interp)
+        del ex
+        assert interp() is None
+    finally:
+        gc.enable()

@@ -227,7 +227,7 @@ def test_hw_purely_blocking_from_reachable_configurations():
             if ts.done:
                 continue
             rule, stmt, _, _ = ex.interp.code[ts.pc]
-            if rule != ex.interp._body or isinstance(ts.reg, Done):
+            if rule is not explorer._Interp._body or isinstance(ts.reg, Done):
                 continue
             machine = m.methods[stmt.method]
             local, state = ts.reg, ex.states[cfg.sid]
