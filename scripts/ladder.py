@@ -20,12 +20,14 @@ finished (configurations, transitions, truncated frontier, SCC count and
 largest SCC, histories, recorded executions, distinct search problems the
 check searched), the wall seconds of each
 finished layer, the verdict (``pass``, ``fail``, or ``inconclusive`` when
-the exploration was truncated or its outcome sets approximate) and the
-child's peak resident set; ``src_lines`` is the line count of the measured
-tree's ``src/strictlin/*.py``, as ``wc -l`` counts it, so that one file
-reads both the times and the size of the code.  The file is named after the
-short commit id of the measured checkout, with ``-dirty`` when its ``src/``
-differs from that commit, and is written to the root of this repository.
+the measured tree's ``explorer.incomplete`` finds the exploration truncated
+or its outcome sets approximate, so ``--tree`` takes a checkout that has
+it) and the child's peak resident set; ``src_lines`` is the line count of
+the measured tree's ``src/strictlin/*.py``, as ``wc -l`` counts it, so that
+one file reads both the times and the size of the code.  The file is named
+after the short commit id of the measured checkout, with ``-dirty`` when its
+``src/`` differs from that commit, and is written to the root of this
+repository.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def run_rung(index: int) -> None:
                      lambda recs: {"records": len(recs)})
         layer("check", lambda: checker.check_strict(recs, model.seq_spec), lambda rep: {
             "searches": rep.searches, "verdict": "fail" if not rep.passed
-            else "inconclusive" if ex.truncated or ex.approximate else "pass"})
+            else "inconclusive" if explorer.incomplete(ex) else "pass"})
     except MemoryError:
         os._exit(OOM_EXIT)  # nothing more can be printed safely
 

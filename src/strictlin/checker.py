@@ -422,7 +422,9 @@ def _check(
     also linearize onto its (abstracted) final state.  An entry checked onto
     its final state carries the witness that reaches it and no completion;
     every other passing entry carries the first witness and its completion.
-    ``impl``, the sequential-implementation verdict, must hold too."""
+    ``impl``, the sequential-implementation verdict, must hold too.  A
+    terminated execution whose final state lies outside the abstraction's
+    domain fails, as no abstract state stands for it."""
     if abstraction is None:
         missed = "no linearization reaches the recorded final state"
     else:
@@ -432,6 +434,10 @@ def _check(
     entries = []
     for ex in execs:
         onto_final = finals and ex.terminated
+        if abstraction is not None and onto_final and not af.domain(ex.final_state):
+            detail = f"final state outside the domain of {af.name}"
+            entries.append(ExecutionVerdict(ex, False, detail=detail))
+            continue
         a = ex if abstraction is None else RecordedExecution(
             af(ex.initial_state),
             _renamed(ex.history, rf),
@@ -500,19 +506,12 @@ def check_concurrent_implementation(
 MAX_ORACLE_OPS = 7
 
 
-def linearizes_by_bijection(h: History, h_seq: History) -> bool:
-    """The linearization relation checked by explicit bijection enumeration.
-
-    Slower than the canonical-correspondence shortcut but independent of it;
-    kept as a test oracle.
-    """
-    return _bijection_check(h)(h_seq)
-
-
 def _bijection_check(h: History) -> Callable[[History], bool]:
-    """``linearizes_by_bijection(h, ·)``, with what depends on ``h`` alone
-    (its threads, their projections, its response-before-invocation pairs)
-    computed once."""
+    """Whether a history ``h_seq`` is one ``h`` linearizes to, checked by
+    explicit bijection enumeration: slower than the canonical-correspondence
+    shortcut of :func:`~strictlin.history.linearizes` but independent of
+    it.  What depends on ``h`` alone (its threads, their projections, its
+    response-before-invocation pairs) is computed once."""
     threads = h.threads()
     projections = [project_thread(h, t) for t in threads]
     n = len(h.events)

@@ -164,15 +164,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _incomplete(*explorations: explorer.Exploration) -> str:
-    """Why the explored sets are only lower bounds, or "" when they are exact."""
-    if any(ex.truncated for ex in explorations):
-        return "exploration truncated by the transition budget"
-    if any(ex.approximate for ex in explorations):
-        return "outcome sets approximate"
-    return ""
-
-
 def _abstraction(args: argparse.Namespace, model) -> Optional[tuple]:
     """The ADT, abstraction and renaming that ``--mode general|impl`` checks
     against, resolved before anything is explored; None for other modes."""
@@ -213,7 +204,7 @@ def _run_checks(
             )
     lines = report.lines()
     status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    why = _incomplete(ex) if report.passed else ""
+    why = explorer.incomplete(ex) if report.passed else ""
     if why:
         # no violation among the explored executions; unexplored ones may hold one
         lines[0] = lines[0].replace("verdict=pass", "verdict=inconclusive", 1)
@@ -304,7 +295,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     agree = obs.equal and div.model_diverges == div.atomic_diverges
     status = EXIT_OK if agree else EXIT_CHECK_FAILED
-    why = _incomplete(ex_m, ex_a)
+    why = explorer.incomplete(ex_m, ex_a)
     if why:
         # either answer may change once the missing outcomes are added
         print(f"verdict=inconclusive: {why}")

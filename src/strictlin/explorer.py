@@ -20,15 +20,13 @@ A configuration is a named tuple ``(phase, threads, client, sid)``: each
 thread a ``(pc, reg, ops)`` tuple, the client's bindings, and the id of the
 object state in a table that numbers states by equality on first sight.  So
 a configuration hashes as a tuple, without walking an object state.  The
-table lives in the interpreter, one per exploration and shared with none,
-beside a memo of the model's machines: ``start`` runs once per distinct
-``(method, argument, state id)`` and ``step`` once per distinct ``(method,
-local, state id)``, and the atomic version of a spec runs its spec
-relation in ``start``.  A thread's step reads only the thread, the client's
-bindings and the object state, so a move table beside them runs each rule
-once per distinct ``(thread id, thread state, bindings, state id)``: a
-successor is a table lookup per running thread and a copy of the
-configuration with that thread, the bindings and the state id replaced.
+table lives in the interpreter, one per exploration and shared with none.
+A thread's step reads only the thread, the client's bindings and the object
+state, so the interpreter's one memo, a move table, runs each rule once per
+distinct ``(thread id, thread state, bindings, state id)``, and with it the
+model's machine (the atomic version of a spec runs its spec relation in
+``start``): a successor is a table lookup per running thread and a copy of
+the configuration with that thread, the bindings and the state id replaced.
 Events are interned too, one object per distinct event.
 
 The state space is built once as a configuration graph.  Building it gives
@@ -124,7 +122,8 @@ class ExecutionResult:
 
 
 DONE = -1  # the pc of a finished thread
-_new = tuple.__new__  # builds a named tuple without its Python-level constructor
+# builds a named tuple without its Python-level constructor, in successors only
+_new = tuple.__new__
 
 
 class ThreadState(NamedTuple):
@@ -200,15 +199,11 @@ class _Interp:
     method or touches a cell the model lacks is rejected before any step.
 
     Object states are numbered by equality on first sight: ``states[sid]``
-    is the state with id ``sid``, the start state being 0.  The model's
-    machines run once per distinct input: ``starts`` maps ``(method,
-    argument, sid)`` to the start moves as ``(local, target sid)`` pairs,
-    and ``steps`` maps ``(method, local, sid)`` to the body steps as
-    ``(action, local, target sid)`` triples, the target being None on an
-    abort.  A thread's rule runs once per distinct input too: ``moves``
+    is the state with id ``sid``, the start state being 0.  A thread's rule,
+    and the machine call it makes, runs once per distinct input: ``moves``
     maps ``(tid, thread state, client, sid)`` to the thread's moves in rule
     order, as ``(events, (thread state, client, sid))`` pairs, the target
-    being None for a runtime error.  Events are interned, so one
+    being None for a runtime error or an abort.  Events are interned, so one
     configuration graph holds one :class:`Event` per distinct ``(thread,
     operation, label)``.  The tables live as long as the interpreter, which
     is one exploration; the code table holds plain functions, not bound
@@ -220,8 +215,6 @@ class _Interp:
         self.model = model
         self.states: list[Any] = []
         self._sids: dict[Any, int] = {}
-        self.starts: dict[tuple, tuple[tuple[Any, int], ...]] = {}
-        self.steps: dict[tuple, tuple[tuple[str, Any, Optional[int]], ...]] = {}
         self.moves: dict[tuple, tuple[tuple, ...]] = {}
         self._events: dict[tuple, Event] = {}
         self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
@@ -279,7 +272,7 @@ class _Interp:
     def _phase_threads(self, phase: int) -> tuple[ThreadState, ...]:
         return tuple(map(ThreadState, self.entries[phase]))
 
-    # -- the state table and the memos of the model's machines ---------------
+    # -- the state and event tables -----------------------------------------
 
     def state_id(self, s: Any) -> int:
         """The id of object state ``s``, numbering it on first sight."""
@@ -287,26 +280,6 @@ class _Interp:
         if sid == len(self.states):
             self.states.append(s)
         return sid
-
-    def _start(self, method: str, arg: Value, sid: int) -> tuple[tuple[Any, int], ...]:
-        key = (method, arg, sid)
-        moves = self.starts.get(key)
-        if moves is None:
-            moves = self.starts[key] = tuple(
-                (local, self.state_id(shared))
-                for local, shared in self.model.methods[method].start(arg, self.states[sid])
-            )
-        return moves
-
-    def _step(self, method: str, local: Any, sid: int) -> tuple:
-        key = (method, local, sid)
-        outs = self.steps.get(key)
-        if outs is None:
-            outs = self.steps[key] = tuple(
-                (o.action, o.local, None if o.abort else self.state_id(o.shared))
-                for o in self.model.methods[method].step(local, self.states[sid])
-            )
-        return outs
 
     def _event(self, tid: int, op: Optional[int], label: type, *args: Any) -> Event:
         """The one event of thread ``tid`` and operation ``op`` (None for a
@@ -361,8 +334,8 @@ class _Interp:
                 pc: int, reg: Any = None) -> list[tuple]:
         """Thread ``tid``'s client event ``action``, moving it to ``pc`` and
         ``reg``, the bindings to ``client`` and the object to ``sid``."""
-        return [((self._event(tid, None, Act, action),),
-                 (_new(ThreadState, (pc, reg, t.ops)), client, sid))]
+        event = self._event(tid, None, Act, action)
+        return [((event,), (ThreadState(pc, reg, t.ops), client, sid))]
 
     # Rules: each returns the moves of thread ``tid`` from ``t``, under
     # bindings ``client`` and object state ``sid``, at an entry ``(rule,
@@ -416,13 +389,13 @@ class _Interp:
         inv = self._event(tid, op, Inv, s.method, t.reg)
         out = []
         # a call answered at once emits its response in the invoking step
-        for local, to in self._start(s.method, t.reg, sid):
+        for local, shared in self.model.methods[s.method].start(t.reg, self.states[sid]):
             if isinstance(local, Done):
                 events = (inv, self._event(tid, op, Ret, local.value))
-                t2 = _new(ThreadState, (after, local.value if s.target else None, ops))
+                t2 = ThreadState(after, local.value if s.target else None, ops)
             else:
-                events, t2 = (inv,), _new(ThreadState, (body, local, ops))
-            out.append((events, (t2, client, to)))
+                events, t2 = (inv,), ThreadState(body, local, ops)
+            out.append((events, (t2, client, self.state_id(shared))))
         return out
 
     def _body(self, tid: int, t: ThreadState, client: tuple, sid: int, s, after: int, _):
@@ -430,15 +403,16 @@ class _Interp:
         if isinstance(t.reg, Done):
             # the result stays in the register only for an assignment to take
             v = t.reg.value
-            t2 = _new(ThreadState, (after, v if s.target else None, t.ops))
+            t2 = ThreadState(after, v if s.target else None, t.ops)
             return [((self._event(tid, op, Ret, v),), (t2, client, sid))]
         out = []
-        for action, local, to in self._step(s.method, t.reg, sid):
-            ev = self._event(tid, op, Act, action)
-            if to is None:
+        for o in self.model.methods[s.method].step(t.reg, self.states[sid]):
+            ev = self._event(tid, op, Act, o.action)
+            if o.abort:
                 out.append(((ev, self._event(tid, op, RetAbort)), None))
             else:
-                out.append(((ev,), (_new(ThreadState, (t.pc, local, t.ops)), client, to)))
+                out.append(((ev,), (ThreadState(t.pc, o.local, t.ops), client,
+                                    self.state_id(o.shared))))
         return out
 
     def _assign_result(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
@@ -1053,6 +1027,17 @@ def _explore(
     if not spec.is_state(obj):
         raise ValueError(f"{model.name}: initial state not well-formed")
     return Exploration(_Interp(prog, model, tuple(sorted(init_client)), obj), bound).build()
+
+
+def incomplete(*explorations: Exploration) -> str:
+    """Why the explored outcome sets are only lower bounds, or "" when they
+    are exact.  A check that finds no violation on such sets is
+    inconclusive, never a pass: unexplored executions may hold one."""
+    if any(ex.truncated for ex in explorations):
+        return "exploration truncated by the transition budget"
+    if any(ex.approximate for ex in explorations):
+        return "outcome sets approximate"
+    return ""
 
 
 # ---------------------------------------------------------------------------

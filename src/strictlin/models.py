@@ -327,9 +327,11 @@ def ms_state_key(s: MSQueueState) -> Hashable:
     Two states are the same observable state when they have the same value
     sequence along the list, the same tail position, the same multiset of
     values in unreachable allocated nodes, and the same free-node count.
+    A state whose list cycles or escapes, or whose tail is off the list, is
+    keyed by its raw fields.
     """
     idx = ms_list_indices(s)
-    if idx is None:
+    if idx is None or s.tail not in idx:
         return ("ms-malformed", s.nodes, s.head, s.tail)
     values = tuple(s.nodes[i].value for i in idx)
     garbage = tuple(
@@ -343,9 +345,17 @@ def ms_state_key(s: MSQueueState) -> Hashable:
 
 
 def ms_render(s: MSQueueState) -> str:
+    """The list from the head with nodes renamed by position, as
+    :func:`ms_state_key` keys it; a malformed state is rendered with every
+    node by its index, so two malformed keys never render alike."""
     idx = ms_list_indices(s)
-    if idx is None:
-        return f"malformed head=n{s.head} tail=n{s.tail}"
+    if idx is None or s.tail not in idx:
+        nodes = ",".join(
+            f"n{i}:" + ("" if n.allocated else "free:") + render_value(n.value)
+            + ("" if n.next is None else f"->n{n.next}")
+            for i, n in enumerate(s.nodes)
+        )
+        return f"malformed head=n{s.head} tail=n{s.tail} nodes=[{nodes}]"
     parts = ",".join(f"n{k}:{_cell_render(s.nodes[i].value)}" for k, i in enumerate(idx))
     out = f"head=n0 list=[{parts}] tail=n{idx.index(s.tail)}"
     garbage = [n.value for j, n in enumerate(s.nodes) if n.allocated and j not in idx]

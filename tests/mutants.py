@@ -20,9 +20,16 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from strictlin import models
-from strictlin.models import COARSE_MACHINES, HW_MACHINES, Done, MethodMachine, StepOutcome
+from strictlin.models import (
+    COARSE_MACHINES,
+    HW_MACHINES,
+    MS_MACHINES,
+    Done,
+    MethodMachine,
+    StepOutcome,
+)
 from strictlin.specs import AbstractionFunction
-from strictlin.values import EMPTY, render_value
+from strictlin.values import EMPTY, NULL, render_value
 
 # the queue contents of a coarse-queue state, for general and impl checks
 AF_COARSE = AbstractionFunction("af-coarse-contents", lambda s: s[-1])
@@ -61,6 +68,17 @@ def _split_increment_step(local: Any, s: models.HWQueueState) -> tuple[StepOutco
     return HW_MACHINES["Enqueue"].step(local, s)
 
 
+def _plain_link_step(local: Any, s: models.MSQueueState) -> tuple[StepOutcome, ...]:
+    # links the new node with a plain write where the shipped enqueue CASes
+    # it, so a second enqueue that read the same tail overwrites the first
+    # link and loses its node
+    if local[0] == "cas_next":
+        _, n, t = local
+        s2 = replace(s, nodes=s.nodes[:t] + (replace(s.nodes[t], next=n),) + s.nodes[t + 1:])
+        return (StepOutcome(f"t.next:=n{n}", ("swing_tail", n, t), s2),)
+    return MS_MACHINES["Enqueue"].step(local, s)
+
+
 @dataclass(frozen=True)
 class Mutant:
     """A mutant of ``shipped``, a program that exposes its fault, and what
@@ -81,7 +99,7 @@ class Mutant:
 
 
 def mutants() -> tuple[Mutant, ...]:
-    coarse, hw = models.coarse_queue_model(), models.hw_model(4)
+    coarse, hw, ms = models.coarse_queue_model(), models.hw_model(4), models.ms_model(4)
     enq_deq = "thread {{ call Q.Enqueue('{0}') ; call {1} = Q.Dequeue() }}"
     return (
         Mutant(
@@ -123,5 +141,21 @@ def mutants() -> tuple[Mutant, ...]:
             "t=1 op=101 inv Enqueue 'a'\nt=1 op=101 ret unit\nt=1 op=102 inv Dequeue unit\n"
             "t=1 op=102 ret EMPTY\n",
             (4, ("a",)),
+        ),
+        Mutant(
+            "ms-plain-link",
+            ms,
+            replace(ms, methods=dict(MS_MACHINES, Enqueue=MethodMachine(
+                MS_MACHINES["Enqueue"].start, _plain_link_step))),
+            "thread { call Q.Enqueue('a') }\nthread { call Q.Enqueue('b') }",
+            models.af_queue(),
+            frozenset({"strict", "impl", "compare"}),
+            (24, 34),
+            "t=1 op=101 inv Enqueue 'a'\nt=2 op=201 inv Enqueue 'b'\nt=1 op=101 ret unit\n"
+            "t=2 op=201 ret unit\n",
+            # 'b' was linked and Tail swung to it, then 'a' was linked over
+            # it: 'b' is lost and Tail is off the list
+            models.MSQueueState((models.Node(NULL, 1, True), models.Node("a", None, True),
+                                 models.Node("b", None, True), models.FREE_NODE), 0, 2),
         ),
     )

@@ -12,10 +12,14 @@ syntax tree.
 :func:`happened_before_by_scan` compares every response with every later
 invocation, with none of the numbering or bitmasks of
 ``history.operation_table``.
+:func:`linearizes_by_bijection` decides the linearization relation by
+enumerating bijections, with none of the canonical correspondence of
+``history.linearizes``.
 """
 
 from typing import Any, Sequence
 
+from strictlin.checker import _bijection_check
 from strictlin.explorer import Config, ExecutionResult, Kind, _Interp, _projector
 from strictlin.history import History, Inv, Ret, RetAbort
 from strictlin.models import ObjectModel
@@ -192,3 +196,10 @@ def happened_before_by_scan(h: History) -> frozenset[tuple[int, int]]:
                 if i < j and o != e.op:
                     pairs.add((o, e.op))
     return frozenset(pairs)
+
+
+def linearizes_by_bijection(h: History, h_seq: History) -> bool:
+    """Whether ``h`` linearizes to ``h_seq``, by explicit bijection
+    enumeration (``checker._bijection_check``, which
+    ``brute_force_linearizations`` runs on every permutation)."""
+    return _bijection_check(h)(h_seq)

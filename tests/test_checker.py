@@ -21,7 +21,6 @@ from strictlin.checker import (
     check_strict,
     find_linearization,
     find_strict_linearization,
-    linearizes_by_bijection,
     recorded_executions,
 )
 from strictlin.history import (
@@ -50,6 +49,8 @@ from strictlin.specs import (
     queue_adt,
 )
 from strictlin.values import EMPTY, UNIT, value_key
+
+from oracles import linearizes_by_bijection
 
 
 QUEUE = queue_adt()
@@ -521,6 +522,21 @@ def test_concurrent_implementation_entry_needs_final_state_agreement():
     assert not rep.passed and not entry.ok
     assert entry.detail.startswith("no abstract linearization reaches the abstracted final state")
     assert rep.lines()[0] == "mode=impl verdict=fail executions=1"
+
+
+def test_concurrent_implementation_entry_fails_outside_the_abstraction_domain():
+    # a terminated execution whose final state the abstraction does not map
+    # fails its entry; the general check never abstracts a final state
+    p = parse_program("thread { call Q.Enqueue('a') }")
+    m = models.coarse_queue_model(4)
+    (rec,) = recorded_executions(explorer.explore(p, m))
+    af = AbstractionFunction("empty-only", lambda s: s[-1], lambda s: not s[-1])
+    rf = RenamingFunction.identity(("Enqueue", "Dequeue"))
+    assert check_general([rec], QUEUE, af, rf).passed
+    rep = check_concurrent_implementation([rec], m.seq_spec, QUEUE, af, rf, [])
+    (entry,) = rep.entries
+    assert not rep.passed and not entry.ok
+    assert entry.detail == "final state outside the domain of empty-only"
 
 
 # ---------------------------------------------------------------------------

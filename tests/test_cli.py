@@ -65,6 +65,26 @@ def test_every_listed_reproduction_runs(capsys):
     capsys.readouterr()
 
 
+def test_every_reproduction_explores_completely(monkeypatch):
+    # ``reproduce`` prints ok without asking ``explorer.incomplete``, so every
+    # exploration a reproduction makes must be neither truncated nor approximate
+    made = []
+
+    def collecting(entry):
+        def wrapped(*args, **kwargs):
+            made.append(entry(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    for name in ("explore", "run_atomic"):
+        monkeypatch.setattr(explorer, name, collecting(getattr(explorer, name)))
+    for name, run in reproductions.CATALOG.items():
+        before = len(made)
+        assert run().ok, name
+        assert explorer.incomplete(*made[before:]) == "", name
+    assert made
+
+
 def test_reproduce_unknown_name_is_usage_error(capsys):
     assert main(["reproduce", "nope"]) == EXIT_USAGE
 

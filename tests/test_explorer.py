@@ -1,7 +1,6 @@
 """Interleaving exploration: schedules, divergence, observables."""
 
 import collections
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -27,7 +26,7 @@ from strictlin.explorer import (
     run_atomic,
 )
 from strictlin.history import Inv, Ret, history
-from strictlin.models import MethodMachine, atomic_model
+from strictlin.models import atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
@@ -774,50 +773,6 @@ def _ladder_cases(monkeypatch) -> list:
     return [(workloads.PROGRAMS[name], models.parse_model_ref(ref)) for name, ref in ladder]
 
 
-def test_memo_entries_equal_fresh_machine_runs(monkeypatch):
-    for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS:
-        for ex in explorer.explore_both(parse_program(text), model):
-            interp, states = ex.interp, ex.states
-            machines = interp.model.methods
-            assert all(map(interp.model.invariant_ok, states))
-            for (method, arg, sid), moves in interp.starts.items():
-                fresh = machines[method].start(arg, states[sid])
-                assert [(local, states[t]) for local, t in moves] == list(fresh)
-            for (method, local, sid), outs in interp.steps.items():
-                fresh = machines[method].step(local, states[sid])
-                # the target is None exactly on an abort
-                assert [(a, lo, None if t is None else states[t]) for a, lo, t in outs] == [
-                    (o.action, o.local, None if o.abort else o.shared) for o in fresh
-                ]
-
-
-def test_each_machine_input_runs_once():
-    calls = collections.Counter()
-
-    def counted(kind, method, run):
-        def wrapped(x, s):
-            calls[kind, method, x, s] += 1
-            return run(x, s)
-        return wrapped
-
-    base = models.hw_model(4)
-    model = dataclasses.replace(base, methods={
-        m: MethodMachine(counted("start", m, mm.start), counted("step", m, mm.step))
-        for m, mm in base.methods.items()
-    })
-    ex = explore(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, model)
-    assert set(calls.values()) == {1}
-    assert len(calls) == len(ex.interp.starts) + len(ex.interp.steps)
-    # the atomic side runs the spec relation, and so its machines, once per input
-    spec = dataclasses.replace(model.seq_spec, methods={
-        m: models.sequential_relation(mm) for m, mm in model.methods.items()
-    })
-    calls.clear()
-    ex_a = run_atomic(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, spec)
-    starts = [n for key, n in calls.items() if key[0] == "start"]
-    assert starts and set(starts) == {1} and len(starts) == len(ex_a.interp.starts)
-
-
 # ---------------------------------------------------------------------------
 # The move table: each thread's step once per (thread, its state, bindings,
 # object state)
@@ -840,6 +795,7 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
         prog = parse_program(text)
         for ex in explorer.explore_both(prog, model):
             interp, states = ex.interp, ex.states
+            assert all(map(interp.model.invariant_ok, states))
             # a new interpreter, its tables empty, runs each key's rule afresh
             fresh = explorer._Interp(prog, interp.model, interp.init.client, ex.initial_object)
             assert fresh.code == interp.code and not fresh.moves

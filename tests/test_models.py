@@ -288,6 +288,22 @@ def test_af_rejects_malformed_state():
         models.af_pseudo()(bad)
 
 
+def test_ms_tail_off_the_list_is_keyed_and_rendered_as_malformed():
+    # a lost enqueue leaves Tail on an allocated node the list skips; two
+    # such states that differ only in the lost value render differently
+    lost = [
+        models.MSQueueState((models.Node(NULL, 1, True), models.Node(a, None, True),
+                             models.Node(b, None, True)), 0, 2)
+        for a, b in (("a", "b"), ("b", "a"))
+    ]
+    keys = [models.ms_state_key(s) for s in lost]
+    assert keys[0] != keys[1] and all(k[0] == "ms-malformed" for k in keys)
+    lines = [models.ms_render(s) for s in lost]
+    assert lines == ["malformed head=n0 tail=n2 nodes=[n0:null->n1,n1:'a',n2:'b']",
+                     "malformed head=n0 tail=n2 nodes=[n0:null->n1,n1:'b',n2:'a']"]
+    assert not any(map(models.ms_invariant_ok, lost))
+
+
 def test_model_registry():
     assert models.parse_model_ref("hw-queue,N=3").seq_spec.initial_states[0].items == (NULL,) * 3
     assert models.parse_model_ref("ms-queue,P=2").seq_spec.initial_states[0].nodes[0].allocated
