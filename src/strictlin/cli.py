@@ -18,21 +18,29 @@ for ``hw-queue``, ``P`` for ``ms-queue``, ``C`` for ``coarse-queue``), given
 once as an integer; any other parameter is an input error.  ``explore
 --mode strict|impl`` checks against the model's own sequential spec.
 
+An option the mode does not read is an input error: ``explore`` reads
+``--adt``, ``--af`` and ``--rename`` only in general and impl mode, and
+``check-history`` ``--spec`` only in strict mode, ``--adt`` and ``--rename``
+only in general mode.
+
 ``explore --histories DIR`` writes one ``exec-NNNN.txt`` file per recorded
 execution; it refuses, before exploring, a DIR that already holds
-``exec-*.txt`` files, so the files of two runs never mix.
+``exec-*.txt`` files, so the files of two runs never mix, and a DIR it
+cannot create (an existing file, say).
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error (also an unusable input or output path, a
-``--histories`` directory holding files of an earlier run, a ``--bound``
-below 1, or running out of memory, reported as ``error: out of memory``
-with no partial verdict), 3 inconclusive (a check found no violation, or
-``compare`` ran, on an exploration that was truncated by ``--bound`` or whose
-outcome sets are approximate, so a pass or an equality is not established),
-141 the reader closed standard output early (as in ``strictlin explore ... |
-head``; the rest of the report is dropped quietly).  A failed check exits 1
-even on a truncated exploration: the violating execution was explored.
-Reports are deterministic for identical inputs.
+2 usage or input error (also an option the mode does not read, an unusable
+input or output path, a ``--histories`` directory holding files of an
+earlier run, a ``--bound`` below 1, a thread that starts more operations
+than the explorer can number, or running out of memory, reported as
+``error: out of memory`` with no partial verdict), 3 inconclusive (a check
+found no violation, or ``compare`` ran, on an exploration that was truncated
+by ``--bound`` or whose outcome sets are approximate, so a pass or an
+equality is not established), 141 the reader closed standard output early
+(as in ``strictlin explore ... | head``; the rest of the report is dropped
+quietly).  A failed check exits 1 even on a truncated exploration: the
+violating execution was explored.  Reports are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -109,6 +117,15 @@ def _parse_rename(arg: Optional[str], concrete: tuple[str, ...]) -> specs.Renami
             raise UsageError(f"--rename renames {a.strip()} twice")
         pairs[a.strip()] = b.strip()
     return specs.RenamingFunction.of(pairs)
+
+
+def _refuse_unread(args: argparse.Namespace, reads: dict[str, tuple[str, ...]]) -> None:
+    """Refuse each option of ``reads``, which maps it to the modes that
+    read it, when it is given and ``args.mode`` is not one of them."""
+    for opt, modes in reads.items():
+        if getattr(args, opt) is not None and args.mode not in modes:
+            mode = f"--mode {args.mode}" if args.mode else "without --mode"
+            raise UsageError(f"--{opt} is not read by {args.command} {mode}")
 
 
 def _bound(text: str) -> int:
@@ -216,6 +233,7 @@ def _run_checks(
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    _refuse_unread(args, dict.fromkeys(("adt", "af", "rename"), ("general", "impl")))
     # files of an earlier run would mix with this run's under the same names
     if args.histories and any(Path(args.histories).glob("exec-*.txt")):
         raise UsageError(f"--histories: {args.histories} already holds exec-*.txt files")
@@ -223,6 +241,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     model = models.parse_model_ref(args.model)
     init = _parse_init(args.init, model.seq_spec)
     abstraction = _abstraction(args, model)
+    if args.histories:
+        try:
+            Path(args.histories).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--histories: {exc}") from None
     ex = explorer.explore(prog, model, init_obj=init, bound=args.bound)
     fs = explorer.final_states(ex)
     print(f"configurations: {len(ex.order)}  transitions: {ex.transitions_explored}")
@@ -242,7 +265,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     recs = checker.recorded_executions(ex) if args.histories or args.mode else ()
     if args.histories:
         outdir = Path(args.histories)
-        outdir.mkdir(parents=True, exist_ok=True)
         for i, rec in enumerate(recs):
             text = f"# execution {i}: " + (
                 "terminated\n" if rec.terminated else "incomplete\n"
@@ -315,6 +337,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_history(args: argparse.Namespace) -> int:
+    _refuse_unread(args, {"spec": ("strict",), "adt": ("general",), "rename": ("general",)})
     try:
         text = Path(args.file).read_text()
     except FileNotFoundError:
@@ -431,7 +454,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # point stdout at devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (UsageError, ValueError, OSError, explorer.ExplorationError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         # OSError: unreadable inputs and unwritable outputs (a directory as a
         # file, a missing directory); BrokenPipeError is handled above
         print(f"error: {exc}", file=sys.stderr)

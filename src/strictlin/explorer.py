@@ -37,19 +37,19 @@ strongly connected components and the outcome tables are lists indexed by
 id, so no edge or component lookup hashes a whole configuration again.
 Termination, runtime errors, livelock (every pending thread blocked), and
 divergence (reachable configuration cycles) are read off the graph.
-:meth:`Exploration.scc_info` is the one place cycles are found: after
-computing the strongly connected components it searches each cyclic
-component once for an object lasso and a client lasso.  Sets of execution
-outcomes are computed per observation projection by dynamic programming
-over the components, projecting those lassos rather than searching again.
-The dynamic program works on interned integers local to one projection: an
-outcome is a trace of event ids and a leaf id, the leaf holding the kind,
-final state, cycle and note, and each configuration's set of outcomes is one
-node of a hash-consed trie whose children are keyed by first event.  An edge
-puts one trie node per kept event before its target's set, and a union
-merges children by event id, memoized per pair of nodes; sets that share a
-sub-trie share its storage.  Only the initial configuration's trie is walked
-to build :class:`ExecutionResult` objects.
+:meth:`Exploration.scc_info` is the one place cycles are found: Tarjan's
+algorithm marks a component cyclic as it pops it, and each cyclic component
+is searched once for an object lasso and a client lasso.  Sets of execution
+outcomes are computed per observation projection by one dynamic program
+over the components, :meth:`_Outcomes.run`, which projects those lassos
+rather than searching again.  It works on interned integers local to one
+projection: an outcome is a trace of event ids and a leaf id, the leaf
+holding the kind, final state, cycle and note, and each configuration's set
+of outcomes is one node of a hash-consed trie whose children are keyed by
+first event.  An edge puts one trie node per kept event before its target's
+set, and a union merges children by event id, memoized per pair of nodes;
+sets that share a sub-trie share its storage.  Only the initial
+configuration's trie is walked to build :class:`ExecutionResult` objects.
 The test suite checks them against a naive schedule-by-schedule enumerator.
 
 Conventions mirroring the trace model:
@@ -69,7 +69,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .history import Act, Event, Inv, Ret, RetAbort
 from .models import Done, ObjectModel, atomic_model
@@ -112,9 +112,6 @@ class ExecutionResult:
     cycle: tuple[Event, ...] = ()
     note: str = ""
 
-    def client_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.trace if e.is_client)
-
 
 # ---------------------------------------------------------------------------
 # Configurations
@@ -152,11 +149,6 @@ class Config(NamedTuple):
     threads: tuple[ThreadState, ...]
     client: tuple[tuple[str, Value], ...]
     sid: int
-
-
-class ExplorationError(RuntimeError):
-    """The program leaves what the explorer can represent (a thread starting
-    more than ``MAX_OPS_PER_THREAD`` operations)."""
 
 
 def _bind(client: tuple, name: str, v: Value) -> tuple:
@@ -209,9 +201,7 @@ class _Interp:
     is one exploration; the code table holds plain functions, not bound
     methods, so no cycle keeps the interpreter alive past its exploration."""
 
-    def __init__(
-        self, prog: Program, model: ObjectModel, init_client: tuple, init_obj: Any
-    ) -> None:
+    def __init__(self, prog: Program, model: ObjectModel, init_obj: Any) -> None:
         self.model = model
         self.states: list[Any] = []
         self._sids: dict[Any, int] = {}
@@ -224,7 +214,7 @@ class _Interp:
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
         ]
         self.first_tid = list(itertools.accumulate(map(len, prog.phases), initial=1))
-        self.init = Config(0, self._phase_threads(0), init_client, self.state_id(init_obj))
+        self.init = Config(0, self._phase_threads(0), (), self.state_id(init_obj))
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
@@ -379,8 +369,8 @@ class _Interp:
         return self._client(tid, t, client, sid, action, nxt, reg=arg)
 
     def _invoke(self, tid: int, t: ThreadState, client: tuple, sid: int, s, body: int, after: int):
-        if t.ops >= MAX_OPS_PER_THREAD:
-            raise ExplorationError(
+        if t.ops >= MAX_OPS_PER_THREAD:  # a program the explorer cannot represent
+            raise ValueError(
                 f"operation-id space exhausted for thread {tid}: a thread may "
                 f"start at most {MAX_OPS_PER_THREAD} operations"
             )
@@ -538,11 +528,12 @@ class Exploration:
         lists each component's ids, callees before callers.  A component
         is ``cyclic`` when it has an internal edge, ``object_cyclic`` when
         an internal edge emits an object event, and ``client_cyclic`` when
-        its internal client-only edges close a cycle by themselves.
+        its internal client-only edges close a cycle by themselves; Tarjan's
+        loop marks a component cyclic as it pops it.
         ``lassos[k]`` maps each divergence kind of cyclic component ``k``
         to one cycle of that kind, as ``(configuration on the cycle,
         events once round)``: see :func:`_object_lasso` and
-        :func:`_client_lasso`.  :meth:`results` only projects them.
+        :func:`_client_lasso`.  :meth:`_Outcomes.run` only projects them.
         """
         if self._scc is not None:
             return self._scc
@@ -553,6 +544,7 @@ class Exploration:
         comp = [-1] * n
         on_stack = [False] * n
         comps: list[list[int]] = []
+        cyclic: set[int] = set()
         stack: list[int] = []
         counter = 0
         for root in range(n):
@@ -590,17 +582,21 @@ class Exploration:
                             if w == node:
                                 break
                         comps.append(group)
+                        # a component has an internal edge when it has two
+                        # members or a self-loop
+                        if len(group) > 1:
+                            cyclic.add(k)
+                        else:
+                            for _, t in edges[node]:
+                                if t == node:
+                                    cyclic.add(k)
+                                    break
                     if work:
                         parent = work[-1][0]
                         if low[node] < low[parent]:
                             low[parent] = low[node]
 
-        # an internal edge certifies a cycle, so one search per cyclic
-        # component finds a lasso of each kind it has
-        cyclic = {
-            comp[i] for i, trs in enumerate(edges) for _, t in trs
-            if t is not None and comp[t] == comp[i]
-        }
+        # one search per cyclic component finds a lasso of each kind it has
         lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
         for k in cyclic:
             members = sorted(comps[k])
@@ -632,88 +628,19 @@ class Exploration:
     # -- outcome enumeration -------------------------------------------------
 
     def results(self, projection: str = "interface") -> frozenset[ExecutionResult]:
-        """Execution outcomes, deduplicated under the given projection.
-
-        ``interface``: client events plus invocations/responses (default);
-        ``history``: invocations/responses only; ``client``: client events
-        only.  Internal method-body steps never distinguish outcomes.
-
-        Outcomes are computed over the SCCs, callees first, as nodes of
-        hash-consed tries (see :class:`_Outcomes`): an edge puts one trie
-        node per kept event before its target's set, and an edge that emits
-        no kept event passes the target's set on unchanged.
-        :class:`ExecutionResult` objects are built only by walking the
-        initial configuration's trie.
-        """
-        if projection in self._results:
-            return self._results[projection]
-        info = self.scc_info()
-        tables = _Outcomes(self, _projector(projection))
-        outcomes = tables.outcomes
-        for ci, comp in enumerate(info["comps"]):  # Tarjan emits callees first
-            if ci not in info["cyclic"]:
-                (i,) = comp
-                if outcomes[i] is None:  # not a terminal or truncated one
-                    outcomes[i] = tables.node(i)
-                continue
-            members = sorted(comp)
-            if len(members) > 512:
-                self.approximate = True
-                too_large = tables.single(tables.leaf(Kind.UNKNOWN, note="scc too large"))
-                for i in members:
-                    outcomes[i] = too_large
-                continue
-            self._cyclic_outcomes(members, tables, info["lassos"][ci])
-        # the initial configuration
-        res = frozenset(map(tables.result, tables.walk(outcomes[0])))
-        self._results[projection] = res
+        """Execution outcomes, deduplicated under ``projection`` (a key of
+        :data:`_PROJECTIONS`): ``interface``, client events plus
+        invocations/responses (default); ``history``, invocations/responses
+        only; ``client``, client events only.  Internal method-body steps
+        never distinguish outcomes.  One :meth:`_Outcomes.run` computes each
+        projection once; when it could not enumerate every outcome,
+        :attr:`approximate` is set."""
+        res = self._results.get(projection)
+        if res is None:
+            tables = _Outcomes(self, _PROJECTIONS[projection])
+            res = self._results[projection] = tables.run(self.scc_info())
+            self.approximate |= tables.approximate
         return res
-
-    def _cyclic_outcomes(
-        self, members: list[int], tables: "_Outcomes", lassos: dict
-    ) -> None:
-        """Outcomes of every configuration of the cyclic component
-        ``members`` (configuration ids in ascending order), whose ``lassos``
-        :meth:`scc_info` found."""
-        edges, group = tables.edges, set(members)
-        # divergent continuations: one lasso per divergence kind this
-        # component supports.  Its cycle does not depend on where the lasso
-        # starts; only the stem, a shortest path to the cycle, does.
-        entries = []  # (configuration entering the cycle, leaf id)
-        observable_cycle = False
-        for kind, (entry, cycle) in lassos.items():
-            cycle = tuple(filter(tables.keep, cycle))
-            observable_cycle |= bool(cycle)
-            entries.append((entry, tables.leaf(kind, cycle=cycle)))
-        if observable_cycle and any(
-            t is None or t not in group for i in members for _, t in edges[i]
-        ):
-            # terminating schedules that lap an observable cycle more than
-            # once are not enumerated separately
-            self.approximate = True
-        union, follow = tables.union, tables.follow
-        for start in members:
-            out = 0
-            for entry, leaf in entries:
-                path = _bfs_path(edges, start, entry, group)
-                out = union(out, tables.prepend(path, tables.single(leaf)))
-            # terminating / exiting continuations: simple paths inside the
-            # component, then whatever follows outside it
-            seen = {start}
-
-            def walk(i: int, acc: tuple[int, ...]) -> None:
-                nonlocal out
-                for evs, t in edges[i]:
-                    evs = acc + evs
-                    if t is None or t not in group:
-                        out = union(out, follow(evs, t))
-                    elif t not in seen:
-                        seen.add(t)
-                        walk(t, evs)
-                        seen.discard(t)
-
-            walk(start, ())
-            tables.outcomes[start] = out
 
 
 def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
@@ -792,18 +719,18 @@ def _client_lasso(
     return None
 
 
-def _projector(projection: str) -> Callable[[Event], bool]:
-    if projection == "interface":
-        return lambda e: e.is_client or e.is_interface
-    if projection == "history":
-        return lambda e: e.is_interface
-    if projection == "client":
-        return lambda e: e.is_client
-    raise ValueError(f"unknown projection {projection!r}")
+# the events each projection of :meth:`Exploration.results` keeps
+_PROJECTIONS: dict[str, Callable[[Event], bool]] = {
+    "interface": lambda e: e.is_client or e.is_interface,
+    "history": lambda e: e.is_interface,
+    "client": lambda e: e.is_client,
+}
 
 
 class _Outcomes:
-    """Outcome tries, local to one :meth:`Exploration.results` call.
+    """The outcome dynamic program of one :meth:`Exploration.results` call:
+    :meth:`run` is all of it, and ``approximate`` says whether it could not
+    enumerate every outcome.  ``keep`` is the projection's predicate.
 
     An outcome is a trace of kept event ids and a leaf id.  A leaf id names
     the rest of an outcome, ``(kind, final_client, final_object, cycle,
@@ -854,6 +781,74 @@ class _Outcomes:
         for c in ex.terminal_done:
             leaf = self.leaf(Kind.TERMINATED, c.client, states[c.sid])
             self.outcomes[order[c]] = self.single(leaf)
+        self.approximate = False
+
+    def run(self, info: dict) -> frozenset[ExecutionResult]:
+        """The outcomes of the initial configuration, computed for every
+        configuration component by component in the order of ``info``
+        (:meth:`Exploration.scc_info`), callees first.
+
+        A configuration outside any cycle unions the outcomes of its edges.
+        A cyclic component of more than 512 configurations gets one unknown
+        outcome.  In a smaller one each configuration gets a shortest path
+        to the cycle of each of the component's lassos, and every simple
+        path inside the component followed by an edge out of it.  Two rules
+        set :attr:`approximate`, as the sets then miss outcomes: the 512
+        guard, and a component with an observable cycle and an exit, whose
+        terminating schedules may lap the cycle any number of times."""
+        outcomes, edges, union, follow = self.outcomes, self.edges, self.union, self.follow
+        for k, comp in enumerate(info["comps"]):
+            if k not in info["cyclic"]:
+                (i,) = comp
+                if outcomes[i] is None:  # not a terminal or truncated one
+                    out = 0
+                    for evs, t in edges[i]:
+                        out = union(out, follow(evs, t))
+                    outcomes[i] = out
+                continue
+            if len(comp) > 512:
+                self.approximate = True
+                too_large = self.single(self.leaf(Kind.UNKNOWN, note="scc too large"))
+                for i in comp:
+                    outcomes[i] = too_large
+                continue
+            members = sorted(comp)
+            group = set(members)
+            # divergent continuations: one lasso per divergence kind.  Its
+            # cycle does not depend on where the lasso starts; only the
+            # stem, a shortest path to the cycle, does.
+            entries = []  # (configuration entering the cycle, leaf id)
+            observable_cycle = False
+            for kind, (entry, cycle) in info["lassos"][k].items():
+                cycle = tuple(filter(self.keep, cycle))
+                observable_cycle |= bool(cycle)
+                entries.append((entry, self.leaf(kind, cycle=cycle)))
+            if observable_cycle and any(t not in group for i in members for _, t in edges[i]):
+                self.approximate = True
+            for start in members:
+                out = 0
+                for entry, leaf in entries:
+                    path = _bfs_path(edges, start, entry, group)
+                    out = union(out, self.prepend(path, self.single(leaf)))
+                # terminating / exiting continuations: simple paths inside
+                # the component, then whatever follows outside it.  A stack,
+                # as a recursive closure would hold these tables in a cycle.
+                seen, stack = {start}, [(start, (), iter(edges[start]))]
+                while stack:
+                    i, acc, it = stack[-1]
+                    for evs, t in it:
+                        evs = acc + evs
+                        if t not in group:  # an exit or an abort
+                            out = union(out, follow(evs, t))
+                        elif t not in seen:
+                            seen.add(t)
+                            stack.append((t, evs, iter(edges[t])))
+                            break
+                    else:
+                        stack.pop()
+                        seen.discard(i)
+                outcomes[start] = out
+        return frozenset(map(self.result, self.walk(outcomes[0])))
 
     def project(self, events: Iterable[Event]) -> tuple[int, ...]:
         """Ids of the kept ``events``, in order."""
@@ -947,13 +942,6 @@ class _Outcomes:
         n = self.aborted if target is None else self.outcomes[target]
         return self.prepend(evs, n) if evs else n
 
-    def node(self, i: int) -> int:
-        """Outcomes of a configuration outside any cycle, from its edges."""
-        out, union, follow = 0, self.union, self.follow
-        for evs, t in self.edges[i]:
-            out = union(out, follow(evs, t))
-        return out
-
     def walk(self, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every outcome of set ``n`` as a ``(trace, leaf id)`` pair, the
         trace a tuple of event ids.  The walk keeps its own stack."""
@@ -986,23 +974,15 @@ DEFAULT_BOUND = 200_000
 
 
 def explore(
-    prog: Program,
-    model: ObjectModel,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    bound: int = DEFAULT_BOUND,
+    prog: Program, model: ObjectModel, init_obj: Any = None, bound: int = DEFAULT_BOUND
 ) -> Exploration:
     """Explore all schedules of ``prog`` over ``model`` from ``init_obj``,
     as :func:`_explore` resolves and checks it."""
-    return _explore(prog, model, init_client, init_obj, bound)
+    return _explore(prog, model, init_obj, bound)
 
 
 def run_atomic(
-    prog: Program,
-    spec: SeqSpec,
-    init_client: Sequence[tuple[str, Value]] = (),
-    init_obj: Any = None,
-    bound: int = DEFAULT_BOUND,
+    prog: Program, spec: SeqSpec, init_obj: Any = None, bound: int = DEFAULT_BOUND
 ) -> Exploration:
     """Explore ``prog`` over :func:`~strictlin.models.atomic_model` of ``spec``.
 
@@ -1012,21 +992,18 @@ def run_atomic(
     livelock and classified as object divergence.  The start state is
     resolved and checked against ``spec`` as by :func:`_explore`.
     """
-    return _explore(prog, atomic_model(spec), init_client, init_obj, bound)
+    return _explore(prog, atomic_model(spec), init_obj, bound)
 
 
-def _explore(
-    prog: Program, model: ObjectModel, init_client: Sequence[tuple[str, Value]],
-    init_obj: Any, bound: int,
-) -> Exploration:
+def _explore(prog: Program, model: ObjectModel, init_obj: Any, bound: int) -> Exploration:
     """The one place a start state is resolved, ``None`` meaning the first
     start state of ``model.seq_spec``, and checked to lie in that spec's
-    state domain."""
+    state domain.  Every exploration starts with no client bindings."""
     spec = model.seq_spec
     obj = spec.initial_states[0] if init_obj is None else init_obj
     if not spec.is_state(obj):
         raise ValueError(f"{model.name}: initial state not well-formed")
-    return Exploration(_Interp(prog, model, tuple(sorted(init_client)), obj), bound).build()
+    return Exploration(_Interp(prog, model, obj), bound).build()
 
 
 def incomplete(*explorations: Exploration) -> str:
@@ -1061,17 +1038,16 @@ def canonical_lasso(stem: tuple, cycle: tuple) -> tuple[tuple, tuple]:
 
 
 def client_traces(results: Iterable[ExecutionResult]) -> frozenset:
-    """Client-side trace set: projections of terminated and aborted
-    executions plus lassos of client-divergent ones.  Object divergence
-    contributes nothing."""
+    """Client-side trace set of client-projected outcomes, as
+    ``results("client")`` gives them: the traces of terminated and aborted
+    executions plus the lassos of client-divergent ones, as ``(stem,
+    cycle)`` pairs.  Object divergence contributes nothing."""
     out = set()
     for r in results:
         if r.kind in (Kind.TERMINATED, Kind.ABORTED):
-            out.add((r.client_events(), ()))
+            out.add((r.trace, ()))
         elif r.kind is Kind.CLIENT_DIVERGENT:
-            stem = r.client_events()
-            cyc = tuple(e for e in r.cycle if e.is_client)
-            out.add(canonical_lasso(stem, cyc))
+            out.add(canonical_lasso(r.trace, r.cycle))
     return frozenset(out)
 
 
@@ -1200,10 +1176,10 @@ def compare_observables(
 
 def render_client_trace(trace: tuple[tuple, tuple]) -> str:
     stem, cycle = trace
-    out = "; ".join(e.render() for e in stem)
+    parts = ["; ".join(e.render() for e in stem)] if stem else []
     if cycle:
-        out += " [loop: " + "; ".join(e.render() for e in cycle) + "]"
-    return out or "(empty)"
+        parts.append("[loop: " + "; ".join(e.render() for e in cycle) + "]")
+    return " ".join(parts) or "(empty)"
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ enumerating bijections, with none of the canonical correspondence of
 ``history.linearizes``.
 """
 
-from typing import Any, Sequence
+from typing import Any
 
 from strictlin.checker import _bijection_check
-from strictlin.explorer import Config, ExecutionResult, Kind, _Interp, _projector
+from strictlin.explorer import _PROJECTIONS, Config, ExecutionResult, Kind, _Interp
 from strictlin.history import History, Inv, Ret, RetAbort
 from strictlin.models import ObjectModel
 from strictlin.programs import (
@@ -40,7 +40,6 @@ from strictlin.values import EMPTY, UNIT, Value
 def enumerate_executions_naive(
     prog: Program,
     model: ObjectModel,
-    init_client: Sequence[tuple[str, Value]] = (),
     init_obj: Any = None,
     max_steps: int = 10_000,
     *,
@@ -52,8 +51,8 @@ def enumerate_executions_naive(
     detected by a configuration repeat along the current schedule.
     """
     obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
-    interp = _Interp(prog, model, tuple(sorted(init_client)), obj)
-    keep = _projector(projection)
+    interp = _Interp(prog, model, obj)
+    keep = _PROJECTIONS[projection]
     results: set[ExecutionResult] = set()
 
     def walk(c: Config, trace: tuple, path: dict, depth: int) -> None:

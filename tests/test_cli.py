@@ -543,6 +543,67 @@ def test_general_mode_requires_adt_and_af(program_file, capsys):
             assert out == "" and err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--mode", "strict", "--adt", "adt-queue", "--af", "nosuch"],
+                 "--adt is not read by explore --mode strict", id="explore-strict-adt"),
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--adt", "nosuch", "--rename", "X=Y"],
+                 "--adt is not read by explore without --mode", id="explore-no-mode-adt"),
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--mode", "strict", "--af", "af-pseudo"],
+                 "--af is not read by explore --mode strict", id="explore-strict-af"),
+    pytest.param(["check-history", "--file", "{hist}", "--mode", "strict",
+                  "--spec", "adt-queue", "--adt", "nosuch", "--rename", "Q=Z"],
+                 "--adt is not read by check-history --mode strict", id="check-strict-adt"),
+    pytest.param(["check-history", "--file", "{hist}", "--mode", "strict",
+                  "--spec", "adt-queue", "--rename", "Q=Z"],
+                 "--rename is not read by check-history --mode strict", id="check-strict-rename"),
+    pytest.param(["check-history", "--file", "{hist}", "--mode", "general",
+                  "--adt", "adt-queue", "--spec", "nosuch"],
+                 "--spec is not read by check-history --mode general", id="check-general-spec"),
+    pytest.param(["explore", "--program", "{prog}", "--model", "coarse-queue",
+                  "--histories", "{prog}"],
+                 "--histories: [Errno 17] File exists: '{prog}'", id="histories-is-a-file"),
+])
+def test_option_the_mode_cannot_use_is_refused_before_exploring(
+    argv, message, program_file, history_file, capsys
+):
+    names = {"prog": program_file, "hist": history_file}
+    assert main([a.format(**names) for a in argv]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message.format(**names)}\n")
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--mode", "strict"], "--mode strict requires --spec"),
+    (["--mode", "general"], "--mode general requires --adt"),
+    (["--mode", "general", "--adt", "adt-queue", "--rename", "Enqueue"],
+     "bad rename entry 'Enqueue'"),
+])
+def test_check_history_option_errors(extra, message, history_file, capsys):
+    assert main(["check-history", "--file", history_file] + extra) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_compare_prints_a_differing_client_lasso(tmp_path, capsys):
+    # the atomic queue answers EMPTY and the client spins on it; the array
+    # queue's dequeue spins inside the object instead
+    f = tmp_path / "spin.txt"
+    f.write_text("thread { call y = Q.Dequeue() ; while y == EMPTY { set a = 1 } }\n")
+    assert main(["compare", "--program", str(f), "--model", "hw-queue,N=2",
+                 "--spec", "adt-queue"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == (
+        "client traces equal: no\n"
+        "  only atomic: t=1 act eval Dequeue()=unit; t=1 act y:=EMPTY"
+        " [loop: t=1 act test(y == EMPTY)=true; t=1 act a:=1]\n"
+        "final states equal: no (client bindings, abort and bottom only)\n"
+        "  fine-grained:\n"
+        "  atomic:\n"
+        "    bottom (client divergence)\n"
+        "divergence: fine-grained=object-divergent atomic=client-divergent\n"
+    )
+
+
 def test_explore_with_seeded_contents(program_file, tmp_path, capsys):
     f = tmp_path / "deq.txt"
     f.write_text("thread { call y = Q.Dequeue() }\n")

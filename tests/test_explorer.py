@@ -25,7 +25,7 @@ from strictlin.explorer import (
     observables_report,
     run_atomic,
 )
-from strictlin.history import Inv, Ret, history
+from strictlin.history import Act, Event, Inv, Ret, history
 from strictlin.models import atomic_model
 from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
@@ -144,7 +144,7 @@ def test_schedule_completeness_terminated_subset_with_divergence():
 def test_client_loop_divergence_lasso():
     p = parse_program("thread { while x != 1 { set y = 0 } }")
     p2 = parse_program("thread { set x = 0 ; while x != 1 { set y = 0 } }")
-    ex = explore(p2, models.coarse_queue_model(), init_client=())
+    ex = explore(p2, models.coarse_queue_model())
     assert ex.divergence_kinds() == {Kind.CLIENT_DIVERGENT}
     (r,) = [r for r in ex.results("client") if r.kind is Kind.CLIENT_DIVERGENT]
     assert r.cycle  # the repeating client events
@@ -353,6 +353,39 @@ def test_canonical_lasso_normalization():
     assert canonical_lasso((1, 2, 3), (3, 3)) == ((1, 2), (3,))
     assert canonical_lasso((1,), (2, 3, 2, 3)) == ((1,), (2, 3))
     assert canonical_lasso((), (5,)) == ((), (5,))
+
+
+def test_client_divergent_trace_renders_its_lasso_alone():
+    # the loop spins from the start, so its lasso has an empty stem
+    p = parse_program("thread { while 0 == 0 { set a = 1 } }")
+    sides = explorer.explore_both(p, models.coarse_queue_model())
+    for ex in sides:
+        (trace,) = client_traces(ex.results("client"))
+        assert explorer.render_client_trace(trace) == (
+            "[loop: t=1 act test(0 == 0)=true; t=1 act a:=1]")
+    assert observables_report(*sides).equal
+    assert canonical_lasso((1, 2), ()) == ((1, 2), ())
+
+
+_C = [Event(1, Act(f"c{i}")) for i in range(5)]  # client events
+_O = Event(1, Act("step"), 101)  # an object event
+
+
+@pytest.mark.parametrize("edges,lasso", [
+    # 0 -> 1 ends in an object edge, so the search backs out of 1 and takes
+    # 0's second edge into the cycle 2 -> 3 -> 2
+    ([(((_C[0],), 1), ((_C[1],), 2)), (((_O,), 0),), (((_C[2],), 3),),
+      (((_C[3],), 2), ((_O,), 0))], (2, (_C[2], _C[3]))),
+    # no client-only edge leads from 0 or 1 to the cycle: the search from 0
+    # ends with 1 done, skips 1 as a root and finds the cycle from 2
+    ([(((_C[0],), 1),), (((_O,), 2),), (((_C[2],), 3),),
+      (((_C[3],), 2), ((_O,), 0))], (2, (_C[2], _C[3]))),
+    # an object edge closes the only cycle
+    ([(((_C[0],), 1),), (((_O,), 0),)], None),
+], ids=["dead-end", "done-root", "none"])
+def test_client_lasso_search_backtracks(edges, lasso):
+    members = list(range(len(edges)))
+    assert explorer._client_lasso(edges, members, set(members)) == lasso
 
 
 def test_compare_observables_positive_control():
@@ -625,13 +658,16 @@ def test_finished_call_argument_is_forgotten():
     # after either enqueue returns, the thread's configurations no longer
     # differ by the argument, and two configurations merge into others
     p = parse_program(
-        "thread { set x = 1 }\n"
+        "phase { thread { set x = 0 } }\n"
+        "phase { thread { set x = 1 }\n"
         "thread { if x == 0 { call Q.Enqueue(1) } else { call Q.Enqueue(2) } ; set d = 1 }\n"
-        "thread { call Q.Dequeue() }"
+        "thread { call Q.Dequeue() } }"
     )
-    m, init = models.coarse_queue_model(), (("x", 0),)
-    ex = explore(p, m, init_client=init)
-    assert (len(ex.order), ex.transitions_explored) == (116, 226)
+    m = models.coarse_queue_model()
+    ex = explore(p, m)
+    # the setup phase adds two configurations, its start and its end, and
+    # two transitions, its one step and the move to the next phase
+    assert (len(ex.order), ex.transitions_explored) == (118, 228)
     assert final_states(ex).renderings == tuple(
         f"client: d=1 x=1 | object: queue=<{q}>" for q in ("1", "2", "")
     )
@@ -639,18 +675,23 @@ def test_finished_call_argument_is_forgotten():
     for projection, n in zip(PROJECTIONS, (774, 20, 35)):
         res = ex.results(projection)
         assert len(res) == n
-        assert res == enumerate_executions_naive(p, m, init, projection=projection)
+        assert res == enumerate_executions_naive(p, m, projection=projection)
 
 
 def test_component_over_512_configurations_is_approximate():
     # three independent client spin loops: 9 positions each, one component
     body = lambda v: " ; ".join(f"set {v} = {k}" for k in range(1, 9))  # noqa: E731
-    p = parse_program("\n".join(f"thread {{ while 0 == 0 {{ {body(v)} }} }}" for v in "abc"))
-    ex = explore(p, models.coarse_queue_model(), init_client=(("a", 8), ("b", 8), ("c", 8)))
-    assert len(ex.order) == 729
-    assert [len(c) for c in ex.scc_info()["comps"]] == [729]
+    loops = " ".join(f"thread {{ while 0 == 0 {{ {body(v)} }} }}" for v in "abc")
+    p = parse_program(f"phase {{ thread {{ set a = 8 ; set b = 8 ; set c = 8 }} }}\n"
+                      f"phase {{ {loops} }}")
+    ex = explore(p, models.coarse_queue_model())
+    # the setup phase's four configurations are one component each, callers
+    # of the loops' one
+    assert len(ex.order) == 733
+    assert [len(c) for c in ex.scc_info()["comps"]] == [729, 1, 1, 1, 1]
     (r,) = ex.results("client")
     assert r.kind is Kind.UNKNOWN and r.note == "scc too large"
+    assert [e.label.action for e in r.trace] == ["a:=8", "b:=8", "c:=8"]
     assert ex.approximate
 
 
@@ -671,7 +712,7 @@ def test_terminating_schedule_lapping_an_observable_cycle_is_approximate():
 def _trie_table() -> "explorer._Outcomes":
     """An empty table of outcome tries; its sets hold any integer ids."""
     ex = explore(parse_program("thread { set x = 0 }"), models.coarse_queue_model())
-    return explorer._Outcomes(ex, explorer._projector("history"))
+    return explorer._Outcomes(ex, explorer._PROJECTIONS["history"])
 
 
 def _chain(t, trace, leaf) -> int:
@@ -797,7 +838,7 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
             interp, states = ex.interp, ex.states
             assert all(map(interp.model.invariant_ok, states))
             # a new interpreter, its tables empty, runs each key's rule afresh
-            fresh = explorer._Interp(prog, interp.model, interp.init.client, ex.initial_object)
+            fresh = explorer._Interp(prog, interp.model, ex.initial_object)
             assert fresh.code == interp.code and not fresh.moves
             for (tid, t, client, sid), moves in interp.moves.items():
                 got = fresh.thread_moves(tid, t, client, fresh.state_id(states[sid]))
@@ -821,11 +862,24 @@ def test_each_thread_move_input_runs_its_rule_once(monkeypatch):
                 return rule(interp, tid, t, client, sid, *entry)
             return wrapped
 
-        interp = explorer._Interp(parse_program(text), model, (), model.seq_spec.initial_states[0])
+        interp = explorer._Interp(parse_program(text), model, model.seq_spec.initial_states[0])
         interp.code = [(counted(rule), *rest) for rule, *rest in interp.code]
         ex = explorer.Exploration(interp, explorer.DEFAULT_BOUND).build()
         assert set(calls.values()) == {1}
         assert len(calls) == len(ex.interp.moves)
+
+
+def test_outcome_tables_are_freed_without_the_cycle_collector():
+    # each spin program has a cyclic component, whose simple paths the
+    # outcome dynamic program walks
+    gc.collect()
+    gc.disable()
+    try:
+        for text, model in SPIN_PROGRAMS[:3] + SPIN_PROGRAMS[4:]:
+            explore(parse_program(text), model).results("client")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finished_exploration_is_freed_without_the_cycle_collector():

@@ -49,6 +49,16 @@ def test_phases_and_implicit_phase():
     assert [len(ph) for ph in q.phases] == [2]
 
 
+def test_bare_threads_before_a_phase_are_a_phase_of_their_own():
+    p = parse_program("thread { set a = 1 }\nthread { set b = 2 }\n"
+                      "phase { thread { set c = 3 } }\nthread { set d = 4 }")
+    assert p.phases == (
+        ((AssignStmt("a", Lit(1)),), (AssignStmt("b", Lit(2)),)),
+        ((AssignStmt("c", Lit(3)),),),
+        ((AssignStmt("d", Lit(4)),),),
+    )
+
+
 def test_control_flow_and_atomic():
     p = parse_program(
         """
