@@ -367,7 +367,7 @@ def test_client_divergent_trace_renders_its_lasso_alone():
     assert canonical_lasso((1, 2), ()) == ((1, 2), ())
 
 
-_C = [Event(1, Act(f"c{i}")) for i in range(5)]  # client events
+_C = [Event(1, Act(f"c{i}")) for i in range(4)]  # client events
 _O = Event(1, Act("step"), 101)  # an object event
 
 
