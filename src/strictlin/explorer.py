@@ -32,11 +32,13 @@ Events are interned too, one object per distinct event.
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
 with one dictionary lookup per transition.  An edge is an ``(events,
-target)`` pair; every event names its thread.  From then on the edges, the
-strongly connected components and the outcome tables are lists indexed by
-id, so no edge or component lookup hashes a whole configuration again.
-Termination, runtime errors, livelock (every pending thread blocked), and
-divergence (reachable configuration cycles) are read off the graph.
+target)`` pair; every event names its thread.  How a configuration ends is
+recorded as the build meets it: the terminated, livelocked and truncated
+configurations are sets of ids, and one flag says whether any edge is a
+runtime error.  From then on the edges, the strongly connected components
+and the outcome tables are lists indexed by id, so no edge or component
+lookup hashes a whole configuration again.  Divergence (reachable
+configuration cycles) is read off the graph.
 :meth:`Exploration.scc_info` is the one place cycles are found: Tarjan's
 algorithm marks a component cyclic as it pops it, and each cyclic component
 is searched once for an object lasso and a client lasso.  Sets of execution
@@ -443,9 +445,13 @@ class Exploration:
     states, no two of them equal, so ``states[c.sid]`` is the state.
     ``edges[i]`` lists configuration ``i``'s outgoing transitions as
     ``(events, target id)`` pairs, the target being None for a runtime
-    error; a configuration left unexpanded when the step budget ran out has
-    no edges and is in ``truncated``.  Everything past
-    :meth:`build` (SCCs, cycle marking, outcome tables) works on the ids.
+    error, and ``has_abort`` says whether any edge is one.  A configuration
+    without edges is in exactly one of three id sets: ``terminal_done``
+    when every thread of the last phase has finished, ``terminal_livelock``
+    when a pending thread is blocked with nothing else enabled, and
+    ``truncated`` when it was left unexpanded as the step budget ran out.
+    Everything past :meth:`build` (SCCs, cycle marking, outcome tables,
+    final states) works on the ids.
     """
 
     interp: _Interp
@@ -455,9 +461,10 @@ class Exploration:
     edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = field(
         default_factory=list
     )
-    terminal_done: set[Config] = field(default_factory=set)
-    terminal_livelock: set[Config] = field(default_factory=set)
-    truncated: set[Config] = field(default_factory=set)
+    terminal_done: set[int] = field(default_factory=set)
+    terminal_livelock: set[int] = field(default_factory=set)
+    truncated: set[int] = field(default_factory=set)
+    has_abort: bool = False
     transitions_explored: int = 0
     approximate: bool = False
     _scc: Optional[dict] = None
@@ -485,27 +492,28 @@ class Exploration:
 
     def build(self) -> "Exploration":
         order, configs, edges = self.order, self.configs, self.edges
-        last_phase = len(self.interp.entries) - 1
         order[self.initial] = 0
         configs.append(self.initial)
         edges.append(())
         todo = [0]
         while todo:
             i = todo.pop()
-            c = configs[i]
             if self.transitions_explored >= self.bound:
-                self.truncated.add(c)
+                self.truncated.add(i)
                 continue
+            c = configs[i]
             succ = self.interp.successors(c)
             self.transitions_explored += len(succ)
-            if not succ:
-                if c.phase >= last_phase and all(t.done for t in c.threads):
-                    self.terminal_done.add(c)
+            if not succ:  # successors gives an earlier finished phase its phase edge
+                if all(t.done for t in c.threads):
+                    self.terminal_done.add(i)
                 else:
-                    self.terminal_livelock.add(c)
+                    self.terminal_livelock.add(i)
             out = []
             for events, target in succ:
-                if target is not None:
+                if target is None:
+                    self.has_abort = True
+                else:
                     fresh = len(configs)
                     j = order.setdefault(target, fresh)  # the one hash of ``target``
                     if j == fresh:
@@ -524,12 +532,12 @@ class Exploration:
         lasso search per cyclic component; this is the one place cycles
         are found.
 
-        ``comp[i]`` is the component of configuration ``i`` and ``comps``
-        lists each component's ids, callees before callers.  A component
-        is ``cyclic`` when it has an internal edge, ``object_cyclic`` when
-        an internal edge emits an object event, and ``client_cyclic`` when
-        its internal client-only edges close a cycle by themselves; Tarjan's
-        loop marks a component cyclic as it pops it.
+        ``comps`` lists each component's ids in ascending order, callees
+        before callers.  A component is ``cyclic`` when it has an internal
+        edge, ``object_cyclic`` when an internal edge emits an object event,
+        and ``client_cyclic`` when its internal client-only edges close a
+        cycle by themselves; Tarjan's loop marks a component cyclic as it
+        pops it.
         ``lassos[k]`` maps each divergence kind of cyclic component ``k``
         to one cycle of that kind, as ``(configuration on the cycle,
         events once round)``: see :func:`_object_lasso` and
@@ -541,7 +549,6 @@ class Exploration:
         n = len(edges)
         index = [-1] * n
         low = [0] * n
-        comp = [-1] * n
         on_stack = [False] * n
         comps: list[list[int]] = []
         cyclic: set[int] = set()
@@ -577,7 +584,6 @@ class Exploration:
                         while True:
                             w = stack.pop()
                             on_stack[w] = False
-                            comp[w] = k
                             group.append(w)
                             if w == node:
                                 break
@@ -585,6 +591,7 @@ class Exploration:
                         # a component has an internal edge when it has two
                         # members or a self-loop
                         if len(group) > 1:
+                            group.sort()
                             cyclic.add(k)
                         else:
                             for _, t in edges[node]:
@@ -599,7 +606,7 @@ class Exploration:
         # one search per cyclic component finds a lasso of each kind it has
         lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
         for k in cyclic:
-            members = sorted(comps[k])
+            members = comps[k]
             group = set(members)
             found = (
                 (Kind.OBJECT_DIVERGENT, _object_lasso(edges, members, group)),
@@ -607,7 +614,6 @@ class Exploration:
             )
             lassos[k] = {kind: lasso for kind, lasso in found if lasso is not None}
         self._scc = {
-            "comp": comp,
             "comps": comps,
             "cyclic": cyclic,
             "object_cyclic": {k for k, ls in lassos.items() if Kind.OBJECT_DIVERGENT in ls},
@@ -762,25 +768,24 @@ class _Outcomes:
         self.leaves: list[tuple] = []
         self.leaf_ids: dict[tuple, int] = {}
         self.aborted = self.single(self.leaf(Kind.ABORTED, note="runtime error"))
-        order, states = ex.order, ex.states
         # the exploration's edges with their events projected to kept ids
         self.edges: list[tuple] = [
             tuple((self.project(events), t) for events, t in trs)
             for trs in ex.edges
         ]
         # per configuration, once known: the node of its outcomes
-        self.outcomes: list[Optional[int]] = [None] * len(order)
+        self.outcomes: list[Optional[int]] = [None] * len(self.edges)
         unknown = self.single(self.leaf(Kind.UNKNOWN, note="step budget exhausted"))
-        for c in ex.truncated:
-            self.outcomes[order[c]] = unknown
+        for i in ex.truncated:
+            self.outcomes[i] = unknown
         livelock = self.single(
             self.leaf(Kind.OBJECT_DIVERGENT, note="all pending threads blocked")
         )
-        for c in ex.terminal_livelock:
-            self.outcomes[order[c]] = livelock
-        for c in ex.terminal_done:
-            leaf = self.leaf(Kind.TERMINATED, c.client, states[c.sid])
-            self.outcomes[order[c]] = self.single(leaf)
+        for i in ex.terminal_livelock:
+            self.outcomes[i] = livelock
+        for i in ex.terminal_done:
+            c = ex.configs[i]
+            self.outcomes[i] = self.single(self.leaf(Kind.TERMINATED, c.client, ex.states[c.sid]))
         self.approximate = False
 
     def run(self, info: dict) -> frozenset[ExecutionResult]:
@@ -797,22 +802,21 @@ class _Outcomes:
         guard, and a component with an observable cycle and an exit, whose
         terminating schedules may lap the cycle any number of times."""
         outcomes, edges, union, follow = self.outcomes, self.edges, self.union, self.follow
-        for k, comp in enumerate(info["comps"]):
+        for k, members in enumerate(info["comps"]):
             if k not in info["cyclic"]:
-                (i,) = comp
+                (i,) = members
                 if outcomes[i] is None:  # not a terminal or truncated one
                     out = 0
                     for evs, t in edges[i]:
                         out = union(out, follow(evs, t))
                     outcomes[i] = out
                 continue
-            if len(comp) > 512:
+            if len(members) > 512:
                 self.approximate = True
                 too_large = self.single(self.leaf(Kind.UNKNOWN, note="scc too large"))
-                for i in comp:
+                for i in members:
                     outcomes[i] = too_large
                 continue
-            members = sorted(comp)
             group = set(members)
             # divergent continuations: one lasso per divergence kind.  Its
             # cycle does not depend on where the lasso starts; only the
@@ -1051,44 +1055,31 @@ def client_traces(results: Iterable[ExecutionResult]) -> frozenset:
     return frozenset(out)
 
 
-ABORT_MARKER = ("abort",)
-BOTTOM_MARKER = ("bottom",)
-
-
 @dataclass(frozen=True)
 class FinalStates:
-    """Final-state set: terminated configurations plus the error marker for
-    aborting executions and the bottom marker for client divergence."""
+    """Final-state set: the terminated configurations' ``(client bindings,
+    object state key)`` pairs, whether some execution aborts, and whether
+    some diverges on the client side (the bottom state)."""
 
-    states: frozenset  # of (client-bindings, object-state-key)
+    states: frozenset
     has_abort: bool
     has_bottom: bool
     renderings: tuple[str, ...]
 
-    def markers(self) -> frozenset:
-        out = set(self.states)
-        if self.has_abort:
-            out.add(ABORT_MARKER)
-        if self.has_bottom:
-            out.add(BOTTOM_MARKER)
-        return frozenset(out)
-
-    def object_keys(self) -> frozenset:
-        return frozenset(k for (_, k) in self.states)
-
 
 def final_states(exploration: Exploration) -> FinalStates:
-    spec, objs = exploration.spec, exploration.states
+    spec, objs, configs = exploration.spec, exploration.states, exploration.configs
     states = set()
     render: dict = {}
-    for c in exploration.terminal_done:
+    for i in exploration.terminal_done:
+        c = configs[i]
         k = (c.client, spec.state_key(objs[c.sid]))
         states.add(k)
         render[k] = (
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
             spec.render_state(objs[c.sid]),
         )
-    has_abort = any(t is None for trs in exploration.edges for _, t in trs)
+    has_abort = exploration.has_abort
     has_bottom = Kind.CLIENT_DIVERGENT in exploration.divergence_kinds()
     lines = sorted(f"client: {cl} | object: {ob}" for cl, ob in render.values())
     if has_abort:
@@ -1147,14 +1138,16 @@ def observables_report(ex_m: Exploration, ex_a: Exploration) -> ObservablesRepor
     """Client traces and final states of a fine-grained exploration against
     an atomic one.  Over the model's own spec the final states are compared
     whole.  A foreign spec's object states lie in another domain, so then
-    only what the client observes is compared, the client bindings and the
-    abort and bottom markers: observational equivalence."""
+    only what the client observes is compared, the client bindings and
+    whether some execution aborts or diverges on the client side:
+    observational equivalence."""
     mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
     fs_m, fs_a = final_states(ex_m), final_states(ex_a)
-    seen_m, seen_a = fs_m.markers(), fs_a.markers()
     client_only = ex_a.spec is not ex_m.spec
-    if client_only:  # cut each (client, object key) to (client,); markers are 1-tuples
-        seen_m, seen_a = ({m[:1] for m in seen} for seen in (seen_m, seen_a))
+    seen_m, seen_a = (
+        ({cl for cl, _ in fs.states} if client_only else fs.states, fs.has_abort, fs.has_bottom)
+        for fs in (fs_m, fs_a)
+    )
     return ObservablesReport(
         traces_equal=mt_m == mt_a,
         states_equal=seen_m == seen_a,

@@ -125,8 +125,9 @@ FIG3_LEGAL_FINAL = models.HWQueueState(3, (NULL, "c", NULL, NULL))
 def fig2() -> Report:
     sides = explorer.explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
     fs, fs_a = map(explorer.final_states, sides)
-    n, n_a = len(fs.object_keys()), len(fs_a.object_keys())
-    subset = fs_a.object_keys() <= fs.object_keys()
+    keys, keys_a = ({k for _, k in f.states} for f in (fs, fs_a))
+    n, n_a = len(keys), len(keys_a)
+    subset = keys_a <= keys
     ok = n == 4 and n_a == 2 and subset
     lines = [
         f"fine-grained final object states: {n}",

@@ -15,13 +15,16 @@ invocation, with none of the numbering or bitmasks of
 :func:`linearizes_by_bijection` decides the linearization relation by
 enumerating bijections, with none of the canonical correspondence of
 ``history.linearizes``.
+:func:`queue_linearizable_by_brute_force` decides whether a queue history
+linearizes by trying every completion and every permutation, with none of
+the witness search of ``checker.find_linearization``.
 """
 
 from typing import Any
 
-from strictlin.checker import _bijection_check
+from strictlin.checker import _bijection_check, brute_force_linearizations
 from strictlin.explorer import _PROJECTIONS, Config, ExecutionResult, Kind, _Interp
-from strictlin.history import History, Inv, Ret, RetAbort
+from strictlin.history import History, Inv, Ret, RetAbort, completions, pending
 from strictlin.models import ObjectModel
 from strictlin.programs import (
     Arith,
@@ -34,6 +37,7 @@ from strictlin.programs import (
     Var,
     WhileStmt,
 )
+from strictlin.specs import legal_seq_outcomes, queue_adt
 from strictlin.values import EMPTY, UNIT, Value
 
 
@@ -202,3 +206,21 @@ def linearizes_by_bijection(h: History, h_seq: History) -> bool:
     enumeration (``checker._bijection_check``, which
     ``brute_force_linearizations`` runs on every permutation)."""
     return _bijection_check(h)(h_seq)
+
+
+def queue_linearizable_by_brute_force(h: History) -> bool:
+    """Whether queue history ``h`` linearizes: some completion of it, each
+    pending Enqueue returning ``UNIT`` and each pending Dequeue ``'a'``,
+    ``'b'`` or ``EMPTY``, has a permutation (from
+    ``brute_force_linearizations``) legal for the queue ADT from empty."""
+    open_ops = pending(h)
+    cands = {
+        e.op: (UNIT,) if e.label.method == "Enqueue" else ("a", "b", EMPTY)
+        for e in h if e.op in open_ops
+    }
+    adt = queue_adt()
+    pool = completions(h, cands) if open_ops else [h]
+    return any(
+        legal_seq_outcomes(adt, (), perm)
+        for hc in pool for perm in brute_force_linearizations(hc)
+    )

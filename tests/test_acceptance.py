@@ -5,6 +5,7 @@ by an independent in-test oracle, or frozen from a reviewed golden file.
 Time limits are asserted as stated.
 """
 
+import importlib
 import itertools
 import random
 import time
@@ -13,7 +14,6 @@ from pathlib import Path
 from strictlin import checker, explorer, models, reproductions, specs
 from strictlin.checker import (
     RecordedExecution,
-    brute_force_linearizations,
     check_concurrent_implementation,
     check_strict,
     find_linearization,
@@ -21,7 +21,7 @@ from strictlin.checker import (
     recorded_executions,
 )
 from strictlin.explorer import compare_observables, explore, explore_both, observables_report
-from strictlin.history import completions, history, inv, pending, ret
+from strictlin.history import history, inv, ret
 from strictlin.models import HWQueueState
 from strictlin.programs import parse_program
 from strictlin.reproductions import (
@@ -35,7 +35,10 @@ from strictlin.reproductions import (
 from strictlin.specs import legal_seq_outcomes, queue_adt
 from strictlin.values import EMPTY, NULL, UNIT
 
+from oracles import queue_linearizable_by_brute_force
+
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 class _timer:
@@ -71,13 +74,16 @@ FIG2_EXPECTED_ATOMIC = {
 }
 
 
-def test_criterion_1_final_state_gap():
+def test_criterion_1_final_state_gap(monkeypatch):
+    # the golden file is compared with the text of the script that writes it
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    fig2_states = importlib.import_module("regenerate_goldens").fig2_states
     with _timer(10.0) as t:
         ex, ex_a = explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
-        got_hw = {ex.states[c.sid] for c in ex.terminal_done}
-        got_at = {ex_a.states[c.sid] for c in ex_a.terminal_done}
+        got_hw = {ex.states[ex.configs[i].sid] for i in ex.terminal_done}
+        got_at = {ex_a.states[ex_a.configs[i].sid] for i in ex_a.terminal_done}
         golden = (GOLDEN / "fig2-states.txt").read_text()
-        regenerated = _fig2_golden_text(ex, ex_a)
+        regenerated = fig2_states(ex, ex_a)
         ok = (
             got_hw == FIG2_EXPECTED_HW
             and got_at == FIG2_EXPECTED_ATOMIC
@@ -86,14 +92,6 @@ def test_criterion_1_final_state_gap():
         )
     _verdict(1, ok and t.elapsed < 10, "4 fine-grained vs 2 atomic final states",
              t.elapsed, 10)
-
-
-def _fig2_golden_text(ex, ex_a) -> str:
-    lines = ["# final object states, fine-grained array queue (N=4)"]
-    lines += sorted({ex.spec.render_state(ex.states[c.sid]) for c in ex.terminal_done})
-    lines += ["# final object states, atomic version"]
-    lines += sorted({ex_a.spec.render_state(ex_a.states[c.sid]) for c in ex_a.terminal_done})
-    return "\n".join(lines) + "\n"
 
 
 def test_criterion_2_recorded_execution_contrast():
@@ -149,22 +147,6 @@ def test_criterion_5_transitivity_fuzz():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_linearizable(h) -> bool:
-    adt = queue_adt()
-    cands = {}
-    for e in h:
-        if e.op in pending(h):
-            cands[e.op] = (
-                (UNIT,) if e.label.method == "Enqueue" else ("a", "b", EMPTY)
-            )
-    pool = completions(h, cands) if pending(h) else iter([h])
-    for hc in pool:
-        for perm in brute_force_linearizations(hc):
-            if legal_seq_outcomes(adt, (), perm):
-                return True
-    return False
-
-
 def _exhaustive_one_op_pairs():
     ops = [("Enqueue", "a", UNIT), ("Enqueue", "b", UNIT),
            ("Dequeue", UNIT, "a"), ("Dequeue", UNIT, "b"),
@@ -192,14 +174,14 @@ def test_criterion_6_oracle_equivalence():
         for h in _exhaustive_one_op_pairs():
             total += 1
             got = find_linearization(RecordedExecution((), h, False), adt)
-            if (got is not None) != _oracle_linearizable(h):
+            if (got is not None) != queue_linearizable_by_brute_force(h):
                 disagreements += 1
         rng = random.Random(20260810)
         for _ in range(400):
             h = random_queue_history(rng, max_ops=5)
             total += 1
             got = find_linearization(RecordedExecution((), h, False), adt)
-            if (got is not None) != _oracle_linearizable(h):
+            if (got is not None) != queue_linearizable_by_brute_force(h):
                 disagreements += 1
         ok = disagreements == 0
     _verdict(6, ok and t.elapsed < 120,

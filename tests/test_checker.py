@@ -50,7 +50,7 @@ from strictlin.specs import (
 )
 from strictlin.values import EMPTY, UNIT, value_key
 
-from oracles import linearizes_by_bijection
+from oracles import linearizes_by_bijection, queue_linearizable_by_brute_force
 
 
 QUEUE = queue_adt()
@@ -357,30 +357,12 @@ def random_queue_history(rng: random.Random, max_ops=4, pending_rate=0.35):
     return history(merged)
 
 
-def oracle_says_linearizable(h: History) -> bool:
-    from strictlin.history import completions
-
-    cands = {}
-    for e in h:
-        if e.op in pending(h):
-            cands[e.op] = (
-                (UNIT,) if getattr(e.label, "method", "") == "Enqueue"
-                else ("a", "b", EMPTY)
-            )
-    pool = completions(h, cands) if pending(h) else [h]
-    for hc in pool:
-        for perm in brute_force_linearizations(hc):
-            if legal_seq_outcomes(QUEUE, (), perm):
-                return True
-    return False
-
-
 def test_search_agrees_with_oracle_on_random_histories():
     rng = random.Random(7)
     for _ in range(150):
         h = random_queue_history(rng)
         got = find_linearization(RecordedExecution((), h, False), QUEUE)
-        assert (got is not None) == oracle_says_linearizable(h), h
+        assert (got is not None) == queue_linearizable_by_brute_force(h), h
 
 
 def test_strict_search_agrees_with_oracle_on_random_complete_histories():

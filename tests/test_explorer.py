@@ -31,6 +31,7 @@ from strictlin.programs import parse_program
 from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
 
+from mutants import mutants
 from oracles import enumerate_executions_naive, run_single_thread
 
 PROJECTIONS = ("interface", "history", "client")
@@ -287,7 +288,7 @@ def test_atomic_pseudo_queue_single_element_never_blocks():
 def test_atomic_queue_dequeue_empty_is_total():
     p = parse_program("thread { call y = Q.Dequeue() }")
     ex = run_atomic(p, queue_adt())
-    finals = {dict(c.client)["y"] for c in ex.terminal_done}
+    finals = {dict(ex.configs[i].client)["y"] for i in ex.terminal_done}
     assert finals == {EMPTY}
 
 
@@ -536,8 +537,8 @@ def _assert_sccs_brute_force(ex):
     info = ex.scc_info()
     assert {frozenset(c) for c in info["comps"]} == partition
     assert sum(map(len, info["comps"])) == n
-    for k, members in enumerate(info["comps"]):
-        assert all(info["comp"][i] == k for i in members)
+    for members in info["comps"]:
+        assert members == sorted(members)
     cyclic, object_cyclic, client_cyclic = set(), set(), set()
     for k, members in enumerate(map(set, info["comps"])):
         internal = [(i, events, t) for i in members for events, t in ex.edges[i]
@@ -563,7 +564,7 @@ def _assert_dense_ids(ex):
     assert len(ex.edges) == len(ex.configs)
     for c, i in ex.order.items():
         assert ex.configs[i] == c
-    assert {ex.configs[i] for i in range(len(ex.edges)) if not ex.edges[i]} == (
+    assert {i for i in range(len(ex.edges)) if not ex.edges[i]} == (
         ex.terminal_done | ex.terminal_livelock | ex.truncated
     )
 
@@ -867,6 +868,28 @@ def test_each_thread_move_input_runs_its_rule_once(monkeypatch):
         ex = explorer.Exploration(interp, explorer.DEFAULT_BOUND).build()
         assert set(calls.values()) == {1}
         assert len(calls) == len(ex.interp.moves)
+
+
+def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
+    # how each configuration ends, recorded once by ``build``, against the
+    # graph itself and the transition rules
+    cases = _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS
+    cases += [(m.program, model) for m in mutants() for model in (m.model, m.shipped)]
+    aborts = set()
+    for text, model in cases:
+        for ex in explorer.explore_both(parse_program(text), model):
+            has_abort = any(t is None for trs in ex.edges for _, t in trs)
+            assert ex.has_abort is has_abort
+            assert final_states(ex).has_abort is has_abort
+            aborts.add(has_abort)
+            ends = ex.terminal_done | ex.terminal_livelock | ex.truncated
+            assert all(type(i) is int for i in ends)
+            assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
+            for i in ex.terminal_done | ex.terminal_livelock:
+                c = ex.configs[i]
+                assert ex.interp.successors(c) == ()
+                assert all(t.done for t in c.threads) is (i in ex.terminal_done)
+    assert aborts == {False, True}
 
 
 def test_outcome_tables_are_freed_without_the_cycle_collector():

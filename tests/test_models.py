@@ -71,7 +71,7 @@ def test_hw_fig3_final_state_reachable():
 
     m = hw_model(4)
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    finals = {ex.states[c.sid] for c in ex.terminal_done}
+    finals = {ex.states[ex.configs[i].sid] for i in ex.terminal_done}
     assert FIG3_FINAL in finals
 
 
@@ -142,7 +142,7 @@ def test_ms_invariant_preserved_during_exploration():
     assert {c.sid for c in ex.order} == set(range(len(ex.states)))
     assert len(set(ex.states)) == len(ex.states)
     assert all(m.invariant_ok(s) for s in ex.states)
-    assert all(ms_well_formed(ex.states[c.sid]) for c in ex.terminal_done)
+    assert all(ms_well_formed(ex.states[ex.configs[i].sid]) for i in ex.terminal_done)
 
 
 # ---------------------------------------------------------------------------
