@@ -875,21 +875,27 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
     # graph itself and the transition rules
     cases = _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS
     cases += [(m.program, model) for m in mutants() for model in (m.model, m.shipped)]
-    aborts = set()
-    for text, model in cases:
-        for ex in explorer.explore_both(parse_program(text), model):
-            has_abort = any(t is None for trs in ex.edges for _, t in trs)
-            assert ex.has_abort is has_abort
-            assert final_states(ex).has_abort is has_abort
-            aborts.add(has_abort)
-            ends = ex.terminal_done | ex.terminal_livelock | ex.truncated
-            assert all(type(i) is int for i in ends)
-            assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
-            for i in ex.terminal_done | ex.terminal_livelock:
-                c = ex.configs[i]
-                assert ex.interp.successors(c) == ()
-                assert all(t.done for t in c.threads) is (i in ex.terminal_done)
-    assert aborts == {False, True}
+    explorations = [ex for text, model in cases
+                    for ex in explorer.explore_both(parse_program(text), model)]
+    # a dequeue blocked for good on the empty atomic pseudo-queue, and a cut
+    dequeue = parse_program("thread { call y = Q.Dequeue() }")
+    explorations.append(run_atomic(dequeue, pseudo_queue_adt(), init_obj=()))
+    explorations.append(explore(parse_program(SPIN_PROGRAMS[2][0]), models.hw_model(2), bound=20))
+    for ex in explorations:
+        has_abort = any(t is None for trs in ex.edges for _, t in trs)
+        assert ex.has_abort is has_abort
+        assert final_states(ex).has_abort is has_abort
+        ends = ex.terminal_done | ex.terminal_livelock | ex.truncated
+        assert all(type(i) is int for i in ends)
+        assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
+        for i in ex.terminal_done | ex.terminal_livelock:
+            c = ex.configs[i]
+            assert ex.interp.successors(c) == ()
+            assert all(t.done for t in c.threads) is (i in ex.terminal_done)
+    # every end fact occurs in some exploration, and an abort flag of each value
+    assert all(any(getattr(ex, end) for ex in explorations)
+               for end in ("terminal_done", "terminal_livelock", "truncated", "has_abort"))
+    assert not all(ex.has_abort for ex in explorations)
 
 
 def test_outcome_tables_are_freed_without_the_cycle_collector():
