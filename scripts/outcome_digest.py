@@ -30,6 +30,10 @@ triples of the ``prop2-fuzz`` reproduction, it prints whether each history
 is well-formed and complete and sha256s of ``linearizes``, of every witness,
 completion and strict witness ``find_linearization`` returns, and of the
 error text an ill-formed history raises.
+Last, the ``cli`` section runs ``cli.main`` itself: ``explore --mode`` on
+each ``STRICT_QUERIES`` row, ``compare`` on each ``COMPARE_QUERIES`` row,
+and both on hw 2+2 cut at ``--bound 500``, printing each run's exit status
+and sha256s of its standard output and of its ``--json`` report.
 Diff the output of two commits to see which observables a change moved.
 
 The corpus: the benchmark's ladder programs on their models, the spin-loop
@@ -45,11 +49,14 @@ digested without their outcome sets.  An exploration that runs past
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import signal
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -58,7 +65,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 from bench.workloads import COMPARE_QUERIES, PROGRAMS, STRICT_QUERIES  # noqa: E402
 from bench.workloads import generate_history  # noqa: E402
-from strictlin import checker, explorer, models, reproductions, specs  # noqa: E402
+from strictlin import checker, cli, explorer, models, reproductions, specs  # noqa: E402
 from strictlin.history import (  # noqa: E402
     Event,
     History,
@@ -233,29 +240,24 @@ def digest(ex: explorer.Exploration, projections: tuple[str, ...]) -> list[str]:
 def check_digest(text: str, model: ObjectModel, mode: str, adt_name, af, rename,
                  states=None) -> str:
     """One check on a program's recorded executions, as ``explore --mode``
-    runs it: the verdict, the execution count, a sha256 of the report's
-    lines and one of every entry's verdict, witness, completion and detail
-    as ``--json`` carries them.  An implementation check samples
-    ``states``, by default the model's states over ``specs.DEFAULT_ALPHABET``."""
-    recs = checker.recorded_executions(explorer.explore(parse_program(text), model))
-    if mode == "strict":
-        report = checker.check_strict(recs, model.seq_spec)
+    runs it (``checker.check_exploration``): the verdict, the execution
+    count, a sha256 of the report's lines and one of every entry's verdict,
+    witness, completion and detail as ``--json`` carries them.  Given
+    ``states``, an implementation check samples those states instead."""
+    ex = explorer.explore(parse_program(text), model)
+    adt = adt_name and specs.get_spec(adt_name)
+    rf = rename and specs.RenamingFunction.of(rename)
+    if states is None:
+        report = checker.check_exploration(ex, mode, adt, af, rf)
     else:
-        adt = specs.get_spec(adt_name)
-        rf = (specs.RenamingFunction.of(rename) if rename
-              else specs.RenamingFunction.identity(model.method_names()))
-        if mode == "general":
-            report = checker.check_general(recs, adt, af, rf)
-        else:
-            report = checker.check_concurrent_implementation(
-                recs, model.seq_spec, adt, af, rf,
-                list(model.enumerate_states(specs.DEFAULT_ALPHABET)) if states is None
-                else states)
+        report = checker.check_concurrent_implementation(
+            checker.recorded_executions(ex), model.seq_spec, adt, af,
+            specs.RenamingFunction.identity(model.method_names()), states)
     lines = "\n".join(report.lines())
     entries = [[e.ok, serialize_history(e.witness) if e.witness else None,
                 serialize_history(e.completion) if e.completion else None, e.detail]
                for e in report.entries]
-    return (f"verdict={'pass' if report.passed else 'fail'} "
+    return (f"verdict={report.verdict} "
             f"executions={len(report.entries)} lines_sha256={_text_sha(lines)} "
             f"entries_sha256={_text_sha(json.dumps(entries))}")
 
@@ -295,7 +297,7 @@ def compare_digest(text: str, model: ObjectModel, spec_name=None, contents=()) -
     ex_m, ex_a = explorer.explore_both(
         parse_program(text), model, spec, init_obj=model.seq_spec.seed_state(contents),
         init_obj_atomic=spec.seed_state(contents))
-    obs, div = explorer.observables_report(ex_m, ex_a), explorer.divergence_report(ex_m, ex_a)
+    obs, div, _, _ = explorer.compare(ex_m, ex_a)
     lines = [f"traces_equal={obs.traces_equal} states_equal={obs.states_equal} "
              f"divergence={','.join(div.model_kinds) or 'none'}/"
              f"{','.join(div.atomic_kinds) or 'none'}"]
@@ -373,6 +375,34 @@ def fuzz_digest() -> str:
     return f"triples={len(got)} sha256={_text_sha(json.dumps(got))}"
 
 
+def cli_rows() -> list[tuple[str, str, list[str]]]:
+    """(label, program name, ``cli.main`` arguments after ``--program``) of
+    the ``cli`` section: ``explore --mode`` on every ``STRICT_QUERIES`` row,
+    ``compare`` on every ``COMPARE_QUERIES`` row, and both on hw 2+2 cut at
+    ``--bound 500``, where the check and the comparison are inconclusive."""
+    rows = []
+    for qid, prog, ref, mode, adt, af, rename in STRICT_QUERIES:
+        argv = ["--model", ref, "--mode", mode] + (["--adt", adt, "--af", af] if adt else [])
+        if rename:
+            argv += ["--rename", ",".join(f"{a}={b}" for a, b in rename.items())]
+        rows.append((qid, prog, ["explore"] + argv))
+    rows += [(qid, prog, ["compare", "--model", ref]) for qid, prog, ref in COMPARE_QUERIES]
+    hw = ["--model", "hw-queue,N=4", "--bound", "500"]
+    rows.append(("strict/hw-2+2 --bound 500", "hw-2+2", ["explore", *hw, "--mode", "strict"]))
+    rows.append(("compare/hw-2+2 --bound 500", "hw-2+2", ["compare", *hw]))
+    return rows
+
+
+def cli_digest(argv: list[str], report: Path) -> str:
+    """``cli.main``'s exit status on ``argv`` and sha256s of what it prints
+    on standard output and of the ``--json`` report it writes to ``report``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv + ["--json", str(report)])
+    return (f"exit={status} stdout_sha256={_text_sha(out.getvalue())} "
+            f"json_sha256={_text_sha(report.read_text())}")
+
+
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     for label, text, model, bound, projections, start in corpus():
@@ -409,6 +439,13 @@ def main() -> None:
     for label, h, final in history_rows():
         print(f"== history {label}: {history_digest(h, final)}")
     print(f"== history prop2-fuzz: {fuzz_digest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, prog, argv in cli_rows():
+            program = Path(tmp, f"{prog}.txt")
+            program.write_text(PROGRAMS[prog])
+            argv = [argv[0], "--program", str(program), *argv[1:]]
+            print(f"== cli {label}: {cli_digest(argv, Path(tmp, 'report.json'))}")
+            sys.stdout.flush()
 
 
 if __name__ == "__main__":

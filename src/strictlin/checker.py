@@ -2,7 +2,8 @@
 
 Strict linearizability and linearizability through an abstraction are one
 criterion in three settings, and one loop, :func:`_check`, runs all three
-checks, bounded to the execution set supplied:
+checks, bounded to the execution set supplied; :func:`check_exploration`
+runs one on an exploration's records, as ``explore --mode`` does:
 
 * ``check_strict``: every execution linearizes against the object's own
   sequential specification, and a terminated one onto a legal sequential
@@ -77,9 +78,10 @@ permutations and checks the relation by explicit bijection search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from .explorer import Exploration, Kind, incomplete
 from .history import (
     Event,
     History,
@@ -94,6 +96,7 @@ from .history import (
     serialize_history,
 )
 from .specs import (
+    DEFAULT_ALPHABET,
     AbstractionFunction,
     Adt,
     ImplVerdict,
@@ -360,13 +363,20 @@ class ExecutionVerdict:
 @dataclass(frozen=True)
 class CheckReport:
     """A check's verdict and one entry per execution; ``searches`` counts the
-    distinct search problems the check searched, at most one per entry."""
+    distinct search problems the check searched, at most one per entry;
+    ``inconclusive`` says why a pass is not established, or is ""."""
 
     mode: str
     passed: bool
     entries: tuple[ExecutionVerdict, ...]
     impl: Optional[ImplVerdict] = None
     searches: int = 0
+    inconclusive: str = ""
+
+    @property
+    def verdict(self) -> str:
+        # a fail stands on an incomplete exploration: the violation was explored
+        return "fail" if not self.passed else "inconclusive" if self.inconclusive else "pass"
 
     def failing(self) -> tuple[ExecutionVerdict, ...]:
         return tuple(e for e in self.entries if not e.ok)
@@ -374,8 +384,7 @@ class CheckReport:
     def lines(self) -> list[str]:
         """The report as text; the sequential-implementation counterexample
         and the entries' details carry their states already rendered."""
-        out = [f"mode={self.mode} verdict={'pass' if self.passed else 'fail'} "
-               f"executions={len(self.entries)}"]
+        out = [f"mode={self.mode} verdict={self.verdict} executions={len(self.entries)}"]
         if self.impl is not None and not self.impl.ok:
             ce = self.impl.counterexample
             out.append(
@@ -389,6 +398,8 @@ class CheckReport:
                 out.append(f"    {line}")
             if e.detail:
                 out.append(f"    {e.detail}")
+        if self.inconclusive:
+            out.append(f"  inconclusive: {self.inconclusive}")
         return out
 
 
@@ -499,6 +510,32 @@ def check_concurrent_implementation(
     return _check("impl", execs, adt, (af, rf), impl=impl)
 
 
+def check_exploration(
+    ex: Exploration,
+    mode: str,
+    adt: Optional[Adt] = None,
+    af: Optional[AbstractionFunction] = None,
+    rf: Optional[RenamingFunction] = None,
+) -> CheckReport:
+    """The check ``explore --mode`` runs on ``ex``'s recorded executions:
+    ``strict`` against the model's own spec, ``general`` or ``impl`` against
+    ``adt`` through ``af`` and ``rf`` (by default the identity), impl mode
+    sampling the model's states over ``specs.DEFAULT_ALPHABET``.  A pass on
+    an incomplete exploration is inconclusive, see :func:`explorer.incomplete`."""
+    recs = recorded_executions(ex)
+    model = ex.interp.model
+    if mode == "strict":
+        report = check_strict(recs, model.seq_spec)
+    else:
+        rf = rf or RenamingFunction.identity(model.method_names())
+        if mode == "general":
+            report = check_general(recs, adt, af, rf)
+        else:
+            states = model.enumerate_states(DEFAULT_ALPHABET)
+            report = check_concurrent_implementation(recs, model.seq_spec, adt, af, rf, states)
+    return replace(report, inconclusive=incomplete(ex)) if report.passed else report
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
@@ -584,8 +621,6 @@ def recorded_executions(exploration) -> tuple[RecordedExecution, ...]:
     the explorer emits one invocation and at most one response per
     operation id, so filtering or validating the trace again would find
     nothing."""
-    from .explorer import Kind
-
     key = exploration.spec.state_key
     init = exploration.initial_object
     # the explorer interns events and object states, so each distinct event

@@ -29,18 +29,20 @@ execution; it refuses, before exploring, a DIR that already holds
 cannot create (an existing file, say).
 
 Exit status: 0 all checks passed, 1 a check failed (counterexample printed),
-2 usage or input error (also an option the mode does not read, an unusable
-input or output path, a ``--histories`` directory holding files of an
-earlier run, a ``--bound`` below 1, a thread that starts more operations
-than the explorer can number, or running out of memory, reported as
-``error: out of memory`` with no partial verdict), 3 inconclusive (a check
-found no violation, or ``compare`` ran, on an exploration that was truncated
-by ``--bound`` or whose outcome sets are approximate, so a pass or an
-equality is not established), 141 the reader closed standard output early
-(as in ``strictlin explore ... | head``; the rest of the report is dropped
-quietly).  A failed check exits 1 even on a truncated exploration: the
-violating execution was explored.  Reports are deterministic for identical
-inputs.
+2 usage or input error (also an option the mode does not read, an ``--af``
+whose domain misses the start state, an unusable input or output path, a
+``--histories`` directory holding files of an earlier run, a ``--bound``
+below 1, a thread that starts more operations than the explorer can number,
+or running out of memory, reported as ``error: out of memory`` with no
+partial verdict), 3 inconclusive, 141 the reader closed standard output
+early (as in ``strictlin explore ... | head``; the rest of the report is
+dropped quietly).  0, 1 and 3 are the verdicts of
+:func:`checker.check_exploration` (``explore --mode``) and
+:func:`explorer.compare`, which hold the one rule: a pass, or any
+``compare`` answer, on an exploration truncated by ``--bound`` or with
+approximate outcome sets is inconclusive, while a failed check exits 1 even
+then, as the violating execution was explored.  Reports are deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process killed by it
 
 
-_VERDICTS = {EXIT_OK: "pass", EXIT_CHECK_FAILED: "fail", EXIT_INCONCLUSIVE: "inconclusive"}
+_STATUS = {"pass": EXIT_OK, "fail": EXIT_CHECK_FAILED, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 class UsageError(ValueError):
@@ -181,11 +183,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _abstraction(args: argparse.Namespace, model) -> Optional[tuple]:
+def _abstraction(args: argparse.Namespace, model, init) -> tuple:
     """The ADT, abstraction and renaming that ``--mode general|impl`` checks
-    against, resolved before anything is explored; None for other modes."""
+    against, resolved and tried on the start state ``init`` before anything
+    is explored; empty for other modes."""
     if args.mode not in ("general", "impl"):
-        return None
+        return ()
     if not args.adt:
         raise UsageError(f"--mode {args.mode} requires --adt")
     adt = _resolve_adt(args.adt)
@@ -201,35 +204,9 @@ def _abstraction(args: argparse.Namespace, model) -> Optional[tuple]:
     missing = sorted(set(adt.methods) - {b for _, b in rf.mapping})
     if args.mode == "impl" and missing:
         raise UsageError(f"--rename maps no method to {missing[0]} of {adt.name}")
-    return adt, specs.get_af(args.af), rf
-
-
-def _run_checks(
-    args: argparse.Namespace, ex: explorer.Exploration, recs, model, abstraction
-) -> tuple[int, dict]:
-    spec = model.seq_spec
-    if args.mode == "strict":
-        report = checker.check_strict(recs, spec)
-    else:
-        adt, af, rf = abstraction
-        if args.mode == "general":
-            report = checker.check_general(recs, adt, af, rf)
-        else:
-            states = list(model.enumerate_states(specs.DEFAULT_ALPHABET))
-            report = checker.check_concurrent_implementation(
-                recs, spec, adt, af, rf, states
-            )
-    lines = report.lines()
-    status = EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    why = explorer.incomplete(ex) if report.passed else ""
-    if why:
-        # no violation among the explored executions; unexplored ones may hold one
-        lines[0] = lines[0].replace("verdict=pass", "verdict=inconclusive", 1)
-        lines.append(f"  inconclusive: {why}")
-        status = EXIT_INCONCLUSIVE
-    for line in lines:
-        print(line)
-    return status, _report_payload(report)
+    af = specs.get_af(args.af)
+    af(init)  # raises when the start state lies outside af's domain
+    return adt, af, rf
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -240,7 +217,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     prog = _load_program(args.program)
     model = models.parse_model_ref(args.model)
     init = _parse_init(args.init, model.seq_spec)
-    abstraction = _abstraction(args, model)
+    abstraction = _abstraction(args, model, init)
     if args.histories:
         try:
             Path(args.histories).mkdir(parents=True, exist_ok=True)
@@ -262,25 +239,25 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "divergence": kinds,
         "truncated": bool(ex.truncated),
     }
-    recs = checker.recorded_executions(ex) if args.histories or args.mode else ()
+    report = checker.check_exploration(ex, args.mode, *abstraction) if args.mode else None
     if args.histories:
+        # the records the check read, or, without a check, recorded here
+        recs = ([e.execution for e in report.entries] if report
+                else checker.recorded_executions(ex))
         outdir = Path(args.histories)
         for i, rec in enumerate(recs):
-            text = f"# execution {i}: " + (
-                "terminated\n" if rec.terminated else "incomplete\n"
-            )
+            kind = "terminated" if rec.terminated else "incomplete"
             (outdir / f"exec-{i:04d}.txt").write_text(
-                text + serialize_history(rec.history)
-            )
+                f"# execution {i}: {kind}\n" + serialize_history(rec.history))
         print(f"wrote {len(recs)} history files to {outdir}")
-    status = EXIT_OK
-    if args.mode:
-        status, check_payload = _run_checks(args, ex, recs, model, abstraction)
-        payload["check"] = check_payload
-        payload["verdict"] = _VERDICTS[status]
+    if report:
+        for line in report.lines():
+            print(line)
+        payload["check"] = _report_payload(report)
+        payload["verdict"] = report.verdict
     payload["approximate"] = ex.approximate
     _write_json(args.json, payload)
-    return status
+    return _STATUS[report.verdict] if report else EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -292,8 +269,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         prog, model, spec, init_obj=_parse_init(args.init, model.seq_spec), bound=args.bound,
         init_obj_atomic=_parse_init(args.init, spec),
     )
-    obs = explorer.observables_report(ex_m, ex_a)
-    div = explorer.divergence_report(ex_m, ex_a)
+    obs, div, verdict, why = explorer.compare(ex_m, ex_a)
     print(f"client traces equal: {'yes' if obs.traces_equal else 'no'}")
     if not obs.traces_equal:
         for t in obs.trace_diff_model[:5]:
@@ -315,25 +291,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         + " atomic="
         + (", ".join(div.atomic_kinds) or "none")
     )
-    agree = obs.equal and div.model_diverges == div.atomic_diverges
-    status = EXIT_OK if agree else EXIT_CHECK_FAILED
-    why = explorer.incomplete(ex_m, ex_a)
     if why:
-        # either answer may change once the missing outcomes are added
         print(f"verdict=inconclusive: {why}")
-        status = EXIT_INCONCLUSIVE
-    _write_json(
-        args.json,
-        {
-            "traces_equal": obs.traces_equal,
-            "states_equal": obs.states_equal,
-            "model_divergence": list(div.model_kinds),
-            "atomic_divergence": list(div.atomic_kinds),
-            "approximate": ex_m.approximate or ex_a.approximate,
-            "verdict": _VERDICTS[status],
-        },
-    )
-    return status
+    _write_json(args.json, {
+        "traces_equal": obs.traces_equal,
+        "states_equal": obs.states_equal,
+        "model_divergence": list(div.model_kinds),
+        "atomic_divergence": list(div.atomic_kinds),
+        "approximate": ex_m.approximate or ex_a.approximate,
+        "verdict": verdict,
+    })
+    return _STATUS[verdict]
 
 
 def _cmd_check_history(args: argparse.Namespace) -> int:

@@ -53,6 +53,8 @@ set, and a union merges children by event id, memoized per pair of nodes;
 sets that share a sub-trie share its storage.  Only the initial
 configuration's trie is walked to build :class:`ExecutionResult` objects.
 The test suite checks them against a naive schedule-by-schedule enumerator.
+:func:`compare` holds the ``compare`` command's verdict on a fine-grained
+and an atomic exploration.
 
 Conventions mirroring the trace model:
 
@@ -1191,6 +1193,17 @@ def divergence_report(ex_m: Exploration, ex_a: Exploration) -> DivergenceReport:
         tuple(sorted(k.value for k in ex.divergence_kinds())) for ex in (ex_m, ex_a)
     )
     return DivergenceReport(bool(kinds_m), bool(kinds_a), kinds_m, kinds_a)
+
+
+def compare(ex_m: Exploration, ex_a: Exploration) -> tuple:
+    """``compare``'s decision: ``(observables report, divergence report,
+    verdict, why)``.  The verdict is ``pass`` when the observables are equal
+    and both sides diverge alike, else ``fail``, and ``inconclusive`` when
+    ``why`` says an exploration is incomplete, as either answer may change."""
+    obs, div = observables_report(ex_m, ex_a), divergence_report(ex_m, ex_a)
+    why = incomplete(ex_m, ex_a)
+    agree = obs.equal and div.model_diverges == div.atomic_diverges
+    return obs, div, "inconclusive" if why else "pass" if agree else "fail", why
 
 
 def compare_divergence(

@@ -214,35 +214,21 @@ def sec62_observation() -> Report:
 def proph_msqueue_strict() -> Report:
     m = models.ms_model(4)
     ex = explorer.explore(MS_TWO_BY_TWO, m)
-    recs = checker.recorded_executions(ex)
-    lines = [f"bounded executions: {len(recs)} distinct (history, final) records"]
-
-    strict = checker.check_strict(recs, m.seq_spec)
-    lines.append(f"strict linearizability: {'pass' if strict.passed else 'fail'}")
-
+    strict = checker.check_exploration(ex, "strict")
+    lines = [f"bounded executions: {len(strict.entries)} distinct (history, final) records",
+             f"strict linearizability: {strict.verdict}"]
+    pseudo = checker.check_exploration(ex, "impl", specs.pseudo_queue_adt(), models.af_pseudo())
+    lines.append(f"concurrent implementation of pseudo-queue: {pseudo.verdict}")
     states = list(m.enumerate_states(specs.DEFAULT_ALPHABET))
-    rf = specs.RenamingFunction.identity(("Enqueue", "Dequeue"))
-    pseudo = checker.check_concurrent_implementation(
-        recs, m.seq_spec, specs.pseudo_queue_adt(), models.af_pseudo(), rf, states
-    )
-    lines.append(
-        f"concurrent implementation of pseudo-queue: "
-        f"{'pass' if pseudo.passed else 'fail'}"
-    )
     collisions = specs.injectivity_scan(models.af_pseudo(), states, models.ms_state_key)
     lines.append(
         f"pseudo abstraction injectivity over {len(states)} states: "
         f"{len(collisions)} collisions"
     )
-
     rf_ms = specs.RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
-    mset = checker.check_concurrent_implementation(
-        recs, m.seq_spec, specs.multiset_adt(), models.af_multiset(), rf_ms, states
-    )
-    lines.append(
-        f"concurrent implementation of multiset: {'pass' if mset.passed else 'fail'}"
-    )
-    ok = strict.passed and pseudo.passed and not collisions and mset.passed
+    mset = checker.check_exploration(ex, "impl", specs.multiset_adt(), models.af_multiset(), rf_ms)
+    lines.append(f"concurrent implementation of multiset: {mset.verdict}")
+    ok = not collisions and all(r.verdict == "pass" for r in (strict, pseudo, mset))
     return Report("propH-msqueue-strict", ok, tuple(lines))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictlin import cli, explorer, reproductions, specs
+from strictlin import checker, cli, explorer, models, reproductions, specs
 from strictlin.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
@@ -22,6 +22,8 @@ from strictlin.cli import (
     EXIT_USAGE,
     main,
 )
+from strictlin.history import parse_history
+from strictlin.programs import parse_program
 
 
 FIG2_PROGRAM = """
@@ -36,6 +38,10 @@ t=2 op=2 inv Dequeue unit
 t=1 op=1 ret unit
 t=2 op=2 ret 'c'
 """
+
+
+def _explored(text, ref, **kwargs):
+    return explorer.explore(parse_program(text), models.parse_model_ref(ref), **kwargs)
 
 
 @pytest.fixture
@@ -114,9 +120,22 @@ def test_explore_emits_history_files(program_file, tmp_path, capsys):
     ) == EXIT_OK
     files = sorted(outdir.glob("exec-*.txt"))
     assert files
-    from strictlin.history import parse_history
-
     parse_history(files[0].read_text())
+
+
+def test_explore_records_executions_once(program_file, tmp_path, capsys, monkeypatch):
+    # with a check, the history files are the records the check read, recorded once
+    argv = ["explore", "--program", program_file, "--model", "coarse-queue", "--histories"]
+    assert main(argv + [str(tmp_path / "alone")]) == EXIT_OK
+    calls = []
+    record = checker.recorded_executions
+    monkeypatch.setattr(checker, "recorded_executions", lambda ex: calls.append(ex) or record(ex))
+    assert main(argv + [str(tmp_path / "checked"), "--mode", "strict"]) == EXIT_OK
+    assert len(calls) == 1
+    assert "wrote " in capsys.readouterr().out
+    written = [{f.name: f.read_text() for f in (tmp_path / d).iterdir()}
+               for d in ("alone", "checked")]
+    assert written[0] == written[1]
 
 
 def test_histories_directory_of_an_earlier_run_is_usage_error(program_file, tmp_path, capsys):
@@ -162,10 +181,18 @@ def test_truncated_strict_pass_is_inconclusive(program_file, tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["truncated"] and data["check"]["passed"]
     assert data["verdict"] == "inconclusive" and data["approximate"] is False
+    # the library decides as the CLI does
+    checked = checker.check_exploration(_explored(FIG2_PROGRAM, "hw-queue,N=4", bound=60),
+                                        "strict")
+    assert (checked.verdict, checked.inconclusive) == (
+        "inconclusive", "exploration truncated by the transition budget")
+    assert f"  inconclusive: {checked.inconclusive}\n" in out
     assert main(argv) == EXIT_CHECK_FAILED
     assert "verdict=fail" in capsys.readouterr().out
     data = json.loads(report.read_text())
     assert not data["truncated"] and data["verdict"] == "fail"
+    checked = checker.check_exploration(_explored(FIG2_PROGRAM, "hw-queue,N=4"), "strict")
+    assert (checked.verdict, checked.inconclusive) == ("fail", "")
 
 
 def test_approximate_strict_pass_is_inconclusive(tmp_path, capsys):
@@ -177,10 +204,14 @@ def test_approximate_strict_pass_is_inconclusive(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert main(["explore", "--program", str(f), "--model", "coarse-queue",
                  "--mode", "strict", "--json", str(report)]) == EXIT_INCONCLUSIVE
-    assert "inconclusive: outcome sets approximate" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "inconclusive: outcome sets approximate" in out
     data = json.loads(report.read_text())
     assert data["approximate"] and not data["truncated"]
     assert data["verdict"] == "inconclusive"
+    checked = checker.check_exploration(_explored(f.read_text(), "coarse-queue"), "strict")
+    assert (checked.verdict, checked.inconclusive) == ("inconclusive", "outcome sets approximate")
+    assert f"  inconclusive: {checked.inconclusive}\n" in out
 
 
 def test_long_client_loop_is_searched_without_recursion(tmp_path, capsys):
@@ -196,23 +227,6 @@ def test_long_client_loop_is_searched_without_recursion(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("verdict=inconclusive: outcome sets approximate\n")
     assert "warning" not in out
-
-
-def test_explore_records_executions_once(program_file, tmp_path, capsys, monkeypatch):
-    from strictlin import checker
-
-    calls = []
-    record = checker.recorded_executions
-
-    def counting(ex):
-        calls.append(ex)
-        return record(ex)
-
-    monkeypatch.setattr(checker, "recorded_executions", counting)
-    assert main(["explore", "--program", program_file, "--model", "coarse-queue",
-                 "--mode", "strict", "--histories", str(tmp_path / "h")]) == EXIT_OK
-    assert len(calls) == 1
-    assert "wrote " in capsys.readouterr().out
 
 
 def test_impl_check_reports_each_execution_once(tmp_path, capsys):
@@ -250,12 +264,21 @@ def test_failed_sequential_implementation_check_renders_model_state(tmp_path, ca
 
 def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     report = tmp_path / "c.json"
-    assert main(["compare", "--program", program_file, "--model", "hw-queue,N=4",
-                 "--bound", "60", "--json", str(report)]) == EXIT_INCONCLUSIVE
+    argv = ["compare", "--program", program_file, "--model", "hw-queue,N=4",
+            "--json", str(report)]
+    assert main(argv + ["--bound", "60"]) == EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
     assert "verdict=inconclusive: exploration truncated" in out
     assert "warning" not in out
     assert json.loads(report.read_text())["verdict"] == "inconclusive"
+    # the library decides as the CLI does
+    prog, model = parse_program(FIG2_PROGRAM), models.hw_model(4)
+    _, _, verdict, why = explorer.compare(*explorer.explore_both(prog, model, bound=60))
+    assert (verdict, why) == ("inconclusive", "exploration truncated by the transition budget")
+    assert out.endswith(f"verdict=inconclusive: {why}\n")
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert json.loads(report.read_text())["verdict"] == "fail"
+    assert explorer.compare(*explorer.explore_both(prog, model))[2:] == ("fail", "")
 
 
 def test_compare_exit_reflects_equality(program_file, capsys):
@@ -404,7 +427,20 @@ def test_linked_queue_af_on_other_model_is_usage_error(af, model, mode, program_
     argv = ["explore", "--program", program_file, "--model", model, "--mode", mode,
             "--adt", "adt-queue", "--af", af]
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: {af}: state outside abstraction domain\n"
+    assert capsys.readouterr() == ("", f"error: {af}: state outside abstraction domain\n")
+
+
+def test_af_outside_the_start_state_fails_before_exploring(tmp_path, capsys):
+    # af-queue reads linked-queue states: the array queue's start state is
+    # refused before anything is explored, printed or written
+    f = tmp_path / "enq-deq.txt"
+    f.write_text("thread { call Q.Enqueue('a') }\nthread { call y = Q.Dequeue() }\n")
+    outdir = tmp_path / "h"
+    argv = ["explore", "--program", str(f), "--model", "hw-queue,N=4", "--mode", "general",
+            "--adt", "adt-queue", "--af", "af-queue", "--histories", str(outdir)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: af-queue: state outside abstraction domain\n")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["explore", "compare"])

@@ -17,24 +17,15 @@ IDS = [m.name for m in MUTANTS]
 
 
 def _verdicts(model, m):
-    """The records of ``m``'s program over ``model``, the strict, general and
-    impl reports on them, and whether ``compare`` finds the two sides alike,
-    each as the CLI runs it."""
+    """The strict, general and impl reports on ``m``'s program over
+    ``model``, and whether ``compare`` finds the two sides alike, each as
+    the CLI decides it."""
     prog = parse_program(m.program)
-    recs = checker.recorded_executions(explorer.explore(prog, model))
-    adt = specs.queue_adt()
-    rf = specs.RenamingFunction.identity(model.method_names())
-    states = list(model.enumerate_states(specs.DEFAULT_ALPHABET))
-    reports = {
-        "strict": checker.check_strict(recs, model.seq_spec),
-        "general": checker.check_general(recs, adt, m.af, rf),
-        "impl": checker.check_concurrent_implementation(
-            recs, model.seq_spec, adt, m.af, rf, states),
-    }
-    ex_m, ex_a = explorer.explore_both(prog, model)
-    obs, div = explorer.observables_report(ex_m, ex_a), explorer.divergence_report(ex_m, ex_a)
-    alike = obs.equal and div.model_diverges == div.atomic_diverges
-    return recs, reports, alike
+    ex = explorer.explore(prog, model)
+    reports = {mode: checker.check_exploration(ex, mode, specs.queue_adt(), m.af)
+               for mode in ("strict", "general", "impl")}
+    _, _, verdict, _ = explorer.compare(ex, explorer.run_atomic(prog, model.seq_spec))
+    return reports, verdict == "pass"
 
 
 @pytest.mark.parametrize("m", MUTANTS, ids=IDS)
@@ -45,20 +36,20 @@ def test_mutant_keeps_the_shipped_spec(m):
 
 @pytest.mark.parametrize("m", MUTANTS, ids=IDS)
 def test_shipped_model_passes_the_mutant_program(m):
-    _, reports, alike = _verdicts(m.shipped, m)
-    assert [mode for mode, r in reports.items() if not r.passed] == []
+    reports, alike = _verdicts(m.shipped, m)
+    assert [mode for mode, r in reports.items() if r.verdict != "pass"] == []
     assert alike
 
 
 @pytest.mark.parametrize("m", MUTANTS, ids=IDS)
 def test_mutant_is_caught_by_the_pinned_checks(m):
-    recs, reports, alike = _verdicts(m.model, m)
-    caught = {mode for mode, r in reports.items() if not r.passed}
+    reports, alike = _verdicts(m.model, m)
+    caught = {mode for mode, r in reports.items() if r.verdict == "fail"}
     if not alike:
         caught.add("compare")
     assert caught == m.caught
     for mode in caught - {"compare"}:
-        assert (len(reports[mode].failing()), len(recs)) == m.failing, mode
+        assert (len(reports[mode].failing()), len(reports[mode].entries)) == m.failing, mode
     first = reports["strict"].failing()[0].execution
     assert serialize_history(first.history) == m.history
     assert first.final_state == m.final
