@@ -205,8 +205,8 @@ def _graph_sha(ex: explorer.Exploration) -> str:
     """A sha256 of the graph itself: every configuration in id order with
     its edges, each event rendered, then the object-state table by id."""
     h = hashlib.sha256()
-    for c, trs in zip(ex.configs, ex.edges):
-        h.update(f"{c!r}\n".encode())
+    for i, trs in enumerate(ex.edges):
+        h.update(f"{ex.config(i)!r}\n".encode())
         for events, target in trs:
             h.update(f"  {' ; '.join(e.render() for e in events)} -> {target}\n".encode())
     for s in ex.states:

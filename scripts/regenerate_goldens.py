@@ -21,7 +21,7 @@ def fig2_states(ex: explorer.Exploration, ex_a: explorer.Exploration) -> str:
     lines = []
     for title, side in (("fine-grained array queue (N=4)", ex), ("atomic version", ex_a)):
         lines.append(f"# final object states, {title}")
-        lines += sorted({side.spec.render_state(side.states[side.configs[i].sid])
+        lines += sorted({side.spec.render_state(side.states[side.config(i).sid])
                          for i in side.terminal_done})
     return "\n".join(lines) + "\n"
 

@@ -16,18 +16,22 @@ of its result when it has a target.  A ``while`` or ``if`` moves to its
 taken pc when its test holds and to its next pc otherwise; every other
 entry moves to its next pc.
 
-A configuration is a named tuple ``(phase, threads, client, sid)``: each
-thread a ``(pc, reg, ops)`` tuple, the client's bindings, and the id of the
-object state in a table that numbers states by equality on first sight.  So
-a configuration hashes as a tuple, without walking an object state.  The
-table lives in the interpreter, one per exploration and shared with none.
-A thread's step reads only the thread, the client's bindings and the object
-state, so the interpreter's one memo, a move table, runs each rule once per
-distinct ``(thread id, thread state, bindings, state id)``, and with it the
-model's machine (the atomic version of a spec runs its spec relation in
-``start``): a successor is a table lookup per running thread and a copy of
-the configuration with that thread, the bindings and the state id replaced.
-Events are interned too, one object per distinct event.
+The interpreter numbers object states, thread states (``(pc, reg, ops)``
+tuples) and client bindings by equality on first sight, each in its own
+table, so a configuration is one flat tuple of ints, ``(phase, bindings id,
+state id, thread-state id, ...)`` with one thread-state id per thread of the
+phase, and hashing it never walks a register, a binding or an object state
+(the recursive indexing of SPIN's collapse compression).  The tables live
+in the interpreter, one per exploration and shared with none, and
+:meth:`_Interp.config` decodes a key into a :class:`Config` named tuple for
+the few readers that need its fields.  A thread's step reads only the
+thread, the client's bindings and the object state, so the interpreter's
+one memo, a move table, runs each rule once per distinct ``(thread id,
+thread-state id, bindings id, state id)``, and with it the model's machine
+(the atomic version of a spec runs its spec relation in ``start``): a
+successor is a table lookup per running thread and a copy of the key with
+that thread's id, the bindings id and the state id replaced.  Events are
+interned too, one object per distinct event.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -123,8 +127,6 @@ class ExecutionResult:
 
 
 DONE = -1  # the pc of a finished thread
-# builds a named tuple without its Python-level constructor, in successors only
-_new = tuple.__new__
 
 
 class ThreadState(NamedTuple):
@@ -145,9 +147,11 @@ class ThreadState(NamedTuple):
 
 
 class Config(NamedTuple):
-    """The phase, every thread of it, the client's bindings sorted by name,
-    and ``sid``, the id of the object state in the interpreter's state
-    table: ``Exploration.states[c.sid]`` is the state itself."""
+    """A configuration decoded from its key by :meth:`_Interp.config`: the
+    phase, every thread of it, the client's bindings sorted by name, and
+    ``sid``, the id of the object state in the interpreter's state table:
+    ``Exploration.states[c.sid]`` is the state itself.  The graph holds
+    keys, ``(phase, bindings id, sid, thread-state id, ...)``."""
 
     phase: int
     threads: tuple[ThreadState, ...]
@@ -194,21 +198,32 @@ class _Interp:
     """The transition rules of ``prog`` over ``model``; a program that calls a
     method or touches a cell the model lacks is rejected before any step.
 
-    Object states are numbered by equality on first sight: ``states[sid]``
-    is the state with id ``sid``, the start state being 0.  A thread's rule,
-    and the machine call it makes, runs once per distinct input: ``moves``
-    maps ``(tid, thread state, client, sid)`` to the thread's moves in rule
-    order, as ``(events, (thread state, client, sid))`` pairs, the target
-    being None for a runtime error or an abort.  Events are interned, so one
-    configuration graph holds one :class:`Event` per distinct ``(thread,
-    operation, label)``.  The tables live as long as the interpreter, which
-    is one exploration; the code table holds plain functions, not bound
-    methods, so no cycle keeps the interpreter alive past its exploration."""
+    Object states, thread states and client bindings are each numbered by
+    equality on first sight: ``states[sid]`` is the object state with id
+    ``sid``, the start state being 0, ``thread_states[t]`` the thread state
+    with id ``t`` and ``bindings[b]`` the bindings with id ``b``;
+    ``finished`` holds the ids of thread states whose thread is done.  A
+    configuration is the key ``(phase, bindings id, sid, thread-state id,
+    ...)``, ``init`` the initial one.  A thread's rule, and the machine call
+    it makes, runs once per distinct input: ``moves`` maps ``(tid,
+    thread-state id, bindings id, sid)`` to the thread's moves in rule
+    order, as ``(events, (thread-state id, bindings id, sid))`` pairs, the
+    target being None for a runtime error or an abort.  Events are interned,
+    so one configuration graph holds one :class:`Event` per distinct
+    ``(thread, operation, label)``.  The tables live as long as the
+    interpreter, which is one exploration; the code table holds plain
+    functions, not bound methods, so no cycle keeps the interpreter alive
+    past its exploration."""
 
     def __init__(self, prog: Program, model: ObjectModel, init_obj: Any) -> None:
         self.model = model
         self.states: list[Any] = []
         self._sids: dict[Any, int] = {}
+        self.thread_states: list[ThreadState] = []
+        self._tids: dict[ThreadState, int] = {}
+        self.finished: set[int] = set()
+        self.bindings: list[tuple] = []
+        self._bids: dict[tuple, int] = {}
         self.moves: dict[tuple, tuple[tuple, ...]] = {}
         self._events: dict[tuple, Event] = {}
         self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
@@ -218,7 +233,9 @@ class _Interp:
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
         ]
         self.first_tid = list(itertools.accumulate(map(len, prog.phases), initial=1))
-        self.init = Config(0, self._phase_threads(0), (), self.state_id(init_obj))
+        # per phase, the thread-state ids its threads start from
+        self.starts = [tuple(self.thread_id(ThreadState(pc)) for pc in ph) for ph in self.entries]
+        self.init = (0, self.binding_id(()), self.state_id(init_obj), *self.starts[0])
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
@@ -263,17 +280,28 @@ class _Interp:
             self.code[pc] = (_RULES[type(s)], s, nxt, taken)
         return base
 
-    def _phase_threads(self, phase: int) -> tuple[ThreadState, ...]:
-        return tuple(map(ThreadState, self.entries[phase]))
-
-    # -- the state and event tables -----------------------------------------
+    # -- the numbering and event tables -------------------------------------
 
     def state_id(self, s: Any) -> int:
         """The id of object state ``s``, numbering it on first sight."""
-        sid = self._sids.setdefault(s, len(self.states))
-        if sid == len(self.states):
-            self.states.append(s)
-        return sid
+        return _number(self._sids, self.states, s)
+
+    def thread_id(self, t: ThreadState) -> int:
+        """The id of thread state ``t``, numbering it on first sight."""
+        i = _number(self._tids, self.thread_states, t)
+        if t.pc == DONE:
+            self.finished.add(i)
+        return i
+
+    def binding_id(self, client: tuple) -> int:
+        """The id of the client bindings ``client``, numbering them on first
+        sight."""
+        return _number(self._bids, self.bindings, client)
+
+    def config(self, key: tuple) -> Config:
+        """The configuration that ``key`` numbers, its fields decoded."""
+        ts = self.thread_states
+        return Config(key[0], tuple([ts[t] for t in key[3:]]), self.bindings[key[1]], key[2])
 
     def _event(self, tid: int, op: Optional[int], label: type, *args: Any) -> Event:
         """The one event of thread ``tid`` and operation ``op`` (None for a
@@ -286,32 +314,42 @@ class _Interp:
 
     # -- transitions --------------------------------------------------------
 
-    def successors(self, c: Config) -> tuple[tuple, ...]:
-        """The transitions out of ``c`` as ``(events, target)`` pairs, the
-        target being None for a runtime error: each running thread's moves,
-        in thread order, with the thread and the configuration's bindings
-        and object state replaced by the move's."""
-        threads = c.threads
-        if all(t.pc == DONE for t in threads):
-            if c.phase + 1 < len(self.entries):
-                nxt = Config(c.phase + 1, self._phase_threads(c.phase + 1), c.client, c.sid)
-                return (((), nxt),)
-            return ()
+    def successors(self, key: tuple) -> tuple[tuple, ...]:
+        """The transitions out of configuration ``key`` as ``(events, target
+        key)`` pairs, the target being None for a runtime error: each
+        running thread's moves, in thread order, with the thread's state,
+        the bindings and the object state replaced by the move's.  When
+        every thread has finished, a phase before the last goes on to the
+        next one."""
+        phase, bid, sid = key[0], key[1], key[2]
         out: list[tuple] = []
-        table, first = self.moves, self.first_tid[c.phase]
-        for i, t in enumerate(threads):
-            if t.pc != DONE:
-                key = (first + i, t, c.client, c.sid)
-                moves = table.get(key)
-                if moves is None:
-                    moves = table[key] = self.thread_moves(*key)
-                for events, to in moves:
-                    if to is not None:
-                        nt, client, sid = to
-                        to = _new(Config, (c.phase, threads[:i] + (nt,) + threads[i + 1 :],
-                                           client, sid))
-                    out.append((events, to))
+        table, finished = self.moves, self.finished
+        tid = self.first_tid[phase] - 3  # the id of the thread at key[i] is tid + i
+        for i, t in enumerate(key[3:], 3):
+            if t in finished:
+                continue
+            mk = (tid + i, t, bid, sid)
+            moves = table.get(mk)
+            if moves is None:
+                moves = table[mk] = self._numbered_moves(*mk)
+            head, tail = key[3:i], key[i + 1 :]
+            for events, to in moves:
+                if to is not None:
+                    nt, nb, ns = to
+                    to = (phase, nb, ns, *head, nt, *tail)
+                out.append((events, to))
+        if not out and finished.issuperset(key[3:]) and phase + 1 < len(self.entries):
+            return (((), (phase + 1, bid, sid, *self.starts[phase + 1])),)
         return tuple(out)
+
+    def _numbered_moves(self, tid: int, t: int, bid: int, sid: int) -> tuple:
+        """The moves of thread ``tid`` from thread-state id ``t`` under
+        bindings id ``bid`` and object state ``sid``, as :meth:`thread_moves`
+        gives them, each target's thread state and bindings numbered."""
+        return tuple(
+            (events, to if to is None else (self.thread_id(to[0]), self.binding_id(to[1]), to[2]))
+            for events, to in self.thread_moves(tid, self.thread_states[t], self.bindings[bid], sid)
+        )
 
     def thread_moves(self, tid: int, t: ThreadState, client: tuple, sid: int) -> tuple:
         """Thread ``tid``'s moves from ``t`` under ``client`` and object
@@ -426,6 +464,15 @@ def _width(s) -> int:
     return (4 if s.target else 3) if isinstance(s, CallStmt) else 1
 
 
+def _number(ids: dict, items: list, x: Any) -> int:
+    """The id of ``x`` in the table ``items`` (``ids`` its inverse), adding
+    ``x`` on first sight."""
+    i = ids.setdefault(x, len(items))
+    if i == len(items):
+        items.append(x)
+    return i
+
+
 def _cellname(cell: tuple) -> str:
     return cell[0] if len(cell) == 1 else f"{cell[0]}[{cell[1]}]"
 
@@ -435,15 +482,16 @@ def _cellname(cell: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False)
 class Exploration:
     """Reachable configuration graph plus derived outcome sets.
 
     :meth:`build` numbers each configuration once, on first sight, in
     discovery order, so the initial configuration is 0 and ids are dense.
-    ``order`` maps a configuration to its id and ``configs`` an id back to
-    its configuration.  A configuration holds its object state as an id,
-    ``sid``: :attr:`states` is this exploration's own table of object
+    ``order`` maps a configuration's key (see :class:`_Interp`) to its id
+    and ``configs`` an id back to its key; :meth:`config` decodes id ``i``
+    into a :class:`Config`.  A configuration holds its object state as an
+    id, ``sid``: :attr:`states` is this exploration's own table of object
     states, no two of them equal, so ``states[c.sid]`` is the state.
     ``edges[i]`` lists configuration ``i``'s outgoing transitions as
     ``(events, target id)`` pairs, the target being None for a runtime
@@ -458,8 +506,8 @@ class Exploration:
 
     interp: _Interp
     bound: int
-    order: dict[Config, int] = field(default_factory=dict)
-    configs: list[Config] = field(default_factory=list)
+    order: dict[tuple, int] = field(default_factory=dict)
+    configs: list[tuple] = field(default_factory=list)
     edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = field(
         default_factory=list
     )
@@ -472,9 +520,19 @@ class Exploration:
     _scc: Optional[dict] = None
     _results: dict[str, frozenset] = field(default_factory=dict)
 
+    def __repr__(self) -> str:
+        # the graph itself runs to megabytes on the larger programs
+        return (f"Exploration(model={self.interp.model.name!r}, configs={len(self.configs)}, "
+                f"transitions={self.transitions_explored})")
+
     @property
-    def initial(self) -> Config:
+    def initial(self) -> tuple:
+        """The initial configuration's key."""
         return self.interp.init
+
+    def config(self, i: int) -> Config:
+        """Configuration ``i``, decoded from its key."""
+        return self.interp.config(self.configs[i])
 
     @property
     def states(self) -> list[Any]:
@@ -483,7 +541,7 @@ class Exploration:
 
     @property
     def initial_object(self) -> Any:
-        return self.interp.states[self.interp.init.sid]
+        return self.interp.states[self.interp.config(self.interp.init).sid]
 
     @property
     def spec(self) -> SeqSpec:
@@ -503,11 +561,10 @@ class Exploration:
             if self.transitions_explored >= self.bound:
                 self.truncated.add(i)
                 continue
-            c = configs[i]
-            succ = self.interp.successors(c)
+            succ = self.interp.successors(configs[i])
             self.transitions_explored += len(succ)
             if not succ:  # successors gives an earlier finished phase its phase edge
-                if all(t.done for t in c.threads):
+                if all(t.done for t in self.config(i).threads):
                     self.terminal_done.add(i)
                 else:
                     self.terminal_livelock.add(i)
@@ -786,7 +843,7 @@ class _Outcomes:
         for i in ex.terminal_livelock:
             self.outcomes[i] = livelock
         for i in ex.terminal_done:
-            c = ex.configs[i]
+            c = ex.config(i)
             self.outcomes[i] = self.single(self.leaf(Kind.TERMINATED, c.client, ex.states[c.sid]))
         self.approximate = False
 
@@ -1070,11 +1127,11 @@ class FinalStates:
 
 
 def final_states(exploration: Exploration) -> FinalStates:
-    spec, objs, configs = exploration.spec, exploration.states, exploration.configs
+    spec, objs = exploration.spec, exploration.states
     states = set()
     render: dict = {}
     for i in exploration.terminal_done:
-        c = configs[i]
+        c = exploration.config(i)
         k = (c.client, spec.state_key(objs[c.sid]))
         states.add(k)
         render[k] = (

@@ -6,6 +6,11 @@ transition rules (``_Interp.successors``), and so through the interpreter's
 move table, so it cannot catch a fault in either.  The move table is guarded
 by ``tests/test_explorer.py`` instead: every entry equals a fresh run of its
 rule, and each entry's rule runs once.
+:func:`naive_graph` builds the configuration graph as ``Exploration.build``
+does, but over :class:`~strictlin.explorer.Config` named tuples, running
+each thread's rule (``_Interp.thread_moves``) afresh at every step, with
+none of the move table and none of the numbering of thread states and
+bindings that give the build its flat configuration keys.
 :func:`run_single_thread` shares no code with the explorer: it runs a
 one-thread program over a coarse-grained queue by direct recursion over its
 syntax tree.
@@ -20,10 +25,18 @@ linearizes by trying every completion and every permutation, with none of
 the witness search of ``checker.find_linearization``.
 """
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from strictlin.checker import _bijection_check, brute_force_linearizations
-from strictlin.explorer import _PROJECTIONS, Config, ExecutionResult, Kind, _Interp
+from strictlin.explorer import (
+    _PROJECTIONS,
+    DEFAULT_BOUND,
+    Config,
+    ExecutionResult,
+    Kind,
+    ThreadState,
+    _Interp,
+)
 from strictlin.history import History, Inv, Ret, RetAbort, completions, pending
 from strictlin.models import ObjectModel
 from strictlin.programs import (
@@ -59,12 +72,13 @@ def enumerate_executions_naive(
     keep = _PROJECTIONS[projection]
     results: set[ExecutionResult] = set()
 
-    def walk(c: Config, trace: tuple, path: dict, depth: int) -> None:
+    def walk(key: tuple, trace: tuple, path: dict, depth: int) -> None:
         if depth > max_steps:
             results.add(ExecutionResult(trace, Kind.UNKNOWN, note="step budget exhausted"))
             return
-        succ = interp.successors(c)
+        succ = interp.successors(key)
         if not succ:
+            c = interp.config(key)
             if all(t.done for t in c.threads) and c.phase + 1 >= len(prog.phases):
                 results.add(
                     ExecutionResult(trace, Kind.TERMINATED, c.client, interp.states[c.sid])
@@ -97,6 +111,86 @@ def enumerate_executions_naive(
 
     walk(interp.init, (), {interp.init: 0}, 0)
     return frozenset(results)
+
+
+class NaiveGraph(NamedTuple):
+    """A configuration graph as :func:`naive_graph` builds it, laid out as
+    ``Exploration``'s: ``configs[i]`` is configuration ``i`` and
+    ``edges[i]`` its ``(events, target id)`` pairs, the target None for a
+    runtime error; ``states`` is the object-state table by id."""
+
+    configs: list[Config]
+    edges: list[tuple]
+    terminal_done: set[int]
+    terminal_livelock: set[int]
+    truncated: set[int]
+    has_abort: bool
+    transitions: int
+    states: list[Any]
+
+
+def naive_graph(
+    prog: Program, model: ObjectModel, init: Any = None, bound: int = DEFAULT_BOUND
+) -> NaiveGraph:
+    """The configuration graph of ``prog`` over ``model`` from ``init`` (the
+    spec's first start state when None), in ``Exploration.build``'s order:
+    depth first from the initial configuration, each configuration numbered
+    on first sight, none expanded once ``bound`` transitions are explored.
+    A configuration is a :class:`Config` of :class:`ThreadState` tuples and
+    a bindings tuple, hashed whole, and each running thread's moves come
+    from a fresh ``_Interp.thread_moves`` call, so neither the move table
+    nor the numbered keys of the build take part."""
+    obj = model.seq_spec.initial_states[0] if init is None else init
+    interp = _Interp(prog, model, obj)
+    starts = [tuple(map(ThreadState, pcs)) for pcs in interp.entries]
+
+    def successors(c: Config) -> tuple:
+        threads = c.threads
+        if all(t.done for t in threads):
+            if c.phase + 1 < len(starts):
+                return (((), Config(c.phase + 1, starts[c.phase + 1], c.client, c.sid)),)
+            return ()
+        out = []
+        for i, t in enumerate(threads):
+            if t.done:
+                continue
+            tid = interp.first_tid[c.phase] + i
+            for events, to in interp.thread_moves(tid, t, c.client, c.sid):
+                if to is not None:
+                    nt, client, sid = to
+                    to = Config(c.phase, threads[:i] + (nt,) + threads[i + 1 :], client, sid)
+                out.append((events, to))
+        return tuple(out)
+
+    first = Config(0, starts[0], (), interp.state_id(obj))
+    order, configs, edges = {first: 0}, [first], [()]
+    g = NaiveGraph(configs, edges, set(), set(), set(), False, 0, interp.states)
+    has_abort, transitions = False, 0
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        if transitions >= bound:
+            g.truncated.add(i)
+            continue
+        succ = successors(configs[i])
+        transitions += len(succ)
+        if not succ:
+            ends = g.terminal_done if all(t.done for t in configs[i].threads) else g.terminal_livelock
+            ends.add(i)
+        out = []
+        for events, target in succ:
+            if target is None:
+                has_abort = True
+            else:
+                if target not in order:
+                    order[target] = len(configs)
+                    configs.append(target)
+                    edges.append(())
+                    todo.append(order[target])
+                target = order[target]
+            out.append((events, target))
+        edges[i] = tuple(out)
+    return g._replace(has_abort=has_abort, transitions=transitions)
 
 
 class _Stop(Exception):

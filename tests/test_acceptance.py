@@ -80,8 +80,8 @@ def test_criterion_1_final_state_gap(monkeypatch):
     fig2_states = importlib.import_module("regenerate_goldens").fig2_states
     with _timer(10.0) as t:
         ex, ex_a = explore_both(TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
-        got_hw = {ex.states[ex.configs[i].sid] for i in ex.terminal_done}
-        got_at = {ex_a.states[ex_a.configs[i].sid] for i in ex_a.terminal_done}
+        got_hw = {ex.states[ex.config(i).sid] for i in ex.terminal_done}
+        got_at = {ex_a.states[ex_a.config(i).sid] for i in ex_a.terminal_done}
         golden = (GOLDEN / "fig2-states.txt").read_text()
         regenerated = fig2_states(ex, ex_a)
         ok = (

@@ -32,7 +32,7 @@ from strictlin.specs import pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
 
 from mutants import mutants
-from oracles import enumerate_executions_naive, run_single_thread
+from oracles import enumerate_executions_naive, naive_graph, run_single_thread
 
 PROJECTIONS = ("interface", "history", "client")
 
@@ -288,7 +288,7 @@ def test_atomic_pseudo_queue_single_element_never_blocks():
 def test_atomic_queue_dequeue_empty_is_total():
     p = parse_program("thread { call y = Q.Dequeue() }")
     ex = run_atomic(p, queue_adt())
-    finals = {dict(ex.configs[i].client)["y"] for i in ex.terminal_done}
+    finals = {dict(ex.config(i).client)["y"] for i in ex.terminal_done}
     assert finals == {EMPTY}
 
 
@@ -314,11 +314,11 @@ def test_client_and_object_transitions_stay_disjoint():
     )
     ex = explore(p, models.ms_model(3))
     for i, trs in enumerate(ex.edges):
-        cfg = ex.configs[i]
+        cfg = ex.config(i)
         for events, t in trs:
             if t is None or not events:
                 continue
-            target = ex.configs[t]
+            target = ex.config(t)
             if all(e.is_client for e in events):
                 assert target.sid == cfg.sid  # no declared writes here
             else:
@@ -330,7 +330,7 @@ def test_direct_cell_write_is_the_declared_exception():
     ex = explore(p, models.hw_model(4))
     ((events, t),) = ex.edges[0]
     assert all(e.is_client for e in events)
-    assert ex.configs[t].sid != ex.configs[0].sid
+    assert ex.config(t).sid != ex.config(0).sid
 
 
 def test_cell_write_out_of_range_aborts():
@@ -564,6 +564,9 @@ def _assert_dense_ids(ex):
     assert len(ex.edges) == len(ex.configs)
     for c, i in ex.order.items():
         assert ex.configs[i] == c
+    # a key is a flat tuple of ints, and no two keys decode to one configuration
+    assert all(type(x) is int for c in ex.configs for x in c)
+    assert len(set(map(ex.config, range(len(ex.configs))))) == len(ex.configs)
     assert {i for i in range(len(ex.edges)) if not ex.edges[i]} == (
         ex.terminal_done | ex.terminal_livelock | ex.truncated
     )
@@ -803,7 +806,7 @@ def test_compare_graph_shapes_are_pinned(qid, fine, atomic, monkeypatch):
     for ex, pins in zip(sides, (fine, atomic)):
         assert (len(ex.order), ex.transitions_explored, len(ex.states)) == pins
         # every interned state is some configuration's, and no two are equal
-        assert {c.sid for c in ex.order} == set(range(len(ex.states)))
+        assert {ex.config(i).sid for i in range(len(ex.configs))} == set(range(len(ex.states)))
         assert len(set(ex.states)) == len(ex.states)
 
 
@@ -841,10 +844,12 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
             # a new interpreter, its tables empty, runs each key's rule afresh
             fresh = explorer._Interp(prog, interp.model, ex.initial_object)
             assert fresh.code == interp.code and not fresh.moves
-            for (tid, t, client, sid), moves in interp.moves.items():
-                got = fresh.thread_moves(tid, t, client, fresh.state_id(states[sid]))
-                # events compare by value, targets by the object state itself
-                assert [(ev, to and (to[0], to[1], states[to[2]])) for ev, to in moves] == [
+            threads, bindings = interp.thread_states, interp.bindings
+            for (tid, t, b, sid), moves in interp.moves.items():
+                got = fresh.thread_moves(tid, threads[t], bindings[b], fresh.state_id(states[sid]))
+                # events compare by value, targets decoded and by the object state itself
+                assert [(ev, to and (threads[to[0]], bindings[to[1]], states[to[2]]))
+                        for ev, to in moves] == [
                     (ev, to and (to[0], to[1], fresh.states[to[2]])) for ev, to in got
                 ]
                 errors |= {e[0].label.action for e, to in moves if to is None and e[0].is_client}
@@ -889,13 +894,58 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
         assert all(type(i) is int for i in ends)
         assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
         for i in ex.terminal_done | ex.terminal_livelock:
-            c = ex.configs[i]
-            assert ex.interp.successors(c) == ()
+            assert ex.interp.successors(ex.configs[i]) == ()
+            c = ex.config(i)
             assert all(t.done for t in c.threads) is (i in ex.terminal_done)
     # every end fact occurs in some exploration, and an abort flag of each value
     assert all(any(getattr(ex, end) for ex in explorations)
                for end in ("terminal_done", "terminal_livelock", "truncated", "has_abort"))
     assert not all(ex.has_abort for ex in explorations)
+
+
+def _assert_graph_matches_naive(text, model, bound=explorer.DEFAULT_BOUND):
+    """Both sides of ``text`` over ``model``, built with numbered keys,
+    against :func:`naive_graph` over whole configurations."""
+    prog = parse_program(text)
+    sides = (model, atomic_model(model.seq_spec))
+    for ex, side in zip(explorer.explore_both(prog, model, bound=bound), sides):
+        g = naive_graph(prog, side, bound=bound)
+        assert (len(ex.configs), ex.transitions_explored) == (len(g.configs), g.transitions)
+        assert ex.edges == g.edges
+        assert [ex.config(i) for i in range(len(ex.configs))] == g.configs
+        assert ex.states == g.states
+        assert (ex.terminal_done, ex.terminal_livelock, ex.truncated, ex.has_abort) == (
+            g.terminal_done, g.terminal_livelock, g.truncated, g.has_abort)
+
+
+def test_graph_matches_naive_build(monkeypatch):
+    cases = _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS
+    cases += [(m.program, model) for m in mutants() for model in (m.model, m.shipped)]
+    for text, model in cases:
+        _assert_graph_matches_naive(text, model)
+    _assert_graph_matches_naive(SPIN_PROGRAMS[2][0], models.hw_model(2), bound=20)
+
+
+@given(st.lists(st.lists(_single_thread_block(), min_size=1, max_size=2), min_size=1,
+                max_size=2),
+       st.sampled_from([models.coarse_queue_model(), models.hw_model(2)]))
+@settings(max_examples=100, deadline=None)
+def test_generated_graphs_match_naive_build(phases, model):
+    # shared counters can grow without end, so the bound cuts some runs
+    text = "\n".join(
+        "phase { " + " ".join(f"thread {{ {block} }}" for block in threads) + " }"
+        for threads in phases
+    )
+    _assert_graph_matches_naive(text, model, bound=2_000)
+
+
+def test_exploration_repr_is_a_summary():
+    ex = explore(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
+    assert repr(ex) == (
+        f"Exploration(model='hw-queue', configs={len(ex.configs)}, "
+        f"transitions={ex.transitions_explored})"
+    )
+    assert len(repr(ex)) < 100
 
 
 def test_outcome_tables_are_freed_without_the_cycle_collector():

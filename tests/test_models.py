@@ -71,7 +71,7 @@ def test_hw_fig3_final_state_reachable():
 
     m = hw_model(4)
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    finals = {ex.states[ex.configs[i].sid] for i in ex.terminal_done}
+    finals = {ex.states[ex.config(i).sid] for i in ex.terminal_done}
     assert FIG3_FINAL in finals
 
 
@@ -139,10 +139,10 @@ def test_ms_invariant_preserved_during_exploration():
     p = parse_program("thread { call Q.Enqueue('a') }\nthread { call y = Q.Dequeue() }")
     ex = explorer.explore(p, m)
     # every configuration's object state is in the table, numbered once
-    assert {c.sid for c in ex.order} == set(range(len(ex.states)))
+    assert {ex.config(i).sid for i in range(len(ex.configs))} == set(range(len(ex.states)))
     assert len(set(ex.states)) == len(ex.states)
     assert all(m.invariant_ok(s) for s in ex.states)
-    assert all(ms_well_formed(ex.states[ex.configs[i].sid]) for i in ex.terminal_done)
+    assert all(ms_well_formed(ex.states[ex.config(i).sid]) for i in ex.terminal_done)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_hw_purely_blocking_from_reachable_configurations():
 
     m = hw_model(4)
     ex = explorer.explore(TWO_ENQUEUES_ONE_DEQUEUE, m)
-    for cfg in sorted(ex.order, key=ex.order.__getitem__):
+    for cfg in map(ex.config, range(len(ex.configs))):
         for ts in cfg.threads:
             if ts.done:
                 continue
