@@ -541,7 +541,7 @@ class Exploration:
 
     @property
     def initial_object(self) -> Any:
-        return self.interp.states[self.interp.config(self.interp.init).sid]
+        return self.interp.states[0]  # the interpreter numbers the start state first
 
     @property
     def spec(self) -> SeqSpec:
