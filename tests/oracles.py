@@ -164,19 +164,18 @@ def naive_graph(
 
     first = Config(0, starts[0], (), interp.state_id(obj))
     order, configs, edges = {first: 0}, [first], [()]
-    g = NaiveGraph(configs, edges, set(), set(), set(), False, 0, interp.states)
+    done, livelock, truncated = set(), set(), set()
     has_abort, transitions = False, 0
     todo = [0]
     while todo:
         i = todo.pop()
         if transitions >= bound:
-            g.truncated.add(i)
+            truncated.add(i)
             continue
         succ = successors(configs[i])
         transitions += len(succ)
         if not succ:
-            ends = g.terminal_done if all(t.done for t in configs[i].threads) else g.terminal_livelock
-            ends.add(i)
+            (done if all(t.done for t in configs[i].threads) else livelock).add(i)
         out = []
         for events, target in succ:
             if target is None:
@@ -190,7 +189,8 @@ def naive_graph(
                 target = order[target]
             out.append((events, target))
         edges[i] = tuple(out)
-    return g._replace(has_abort=has_abort, transitions=transitions)
+    return NaiveGraph(configs, edges, done, livelock, truncated, has_abort, transitions,
+                      interp.states)
 
 
 class _Stop(Exception):
