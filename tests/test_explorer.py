@@ -931,8 +931,9 @@ def test_graph_matches_naive_build(monkeypatch):
        st.sampled_from([models.coarse_queue_model(), models.hw_model(2)]))
 @settings(max_examples=100, deadline=None)
 def test_generated_graphs_match_naive_build(phases, model):
-    # shared counters can grow without end, so the bound cuts some runs
-    text = "\n".join(
+    # a first phase binds x, y and z; threads share the loop counters, which
+    # can then grow without end, so the bound cuts some runs
+    text = "phase { thread { set x = 0 ; set y = 0 ; set z = 0 } }\n" + "\n".join(
         "phase { " + " ".join(f"thread {{ {block} }}" for block in threads) + " }"
         for threads in phases
     )
