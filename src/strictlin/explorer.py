@@ -58,7 +58,10 @@ sets that share a sub-trie share its storage.  Only the initial
 configuration's trie is walked to build :class:`ExecutionResult` objects.
 The test suite checks them against a naive schedule-by-schedule enumerator.
 :func:`compare` holds the ``compare`` command's verdict on a fine-grained
-and an atomic exploration.
+and an atomic exploration.  Its client traces come from
+:func:`client_trace_diffs`, which enumerates no outcome unless a cycle
+emits a client event: it reads each graph as an automaton over client
+events and walks the product of their subset automata.
 
 Conventions mirroring the trace model:
 
@@ -1114,6 +1117,157 @@ def client_traces(results: Iterable[ExecutionResult]) -> frozenset:
     return frozenset(out)
 
 
+def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tuple, tuple]:
+    """``(equal, only_m, only_a)``: whether the client traces of two
+    explorations are the same set, and the rendered traces
+    (:func:`render_client_trace`) only ``ex_m`` and only ``ex_a`` has,
+    sorted; this is the trace half of :func:`observables_report`.
+
+    When no cycle of either graph emits a client event, every client trace
+    is finite, and each graph is read as an automaton over client events
+    (:class:`_ClientAutomaton`).  The product of the two, walked once from
+    the start pair and memoized per pair of states, decides equality, and
+    only when the languages differ are the differences enumerated, along
+    the pairs that lead to one.  Otherwise some traces are infinite lassos,
+    and both sides' traces are enumerated with ``results("client")``."""
+    if _client_cycle(ex_m) or _client_cycle(ex_a):
+        mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
+        return (mt_m == mt_a, tuple(sorted(map(render_client_trace, mt_m - mt_a))),
+                tuple(sorted(map(render_client_trace, mt_a - mt_m))))
+    m, a = _ClientAutomaton(ex_m), _ClientAutomaton(ex_a)
+    root = (m.start, a.start)
+    # differs[pair]: whether some word from ``pair`` is accepted by one side
+    # only, computed callees first on an explicit stack.  Every move reads
+    # a letter and no cycle emits one, so the pairs form a DAG
+    differs: dict[tuple[int, int], bool] = {}
+    stack = [[root, _pair_moves(m, a, root), m.accepts[m.start] != a.accepts[a.start]]]
+    while stack:
+        top = stack[-1]
+        for _, pair in top[1]:
+            d = differs.get(pair)
+            if d is None:
+                i, j = pair
+                stack.append([pair, _pair_moves(m, a, pair), m.accepts[i] != a.accepts[j]])
+                break
+            top[2] |= d
+        else:
+            stack.pop()
+            differs[top[0]] = top[2]
+            if stack:
+                stack[-1][2] |= top[2]
+    if not differs[root]:
+        return True, (), ()
+    # the words that lead to a pair accepting on one side only
+    only: tuple[list[str], list[str]] = ([], [])
+    path: list[Event] = []
+    todo: list[tuple[int, Optional[Event], tuple[int, int]]] = [(0, None, root)]
+    while todo:
+        depth, e, (i, j) = todo.pop()
+        del path[depth:]
+        if e is not None:
+            path.append(e)
+        if m.accepts[i] != a.accepts[j]:
+            only[not m.accepts[i]].append(render_client_trace((tuple(path), ())))
+        depth = len(path)
+        todo.extend([(depth, e, p) for e, p in _pair_moves(m, a, (i, j)) if differs[p]])
+    return False, tuple(sorted(only[0])), tuple(sorted(only[1]))
+
+
+def _client_cycle(ex: Exploration) -> bool:
+    """Whether an edge inside a cyclic component of ``ex`` emits a client
+    event, so that its client traces may be infinite."""
+    info, edges = ex.scc_info(), ex.edges
+    for k in info["cyclic"]:
+        members = info["comps"][k]
+        group = set(members)
+        for u in members:
+            for evs, t in edges[u]:
+                if t in group and any(e.is_client for e in evs):
+                    return True
+    return False
+
+
+_SINK = -1  # the accepting state every abort edge leads to
+
+
+class _ClientAutomaton:
+    """An exploration read as an automaton over client events, made
+    deterministic by the subset construction as the product asks for states.
+
+    An edge that emits no client event is an ε-move.  Any other is a client
+    step, which emits exactly one event, the edge's letter; an object step
+    emits object events only, each with its operation's id.  The
+    ``terminal_done`` configurations accept, and every abort edge (target
+    None) leads to one accepting sink, :data:`_SINK`.  A state is numbered
+    by the set of configurations its letter reaches, its seeds, and stands
+    for their ε-closure: ``accepts[s]`` says whether the closure holds an
+    accepting configuration, and :meth:`step` maps each letter to the state
+    it leads to.  State 0 is the empty set, which accepts nothing.  The
+    exploration's edges are read in place; a closure is walked once per
+    state, and only its seeds and letters are kept."""
+
+    def __init__(self, ex: Exploration) -> None:
+        self.edges, self.done = ex.edges, ex.terminal_done
+        self.ids: dict[frozenset, int] = {}
+        self.accepts: list[bool] = []
+        # per state: the seeds of each letter, until step() numbers them
+        self.seeds: list[Optional[dict]] = []
+        self.steps: list[Optional[dict]] = []
+        self.state(frozenset())
+        self.start = self.state(frozenset((0,)))
+
+    def state(self, seeds: frozenset) -> int:
+        """The state of ``seeds``, numbered and closed on first sight."""
+        s = self.ids.get(seeds)
+        if s is not None:
+            return s
+        s = self.ids[seeds] = len(self.accepts)
+        edges, seen, todo = self.edges, set(seeds), list(seeds)
+        letters: dict[Event, set] = {}
+        while todo:
+            u = todo.pop()
+            if u == _SINK:
+                continue
+            for evs, t in edges[u]:
+                if t is None:
+                    t = _SINK
+                # a client event is the one event with no operation id
+                if evs and evs[0].op is None:
+                    ts = letters.get(evs[0])
+                    if ts is None:
+                        letters[evs[0]] = {t}
+                    else:
+                        ts.add(t)
+                elif t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        self.accepts.append(_SINK in seen or not self.done.isdisjoint(seen))
+        self.seeds.append({e: frozenset(ts) for e, ts in letters.items()})
+        self.steps.append(None)
+        return s
+
+    def step(self, s: int) -> dict:
+        """State ``s``'s moves, each letter mapped to the state it reaches."""
+        out = self.steps[s]
+        if out is None:
+            out = self.steps[s] = {e: self.state(ts) for e, ts in self.seeds[s].items()}
+            self.seeds[s] = None
+        return out
+
+
+def _pair_moves(m: _ClientAutomaton, a: _ClientAutomaton,
+                pair: tuple[int, int]) -> Iterator[tuple[Event, tuple[int, int]]]:
+    """The moves of a pair of states of the product of ``m`` and ``a``, one
+    per letter either side reads, the other side moving to the empty state
+    when it lacks the letter."""
+    sm, sa = m.step(pair[0]), a.step(pair[1])
+    for e, s in sm.items():
+        yield e, (s, sa.get(e, 0))
+    for e, s in sa.items():
+        if e not in sm:
+            yield e, (0, s)
+
+
 @dataclass(frozen=True)
 class FinalStates:
     """Final-state set: the terminated configurations' ``(client bindings,
@@ -1195,12 +1349,13 @@ def explore_both(
 
 def observables_report(ex_m: Exploration, ex_a: Exploration) -> ObservablesReport:
     """Client traces and final states of a fine-grained exploration against
-    an atomic one.  Over the model's own spec the final states are compared
-    whole.  A foreign spec's object states lie in another domain, so then
-    only what the client observes is compared, the client bindings and
-    whether some execution aborts or diverges on the client side:
-    observational equivalence."""
-    mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
+    an atomic one.  The client traces are compared by
+    :func:`client_trace_diffs`.  Over the model's own spec the final states
+    are compared whole.  A foreign spec's object states lie in another
+    domain, so then only what the client observes is compared, the client
+    bindings and whether some execution aborts or diverges on the client
+    side: observational equivalence."""
+    traces_equal, diff_m, diff_a = client_trace_diffs(ex_m, ex_a)
     fs_m, fs_a = final_states(ex_m), final_states(ex_a)
     client_only = ex_a.spec is not ex_m.spec
     seen_m, seen_a = (
@@ -1208,10 +1363,10 @@ def observables_report(ex_m: Exploration, ex_a: Exploration) -> ObservablesRepor
         for fs in (fs_m, fs_a)
     )
     return ObservablesReport(
-        traces_equal=mt_m == mt_a,
+        traces_equal=traces_equal,
         states_equal=seen_m == seen_a,
-        trace_diff_model=tuple(sorted(map(render_client_trace, mt_m - mt_a))),
-        trace_diff_atomic=tuple(sorted(map(render_client_trace, mt_a - mt_m))),
+        trace_diff_model=diff_m,
+        trace_diff_atomic=diff_a,
         state_lines_model=fs_m.renderings,
         state_lines_atomic=fs_a.renderings,
         client_only=client_only,

@@ -281,6 +281,16 @@ def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     assert explorer.compare(*explorer.explore_both(prog, model))[2:] == ("fail", "")
 
 
+def test_compare_of_a_long_straight_line_program(tmp_path, capsys):
+    # 1,199 client steps and no cycle: deeper than Python's recursion
+    # limit, so every walk of the graphs and of their product keeps its own
+    # stack
+    f = tmp_path / "chain.txt"
+    f.write_text("thread { " + " ; ".join(f"set a = {k}" for k in range(1, 1200)) + " }\n")
+    assert main(["compare", "--program", str(f), "--model", "coarse-queue"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("client traces equal: yes\n")
+
+
 def test_compare_exit_reflects_equality(program_file, capsys):
     assert main(["compare", "--program", program_file, "--model", "coarse-queue"]) == EXIT_OK
     assert (
@@ -498,13 +508,26 @@ def test_explore_takes_no_spec(program_file, capsys):
     assert "unrecognized arguments: --spec adt-queue" in capsys.readouterr().err
 
 
-def test_out_of_memory_is_usage_error(program_file, capsys, monkeypatch):
-    # no outcome set was computed, so no report of lower bounds can follow
-    def exhausted(self, projection):
+def test_out_of_memory_is_usage_error(program_file, tmp_path, capsys, monkeypatch):
+    # no trace set was established, so no report of lower bounds can follow
+    def exhausted(*_):
         raise MemoryError
 
+    argv = ["compare", "--model", "coarse-queue", "--program"]
+    # fig2's client traces are finite: compare decides them on the graphs
+    monkeypatch.setattr(explorer, "client_trace_diffs", exhausted)
+    assert main(argv + [program_file]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+    monkeypatch.undo()
+    # a client spin loop's traces are lassos, which compare enumerates with
+    # results(); fig2's never call it
+    spin = tmp_path / "spin.txt"
+    spin.write_text("thread { set x = 0 ; while x != 1 { set y = 0 } }\n"
+                    "thread { call Q.Enqueue('a') }\n")
     monkeypatch.setattr(explorer.Exploration, "results", exhausted)
-    assert main(["compare", "--program", program_file, "--model", "coarse-queue"]) == EXIT_USAGE
+    assert main(argv + [program_file]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + [str(spin)]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from strictlin.explorer import (
 from strictlin.history import Act, Event, Inv, Ret, history
 from strictlin.models import atomic_model
 from strictlin.programs import parse_program
-from strictlin.specs import pseudo_queue_adt, queue_adt
+from strictlin.specs import get_spec, pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
 
 from mutants import mutants
@@ -972,3 +973,174 @@ def test_finished_exploration_is_freed_without_the_cycle_collector():
         assert interp() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Client traces decided on the graphs against their enumeration
+# ---------------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _script(monkeypatch, name: str):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module(name)
+
+
+def _enumerated_trace_diffs(ex_m, ex_a, mt_m=None, mt_a=None) -> tuple:
+    """What ``observables_report`` computed before the automata, from the
+    trace sets ``mt_m`` and ``mt_a``, by default each side's
+    ``client_traces(results("client"))``."""
+    if mt_m is None:
+        mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
+    return (mt_m == mt_a, tuple(sorted(map(explorer.render_client_trace, mt_m - mt_a))),
+            tuple(sorted(map(explorer.render_client_trace, mt_a - mt_m))))
+
+
+def _assert_trace_diffs_match_enumeration(ex_m, ex_a) -> bool:
+    """``client_trace_diffs`` against the enumeration, and whether it read
+    the graphs as automata: then it enumerated no outcome, every edge
+    emits one client event or object events only, as the automaton reads
+    them, and the enumeration is exact."""
+    got = explorer.client_trace_diffs(ex_m, ex_a)
+    automata = not (explorer._client_cycle(ex_m) or explorer._client_cycle(ex_a))
+    if automata:
+        assert "client" not in ex_m._results and "client" not in ex_a._results
+        for ex in (ex_m, ex_a):
+            for trs in ex.edges:
+                for evs, _ in trs:
+                    assert (len(evs) == 1 and evs[0].is_client
+                            or all(e.op is not None for e in evs))
+    assert got == _enumerated_trace_diffs(ex_m, ex_a)
+    assert not (automata and (ex_m.approximate or ex_a.approximate))
+    return automata
+
+
+def test_trace_diffs_match_enumeration_on_the_digest_corpus(monkeypatch):
+    # every program the digest enumerates outcome sets of, the compares it
+    # runs against a foreign spec, and the mutants on their own and the
+    # shipped model
+    digest = _script(monkeypatch, "outcome_digest")
+    sides = [explorer.explore_both(parse_program(text), model, init_obj=start, bound=bound)
+             for _, text, model, bound, projections, start in digest.corpus() if projections]
+    for _, text, ref, spec_name, contents in digest.FOREIGN_COMPARES:
+        model, spec = models.parse_model_ref(ref), get_spec(spec_name)
+        sides.append(explorer.explore_both(
+            parse_program(text), model, spec, init_obj=model.seq_spec.seed_state(contents),
+            init_obj_atomic=spec.seed_state(contents)))
+    sides += [explorer.explore_both(parse_program(m.program), model)
+              for m in mutants() for model in (m.model, m.shipped)]
+    sides += [explorer.explore_both(parse_program(text), model) for text, model in ERROR_PROGRAMS]
+    read = [_assert_trace_diffs_match_enumeration(*pair) for pair in sides]
+    assert read.count(True) >= 100 and read.count(False) >= 5
+    # the mutants' differences and the error programs' aborts are among them
+    assert sum(not explorer.client_trace_diffs(*pair)[0] for pair in sides) >= 2
+    assert all(ex.has_abort for pair in sides[-len(ERROR_PROGRAMS):] for ex in pair)
+
+
+def test_trace_diffs_match_enumeration_on_ladders_and_cuts(monkeypatch):
+    # the benchmark's programs whole and cut at 60 transitions, and the
+    # rungs of ``scripts/ladder.py``, whose last one truncates
+    cases = _ladder_cases(monkeypatch)
+    sides = [explorer.explore_both(parse_program(text), model, bound=bound)
+             for text, model in cases for bound in (explorer.DEFAULT_BOUND, 60)]
+    ladder = _script(monkeypatch, "ladder")
+    sides += [explorer.explore_both(parse_program(text), models.parse_model_ref(ref))
+              for _, ref, text in ladder.RUNGS]
+    assert all(map(_assert_trace_diffs_match_enumeration, *zip(*sides)))
+    assert sum(bool(ex_m.truncated) for ex_m, _ in sides) > len(cases)
+
+
+def test_client_spin_loop_takes_the_enumeration_path():
+    # its traces are infinite lassos, which only the enumeration gives
+    text, model = SPIN_PROGRAMS[0]
+    ex_m, ex_a = explorer.explore_both(parse_program(text), model)
+    assert explorer._client_cycle(ex_m) and not _assert_trace_diffs_match_enumeration(ex_m, ex_a)
+    assert "client" in ex_m._results and "client" in ex_a._results
+    # an object spin loop emits no client event on its cycle
+    text, model = SPIN_PROGRAMS[2]
+    ex_m, ex_a = explorer.explore_both(parse_program(text), model)
+    assert ex_m.scc_info()["cyclic"] and _assert_trace_diffs_match_enumeration(ex_m, ex_a)
+
+
+@st.composite
+def _trace_block(draw, depth: int = 0) -> str:
+    """Statements over x and y for the trace gate: sets, cell reads and
+    writes (some of a value or a cell the object lacks, which abort),
+    calls, and `if`s with and without `else`.  No loop: a cycle of such a
+    program is an object spin, so its graph is read as an automaton."""
+    out = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["set", "read", "write", "call", "call"] + ["if"] * (depth == 0)))
+        v, k = draw(st.sampled_from("xy")), draw(st.integers(0, 2))
+        if kind == "set":
+            out.append(f"set {v} = {draw(st.sampled_from([str(k), 'x', 'y']))}")
+        elif kind == "read":
+            out.append(f"read {v} <- Q.{draw(st.sampled_from(['back', 'items[1]', 'items[3]']))}")
+        elif kind == "write":
+            cell = draw(st.sampled_from(["back", "items[1]", "items[2]"]))
+            out.append(f"write Q.{cell} <- " + draw(st.sampled_from([str(k), v, "'e'"])))
+        elif kind == "call":
+            target = draw(st.sampled_from(["", f"{v} = "]))
+            out.append(f"call {target}Q." + draw(st.sampled_from([f"Enqueue({v})", "Dequeue()"])))
+        else:
+            then = draw(_trace_block(depth + 1))
+            els = draw(st.one_of(st.just(""), _trace_block(depth + 1)))
+            out.append(f"if {v} == {k} {{ {then} }}" + (f" else {{ {els} }}" if els else ""))
+    return " ; ".join(out)
+
+
+# hw-queue at N=2 and its split-increment mutant, whose two enqueues can
+# take one slot; the atomic side starts empty or holding 'e'.  Either can
+# make a trace differ from the atomic version's
+_HW_MODELS = [models.hw_model(2)] + [
+    replace(models.hw_model(2), methods=m.model.methods)
+    for m in mutants() if m.name == "hw-split-increment"
+]
+_ATOMIC_CONTENTS = [(), ("e",)]
+
+
+def _statements(threads: list) -> int:
+    """The statements of a phase's thread blocks.  Its traces interleave
+    theirs, so a few keep the enumeration in the thousands."""
+    return sum(b.count(k) for b in threads for k in ("set ", "read ", "write ", "call ", "if "))
+
+
+def _trace_sides(phases: list, model, contents: tuple, bound: int = explorer.DEFAULT_BOUND):
+    """The program of a first phase that binds x and y, then ``phases``,
+    each a list of thread blocks, and both sides of it over ``model``, the
+    atomic one started from ``contents``."""
+    prog = parse_program("phase { thread { set x = 0 ; set y = 1 } }\n" + "\n".join(
+        "phase { " + " ".join(f"thread {{ {block} }}" for block in threads) + " }"
+        for threads in phases
+    ))
+    start = model.seq_spec.seed_state(contents)
+    return prog, start, explorer.explore_both(prog, model, bound=bound, init_obj_atomic=start)
+
+
+@given(st.lists(st.lists(_trace_block(), min_size=1, max_size=3)
+                .filter(lambda threads: _statements(threads) <= 5), min_size=1, max_size=2),
+       st.sampled_from(_HW_MODELS), st.sampled_from(_ATOMIC_CONTENTS))
+@settings(max_examples=120, deadline=None)
+def test_generated_trace_diffs_match_enumeration(phases, model, contents):
+    _, _, (ex_m, ex_a) = _trace_sides(phases, model, contents, bound=3_000)
+    assert _assert_trace_diffs_match_enumeration(ex_m, ex_a)
+
+
+@given(st.lists(_trace_block(), min_size=1, max_size=2)
+       .filter(lambda t: _statements(t) <= 4 and "".join(t).count("call ") <= 1),
+       st.sampled_from(_HW_MODELS), st.sampled_from(_ATOMIC_CONTENTS))
+@settings(max_examples=40, deadline=None)
+def test_generated_trace_diffs_match_naive_enumeration(threads, model, contents):
+    # the naive schedule enumerator on both sides, so the programs are
+    # small, with one call at most, as it walks every lap of a spin.  A
+    # cycle here is an object spin, which it calls client-divergent when
+    # the projection has dropped the spin's events; a spin gives no client
+    # trace
+    prog, start, (ex_m, ex_a) = _trace_sides([threads], model, contents)
+    naive = [frozenset((r.trace, ()) for r in enumerate_executions_naive(
+                 prog, side, init_obj=init, projection="client")
+                 if r.kind in (Kind.TERMINATED, Kind.ABORTED))
+             for side, init in ((model, None), (atomic_model(model.seq_spec), start))]
+    assert explorer.client_trace_diffs(ex_m, ex_a) == _enumerated_trace_diffs(
+        ex_m, ex_a, *naive)
