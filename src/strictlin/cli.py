@@ -299,6 +299,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "model_divergence": list(div.model_kinds),
         "atomic_divergence": list(div.atomic_kinds),
         "approximate": ex_m.approximate or ex_a.approximate,
+        "truncated": bool(ex_m.truncated or ex_a.truncated),
         "verdict": verdict,
     })
     return _STATUS[verdict]

@@ -270,14 +270,18 @@ def test_truncated_compare_is_inconclusive(program_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict=inconclusive: exploration truncated" in out
     assert "warning" not in out
-    assert json.loads(report.read_text())["verdict"] == "inconclusive"
+    data = json.loads(report.read_text())
+    # the report names the cause: a cut, not approximate outcome sets
+    assert (data["verdict"], data["truncated"], data["approximate"]) == (
+        "inconclusive", True, False)
     # the library decides as the CLI does
     prog, model = parse_program(FIG2_PROGRAM), models.hw_model(4)
     _, _, verdict, why = explorer.compare(*explorer.explore_both(prog, model, bound=60))
     assert (verdict, why) == ("inconclusive", "exploration truncated by the transition budget")
     assert out.endswith(f"verdict=inconclusive: {why}\n")
     assert main(argv) == EXIT_CHECK_FAILED
-    assert json.loads(report.read_text())["verdict"] == "fail"
+    data = json.loads(report.read_text())
+    assert (data["verdict"], data["truncated"]) == ("fail", False)
     assert explorer.compare(*explorer.explore_both(prog, model))[2:] == ("fail", "")
 
 
