@@ -6,10 +6,14 @@ Run from the repository root:
     python scripts/ladder.py                      # measures this checkout
     python scripts/ladder.py --tree ../other      # measures another checkout
 
-Each rung is one program on one model, checked as ``explore --mode strict``
-checks it: build the configuration graph, find its SCCs, enumerate
-``results("history")``, record the executions and run ``check_strict``.
-The rungs run one after another, each in its own child process under an
+Each rung is one program on one model.  After the configuration graph is
+built and its SCCs found, the rung is compared as ``compare`` compares it,
+``explorer.compare`` against an exploration of the atomic version of the
+model's spec, built in the same layer; then it is checked as ``explore
+--mode strict`` checks it: enumerate ``results("history")``, record the
+executions and run ``check_strict``.  The comparison comes before the
+history layers, so a rung that runs out of memory or time there still
+reports it.  The rungs run one after another, each in its own child process under an
 address-space limit of ``MEM_CAP_MB`` (``RLIMIT_AS``) and a wall cap of
 ``WALL_CAP_S``, so a rung that needs more ends as ``oom`` or ``timeout``
 instead of exhausting the host.
@@ -18,11 +22,12 @@ For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
 finished (configurations, transitions, truncated frontier, SCC count and
 largest SCC, histories, recorded executions, distinct search problems the
-check searched), the wall seconds of each
-finished layer, the verdict (``pass``, ``fail``, or ``inconclusive`` when
+check searched), the wall seconds of each finished layer, the comparison's
+verdict as ``explorer.compare`` gives it (``compare_verdict``), the check's
+verdict (``pass``, ``fail``, or ``inconclusive`` when
 the measured tree's ``explorer.incomplete`` finds the exploration truncated
 or its outcome sets approximate, so ``--tree`` takes a checkout that has
-it) and the child's peak resident set; ``src_lines`` is the line count of
+it and ``explorer.compare``) and the child's peak resident set; ``src_lines`` is the line count of
 the measured tree's ``src/strictlin/*.py``, as ``wc -l`` counts it, so that
 one file reads both the times and the size of the code.  The file is named
 after the short commit id of the measured checkout, with ``-dirty`` when its
@@ -89,6 +94,8 @@ def run_rung(index: int) -> None:
             "truncated": len(ex.truncated)})
         layer("scc", ex.scc_info, lambda info: {
             "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))})
+        layer("compare", lambda: explorer.compare(ex, explorer.run_atomic(prog, model.seq_spec)),
+              lambda got: {"compare_verdict": got[2]})
         layer("results", lambda: ex.results("history"), lambda res: {
             "histories": len(res), "approximate": ex.approximate})
         recs = layer("record", lambda: checker.recorded_executions(ex),

@@ -1132,22 +1132,24 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
     and both sides' traces are enumerated with ``results("client")``."""
     if _client_cycle(ex_m) or _client_cycle(ex_a):
         mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
-        return (mt_m == mt_a, tuple(sorted(map(render_client_trace, mt_m - mt_a))),
-                tuple(sorted(map(render_client_trace, mt_a - mt_m))))
+        return mt_m == mt_a, _rendered(mt_m - mt_a), _rendered(mt_a - mt_m)
     m, a = _ClientAutomaton(ex_m), _ClientAutomaton(ex_a)
-    root = (m.start, a.start)
+
+    def frame(pair: tuple[int, int]) -> list:
+        return [pair, _pair_moves(m, a, pair), m.accepts[pair[0]] != a.accepts[pair[1]]]
+
     # differs[pair]: whether some word from ``pair`` is accepted by one side
     # only, computed callees first on an explicit stack.  Every move reads
     # a letter and no cycle emits one, so the pairs form a DAG
+    root = (m.start, a.start)
     differs: dict[tuple[int, int], bool] = {}
-    stack = [[root, _pair_moves(m, a, root), m.accepts[m.start] != a.accepts[a.start]]]
+    stack = [frame(root)]
     while stack:
         top = stack[-1]
         for _, pair in top[1]:
             d = differs.get(pair)
             if d is None:
-                i, j = pair
-                stack.append([pair, _pair_moves(m, a, pair), m.accepts[i] != a.accepts[j]])
+                stack.append(frame(pair))
                 break
             top[2] |= d
         else:
@@ -1158,7 +1160,7 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
     if not differs[root]:
         return True, (), ()
     # the words that lead to a pair accepting on one side only
-    only: tuple[list[str], list[str]] = ([], [])
+    only: tuple[list, list] = ([], [])
     path: list[Event] = []
     todo: list[tuple[int, Optional[Event], tuple[int, int]]] = [(0, None, root)]
     while todo:
@@ -1167,10 +1169,15 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
         if e is not None:
             path.append(e)
         if m.accepts[i] != a.accepts[j]:
-            only[not m.accepts[i]].append(render_client_trace((tuple(path), ())))
+            only[not m.accepts[i]].append((tuple(path), ()))
         depth = len(path)
         todo.extend([(depth, e, p) for e, p in _pair_moves(m, a, (i, j)) if differs[p]])
-    return False, tuple(sorted(only[0])), tuple(sorted(only[1]))
+    return False, _rendered(only[0]), _rendered(only[1])
+
+
+def _rendered(traces: Iterable[tuple[tuple, tuple]]) -> tuple[str, ...]:
+    """``traces`` rendered by :func:`render_client_trace`, sorted."""
+    return tuple(sorted(map(render_client_trace, traces)))
 
 
 def _client_cycle(ex: Exploration) -> bool:
