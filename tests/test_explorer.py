@@ -783,12 +783,17 @@ def test_trie_union_and_walk_keep_their_own_stack():
 # The object-state table and the memo of the model's machines
 # ---------------------------------------------------------------------------
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module(monkeypatch, directory: str, name: str):
+    """Module ``name`` from ``directory`` of the repository."""
+    monkeypatch.syspath_prepend(str(ROOT / directory))
+    return importlib.import_module(name)
 
 
 def _workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    return importlib.import_module("workloads")
+    return _module(monkeypatch, "bench", "workloads")
 
 
 @pytest.mark.parametrize("qid,fine,atomic", [
@@ -979,17 +984,10 @@ def test_finished_exploration_is_freed_without_the_cycle_collector():
 # Client traces decided on the graphs against their enumeration
 # ---------------------------------------------------------------------------
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _script(monkeypatch, name: str):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    return importlib.import_module(name)
-
-
 def _enumerated_trace_diffs(ex_m, ex_a, mt_m=None, mt_a=None) -> tuple:
-    """What ``observables_report`` computed before the automata, from the
-    trace sets ``mt_m`` and ``mt_a``, by default each side's
+    """The enumeration's answer: whether the trace sets ``mt_m`` and
+    ``mt_a`` are equal, and the rendered traces each has that the other
+    lacks, sorted.  By default the sets are each side's
     ``client_traces(results("client"))``."""
     if mt_m is None:
         mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
@@ -1020,7 +1018,7 @@ def test_trace_diffs_match_enumeration_on_the_digest_corpus(monkeypatch):
     # every program the digest enumerates outcome sets of, the compares it
     # runs against a foreign spec, and the mutants on their own and the
     # shipped model
-    digest = _script(monkeypatch, "outcome_digest")
+    digest = _module(monkeypatch, "scripts", "outcome_digest")
     sides = [explorer.explore_both(parse_program(text), model, init_obj=start, bound=bound)
              for _, text, model, bound, projections, start in digest.corpus() if projections]
     for _, text, ref, spec_name, contents in digest.FOREIGN_COMPARES:
@@ -1044,7 +1042,7 @@ def test_trace_diffs_match_enumeration_on_ladders_and_cuts(monkeypatch):
     cases = _ladder_cases(monkeypatch)
     sides = [explorer.explore_both(parse_program(text), model, bound=bound)
              for text, model in cases for bound in (explorer.DEFAULT_BOUND, 60)]
-    ladder = _script(monkeypatch, "ladder")
+    ladder = _module(monkeypatch, "scripts", "ladder")
     sides += [explorer.explore_both(parse_program(text), models.parse_model_ref(ref))
               for _, ref, text in ladder.RUNGS]
     assert all(map(_assert_trace_diffs_match_enumeration, *zip(*sides)))
@@ -1071,7 +1069,8 @@ def _trace_block(draw, depth: int = 0) -> str:
     program is an object spin, so its graph is read as an automaton."""
     out = []
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(["set", "read", "write", "call", "call"] + ["if"] * (depth == 0)))
+        kinds = ["set", "read", "write", "call", "call"] + ["if"] * (depth == 0)
+        kind = draw(st.sampled_from(kinds))
         v, k = draw(st.sampled_from("xy")), draw(st.integers(0, 2))
         if kind == "set":
             out.append(f"set {v} = {draw(st.sampled_from([str(k), 'x', 'y']))}")
