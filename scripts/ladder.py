@@ -24,10 +24,11 @@ finished (configurations, transitions, truncated frontier, SCC count and
 largest SCC, histories, recorded executions, distinct search problems the
 check searched), the wall seconds of each finished layer, the comparison's
 verdict as ``explorer.compare`` gives it (``compare_verdict``), the check's
-verdict (``pass``, ``fail``, or ``inconclusive`` when
-the measured tree's ``explorer.incomplete`` finds the exploration truncated
-or its outcome sets approximate, so ``--tree`` takes a checkout that has
-it and ``explorer.compare``) and the child's peak resident set; ``src_lines`` is the line count of
+verdict as ``checker.check_exploration`` rules it (``pass``, ``fail``, or
+``inconclusive`` when the measured tree's ``explorer.incomplete`` finds the
+exploration truncated or its outcome sets approximate, so ``--tree`` takes a
+checkout that has it, ``CheckReport.verdict`` and ``explorer.compare``) and
+the child's peak resident set; ``src_lines`` is the line count of
 the measured tree's ``src/strictlin/*.py``, as ``wc -l`` counts it, so that
 one file reads both the times and the size of the code.  The file is named
 after the short commit id of the measured checkout, with ``-dirty`` when its
@@ -46,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,8 +103,8 @@ def run_rung(index: int) -> None:
         recs = layer("record", lambda: checker.recorded_executions(ex),
                      lambda recs: {"records": len(recs)})
         layer("check", lambda: checker.check_strict(recs, model.seq_spec), lambda rep: {
-            "searches": rep.searches, "verdict": "fail" if not rep.passed
-            else "inconclusive" if explorer.incomplete(ex) else "pass"})
+            "searches": rep.searches,
+            "verdict": replace(rep, inconclusive=explorer.incomplete(ex)).verdict})
     except MemoryError:
         os._exit(OOM_EXIT)  # nothing more can be printed safely
 

@@ -16,6 +16,9 @@ The package is organized around five layers:
   concurrent-implementation checks over recorded executions.
 """
 
+# the models register their specs and abstraction functions with ``specs``
+# as they load, so a lookup by name finds them whatever was imported first
+from . import models  # noqa: F401
 from .history import (
     Event,
     History,

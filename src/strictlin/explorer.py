@@ -43,9 +43,11 @@ runtime error.  From then on the edges, the strongly connected components
 and the outcome tables are lists indexed by id, so no edge or component
 lookup hashes a whole configuration again.  Divergence (reachable
 configuration cycles) is read off the graph.
-:meth:`Exploration.scc_info` is the one place cycles are found: Tarjan's
-algorithm marks a component cyclic as it pops it, and each cyclic component
-is searched once for an object lasso and a client lasso.  Sets of execution
+:meth:`Exploration.scc_info` is the one place cycles are found: after
+Tarjan's algorithm, one scan of each component's edges says whether it is
+cyclic, finds its first internal object edge and says whether an internal
+edge emits a client event (``client_edges``), and a lasso is searched only
+for the divergence kinds the component has.  Sets of execution
 outcomes are computed per observation projection by one dynamic program
 over the components, :meth:`_Outcomes.run`, which projects those lassos
 rather than searching again.  It works on interned integers local to one
@@ -591,19 +593,22 @@ class Exploration:
 
     def scc_info(self) -> dict:
         """Tarjan's algorithm, iterative, over configuration ids, then one
-        lasso search per cyclic component; this is the one place cycles
-        are found.
+        scan of each component's edges, members in ascending order and
+        edges in stored order; this is the one place cycles are found.
 
         ``comps`` lists each component's ids in ascending order, callees
         before callers.  A component is ``cyclic`` when it has an internal
         edge, ``object_cyclic`` when an internal edge emits an object event,
-        and ``client_cyclic`` when its internal client-only edges close a
-        cycle by themselves; Tarjan's loop marks a component cyclic as it
-        pops it.
+        in ``client_edges`` when one emits a client event, and
+        ``client_cyclic`` when its internal client-only edges close a cycle
+        by themselves, which only a component of ``client_edges`` can: the
+        one edge without events, a phase edge, lies on no cycle.
         ``lassos[k]`` maps each divergence kind of cyclic component ``k``
         to one cycle of that kind, as ``(configuration on the cycle,
-        events once round)``: see :func:`_object_lasso` and
-        :func:`_client_lasso`.  :meth:`_Outcomes.run` only projects them.
+        events once round)``: the first internal object edge closed by
+        :func:`_bfs_path`, and :func:`_client_lasso`'s cycle, searched only
+        in components of ``client_edges``.  :meth:`_Outcomes.run` only
+        projects them.
         """
         if self._scc is not None:
             return self._scc
@@ -613,7 +618,6 @@ class Exploration:
         low = [0] * n
         on_stack = [False] * n
         comps: list[list[int]] = []
-        cyclic: set[int] = set()
         stack: list[int] = []
         counter = 0
         for root in range(n):
@@ -641,7 +645,6 @@ class Exploration:
                 else:
                     work.pop()
                     if low[node] == index[node]:
-                        k = len(comps)
                         group = []
                         while True:
                             w = stack.pop()
@@ -649,37 +652,49 @@ class Exploration:
                             group.append(w)
                             if w == node:
                                 break
+                        group.sort()
                         comps.append(group)
-                        # a component has an internal edge when it has two
-                        # members or a self-loop
-                        if len(group) > 1:
-                            group.sort()
-                            cyclic.add(k)
-                        else:
-                            for _, t in edges[node]:
-                                if t == node:
-                                    cyclic.add(k)
-                                    break
                     if work:
                         parent = work[-1][0]
                         if low[node] < low[parent]:
                             low[parent] = low[node]
 
-        # one search per cyclic component finds a lasso of each kind it has
+        cyclic, object_cyclic, client_cyclic, client_edges = set(), set(), set(), set()
         lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
-        for k in cyclic:
-            members = comps[k]
-            group = set(members)
-            found = (
-                (Kind.OBJECT_DIVERGENT, _object_lasso(edges, members, group)),
-                (Kind.CLIENT_DIVERGENT, _client_lasso(edges, members, group)),
-            )
-            lassos[k] = {kind: lasso for kind, lasso in found if lasso is not None}
+        for k, members in enumerate(comps):
+            # a singleton's one member is its own membership test
+            group = members if len(members) == 1 else set(members)
+            inside = client = False
+            first = None  # the first internal object edge
+            for u in members:
+                for evs, t in edges[u]:
+                    if t in group:
+                        inside = True
+                        # a client event is the one event with no operation id
+                        if evs[0].op is None:
+                            client = True
+                        elif first is None:
+                            first = (u, evs, t)
+            if not inside:
+                continue
+            cyclic.add(k)
+            found = lassos[k] = {}
+            if first is not None:
+                object_cyclic.add(k)
+                u, evs, t = first
+                found[Kind.OBJECT_DIVERGENT] = (u, evs + _bfs_path(edges, t, u, group))
+            if client:
+                client_edges.add(k)
+                lasso = _client_lasso(edges, members, group)
+                if lasso is not None:
+                    client_cyclic.add(k)
+                    found[Kind.CLIENT_DIVERGENT] = lasso
         self._scc = {
             "comps": comps,
             "cyclic": cyclic,
-            "object_cyclic": {k for k, ls in lassos.items() if Kind.OBJECT_DIVERGENT in ls},
-            "client_cyclic": {k for k, ls in lassos.items() if Kind.CLIENT_DIVERGENT in ls},
+            "object_cyclic": object_cyclic,
+            "client_cyclic": client_cyclic,
+            "client_edges": client_edges,
             "lassos": lassos,
         }
         return self._scc
@@ -736,19 +751,6 @@ def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
                 nxt_frontier.append(t)
         frontier = nxt_frontier
     raise AssertionError("a component is strongly connected")
-
-
-def _object_lasso(
-    edges: list, members: list[int], group: set[int]
-) -> Optional[tuple[int, tuple[Event, ...]]]:
-    """A cycle through the first internal object edge, members in ascending
-    order and edges in stored order: the edge's source and the events of the
-    edge and of a shortest path back to it."""
-    for u in members:
-        for evs, t in edges[u]:
-            if t in group and any(not e.is_client for e in evs):
-                return u, evs + _bfs_path(edges, t, u, group)
-    return None
 
 
 def _client_lasso(
@@ -1123,14 +1125,15 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
     (:func:`render_client_trace`) only ``ex_m`` and only ``ex_a`` has,
     sorted; this is the trace half of :func:`observables_report`.
 
-    When no cycle of either graph emits a client event, every client trace
-    is finite, and each graph is read as an automaton over client events
+    When no cycle of either graph emits a client event (``scc_info()``'s
+    ``client_edges`` is empty on both), every client trace is finite, and
+    each graph is read as an automaton over client events
     (:class:`_ClientAutomaton`).  The product of the two, walked once from
     the start pair and memoized per pair of states, decides equality, and
     only when the languages differ are the differences enumerated, along
     the pairs that lead to one.  Otherwise some traces are infinite lassos,
     and both sides' traces are enumerated with ``results("client")``."""
-    if _client_cycle(ex_m) or _client_cycle(ex_a):
+    if ex_m.scc_info()["client_edges"] or ex_a.scc_info()["client_edges"]:
         mt_m, mt_a = (client_traces(ex.results("client")) for ex in (ex_m, ex_a))
         return mt_m == mt_a, _rendered(mt_m - mt_a), _rendered(mt_a - mt_m)
     m, a = _ClientAutomaton(ex_m), _ClientAutomaton(ex_a)
@@ -1178,20 +1181,6 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
 def _rendered(traces: Iterable[tuple[tuple, tuple]]) -> tuple[str, ...]:
     """``traces`` rendered by :func:`render_client_trace`, sorted."""
     return tuple(sorted(map(render_client_trace, traces)))
-
-
-def _client_cycle(ex: Exploration) -> bool:
-    """Whether an edge inside a cyclic component of ``ex`` emits a client
-    event, so that its client traces may be infinite."""
-    info, edges = ex.scc_info(), ex.edges
-    for k in info["cyclic"]:
-        members = info["comps"][k]
-        group = set(members)
-        for u in members:
-            for evs, t in edges[u]:
-                if t in group and any(e.is_client for e in evs):
-                    return True
-    return False
 
 
 _SINK = -1  # the accepting state every abort edge leads to

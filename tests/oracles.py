@@ -65,14 +65,19 @@ def enumerate_executions_naive(
     """Schedule-by-schedule enumeration without configuration hashing.
 
     Exponential; a cross-check oracle for small programs.  Divergence is
-    detected by a configuration repeat along the current schedule.
+    detected by a configuration repeat along the current schedule, and its
+    kind judged on every event of the repeated stretch, before projection:
+    client divergence when they are all client events.
     """
     obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
     interp = _Interp(prog, model, obj)
     keep = _PROJECTIONS[projection]
     results: set[ExecutionResult] = set()
 
-    def walk(key: tuple, trace: tuple, path: dict, depth: int) -> None:
+    # ``trace`` holds the kept events of the schedule so far and ``raw`` all
+    # of them; ``path`` maps each configuration on it to the lengths of both
+    # when the schedule reached it
+    def walk(key: tuple, trace: tuple, raw: tuple, path: dict, depth: int) -> None:
         if depth > max_steps:
             results.add(ExecutionResult(trace, Kind.UNKNOWN, note="step budget exhausted"))
             return
@@ -96,20 +101,19 @@ def enumerate_executions_naive(
                 results.add(ExecutionResult(trace + ev, Kind.ABORTED, note="runtime error"))
                 continue
             if target in path:
-                cut = path[target]
-                cyc = trace[cut:] + ev
+                cut, raw_cut = path[target]
                 kind = (
                     Kind.CLIENT_DIVERGENT
-                    if all(e.is_client for e in cyc)
+                    if all(e.is_client for e in raw[raw_cut:] + events)
                     else Kind.OBJECT_DIVERGENT
                 )
-                results.add(ExecutionResult(trace[:cut], kind, cycle=cyc))
+                results.add(ExecutionResult(trace[:cut], kind, cycle=trace[cut:] + ev))
                 continue
-            path[target] = len(trace + ev)
-            walk(target, trace + ev, path, depth + 1)
+            path[target] = (len(trace) + len(ev), len(raw) + len(events))
+            walk(target, trace + ev, raw + events, path, depth + 1)
             del path[target]
 
-    walk(interp.init, (), {interp.init: 0}, 0)
+    walk(interp.init, (), (), {interp.init: (0, 0)}, 0)
     return frozenset(results)
 
 

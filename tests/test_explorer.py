@@ -529,8 +529,30 @@ def _reachable(succ, src):
     return seen
 
 
+def _is_shortest_internal_path(edges, members, src, goal, events) -> bool:
+    """Whether ``events`` are the events, in order, of a path from ``src``
+    to ``goal`` inside ``members`` with no more edges than a shortest one,
+    found by breadth-first search."""
+    dist, frontier = {src: 0}, [src]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for _, t in edges[i]:
+                if t in members and t not in dist:
+                    dist[t] = dist[i] + 1
+                    nxt.append(t)
+        frontier = nxt
+    # (configuration, events read) after each step of such a path
+    walks = {(src, 0)}
+    for _ in range(dist[goal]):
+        walks = {(t, j + len(evs)) for i, j in walks for evs, t in edges[i]
+                 if t in members and events[j:j + len(evs)] == evs}
+    return (goal, len(events)) in walks
+
+
 def _assert_sccs_brute_force(ex):
-    """``scc_info()`` against mutual reachability and direct cycle checks."""
+    """``scc_info()`` against mutual reachability and direct cycle checks,
+    and each object lasso against a breadth-first search of its own."""
     n = len(ex.edges)
     succ = lambda i: [t for _, t in ex.edges[i] if t is not None]  # noqa: E731
     reach = [_reachable(succ, i) for i in range(n)]
@@ -540,14 +562,25 @@ def _assert_sccs_brute_force(ex):
     assert sum(map(len, info["comps"])) == n
     for members in info["comps"]:
         assert members == sorted(members)
-    cyclic, object_cyclic, client_cyclic = set(), set(), set()
+    cyclic, object_cyclic, client_cyclic, client_edges = set(), set(), set(), set()
     for k, members in enumerate(map(set, info["comps"])):
-        internal = [(i, events, t) for i in members for events, t in ex.edges[i]
+        internal = [(i, events, t) for i in sorted(members) for events, t in ex.edges[i]
                     if t in members]
         if internal:
             cyclic.add(k)
-        if any(not e.is_client for _, events, _ in internal for e in events):
+        if any(e.is_client for _, events, _ in internal for e in events):
+            client_edges.add(k)
+        objects = [(i, events, t) for i, events, t in internal
+                   if any(not e.is_client for e in events)]
+        if objects:
             object_cyclic.add(k)
+            # the lasso starts with the first internal object edge, members
+            # ascending and edges in stored order, and returns by a
+            # shortest internal path
+            i, events, t = objects[0]
+            entry, cycle = info["lassos"][k][Kind.OBJECT_DIVERGENT]
+            assert (entry, cycle[:len(events)]) == (i, events)
+            assert _is_shortest_internal_path(ex.edges, members, t, i, cycle[len(events):])
         client = {}
         for i, events, t in internal:
             if all(e.is_client for e in events):
@@ -557,6 +590,7 @@ def _assert_sccs_brute_force(ex):
     assert info["cyclic"] == cyclic
     assert info["object_cyclic"] == object_cyclic
     assert info["client_cyclic"] == client_cyclic
+    assert info["client_edges"] == client_edges
 
 
 def _assert_dense_ids(ex):
@@ -1001,7 +1035,7 @@ def _assert_trace_diffs_match_enumeration(ex_m, ex_a) -> bool:
     emits one client event or object events only, as the automaton reads
     them, and the enumeration is exact."""
     got = explorer.client_trace_diffs(ex_m, ex_a)
-    automata = not (explorer._client_cycle(ex_m) or explorer._client_cycle(ex_a))
+    automata = not (ex_m.scc_info()["client_edges"] or ex_a.scc_info()["client_edges"])
     if automata:
         assert "client" not in ex_m._results and "client" not in ex_a._results
         for ex in (ex_m, ex_a):
@@ -1053,7 +1087,7 @@ def test_client_spin_loop_takes_the_enumeration_path():
     # its traces are infinite lassos, which only the enumeration gives
     text, model = SPIN_PROGRAMS[0]
     ex_m, ex_a = explorer.explore_both(parse_program(text), model)
-    assert explorer._client_cycle(ex_m) and not _assert_trace_diffs_match_enumeration(ex_m, ex_a)
+    assert ex_m.scc_info()["client_edges"] and not _assert_trace_diffs_match_enumeration(ex_m, ex_a)
     assert "client" in ex_m._results and "client" in ex_a._results
     # an object spin loop emits no client event on its cycle
     text, model = SPIN_PROGRAMS[2]
@@ -1132,14 +1166,23 @@ def test_generated_trace_diffs_match_enumeration(phases, model, contents):
 @settings(max_examples=40, deadline=None)
 def test_generated_trace_diffs_match_naive_enumeration(threads, model, contents):
     # the naive schedule enumerator on both sides, so the programs are
-    # small, with one call at most, as it walks every lap of a spin.  A
-    # cycle here is an object spin, which it calls client-divergent when
-    # the projection has dropped the spin's events; a spin gives no client
-    # trace
+    # small, with one call at most, as it walks every lap of a spin
     prog, start, (ex_m, ex_a) = _trace_sides([threads], model, contents)
-    naive = [frozenset((r.trace, ()) for r in enumerate_executions_naive(
-                 prog, side, init_obj=init, projection="client")
-                 if r.kind in (Kind.TERMINATED, Kind.ABORTED))
+    naive = [client_traces(enumerate_executions_naive(
+                 prog, side, init_obj=init, projection="client"))
              for side, init in ((model, None), (atomic_model(model.seq_spec), start))]
     assert explorer.client_trace_diffs(ex_m, ex_a) == _enumerated_trace_diffs(
         ex_m, ex_a, *naive)
+
+
+def test_naive_enumeration_judges_a_spin_on_its_unprojected_cycle():
+    # the dequeue spins on the empty queue with object events only, which
+    # the client projection drops: the spin is still object divergence,
+    # and it gives no client trace
+    prog = parse_program(
+        "phase { thread { set x = 0 ; set y = 1 } } phase { thread { call Q.Dequeue() } }")
+    model = models.hw_model(2)
+    naive = enumerate_executions_naive(prog, model, projection="client")
+    assert [r.kind for r in naive] == [Kind.OBJECT_DIVERGENT]
+    assert client_traces(naive) == frozenset()
+    assert naive == explore(prog, model).results("client")

@@ -189,6 +189,22 @@ def test_impl_counterexample_does_not_depend_on_hash_seed():
     assert details == ["concrete outcome ({'a','b'}, 'c') has no abstract match\n"] * 10
 
 
+_LOOKUP_FIRST = """
+from strictlin import specs
+print(specs.get_spec("hw-queue-seq").name, specs.get_af("af-queue").name)
+"""
+
+
+def test_spec_and_af_lookups_do_not_depend_on_import_order():
+    """A fresh interpreter that imports ``specs`` alone finds the specs and
+    abstraction functions that ``models`` registers."""
+    src = os.path.dirname(os.path.dirname(strictlin.__file__))
+    out = subprocess.run([sys.executable, "-c", _LOOKUP_FIRST],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "hw-queue-seq af-queue\n"
+
+
 # ---------------------------------------------------------------------------
 # abstraction functions
 # ---------------------------------------------------------------------------
