@@ -43,11 +43,11 @@ runtime error.  From then on the edges, the strongly connected components
 and the outcome tables are lists indexed by id, so no edge or component
 lookup hashes a whole configuration again.  Divergence (reachable
 configuration cycles) is read off the graph.
-:meth:`Exploration.scc_info` is the one place cycles are found: after
-Tarjan's algorithm, one scan of each component's edges says whether it is
-cyclic, finds its first internal object edge and says whether an internal
-edge emits a client event (``client_edges``), and a lasso is searched only
-for the divergence kinds the component has.  Sets of execution
+:meth:`Exploration.scc_info` is the one place cycles are found: as
+Tarjan's algorithm pops a component, one scan of its edges finds its first
+internal object edge and whether an internal edge emits a client event
+(``client_edges``), which says whether it is cyclic, and a lasso is searched
+only for the divergence kinds the component has.  Sets of execution
 outcomes are computed per observation projection by one dynamic program
 over the components, :meth:`_Outcomes.run`, which projects those lassos
 rather than searching again.  It works on interned integers local to one
@@ -592,9 +592,10 @@ class Exploration:
     # -- strongly connected components --------------------------------------
 
     def scc_info(self) -> dict:
-        """Tarjan's algorithm, iterative, over configuration ids, then one
-        scan of each component's edges, members in ascending order and
-        edges in stored order; this is the one place cycles are found.
+        """Tarjan's algorithm, iterative, over configuration ids, scanning
+        each component's edges once as it pops it, members in ascending
+        order and edges in stored order; this is the one place cycles are
+        found.
 
         ``comps`` lists each component's ids in ascending order, callees
         before callers.  A component is ``cyclic`` when it has an internal
@@ -618,6 +619,9 @@ class Exploration:
         low = [0] * n
         on_stack = [False] * n
         comps: list[list[int]] = []
+        # per cyclic component: its membership test, its first internal
+        # object edge and whether an internal edge emits a client event
+        scans: dict[int, tuple] = {}
         stack: list[int] = []
         counter = 0
         for root in range(n):
@@ -654,47 +658,44 @@ class Exploration:
                                 break
                         group.sort()
                         comps.append(group)
+                        # one scan of its edges finds the first internal
+                        # object edge and whether an internal edge emits a
+                        # client event; a singleton's one member is its own
+                        # membership test
+                        inside = group if len(group) == 1 else set(group)
+                        first, client = None, False
+                        for u in group:
+                            for evs, t in edges[u]:
+                                if t in inside:
+                                    # a client event is the one event with no
+                                    # operation id
+                                    if evs[0].op is None:
+                                        client = True
+                                    elif first is None:
+                                        first = (u, evs, t)
+                        if first or client:
+                            scans[len(comps) - 1] = (inside, first, client)
                     if work:
                         parent = work[-1][0]
                         if low[node] < low[parent]:
                             low[parent] = low[node]
 
-        cyclic, object_cyclic, client_cyclic, client_edges = set(), set(), set(), set()
+        # the lassos of each kind a cyclic component has
         lassos: dict[int, dict[Kind, tuple[int, tuple[Event, ...]]]] = {}
-        for k, members in enumerate(comps):
-            # a singleton's one member is its own membership test
-            group = members if len(members) == 1 else set(members)
-            inside = client = False
-            first = None  # the first internal object edge
-            for u in members:
-                for evs, t in edges[u]:
-                    if t in group:
-                        inside = True
-                        # a client event is the one event with no operation id
-                        if evs[0].op is None:
-                            client = True
-                        elif first is None:
-                            first = (u, evs, t)
-            if not inside:
-                continue
-            cyclic.add(k)
+        for k, (inside, first, client) in scans.items():
             found = lassos[k] = {}
-            if first is not None:
-                object_cyclic.add(k)
+            if first:
                 u, evs, t = first
-                found[Kind.OBJECT_DIVERGENT] = (u, evs + _bfs_path(edges, t, u, group))
-            if client:
-                client_edges.add(k)
-                lasso = _client_lasso(edges, members, group)
-                if lasso is not None:
-                    client_cyclic.add(k)
-                    found[Kind.CLIENT_DIVERGENT] = lasso
+                found[Kind.OBJECT_DIVERGENT] = (u, evs + _bfs_path(edges, t, u, inside))
+            lasso = _client_lasso(edges, comps[k], inside) if client else None
+            if lasso:
+                found[Kind.CLIENT_DIVERGENT] = lasso
         self._scc = {
             "comps": comps,
-            "cyclic": cyclic,
-            "object_cyclic": object_cyclic,
-            "client_cyclic": client_cyclic,
-            "client_edges": client_edges,
+            "cyclic": set(scans),
+            "object_cyclic": {k for k, ls in lassos.items() if Kind.OBJECT_DIVERGENT in ls},
+            "client_cyclic": {k for k, ls in lassos.items() if Kind.CLIENT_DIVERGENT in ls},
+            "client_edges": {k for k, (_, _, client) in scans.items() if client},
             "lassos": lassos,
         }
         return self._scc

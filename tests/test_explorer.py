@@ -619,11 +619,16 @@ SPIN_PROGRAMS = [
     ("phase { thread { set x = 0 } }\n"
      "phase { thread { while x != 1 { set y = 0 } }\nthread { call Q.Enqueue('a') ; set x = 1 } }",
      models.hw_model(2)),
+    # a client spin beside a dequeue spinning on the empty queue: one
+    # component is both object- and client-cyclic
+    ("thread { set x = 0 ; while x != 1 { set y = 0 } }\nthread { call Q.Dequeue() }",
+     models.hw_model(2)),
 ]
 
 
-@pytest.mark.parametrize("text,model", SPIN_PROGRAMS,
-                         ids=["client-spin", "lapped-spin", "object-spin", "both", "phases"])
+@pytest.mark.parametrize(
+    "text,model", SPIN_PROGRAMS,
+    ids=["client-spin", "lapped-spin", "object-spin", "both", "phases", "mixed"])
 def test_scc_info_matches_brute_force_on_spin_loops(text, model):
     ex = explore(parse_program(text), model)
     _assert_dense_ids(ex)
