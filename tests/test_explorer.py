@@ -982,6 +982,20 @@ def test_generated_graphs_match_naive_build(phases, model):
         "phase { " + " ".join(f"thread {{ {block} }}" for block in threads) + " }"
         for threads in phases
     )
+    # a call in such a loop can start more operations in one thread than the
+    # explorer numbers before the bound cuts the run; the naive build moves
+    # threads by the same interpreter, in the same order, so it must stop on
+    # the same error
+    prog = parse_program(text)
+    for side in (model, atomic_model(model.seq_spec)):
+        try:
+            explore(prog, side, bound=2_000)
+        except ValueError as exc:
+            assert str(exc).startswith("operation-id space exhausted for thread "), exc
+            with pytest.raises(ValueError) as naive:
+                naive_graph(prog, side, bound=2_000)
+            assert str(naive.value) == str(exc)
+            return
     _assert_graph_matches_naive(text, model, bound=2_000)
 
 
