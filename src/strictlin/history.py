@@ -206,24 +206,12 @@ def project_thread(h: History, thread: int) -> History:
 
 
 def is_sequential(h: History) -> bool:
-    """True iff every response is immediately preceded by its matching invocation.
-
-    Equivalently: the history alternates Inv/Ret pairs of equal op ids,
-    possibly ending in one trailing invocation.
-    """
-    prev: Optional[Event] = None
-    for e in h:
-        if isinstance(e.label, (Ret, RetAbort)):
-            if prev is None or not isinstance(prev.label, Inv) or prev.op != e.op:
-                return False
-        prev = e
-    # every invocation except possibly the last must be followed by its response
-    for i, e in enumerate(h.events[:-1]):
-        if isinstance(e.label, Inv):
-            nxt = h.events[i + 1]
-            if not (isinstance(nxt.label, (Ret, RetAbort)) and nxt.op == e.op):
-                return False
-    return True
+    """True iff the history alternates pairs of an invocation and its
+    response (a Ret or abort of the same op id), possibly ending in one
+    trailing invocation."""
+    calls, resps = h.events[0::2], h.events[1::2]
+    return all(isinstance(c.label, Inv) for c in calls) and all(
+        isinstance(r.label, (Ret, RetAbort)) and r.op == c.op for c, r in zip(calls, resps))
 
 
 class OperationTable(NamedTuple):

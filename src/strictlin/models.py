@@ -228,16 +228,6 @@ HW_MACHINES = {
 }
 
 
-def enumerate_hw_states(n: int, alphabet: Sequence[Value]) -> Iterable[HWQueueState]:
-    """Array states with cells over ``alphabet`` + null, every cell at or
-    past ``back`` null: an invariant of the algorithm's own executions (slots
-    are reserved before they are written)."""
-    pool: tuple[Value, ...] = (NULL,) + tuple(alphabet)
-    for back in range(1, n + 2):
-        for used in itertools.product(pool, repeat=back - 1):
-            yield HWQueueState(back, used + (NULL,) * (n - back + 1))
-
-
 def hw_from_contents(n: int):
     def build(vs: tuple[Value, ...]) -> HWQueueState:
         if len(vs) > n:
@@ -264,12 +254,17 @@ def hw_seq_spec(n: int = 4) -> SeqSpec:
 def hw_model(n: int = 4) -> ObjectModel:
     if n < 1:
         raise ValueError("array bound must be >= 1")
+    spec = hw_seq_spec(n)
     return ObjectModel(
         name="hw-queue",
         methods=dict(HW_MACHINES),
-        seq_spec=hw_seq_spec(n),
+        seq_spec=spec,
         invariant_ok=hw_is_state,
-        enumerate_states=lambda alpha: enumerate_hw_states(n, alpha),
+        # contents over the alphabet and null: every cell at or past ``back``
+        # is null, an invariant of the algorithm's own executions (slots are
+        # reserved before they are written)
+        enumerate_states=lambda alpha: map(
+            spec.from_contents, specs.enumerate_sequences((NULL,) + tuple(alpha), n)),
     )
 
 
@@ -345,24 +340,22 @@ def ms_state_key(s: MSQueueState) -> Hashable:
 
 
 def ms_render(s: MSQueueState) -> str:
-    """The list from the head with nodes renamed by position, as
-    :func:`ms_state_key` keys it; a malformed state is rendered with every
-    node by its index, so two malformed keys never render alike."""
-    idx = ms_list_indices(s)
-    if idx is None or s.tail not in idx:
+    """The list from the head with nodes renamed by position, rendered from
+    :func:`ms_state_key`; a malformed state is rendered with every node by
+    its index, so two malformed keys never render alike."""
+    key = ms_state_key(s)
+    if key[0] == "ms-malformed":
         nodes = ",".join(
             f"n{i}:" + ("" if n.allocated else "free:") + render_value(n.value)
             + ("" if n.next is None else f"->n{n.next}")
             for i, n in enumerate(s.nodes)
         )
         return f"malformed head=n{s.head} tail=n{s.tail} nodes=[{nodes}]"
-    parts = ",".join(f"n{k}:{_cell_render(s.nodes[i].value)}" for k, i in enumerate(idx))
-    out = f"head=n0 list=[{parts}] tail=n{idx.index(s.tail)}"
-    garbage = [n.value for j, n in enumerate(s.nodes) if n.allocated and j not in idx]
+    values, tail, garbage, _ = key
+    parts = ",".join(f"n{k}:{_cell_render(v)}" for k, v in enumerate(values))
+    out = f"head=n0 list=[{parts}] tail=n{tail}"
     if garbage:
-        out += " garbage=[" + ",".join(
-            _cell_render(v) for v in sorted(garbage, key=value_key)
-        ) + "]"
+        out += " garbage=[" + ",".join(map(_cell_render, garbage)) + "]"
     return out
 
 
@@ -475,6 +468,18 @@ MS_MACHINES = {
 }
 
 
+def _ms_list(values: tuple[Value, ...], p: int) -> MSQueueState:
+    """The canonical well-formed state of a pool of ``p`` nodes whose list
+    holds ``values``, dummy first: node ``i`` holds ``values[i]``, the tail
+    is the last of them and the rest of the pool is free."""
+    nodes = [
+        Node(v, i + 1 if i + 1 < len(values) else None, True)
+        for i, v in enumerate(values)
+    ]
+    nodes += [FREE_NODE] * (p - len(values))
+    return MSQueueState(tuple(nodes), 0, len(values) - 1)
+
+
 def enumerate_ms_states(
     p: int, alphabet: Sequence[Value]
 ) -> Iterable[MSQueueState]:
@@ -488,26 +493,14 @@ def enumerate_ms_states(
     for length in range(1, p + 1):
         for dummy in dummy_pool:
             for rest in itertools.product(tuple(alphabet), repeat=length - 1):
-                values = (dummy,) + rest
-                nodes = [
-                    Node(v, i + 1 if i + 1 < length else None, True)
-                    for i, v in enumerate(values)
-                ]
-                nodes += [FREE_NODE] * (p - length)
-                yield MSQueueState(tuple(nodes), 0, length - 1)
+                yield _ms_list((dummy,) + rest, p)
 
 
 def ms_from_contents(p: int):
     def build(vs: tuple[Value, ...]) -> MSQueueState:
         if len(vs) + 1 > p:
             raise ValueError(f"pool of {p} nodes cannot hold {len(vs)} values")
-        values = (NULL,) + vs
-        nodes = [
-            Node(v, i + 1 if i + 1 < len(values) else None, True)
-            for i, v in enumerate(values)
-        ]
-        nodes += [FREE_NODE] * (p - len(values))
-        return MSQueueState(tuple(nodes), 0, len(values) - 1)
+        return _ms_list((NULL,) + vs, p)
 
     return build
 
@@ -600,14 +593,14 @@ def coarse_seq_spec(cap: int = 4) -> SeqSpec:
 def coarse_queue_model(cap: int = 4) -> ObjectModel:
     if cap < 0:
         raise ValueError("queue capacity C must be >= 0")
+    spec = coarse_seq_spec(cap)
     return ObjectModel(
         name="coarse-queue",
         methods=dict(COARSE_MACHINES),
-        seq_spec=coarse_seq_spec(cap),
+        seq_spec=spec,
         invariant_ok=lambda s: len(s[-1]) <= cap,
-        enumerate_states=lambda alpha: (
-            (cap, seq) for seq in specs.enumerate_sequences(tuple(alpha), cap)
-        ),
+        enumerate_states=lambda alpha: map(
+            spec.from_contents, specs.enumerate_sequences(tuple(alpha), cap)),
     )
 
 

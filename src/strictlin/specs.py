@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .history import History, Inv, Ret, is_sequential
+from .history import History, Ret, is_sequential
 from .values import EMPTY, UNIT, Value, render_value, value_key
 
 State = Hashable
@@ -109,18 +109,13 @@ def legal_seq_outcomes(spec: SeqSpec, start: State, h_seq: History) -> frozenset
     if not is_sequential(h_seq):
         raise ValueError("history is not sequential")
     states: set[State] = {start}
-    ev = list(h_seq)
-    for i in range(0, len(ev) - 1, 2):
-        call, resp = ev[i], ev[i + 1]
-        assert isinstance(call.label, Inv)
+    ev = h_seq.events
+    for call, resp in zip(ev[0::2], ev[1::2]):
         if not isinstance(resp.label, Ret):
             return frozenset()
-        nxt: set[State] = set()
-        for s in states:
-            for s2, out in apply(spec, call.label.method, s, call.label.arg):
-                if out == resp.label.value:
-                    nxt.add(s2)
-        states = nxt
+        states = {s2 for s in states
+                  for s2, out in apply(spec, call.label.method, s, call.label.arg)
+                  if out == resp.label.value}
         if not states:
             return frozenset()
     if len(ev) % 2:
@@ -329,28 +324,26 @@ def _mset_render(state: tuple) -> str:
 DEFAULT_ALPHABET: tuple[Value, ...] = ("a", "b")
 
 
-def queue_adt() -> Adt:
+def _fifo_adt(name: str, dequeue: MethodRelation) -> Adt:
+    """A FIFO sequence from the empty one: the queue and the pseudo-queue
+    differ only in ``Dequeue``."""
     return Adt(
-        name="adt-queue",
-        methods={"Enqueue": _queue_enqueue, "Dequeue": _queue_dequeue},
+        name=name,
+        methods={"Enqueue": _queue_enqueue, "Dequeue": dequeue},
         initial_states=((),),
         is_state=lambda s: isinstance(s, tuple),
         method_inputs={"Enqueue": DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
         render_state=_seq_render,
         from_contents=lambda vs: vs,
     )
+
+
+def queue_adt() -> Adt:
+    return _fifo_adt("adt-queue", _queue_dequeue)
 
 
 def pseudo_queue_adt() -> Adt:
-    return Adt(
-        name="adt-pseudo-queue",
-        methods={"Enqueue": _queue_enqueue, "Dequeue": _pseudo_dequeue},
-        initial_states=((),),
-        is_state=lambda s: isinstance(s, tuple),
-        method_inputs={"Enqueue": DEFAULT_ALPHABET, "Dequeue": (UNIT,)},
-        render_state=_seq_render,
-        from_contents=lambda vs: vs,
-    )
+    return _fifo_adt("adt-pseudo-queue", _pseudo_dequeue)
 
 
 def multiset_adt() -> Adt:

@@ -427,6 +427,8 @@ def test_unknown_model_is_usage_error(program_file, capsys):
     ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
     ("hw-queue,N=\u0662", "hw-queue: parameter N must be an integer, not '\u0662'"),
     ("coarse-queue,C=-1", "queue capacity C must be >= 0"),
+    ("hw-queue,N=0", "array bound must be >= 1"),
+    ("ms-queue,P=1", "node pool must hold the dummy plus one node"),
 ])
 def test_unknown_model_parameter_is_usage_error(ref, message, program_file, capsys):
     assert main(["explore", "--program", program_file, "--model", ref]) == EXIT_USAGE
@@ -479,6 +481,8 @@ def test_stray_program_character_is_usage_error(command, tmp_path, capsys):
                  "error: line 1: blocks nested more than 100 deep\n", id="deep-nesting"),
     pytest.param("thread { set unit = 5 ; set y = unit }",
                  "error: line 1: expected identifier, got 'unit'\n", id="reserved-name"),
+    pytest.param("thread { set x = 05 }",
+                 "error: line 1: bad value token: '05'\n", id="integer-shaped-literal"),
 ])
 def test_unparsable_program_is_usage_error(text, message, tmp_path, capsys):
     f = tmp_path / "prog.txt"
@@ -561,6 +565,10 @@ def test_compare_seeds_foreign_spec_from_init(tmp_path, capsys):
     pytest.param(["compare", "--model", "ms-queue,P=9", "--spec", "coarse-queue-seq",
                   "--init", "'a','b','c','d','e'"],
                  "bad --init: queue capacity 4 cannot hold 5 values", id="over-full-foreign"),
+    pytest.param(["explore", "--model", "hw-queue,N=4", "--init", "'a','b','c','d','e'"],
+                 "bad --init: array bound 4 cannot hold 5 values", id="over-full-array"),
+    pytest.param(["explore", "--model", "ms-queue,P=4", "--init", "'a','b','c','d'"],
+                 "bad --init: pool of 4 nodes cannot hold 4 values", id="over-full-pool"),
 ])
 def test_init_outside_the_spec_is_usage_error(argv, message, tmp_path, capsys):
     f = tmp_path / "deq.txt"
@@ -845,6 +853,16 @@ def test_bound_below_one_is_usage_error(command, bound, program_file, capsys):
                  "--bound", bound]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "--bound: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["explore", "compare"])
+def test_bound_that_is_no_integer_is_usage_error(command, program_file, capsys):
+    assert main([command, "--program", program_file, "--model", "coarse-queue",
+                 "--bound", "abc"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: strictlin {command} ")
+    assert err.splitlines()[-1] == (
+        f"strictlin {command}: error: argument --bound: invalid int value: 'abc'")
 
 
 # ---------------------------------------------------------------------------

@@ -948,19 +948,24 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
     assert not all(ex.has_abort for ex in explorations)
 
 
+def _assert_side_matches_naive(ex, prog, side, bound):
+    """``ex``, built with numbered keys, against :func:`naive_graph` of
+    ``prog`` over ``side`` built over whole configurations."""
+    g = naive_graph(prog, side, bound=bound)
+    assert (len(ex.configs), ex.transitions_explored) == (len(g.configs), g.transitions)
+    assert ex.edges == g.edges
+    assert [ex.config(i) for i in range(len(ex.configs))] == g.configs
+    assert ex.states == g.states
+    assert (ex.terminal_done, ex.terminal_livelock, ex.truncated, ex.has_abort) == (
+        g.terminal_done, g.terminal_livelock, g.truncated, g.has_abort)
+
+
 def _assert_graph_matches_naive(text, model, bound=explorer.DEFAULT_BOUND):
-    """Both sides of ``text`` over ``model``, built with numbered keys,
-    against :func:`naive_graph` over whole configurations."""
+    """Both sides of ``text`` over ``model`` against the naive build."""
     prog = parse_program(text)
     sides = (model, atomic_model(model.seq_spec))
     for ex, side in zip(explorer.explore_both(prog, model, bound=bound), sides):
-        g = naive_graph(prog, side, bound=bound)
-        assert (len(ex.configs), ex.transitions_explored) == (len(g.configs), g.transitions)
-        assert ex.edges == g.edges
-        assert [ex.config(i) for i in range(len(ex.configs))] == g.configs
-        assert ex.states == g.states
-        assert (ex.terminal_done, ex.terminal_livelock, ex.truncated, ex.has_abort) == (
-            g.terminal_done, g.terminal_livelock, g.truncated, g.has_abort)
+        _assert_side_matches_naive(ex, prog, side, bound)
 
 
 def test_graph_matches_naive_build(monkeypatch):
@@ -984,19 +989,34 @@ def test_generated_graphs_match_naive_build(phases, model):
     )
     # a call in such a loop can start more operations in one thread than the
     # explorer numbers before the bound cuts the run; the naive build moves
-    # threads by the same interpreter, in the same order, so it must stop on
-    # the same error
+    # threads by the same interpreter, in the same order, so on a side that
+    # stops it must stop on the same error, and each side is judged alone
     prog = parse_program(text)
     for side in (model, atomic_model(model.seq_spec)):
         try:
-            explore(prog, side, bound=2_000)
+            ex = explore(prog, side, bound=2_000)
         except ValueError as exc:
             assert str(exc).startswith("operation-id space exhausted for thread "), exc
             with pytest.raises(ValueError) as naive:
                 naive_graph(prog, side, bound=2_000)
             assert str(naive.value) == str(exc)
-            return
-    _assert_graph_matches_naive(text, model, bound=2_000)
+        else:
+            _assert_side_matches_naive(ex, prog, side, 2_000)
+
+
+def test_one_thread_renders_each_event_of_its_path():
+    # client events with arithmetic in a call argument and in a predicate,
+    # and a method-body step, which carries its operation id
+    p = parse_program("thread { set x = 1 ; set y = 3 ; call Q.Enqueue(x + 1) ;"
+                      " if x != y - 1 { set z = 0 } }")
+    ex = explore(p, models.coarse_queue_model())
+    lines, i = [], 0
+    while ex.edges[i]:
+        ((events, i),) = ex.edges[i]
+        lines += [e.render() for e in events]
+    assert lines == ["t=1 act x:=1", "t=1 act y:=3", "t=1 act eval Enqueue(x + 1)=2",
+                     "t=1 op=101 inv Enqueue 2", "t=1 op=101 act enqueue(2)",
+                     "t=1 op=101 ret unit", "t=1 act test(x != y - 1)=true", "t=1 act z:=0"]
 
 
 def test_exploration_repr_is_a_summary():

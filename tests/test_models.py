@@ -9,7 +9,6 @@ from strictlin.models import (
     Done,
     HWQueueState,
     MSQueueState,
-    enumerate_hw_states,
     enumerate_ms_states,
     hw_model,
     ms_model,
@@ -18,7 +17,7 @@ from strictlin.models import (
     ms_well_formed,
 )
 from strictlin.programs import parse_program
-from strictlin.specs import apply, enumerate_sequences
+from strictlin.specs import DEFAULT_ALPHABET, apply, enumerate_sequences
 from strictlin.values import EMPTY, NULL, UNIT
 
 
@@ -302,6 +301,55 @@ def test_ms_tail_off_the_list_is_keyed_and_rendered_as_malformed():
     assert lines == ["malformed head=n0 tail=n2 nodes=[n0:null->n1,n1:'a',n2:'b']",
                      "malformed head=n0 tail=n2 nodes=[n0:null->n1,n1:'b',n2:'a']"]
     assert not any(map(models.ms_invariant_ok, lost))
+
+
+@pytest.mark.parametrize("state, line", [
+    pytest.param(MSQueueState((models.Node(NULL, 1, True), models.Node("a", 0, True)), 0, 1),
+                 "malformed head=n0 tail=n1 nodes=[n0:null->n1,n1:'a'->n0]", id="cycle"),
+    pytest.param(MSQueueState((models.Node(NULL, 1, True), models.FREE_NODE), 0, 0),
+                 "malformed head=n0 tail=n0 nodes=[n0:null->n1,n1:free:null]", id="onto-free"),
+    pytest.param(MSQueueState((models.Node(NULL, 2, True), models.Node("a", None, True)), 0, 0),
+                 "malformed head=n0 tail=n0 nodes=[n0:null->n2,n1:'a']", id="off-the-pool"),
+])
+def test_ms_cyclic_or_escaping_list_is_keyed_and_rendered_as_malformed(state, line):
+    assert models.ms_list_indices(state) is None
+    assert ms_state_key(state) == ("ms-malformed", state.nodes, state.head, state.tail)
+    assert models.ms_render(state) == line
+    assert not ms_well_formed(state) and not models.ms_invariant_ok(state)
+
+
+def test_integer_cell_renders_as_its_value():
+    p = parse_program("thread { call Q.Enqueue(5) }")
+    (line,) = explorer.final_states(explorer.explore(p, hw_model(4))).renderings
+    assert line == "client: - | object: back=2 items=[5,·,·,·]"
+
+
+def _reference_samples(model, size, alphabet):
+    """Each model's state sample as its own loops built it, kept as the
+    reference for the samplers that go through the spec's contents."""
+    if model == "hw-queue":  # every cell at or past back is null
+        for back in range(1, size + 2):
+            for used in itertools.product((NULL,) + alphabet, repeat=back - 1):
+                yield HWQueueState(back, used + (NULL,) * (size - back + 1))
+    elif model == "ms-queue":  # the dummy holds null or a symbol
+        for length in range(1, size + 1):
+            for dummy in (NULL,) + alphabet:
+                for rest in itertools.product(alphabet, repeat=length - 1):
+                    yield _list_state((dummy,) + rest, size)
+    else:
+        for length in range(size + 1):
+            for seq in itertools.product(alphabet, repeat=length):
+                yield (size, seq)
+
+
+@pytest.mark.parametrize("model, size", [("hw-queue", n) for n in (1, 2, 3, 4)]
+                         + [("ms-queue", p) for p in (2, 3, 4)]
+                         + [("coarse-queue", c) for c in (0, 1, 2, 3)])
+def test_sampled_states_match_the_reference_in_order(model, size):
+    param = {"hw-queue": "N", "ms-queue": "P", "coarse-queue": "C"}[model]
+    m = models.parse_model_ref(f"{model},{param}={size}")
+    want = list(_reference_samples(model, size, DEFAULT_ALPHABET))
+    assert list(m.enumerate_states(DEFAULT_ALPHABET)) == want
 
 
 def test_model_registry():

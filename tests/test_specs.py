@@ -9,7 +9,7 @@ import pytest
 
 import strictlin
 from strictlin import models, specs
-from strictlin.history import history, inv, ret
+from strictlin.history import history, inv, ret, ret_abort
 from strictlin.specs import (
     AbstractionFunction,
     Adt,
@@ -111,6 +111,23 @@ def test_legal_outcomes_deterministic_spec_at_most_one():
     assert len(legal_seq_outcomes(adt, (), h)) <= 1
 
 
+def test_legal_outcomes_of_an_aborted_operation_are_empty():
+    h = history([inv(1, 1, "Enqueue", "a"), ret(1, 1, UNIT),
+                 inv(1, 2, "Dequeue", UNIT), ret_abort(1, 2)])
+    assert legal_seq_outcomes(queue_adt(), (), h) == frozenset()
+
+
+@pytest.mark.parametrize("events, message", [
+    pytest.param([inv(1, 1, "Enqueue", "a"), inv(2, 2, "Dequeue", UNIT),
+                  ret(1, 1, UNIT), ret(2, 2, "a")], "history is not sequential", id="overlap"),
+    pytest.param([inv(1, 1, "Enqueue", "a"), ret(1, 1, UNIT), inv(1, 2, "Dequeue", UNIT)],
+                 "history is not complete", id="pending"),
+])
+def test_legal_outcomes_refuse_a_history_that_is_no_sequential_execution(events, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        legal_seq_outcomes(queue_adt(), (), history(events))
+
+
 # ---------------------------------------------------------------------------
 # sequential implementation
 # ---------------------------------------------------------------------------
@@ -121,7 +138,7 @@ RF_MSET = RenamingFunction.of({"Enqueue": "Add", "Dequeue": "Remove"})
 
 def test_hw_implements_queue_over_reachable_states():
     m = models.hw_model(4)
-    states = list(models.enumerate_hw_states(4, ("a", "b")))
+    states = list(m.enumerate_states(("a", "b")))
     v = is_sequential_implementation(
         m.seq_spec, queue_adt(), models.af_hw_prefix(), RF_ID, states
     )
@@ -157,7 +174,7 @@ def test_broken_queue_spec_yields_counterexample():
 
     broken = models.hw_seq_spec(4)
     broken.methods = dict(broken.methods, Dequeue=last_out_dequeue)
-    states = list(models.enumerate_hw_states(4, ("a", "b")))
+    states = list(models.hw_model(4).enumerate_states(("a", "b")))
     v = is_sequential_implementation(
         broken, queue_adt(), models.af_hw_prefix(), RF_ID, states
     )
