@@ -346,8 +346,8 @@ def _reference_samples(model, size, alphabet):
                          + [("ms-queue", p) for p in (2, 3, 4)]
                          + [("coarse-queue", c) for c in (0, 1, 2, 3)])
 def test_sampled_states_match_the_reference_in_order(model, size):
-    param = {"hw-queue": "N", "ms-queue": "P", "coarse-queue": "C"}[model]
-    m = models.parse_model_ref(f"{model},{param}={size}")
+    factory = {"hw-queue": hw_model, "ms-queue": ms_model, "coarse-queue": coarse_queue_model}
+    m = factory[model](size)
     want = list(_reference_samples(model, size, DEFAULT_ALPHABET))
     assert list(m.enumerate_states(DEFAULT_ALPHABET)) == want
 
