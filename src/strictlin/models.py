@@ -491,9 +491,8 @@ def enumerate_ms_states(
     """
     dummy_pool: tuple[Value, ...] = (NULL,) + tuple(alphabet)
     for length in range(1, p + 1):
-        for dummy in dummy_pool:
-            for rest in itertools.product(tuple(alphabet), repeat=length - 1):
-                yield _ms_list((dummy,) + rest, p)
+        for values in itertools.product(dummy_pool, *[tuple(alphabet)] * (length - 1)):
+            yield _ms_list(values, p)
 
 
 def ms_from_contents(p: int):
@@ -535,13 +534,15 @@ def ms_model(p: int = 4) -> ObjectModel:
 # ---------------------------------------------------------------------------
 
 
+# coarse state: (capacity, contents-tuple); capacity rides along because the
+# machines are shared by every capacity
 def _coarse_enq_start(arg: Value, s: tuple) -> tuple:
     return ((("do", arg), s),)
 
 
 def _coarse_enq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
     _, v = local
-    if len(s[-1]) >= _coarse_cap(s):
+    if len(s[-1]) >= s[0]:
         return (StepOutcome("enqueue: full", local, s, abort=True),)
     return (StepOutcome(f"enqueue({render_value(v)})", Done(UNIT), s[:-1] + (s[-1] + (v,),)),)
 
@@ -561,12 +562,6 @@ COARSE_MACHINES = {
     "Enqueue": MethodMachine(_coarse_enq_start, _coarse_enq_step),
     "Dequeue": MethodMachine(_coarse_deq_start, _coarse_deq_step),
 }
-
-
-# coarse state: (capacity, contents-tuple); capacity rides along because the
-# machines are shared by every capacity
-def _coarse_cap(s: tuple) -> int:
-    return s[0]
 
 
 def _coarse_render(s: tuple) -> str:

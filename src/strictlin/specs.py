@@ -113,9 +113,12 @@ def legal_seq_outcomes(spec: SeqSpec, start: State, h_seq: History) -> frozenset
     for call, resp in zip(ev[0::2], ev[1::2]):
         if not isinstance(resp.label, Ret):
             return frozenset()
-        states = {s2 for s in states
-                  for s2, out in apply(spec, call.label.method, s, call.label.arg)
-                  if out == resp.label.value}
+        nxt: set[State] = set()
+        for s in states:
+            for s2, out in apply(spec, call.label.method, s, call.label.arg):
+                if out == resp.label.value:
+                    nxt.add(s2)
+        states = nxt
         if not states:
             return frozenset()
     if len(ev) % 2:

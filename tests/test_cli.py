@@ -847,22 +847,17 @@ def test_unusable_path_is_usage_error(argv, message, program_file, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["explore", "compare"])
-@pytest.mark.parametrize("bound", ["-5", "0"])
-def test_bound_below_one_is_usage_error(command, bound, program_file, capsys):
+@pytest.mark.parametrize("bound,message", [
+    pytest.param(b, m, id=b) for b, m in (
+        ("-5", "must be at least 1, got -5"),
+        ("0", "must be at least 1, got 0"),
+        ("abc", "invalid int value: 'abc'"))])
+def test_bound_below_one_is_usage_error(command, bound, message, program_file, capsys):
     assert main([command, "--program", program_file, "--model", "coarse-queue",
                  "--bound", bound]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--bound: must be at least 1" in captured.err
-
-
-@pytest.mark.parametrize("command", ["explore", "compare"])
-def test_bound_that_is_no_integer_is_usage_error(command, program_file, capsys):
-    assert main([command, "--program", program_file, "--model", "coarse-queue",
-                 "--bound", "abc"]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage: strictlin {command} ")
-    assert err.splitlines()[-1] == (
-        f"strictlin {command}: error: argument --bound: invalid int value: 'abc'")
+    assert err.splitlines()[-1] == f"strictlin {command}: error: argument --bound: {message}"
 
 
 # ---------------------------------------------------------------------------
