@@ -1061,6 +1061,7 @@ def run_atomic(
     livelock and classified as object divergence.  The start state is
     resolved and checked against ``spec`` as by :func:`_explore`.
     """
+    # not ``explore``: the benchmark counts each call of either as one exploration
     return _explore(prog, atomic_model(spec), init_obj, bound)
 
 
@@ -1279,12 +1280,10 @@ class FinalStates:
 
 def final_states(exploration: Exploration) -> FinalStates:
     spec, objs = exploration.spec, exploration.states
-    states = set()
     render: dict = {}
     for i in exploration.terminal_done:
         c = exploration.config(i)
         k = (c.client, spec.state_key(objs[c.sid]))
-        states.add(k)
         render[k] = (
             " ".join(f"{n}={render_value(v)}" for n, v in c.client) or "-",
             spec.render_state(objs[c.sid]),
@@ -1296,7 +1295,7 @@ def final_states(exploration: Exploration) -> FinalStates:
         lines.append("abort")
     if has_bottom:
         lines.append("bottom (client divergence)")
-    return FinalStates(frozenset(states), has_abort, has_bottom, tuple(lines))
+    return FinalStates(frozenset(render), has_abort, has_bottom, tuple(lines))
 
 
 # ---------------------------------------------------------------------------

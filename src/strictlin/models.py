@@ -228,17 +228,12 @@ HW_MACHINES = {
 }
 
 
-def hw_from_contents(n: int):
-    def build(vs: tuple[Value, ...]) -> HWQueueState:
+def hw_seq_spec(n: int = 4) -> SeqSpec:
+    def from_contents(vs: tuple[Value, ...]) -> HWQueueState:
         if len(vs) > n:
             raise ValueError(f"array bound {n} cannot hold {len(vs)} values")
         return HWQueueState(len(vs) + 1, vs + (NULL,) * (n - len(vs)))
 
-    return build
-
-
-def hw_seq_spec(n: int = 4) -> SeqSpec:
-    from_contents = hw_from_contents(n)
     return SeqSpec(
         name="hw-queue-seq",
         methods={m: sequential_relation(mm) for m, mm in HW_MACHINES.items()},
@@ -452,6 +447,8 @@ def _ms_deq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
         return (StepOutcome(f"cas(Tail,t,hn)={str(ok).lower()}", ("read_head",), s2),)
     if tag == "read_value":
         _, h, hn = local
+        if hn is None:  # h!=t but h is last, so Tail is off the list: no shipped step gets here
+            return (StepOutcome("ret:=hn.value: hn=null", local, s, abort=True),)
         v = s.nodes[hn].value
         return (StepOutcome(f"ret:=hn.value={render_value(v)}", ("cas_head", h, hn, v), s),)
     _, h, hn, v = local  # cas_head
@@ -495,17 +492,12 @@ def enumerate_ms_states(
             yield _ms_list(values, p)
 
 
-def ms_from_contents(p: int):
-    def build(vs: tuple[Value, ...]) -> MSQueueState:
+def ms_seq_spec(p: int = 4) -> SeqSpec:
+    def from_contents(vs: tuple[Value, ...]) -> MSQueueState:
         if len(vs) + 1 > p:
             raise ValueError(f"pool of {p} nodes cannot hold {len(vs)} values")
         return _ms_list((NULL,) + vs, p)
 
-    return build
-
-
-def ms_seq_spec(p: int = 4) -> SeqSpec:
-    from_contents = ms_from_contents(p)
     return SeqSpec(
         name="ms-queue-seq",
         methods={m: sequential_relation(mm) for m, mm in MS_MACHINES.items()},
@@ -651,7 +643,22 @@ _MODEL_REGISTRY: dict[str, tuple[str, Callable[[int], ObjectModel]]] = {
 }
 
 
-def get_model(name: str, **params: str) -> ObjectModel:
+def model_names() -> tuple[str, ...]:
+    return tuple(sorted(_MODEL_REGISTRY))
+
+
+def parse_model_ref(ref: str) -> ObjectModel:
+    """Parse ``name[,param=val,...]`` into a model instance."""
+    name, *parts = ref.split(",")
+    name = name.strip()
+    params: dict[str, str] = {}
+    for p in parts:
+        if "=" not in p:
+            raise ValueError(f"bad model parameter {p!r}")
+        k, v = (x.strip() for x in p.split("=", 1))
+        if k in params:
+            raise ValueError(f"{name}: parameter {k} given twice")
+        params[k] = v
     try:
         param, factory = _MODEL_REGISTRY[name]
     except KeyError:
@@ -666,24 +673,6 @@ def get_model(name: str, **params: str) -> ObjectModel:
             raise ValueError(
                 f"{name}: parameter {key} must be an integer, not {value!r}") from None
     return factory() if size is None else factory(size)
-
-
-def model_names() -> tuple[str, ...]:
-    return tuple(sorted(_MODEL_REGISTRY))
-
-
-def parse_model_ref(ref: str) -> ObjectModel:
-    """Parse ``name[,param=val,...]`` into a model instance."""
-    name, *parts = ref.split(",")
-    params: dict[str, str] = {}
-    for p in parts:
-        if "=" not in p:
-            raise ValueError(f"bad model parameter {p!r}")
-        k, v = (x.strip() for x in p.split("=", 1))
-        if k in params:
-            raise ValueError(f"{name.strip()}: parameter {k} given twice")
-        params[k] = v
-    return get_model(name.strip(), **params)
 
 
 specs.register_spec("hw-queue-seq", hw_seq_spec)

@@ -123,6 +123,20 @@ def test_strict_requires_terminated():
         find_strict_linearization(rec, QUEUE)
 
 
+def test_terminated_execution_refuses_a_pending_operation():
+    h = history([inv(1, 1, "Enqueue", "a")])
+    with pytest.raises(ValueError, match="^terminated execution with pending operations$"):
+        RecordedExecution((), h, True)
+
+
+def test_strict_requires_a_well_formed_history():
+    # nothing is pending, but the response is on another thread
+    h = history([inv(1, 1, "Enqueue", "a"), ret(2, 1, UNIT)])
+    rec = RecordedExecution((), h, True, ())
+    with pytest.raises(ValueError, match="^terminated execution must have a complete history$"):
+        find_strict_linearization(rec, QUEUE)
+
+
 # ---------------------------------------------------------------------------
 # the exact witness: ties go to the lowest op id, then outcomes by repr
 # ---------------------------------------------------------------------------
@@ -323,6 +337,11 @@ def test_oracle_size_guard():
         ev += [inv(1, i, "Enqueue", "a"), ret(1, i, UNIT)]
     with pytest.raises(ValueError):
         brute_force_linearizations(history(ev))
+
+
+def test_oracle_requires_a_complete_history():
+    with pytest.raises(ValueError, match="^oracle requires a complete history$"):
+        brute_force_linearizations(history([inv(1, 1, "Enqueue", "a")]))
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,9 @@ def test_option_the_mode_cannot_use_is_refused_before_exploring(
     (["--mode", "general"], "--mode general requires --adt"),
     (["--mode", "general", "--adt", "adt-queue", "--rename", "Enqueue"],
      "bad rename entry 'Enqueue'"),
+    # the history's Dequeue is outside the renaming
+    (["--mode", "general", "--adt", "adt-queue", "--rename", "Enqueue=Enqueue"],
+     "renaming: unknown concrete method 'Dequeue'"),
 ])
 def test_check_history_option_errors(extra, message, history_file, capsys):
     assert main(["check-history", "--file", history_file] + extra) == EXIT_USAGE

@@ -16,6 +16,8 @@ import strictlin
 from oracles import happened_before_by_scan
 from strictlin.checker import RecordedExecution, find_linearization
 from strictlin.history import (
+    Act,
+    Event,
     History,
     HistoryError,
     HistoryParseError,
@@ -67,6 +69,12 @@ def test_reserved_values_distinct():
 @pytest.mark.parametrize("v", [0, -3, 17, "c", "x1", NULL, EMPTY, UNIT])
 def test_value_round_trip(v):
     assert parse_value(render_value(v)) == v
+
+
+@pytest.mark.parametrize("v", [True, object()], ids=["bool", "object"])
+def test_render_value_refuses_a_non_value(v):
+    with pytest.raises(TypeError, match=f"^{re.escape(f'not a history value: {v!r}')}$"):
+        render_value(v)
 
 
 # integer text that ``int`` reads but ``render_value`` never writes
@@ -153,6 +161,19 @@ def test_pending():
 def test_duplicate_invocation_rejected():
     with pytest.raises(HistoryError):
         history([inv(1, 1, "A", UNIT), inv(2, 1, "A", UNIT)])
+
+
+def test_interface_event_needs_an_operation_id():
+    message = ("interface event without operation id: "
+               "Event(thread=1, label=Inv(method='A', arg=unit), op=None)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Event(1, Inv("A", UNIT))
+
+
+def test_history_refuses_an_action_event():
+    message = "non-interface event in history: Event(thread=1, label=Act(action='x:=1'), op=None)"
+    with pytest.raises(HistoryError, match=f"^{re.escape(message)}$"):
+        History((Event(1, Act("x:=1")),))
 
 
 # ---------------------------------------------------------------------------

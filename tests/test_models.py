@@ -355,13 +355,17 @@ def test_sampled_states_match_the_reference_in_order(model, size):
 def test_model_registry():
     assert models.parse_model_ref("hw-queue,N=3").seq_spec.initial_states[0].items == (NULL,) * 3
     assert models.parse_model_ref("ms-queue,P=2").seq_spec.initial_states[0].nodes[0].allocated
-    with pytest.raises(ValueError):
-        models.parse_model_ref("no-such-model")
-    with pytest.raises(ValueError):
-        models.parse_model_ref("hw-queue,N")
 
 
+# parameter syntax and repeats are checked before the model name, then each
+# parameter in the order given; a parameter without ``=`` is quoted unstripped
 @pytest.mark.parametrize("ref,message", [
+    ("no-such-model", "unknown model 'no-such-model'"),
+    ("hw-queue,N", "bad model parameter 'N'"),
+    ("hw-queue, N", "bad model parameter ' N'"),
+    ("foo,N=2,N=3", "foo: parameter N given twice"),
+    ("hw-queue,N=x,P=2", "hw-queue: parameter N must be an integer, not 'x'"),
+    ("hw-queue,P=x,N=2", "hw-queue takes parameter N, not P"),
     ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
     ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
     ("coarse-queue,N=2", "coarse-queue takes parameter C, not N"),

@@ -55,6 +55,17 @@ def test_mutant_is_caught_by_the_pinned_checks(m):
     assert first.final_state == m.final
 
 
+def test_dequeue_past_a_lost_tail_aborts():
+    # the plain link can leave Tail on a lost node; a dequeue that then finds
+    # Head with no successor although Head != Tail aborts instead of raising
+    m = next(m for m in MUTANTS if m.name == "ms-plain-link")
+    prog = parse_program("thread { call Q.Enqueue('a') ; call y2 = Q.Dequeue() }\n"
+                         "thread { call Q.Enqueue('a') ; call y4 = Q.Dequeue() }")
+    ex = explorer.explore(prog, m.model)
+    assert ex.has_abort
+    assert checker.check_exploration(ex, "strict").verdict == "fail"
+
+
 @pytest.mark.parametrize("m", MUTANTS, ids=IDS)
 def test_pinned_history_fails_by_brute_force(m):
     # no order-consistent permutation of the history is a legal sequential

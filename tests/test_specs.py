@@ -14,6 +14,7 @@ from strictlin.specs import (
     AbstractionFunction,
     Adt,
     RenamingFunction,
+    SeqSpec,
     UnknownMethodError,
     apply,
     injectivity_scan,
@@ -232,6 +233,11 @@ def test_af_queue_not_injective():
     states = list(models.enumerate_ms_states(4, ("a", "b")))
     collisions = injectivity_scan(af, states, models.ms_state_key)
     assert collisions  # dummy values differ, images agree
+
+
+def test_seed_state_needs_from_contents():
+    with pytest.raises(ValueError, match="^plain: no contents-based initial state$"):
+        SeqSpec("plain", {}, ((),)).seed_state(())
 
 
 def test_renaming_must_be_bijective():
