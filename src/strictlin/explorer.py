@@ -18,20 +18,22 @@ entry moves to its next pc.
 
 The interpreter numbers object states, thread states (``(pc, reg, ops)``
 tuples) and client bindings by equality on first sight, each in its own
-table, so a configuration is one flat tuple of ints, ``(phase, bindings id,
-state id, thread-state id, ...)`` with one thread-state id per thread of the
-phase, and hashing it never walks a register, a binding or an object state
-(the recursive indexing of SPIN's collapse compression).  The tables live
-in the interpreter, one per exploration and shared with none, and
+table, so a configuration key is one int of 32-bit fields: from the lowest,
+the phase, the bindings id, the state id, and one thread-state id per thread
+of the phase.  Hashing a key never walks a register, a binding or an object
+state (the recursive indexing of SPIN's collapse compression).  The tables
+live in the interpreter, one per exploration and shared with none, and
 :meth:`_Interp.config` decodes a key into a :class:`Config` named tuple for
 the few readers that need its fields.  A thread's step reads only the
 thread, the client's bindings and the object state, so the interpreter's
 one memo, a move table, runs each rule once per distinct ``(thread id,
 thread-state id, bindings id, state id)``, and with it the model's machine
-(the atomic version of a spec runs its spec relation in ``start``): a
-successor is a table lookup per running thread and a copy of the key with
-that thread's id, the bindings id and the state id replaced.  Events are
-interned too, one object per distinct event.
+(the atomic version of a spec runs its spec relation in ``start``).  The
+table stores each move's target as a delta, the target's fields minus the
+source's; a thread's id fixes its field, so the delta depends on the table
+key alone, and in :meth:`Exploration.build`, the one successor loop, a
+successor is a table lookup per running thread and one addition per move.
+Events are interned too, one object per distinct event.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -104,6 +106,7 @@ from .specs import CellError, SeqSpec, UnknownMethodError
 from .values import UNIT, Value, render_value
 
 MAX_OPS_PER_THREAD = 99
+_FIELD_BITS = 32  # the width of each field of a configuration key
 
 
 class Kind(enum.Enum):
@@ -156,7 +159,7 @@ class Config(NamedTuple):
     phase, every thread of it, the client's bindings sorted by name, and
     ``sid``, the id of the object state in the interpreter's state table:
     ``Exploration.states[c.sid]`` is the state itself.  The graph holds
-    keys, ``(phase, bindings id, sid, thread-state id, ...)``."""
+    int keys, whose fields are the ids of these (see :class:`_Interp`)."""
 
     phase: int
     threads: tuple[ThreadState, ...]
@@ -208,14 +211,18 @@ class _Interp:
     ``sid``, the start state being 0, ``thread_states[t]`` the thread state
     with id ``t`` and ``bindings[b]`` the bindings with id ``b``;
     ``finished`` holds the ids of thread states whose thread is done.  A
-    configuration is the key ``(phase, bindings id, sid, thread-state id,
-    ...)``, ``init`` the initial one.  A thread's rule, and the machine call
-    it makes, runs once per distinct input: ``moves`` maps ``(tid,
+    configuration is an int key of ``_FIELD_BITS``-bit fields: the phase in
+    the lowest, then the bindings id, ``sid`` and one thread-state id per
+    thread of the phase.  ``slots[phase]`` pairs each thread's id with the
+    shift of its field (``shift`` maps a thread id to it), ``starts[phase]``
+    is the key of the phase's start with its bindings and state fields 0,
+    and ``init`` the initial key.  A thread's rule, and the machine call it
+    makes, runs once per distinct input: ``moves`` maps ``(tid,
     thread-state id, bindings id, sid)`` to the thread's moves in rule
-    order, as ``(events, (thread-state id, bindings id, sid))`` pairs, the
-    target being None for a runtime error or an abort.  Events are interned,
-    so one configuration graph holds one :class:`Event` per distinct
-    ``(thread, operation, label)``.  The tables live as long as the
+    order, as ``(events, delta)`` pairs, the delta being the target key
+    minus the source key, or None for a runtime error or an abort.  Events
+    are interned, so one configuration graph holds one :class:`Event` per
+    distinct ``(thread, operation, label)``.  The tables live as long as the
     interpreter, which is one exploration; the code table holds plain
     functions, not bound methods, so no cycle keeps the interpreter alive
     past its exploration."""
@@ -238,9 +245,18 @@ class _Interp:
             tuple(self._compile(tuple(code), DONE) for code in ph) for ph in prog.phases
         ]
         self.first_tid = list(itertools.accumulate(map(len, prog.phases), initial=1))
-        # per phase, the thread-state ids its threads start from
-        self.starts = [tuple(self.thread_id(ThreadState(pc)) for pc in ph) for ph in self.entries]
-        self.init = (0, self.binding_id(()), self.state_id(init_obj), *self.starts[0])
+        # per phase, each thread's id and the shift of its field in a key
+        self.slots = [tuple((first + i, (3 + i) * _FIELD_BITS) for i in range(len(ph)))
+                      for first, ph in zip(self.first_tid, self.entries)]
+        self.shift = dict(itertools.chain.from_iterable(self.slots))
+        # per phase, the key of its start, its bindings and state fields 0
+        self.starts = [
+            phase + sum(self.thread_id(ThreadState(pc)) << shift
+                        for pc, (_, shift) in zip(ph, slots))
+            for phase, (ph, slots) in enumerate(zip(self.entries, self.slots))
+        ]
+        self.init = (self.starts[0] + (self.binding_id(()) << _FIELD_BITS)
+                     + (self.state_id(init_obj) << 2 * _FIELD_BITS))
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
@@ -289,11 +305,11 @@ class _Interp:
 
     def state_id(self, s: Any) -> int:
         """The id of object state ``s``, numbering it on first sight."""
-        return _number(self._sids, self.states, s)
+        return _number(self._sids, self.states, s, "object states")
 
     def thread_id(self, t: ThreadState) -> int:
         """The id of thread state ``t``, numbering it on first sight."""
-        i = _number(self._tids, self.thread_states, t)
+        i = _number(self._tids, self.thread_states, t, "thread states")
         if t.pc == DONE:
             self.finished.add(i)
         return i
@@ -301,12 +317,14 @@ class _Interp:
     def binding_id(self, client: tuple) -> int:
         """The id of the client bindings ``client``, numbering them on first
         sight."""
-        return _number(self._bids, self.bindings, client)
+        return _number(self._bids, self.bindings, client, "client bindings")
 
-    def config(self, key: tuple) -> Config:
+    def config(self, key: int) -> Config:
         """The configuration that ``key`` numbers, its fields decoded."""
-        ts = self.thread_states
-        return Config(key[0], tuple([ts[t] for t in key[3:]]), self.bindings[key[1]], key[2])
+        mask, ts = (1 << _FIELD_BITS) - 1, self.thread_states
+        phase = key & mask
+        return Config(phase, tuple([ts[key >> shift & mask] for _, shift in self.slots[phase]]),
+                      self.bindings[key >> _FIELD_BITS & mask], key >> 2 * _FIELD_BITS & mask)
 
     def _event(self, tid: int, op: Optional[int], label: type, *args: Any) -> Event:
         """The one event of thread ``tid`` and operation ``op`` (None for a
@@ -319,42 +337,20 @@ class _Interp:
 
     # -- transitions --------------------------------------------------------
 
-    def successors(self, key: tuple) -> tuple[tuple, ...]:
-        """The transitions out of configuration ``key`` as ``(events, target
-        key)`` pairs, the target being None for a runtime error: each
-        running thread's moves, in thread order, with the thread's state,
-        the bindings and the object state replaced by the move's.  When
-        every thread has finished, a phase before the last goes on to the
-        next one."""
-        phase, bid, sid = key[0], key[1], key[2]
-        out: list[tuple] = []
-        table, finished = self.moves, self.finished
-        tid = self.first_tid[phase] - 3  # the id of the thread at key[i] is tid + i
-        for i, t in enumerate(key[3:], 3):
-            if t in finished:
-                continue
-            mk = (tid + i, t, bid, sid)
-            moves = table.get(mk)
-            if moves is None:
-                moves = table[mk] = self._numbered_moves(*mk)
-            head, tail = key[3:i], key[i + 1 :]
-            for events, to in moves:
-                if to is not None:
-                    nt, nb, ns = to
-                    to = (phase, nb, ns, *head, nt, *tail)
-                out.append((events, to))
-        if not out and finished.issuperset(key[3:]) and phase + 1 < len(self.entries):
-            return (((), (phase + 1, bid, sid, *self.starts[phase + 1])),)
-        return tuple(out)
-
     def _numbered_moves(self, tid: int, t: int, bid: int, sid: int) -> tuple:
         """The moves of thread ``tid`` from thread-state id ``t`` under
         bindings id ``bid`` and object state ``sid``, as :meth:`thread_moves`
-        gives them, each target's thread state and bindings numbered."""
-        return tuple(
-            (events, to if to is None else (self.thread_id(to[0]), self.binding_id(to[1]), to[2]))
-            for events, to in self.thread_moves(tid, self.thread_states[t], self.bindings[bid], sid)
-        )
+        gives them, each target numbered and stored as a delta: the target's
+        thread-state, bindings and state ids minus these, each at its field's
+        shift, so that a source key plus the delta is the target's key."""
+        shift, out = self.shift[tid], []
+        for events, to in self.thread_moves(tid, self.thread_states[t], self.bindings[bid], sid):
+            if to is not None:
+                to = (((self.thread_id(to[0]) - t) << shift)
+                      + ((self.binding_id(to[1]) - bid) << _FIELD_BITS)
+                      + ((to[2] - sid) << 2 * _FIELD_BITS))
+            out.append((events, to))
+        return tuple(out)
 
     def thread_moves(self, tid: int, t: ThreadState, client: tuple, sid: int) -> tuple:
         """Thread ``tid``'s moves from ``t`` under ``client`` and object
@@ -469,11 +465,15 @@ def _width(s) -> int:
     return (4 if s.target else 3) if isinstance(s, CallStmt) else 1
 
 
-def _number(ids: dict, items: list, x: Any) -> int:
-    """The id of ``x`` in the table ``items`` (``ids`` its inverse), adding
-    ``x`` on first sight."""
+def _number(ids: dict, items: list, x: Any, what: str) -> int:
+    """The id of ``x`` in the table ``items`` (``ids`` its inverse) of
+    ``what``, adding ``x`` on first sight.  A key holds the id in a field of
+    ``_FIELD_BITS`` bits, so a table that would outgrow it raises."""
     i = ids.setdefault(x, len(items))
     if i == len(items):
+        if i >> _FIELD_BITS:
+            raise ValueError(f"more than {1 << _FIELD_BITS} distinct {what}: a configuration "
+                             f"key holds each id in a {_FIELD_BITS}-bit field")
         items.append(x)
     return i
 
@@ -493,9 +493,9 @@ class Exploration:
 
     :meth:`build` numbers each configuration once, on first sight, in
     discovery order, so the initial configuration is 0 and ids are dense.
-    ``order`` maps a configuration's key (see :class:`_Interp`) to its id
-    and ``configs`` an id back to its key; :meth:`config` decodes id ``i``
-    into a :class:`Config`.  A configuration holds its object state as an
+    ``order`` maps a configuration's int key (see :class:`_Interp`) to its
+    id and ``configs`` an id back to its key; :meth:`config` decodes id
+    ``i`` into a :class:`Config`.  A configuration holds its object state as an
     id, ``sid``: :attr:`states` is this exploration's own table of object
     states, no two of them equal, so ``states[c.sid]`` is the state.
     ``edges[i]`` lists configuration ``i``'s outgoing transitions as
@@ -511,8 +511,8 @@ class Exploration:
 
     interp: _Interp
     bound: int
-    order: dict[tuple, int] = field(default_factory=dict)
-    configs: list[tuple] = field(default_factory=list)
+    order: dict[int, int] = field(default_factory=dict)
+    configs: list[int] = field(default_factory=list)
     edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = field(
         default_factory=list
     )
@@ -531,7 +531,7 @@ class Exploration:
                 f"transitions={self.transitions_explored})")
 
     @property
-    def initial(self) -> tuple:
+    def initial(self) -> int:
         """The initial configuration's key."""
         return self.interp.init
 
@@ -556,36 +556,67 @@ class Exploration:
     # -- graph construction -------------------------------------------------
 
     def build(self) -> "Exploration":
-        order, configs, edges = self.order, self.configs, self.edges
+        """Number every reachable configuration and store its edges.  A
+        running thread's moves come from the interpreter's move table, each
+        target being the source key plus the move's delta; when every thread
+        has finished, a phase before the last goes on to the next one with
+        the bindings and the object state kept."""
+        interp = self.interp
+        order, configs, edges, todo = self.order, self.configs, self.edges, [0]
+        table, finished, slots, starts = interp.moves, interp.finished, interp.slots, interp.starts
+        bits = _FIELD_BITS
+        mask = (1 << bits) - 1
+        kept = mask << bits | mask << 2 * bits  # the bindings and state fields
+        last = len(starts) - 1
         order[self.initial] = 0
         configs.append(self.initial)
         edges.append(())
-        todo = [0]
         while todo:
             i = todo.pop()
             if self.transitions_explored >= self.bound:
                 self.truncated.add(i)
                 continue
-            succ = self.interp.successors(configs[i])
-            self.transitions_explored += len(succ)
-            if not succ:  # successors gives an earlier finished phase its phase edge
-                if all(t.done for t in self.config(i).threads):
-                    self.terminal_done.add(i)
-                else:
-                    self.terminal_livelock.add(i)
+            key = configs[i]
+            phase, bid, sid = key & mask, key >> bits & mask, key >> 2 * bits & mask
             out = []
-            for events, target in succ:
-                if target is None:
-                    self.has_abort = True
-                else:
+            running = False
+            for tid, shift in slots[phase]:
+                t = key >> shift & mask
+                if t in finished:
+                    continue
+                running = True
+                mk = (tid, t, bid, sid)
+                moves = table.get(mk)
+                if moves is None:
+                    moves = table[mk] = interp._numbered_moves(*mk)
+                for events, delta in moves:
+                    if delta is None:
+                        self.has_abort = True
+                        out.append((events, None))
+                        continue
+                    target = key + delta
                     fresh = len(configs)
                     j = order.setdefault(target, fresh)  # the one hash of ``target``
                     if j == fresh:
                         configs.append(target)
                         edges.append(())
                         todo.append(j)
-                    target = j
-                out.append((events, target))
+                    out.append((events, j))
+            if not running:
+                if phase == last:
+                    self.terminal_done.add(i)
+                    continue
+                target = key & kept | starts[phase + 1]
+                fresh = len(configs)
+                j = order.setdefault(target, fresh)
+                if j == fresh:
+                    configs.append(target)
+                    edges.append(())
+                    todo.append(j)
+                out.append(((), j))
+            elif not out:
+                self.terminal_livelock.add(i)
+            self.transitions_explored += len(out)
             edges[i] = tuple(out)
         return self
 

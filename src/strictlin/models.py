@@ -666,7 +666,7 @@ def parse_model_ref(ref: str) -> ObjectModel:
     size = None
     for key, value in params.items():
         if key != param:
-            raise ValueError(f"{name} takes parameter {param}, not {key}")
+            raise ValueError(f"{name} takes parameter {param!r}, not {key!r}")
         try:
             size = parse_int(value)
         except ValueError:

@@ -1,16 +1,18 @@
 """Slow reference implementations that the fast paths are tested against.
 
+:func:`config_successors` takes one step from a whole
+:class:`~strictlin.explorer.Config`, running each thread's rule
+(``_Interp.thread_moves``) afresh, with none of the move table, none of the
+numbering of thread states and bindings and none of the integer keys and
+stored deltas that ``Exploration.build`` steps by; it shares only the
+transition rules with the explorer.  The move table is guarded by
+``tests/test_explorer.py``: every entry equals a fresh run of its rule, and
+each entry's rule runs once.
 :func:`enumerate_executions_naive` replaces the configuration graph by a walk
-over every schedule, but it takes each step with the explorer's own
-transition rules (``_Interp.successors``), and so through the interpreter's
-move table, so it cannot catch a fault in either.  The move table is guarded
-by ``tests/test_explorer.py`` instead: every entry equals a fresh run of its
-rule, and each entry's rule runs once.
-:func:`naive_graph` builds the configuration graph as ``Exploration.build``
-does, but over :class:`~strictlin.explorer.Config` named tuples, running
-each thread's rule (``_Interp.thread_moves``) afresh at every step, with
-none of the move table and none of the numbering of thread states and
-bindings that give the build its flat configuration keys.
+over every schedule, stepping with :func:`config_successors`.
+:func:`naive_graph` builds the configuration graph in ``Exploration.build``'s
+order, but over :class:`~strictlin.explorer.Config` named tuples hashed
+whole, stepping with :func:`config_successors`.
 :func:`run_single_thread` shares no code with the explorer: it runs a
 one-thread program over a coarse-grained queue by direct recursion over its
 syntax tree.
@@ -54,6 +56,35 @@ from strictlin.specs import legal_seq_outcomes, queue_adt
 from strictlin.values import EMPTY, UNIT, Value
 
 
+def _phase_start(interp: _Interp, phase: int, client: tuple, sid: int) -> Config:
+    """Phase ``phase`` about to start under ``client`` and object state ``sid``."""
+    return Config(phase, tuple(map(ThreadState, interp.entries[phase])), client, sid)
+
+
+def config_successors(interp: _Interp, c: Config) -> tuple:
+    """The transitions out of ``c`` as ``(events, target)`` pairs, the target
+    a :class:`Config`, or None for a runtime error: each running thread's
+    moves, in thread order, from a fresh ``interp.thread_moves`` call.  When
+    every thread has finished, a phase before the last goes on to the next
+    one."""
+    threads = c.threads
+    if all(t.done for t in threads):
+        if c.phase + 1 < len(interp.entries):
+            return (((), _phase_start(interp, c.phase + 1, c.client, c.sid)),)
+        return ()
+    out = []
+    for i, t in enumerate(threads):
+        if t.done:
+            continue
+        tid = interp.first_tid[c.phase] + i
+        for events, to in interp.thread_moves(tid, t, c.client, c.sid):
+            if to is not None:
+                nt, client, sid = to
+                to = Config(c.phase, threads[:i] + (nt,) + threads[i + 1 :], client, sid)
+            out.append((events, to))
+    return tuple(out)
+
+
 def enumerate_executions_naive(
     prog: Program,
     model: ObjectModel,
@@ -77,13 +108,12 @@ def enumerate_executions_naive(
     # ``trace`` holds the kept events of the schedule so far and ``raw`` all
     # of them; ``path`` maps each configuration on it to the lengths of both
     # when the schedule reached it
-    def walk(key: tuple, trace: tuple, raw: tuple, path: dict, depth: int) -> None:
+    def walk(c: Config, trace: tuple, raw: tuple, path: dict, depth: int) -> None:
         if depth > max_steps:
             results.add(ExecutionResult(trace, Kind.UNKNOWN, note="step budget exhausted"))
             return
-        succ = interp.successors(key)
+        succ = config_successors(interp, c)
         if not succ:
-            c = interp.config(key)
             if all(t.done for t in c.threads) and c.phase + 1 >= len(prog.phases):
                 results.add(
                     ExecutionResult(trace, Kind.TERMINATED, c.client, interp.states[c.sid])
@@ -113,7 +143,8 @@ def enumerate_executions_naive(
             walk(target, trace + ev, raw + events, path, depth + 1)
             del path[target]
 
-    walk(interp.init, (), (), {interp.init: (0, 0)}, 0)
+    first = _phase_start(interp, 0, (), interp.state_id(obj))
+    walk(first, (), (), {first: (0, 0)}, 0)
     return frozenset(results)
 
 
@@ -141,32 +172,12 @@ def naive_graph(
     depth first from the initial configuration, each configuration numbered
     on first sight, none expanded once ``bound`` transitions are explored.
     A configuration is a :class:`Config` of :class:`ThreadState` tuples and
-    a bindings tuple, hashed whole, and each running thread's moves come
-    from a fresh ``_Interp.thread_moves`` call, so neither the move table
-    nor the numbered keys of the build take part."""
+    a bindings tuple, hashed whole, and :func:`config_successors` steps it,
+    so neither the move table nor the integer keys of the build take
+    part."""
     obj = model.seq_spec.initial_states[0] if init is None else init
     interp = _Interp(prog, model, obj)
-    starts = [tuple(map(ThreadState, pcs)) for pcs in interp.entries]
-
-    def successors(c: Config) -> tuple:
-        threads = c.threads
-        if all(t.done for t in threads):
-            if c.phase + 1 < len(starts):
-                return (((), Config(c.phase + 1, starts[c.phase + 1], c.client, c.sid)),)
-            return ()
-        out = []
-        for i, t in enumerate(threads):
-            if t.done:
-                continue
-            tid = interp.first_tid[c.phase] + i
-            for events, to in interp.thread_moves(tid, t, c.client, c.sid):
-                if to is not None:
-                    nt, client, sid = to
-                    to = Config(c.phase, threads[:i] + (nt,) + threads[i + 1 :], client, sid)
-                out.append((events, to))
-        return tuple(out)
-
-    first = Config(0, starts[0], (), interp.state_id(obj))
+    first = _phase_start(interp, 0, (), interp.state_id(obj))
     order, configs, edges = {first: 0}, [first], [()]
     done, livelock, truncated = set(), set(), set()
     has_abort, transitions = False, 0
@@ -176,7 +187,7 @@ def naive_graph(
         if transitions >= bound:
             truncated.add(i)
             continue
-        succ = successors(configs[i])
+        succ = config_successors(interp, configs[i])
         transitions += len(succ)
         if not succ:
             (done if all(t.done for t in configs[i].threads) else livelock).add(i)

@@ -421,8 +421,8 @@ def test_unknown_model_is_usage_error(program_file, capsys):
 
 
 @pytest.mark.parametrize("ref,message", [
-    ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
-    ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
+    ("hw-queue,P=2", "hw-queue takes parameter 'N', not 'P'"),
+    ("ms-queue,P=2,N=9", "ms-queue takes parameter 'P', not 'N'"),
     ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
     ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
     ("hw-queue,N=\u0662", "hw-queue: parameter N must be an integer, not '\u0662'"),

@@ -33,7 +33,7 @@ from strictlin.specs import get_spec, pseudo_queue_adt, queue_adt
 from strictlin.values import EMPTY, NULL
 
 from mutants import mutants
-from oracles import enumerate_executions_naive, naive_graph, run_single_thread
+from oracles import config_successors, enumerate_executions_naive, naive_graph, run_single_thread
 
 PROJECTIONS = ("interface", "history", "client")
 
@@ -599,8 +599,8 @@ def _assert_dense_ids(ex):
     assert len(ex.edges) == len(ex.configs)
     for c, i in ex.order.items():
         assert ex.configs[i] == c
-    # a key is a flat tuple of ints, and no two keys decode to one configuration
-    assert all(type(x) is int for c in ex.configs for x in c)
+    # a key is one int, and no two keys decode to one configuration
+    assert all(type(c) is int for c in ex.configs)
     assert len(set(map(ex.config, range(len(ex.configs))))) == len(ex.configs)
     assert {i for i in range(len(ex.edges)) if not ex.edges[i]} == (
         ex.terminal_done | ex.terminal_livelock | ex.truncated
@@ -879,6 +879,20 @@ ERROR_PROGRAMS = [
 ]
 
 
+def _delta_target(interp, tid, t, b, sid, delta):
+    """The ids ``(thread state, bindings, object state)`` that a move of
+    thread ``tid`` from thread-state id ``t``, bindings id ``b`` and state id
+    ``sid`` leads to, decoded from its stored ``delta``: added to a key that
+    holds the three source ids in their fields and nothing else, it must give
+    a key that holds three target ids there and nothing else."""
+    bits, shift = explorer._FIELD_BITS, interp.shift[tid]
+    mask = (1 << bits) - 1
+    target = (t << shift) + (b << bits) + (sid << 2 * bits) + delta
+    ids = (target >> shift & mask, target >> bits & mask, target >> 2 * bits & mask)
+    assert target == (ids[0] << shift) + (ids[1] << bits) + (ids[2] << 2 * bits)
+    return ids
+
+
 def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
     errors = set()
     for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS:
@@ -892,9 +906,12 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
             threads, bindings = interp.thread_states, interp.bindings
             for (tid, t, b, sid), moves in interp.moves.items():
                 got = fresh.thread_moves(tid, threads[t], bindings[b], fresh.state_id(states[sid]))
-                # events compare by value, targets decoded and by the object state itself
+                # events compare by value, targets decoded from their deltas
+                # and compared by the object state itself
+                targets = [None if delta is None else _delta_target(interp, tid, t, b, sid, delta)
+                           for _, delta in moves]
                 assert [(ev, to and (threads[to[0]], bindings[to[1]], states[to[2]]))
-                        for ev, to in moves] == [
+                        for (ev, _), to in zip(moves, targets)] == [
                     (ev, to and (to[0], to[1], fresh.states[to[2]])) for ev, to in got
                 ]
                 errors |= {e[0].label.action for e, to in moves if to is None and e[0].is_client}
@@ -939,7 +956,7 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
         assert all(type(i) is int for i in ends)
         assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
         for i in ex.terminal_done | ex.terminal_livelock:
-            assert ex.interp.successors(ex.configs[i]) == ()
+            assert config_successors(ex.interp, ex.config(i)) == ()
             c = ex.config(i)
             assert all(t.done for t in c.threads) is (i in ex.terminal_done)
     # every end fact occurs in some exploration, and an abort flag of each value
@@ -961,11 +978,14 @@ def _assert_side_matches_naive(ex, prog, side, bound):
 
 
 def _assert_graph_matches_naive(text, model, bound=explorer.DEFAULT_BOUND):
-    """Both sides of ``text`` over ``model`` against the naive build."""
+    """Both sides of ``text`` over ``model`` against the naive build; the two
+    explorations."""
     prog = parse_program(text)
     sides = (model, atomic_model(model.seq_spec))
-    for ex, side in zip(explorer.explore_both(prog, model, bound=bound), sides):
+    explorations = explorer.explore_both(prog, model, bound=bound)
+    for ex, side in zip(explorations, sides):
         _assert_side_matches_naive(ex, prog, side, bound)
+    return explorations
 
 
 def test_graph_matches_naive_build(monkeypatch):
@@ -974,6 +994,34 @@ def test_graph_matches_naive_build(monkeypatch):
     for text, model in cases:
         _assert_graph_matches_naive(text, model)
     _assert_graph_matches_naive(SPIN_PROGRAMS[2][0], models.hw_model(2), bound=20)
+
+
+# three phases of 1, 6 and 2 client-only threads: the middle phase's keys
+# hold nine fields, and each phase edge changes how many a key holds
+WIDE_PROGRAM = (
+    "phase { thread { set a = 0 } }\n"
+    "phase { " + " ".join(f"thread {{ set x{i} = a }}" for i in range(6)) + " }\n"
+    "phase { thread { set a = x0 } thread { set b = x5 } }"
+)
+
+
+def test_wide_keys_match_naive_build():
+    for ex in _assert_graph_matches_naive(WIDE_PROGRAM, models.coarse_queue_model()):
+        assert max(ex.configs).bit_length() > 256
+        assert (len(ex.configs), ex.transitions_explored) == (70, 199)
+
+
+def test_key_field_overflow_is_an_error(monkeypatch):
+    # a thread of five thread states and five bindings: 3-bit fields hold
+    # them, and 2-bit fields cannot
+    text = "thread { set x = 1 ; set x = 2 ; set x = 3 ; set x = 4 }"
+    monkeypatch.setattr(explorer, "_FIELD_BITS", 3)
+    _assert_graph_matches_naive(text, models.coarse_queue_model())
+    monkeypatch.setattr(explorer, "_FIELD_BITS", 2)
+    message = ("more than 4 distinct thread states: a configuration key holds each id "
+               "in a 2-bit field")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        explore(parse_program(text), models.coarse_queue_model())
 
 
 @given(st.lists(st.lists(_single_thread_block(), min_size=1, max_size=2), min_size=1,

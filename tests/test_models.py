@@ -365,10 +365,11 @@ def test_model_registry():
     ("hw-queue, N", "bad model parameter ' N'"),
     ("foo,N=2,N=3", "foo: parameter N given twice"),
     ("hw-queue,N=x,P=2", "hw-queue: parameter N must be an integer, not 'x'"),
-    ("hw-queue,P=x,N=2", "hw-queue takes parameter N, not P"),
-    ("hw-queue,P=2", "hw-queue takes parameter N, not P"),
-    ("ms-queue,P=2,N=9", "ms-queue takes parameter P, not N"),
-    ("coarse-queue,N=2", "coarse-queue takes parameter C, not N"),
+    ("hw-queue,P=x,N=2", "hw-queue takes parameter 'N', not 'P'"),
+    ("hw-queue,P=2", "hw-queue takes parameter 'N', not 'P'"),
+    ("ms-queue,P=2,N=9", "ms-queue takes parameter 'P', not 'N'"),
+    ("coarse-queue,N=2", "coarse-queue takes parameter 'C', not 'N'"),
+    ("hw-queue,=3", "hw-queue takes parameter 'N', not ''"),
     ("hw-queue,N=2,N=3", "hw-queue: parameter N given twice"),
     ("hw-queue,N=x", "hw-queue: parameter N must be an integer, not 'x'"),
     ("hw-queue,N=\u0662", "hw-queue: parameter N must be an integer, not '\u0662'"),
