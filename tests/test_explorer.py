@@ -908,10 +908,11 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
                 got = fresh.thread_moves(tid, threads[t], bindings[b], fresh.state_id(states[sid]))
                 # events compare by value, targets decoded from their deltas
                 # and compared by the object state itself
-                targets = [None if delta is None else _delta_target(interp, tid, t, b, sid, delta)
-                           for _, delta in moves]
+                decoded = [(ev, delta if delta is None
+                            else _delta_target(interp, tid, t, b, sid, delta))
+                           for ev, delta in moves]
                 assert [(ev, to and (threads[to[0]], bindings[to[1]], states[to[2]]))
-                        for (ev, _), to in zip(moves, targets)] == [
+                        for ev, to in decoded] == [
                     (ev, to and (to[0], to[1], fresh.states[to[2]])) for ev, to in got
                 ]
                 errors |= {e[0].label.action for e, to in moves if to is None and e[0].is_client}
@@ -956,8 +957,8 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
         assert all(type(i) is int for i in ends)
         assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
         for i in ex.terminal_done | ex.terminal_livelock:
-            assert config_successors(ex.interp, ex.config(i)) == ()
             c = ex.config(i)
+            assert config_successors(ex.interp, c) == ()
             assert all(t.done for t in c.threads) is (i in ex.terminal_done)
     # every end fact occurs in some exploration, and an abort flag of each value
     assert all(any(getattr(ex, end) for ex in explorations)
