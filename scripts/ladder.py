@@ -16,7 +16,11 @@ history layers, so a rung that runs out of memory or time there still
 reports it.  The rungs run one after another, each in its own child process under an
 address-space limit of ``MEM_CAP_MB`` (``RLIMIT_AS``) and a wall cap of
 ``WALL_CAP_S``, so a rung that needs more ends as ``oom`` or ``timeout``
-instead of exhausting the host.
+instead of exhausting the host.  A rung builds ``BUILDS`` fresh
+explorations one after another, each freed before the next is built, so
+the cap sees one at a time; its ``build_s`` is their median, and the later
+layers run on the last one.  ``BUILDS`` is a constant, so every file is
+timed alike.
 
 For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
@@ -43,6 +47,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MEM_CAP_MB = 2000
 WALL_CAP_S = 600.0
 OOM_EXIT = 3  # the child's exit status after a MemoryError
+BUILDS = 5  # fresh explorations built per rung; build_s is their median
 
 # (name, model, program): the ladder of ROADMAP.md, smallest first
 RUNGS = (
@@ -81,10 +87,14 @@ def run_rung(index: int) -> None:
 
     _, model_ref, text = RUNGS[index]
 
-    def layer(name: str, run, counters) -> object:
-        t = time.perf_counter()
-        out = run()
-        row = {f"{name}_s": round(time.perf_counter() - t, 3), **counters(out)}
+    def layer(name: str, run, counters, repeat: int = 1) -> object:
+        times = []
+        for _ in range(repeat):
+            out = None  # the last run's output is freed before the next starts
+            t = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - t)
+        row = {f"{name}_s": round(statistics.median(times), 3), **counters(out)}
         print(json.dumps(row), flush=True)
         return out
 
@@ -93,7 +103,7 @@ def run_rung(index: int) -> None:
     try:
         ex = layer("build", lambda: explorer.explore(prog, model), lambda ex: {
             "configs": len(ex.order), "transitions": ex.transitions_explored,
-            "truncated": len(ex.truncated)})
+            "truncated": len(ex.truncated)}, repeat=BUILDS)
         layer("scc", ex.scc_info, lambda info: {
             "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))})
         layer("compare", lambda: explorer.compare(ex, explorer.run_atomic(prog, model.seq_spec)),

@@ -521,9 +521,17 @@ def check_exploration(
     ``strict`` against the model's own spec, ``general`` or ``impl`` against
     ``adt`` through ``af`` and ``rf`` (by default the identity), impl mode
     sampling the model's states over ``specs.DEFAULT_ALPHABET``.  A pass on
-    an incomplete exploration is inconclusive, see :func:`explorer.incomplete`."""
+    an incomplete exploration is inconclusive, see :func:`explorer.incomplete`.
+    An unknown mode, a missing ``adt`` or ``af``, or impl mode on a model
+    without a state sampler raises :class:`ValueError` before any recording."""
+    model = ex.model
+    if mode not in ("strict", "general", "impl"):
+        raise ValueError(f"unknown mode {mode!r}: expected strict, general or impl")
+    if mode != "strict" and (adt is None or af is None):
+        raise ValueError(f"{mode} mode needs an adt and an abstraction function")
+    if mode == "impl" and model.enumerate_states is None:
+        raise ValueError(f"impl mode needs a state sampler: {model.name} has none")
     recs = recorded_executions(ex)
-    model = ex.interp.model
     if mode == "strict":
         report = check_strict(recs, model.seq_spec)
     else:

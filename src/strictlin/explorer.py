@@ -16,24 +16,27 @@ of its result when it has a target.  A ``while`` or ``if`` moves to its
 taken pc when its test holds and to its next pc otherwise; every other
 entry moves to its next pc.
 
-The interpreter numbers object states, thread states (``(pc, reg, ops)``
-tuples) and client bindings by equality on first sight, each in its own
-table, so a configuration key is one int of 32-bit fields: from the lowest,
-the phase, the bindings id, the state id, and one thread-state id per thread
-of the phase.  Hashing a key never walks a register, a binding or an object
-state (the recursive indexing of SPIN's collapse compression).  The tables
-live in the interpreter, one per exploration and shared with none, and
-:meth:`_Interp.config` decodes a key into a :class:`Config` named tuple for
-the few readers that need its fields.  A thread's step reads only the
-thread, the client's bindings and the object state, so the interpreter's
-one memo, a move table, runs each rule once per distinct ``(thread id,
-thread-state id, bindings id, state id)``, and with it the model's machine
-(the atomic version of a spec runs its spec relation in ``start``).  The
-table stores each move's target as a delta, the target's fields minus the
-source's; a thread's id fixes its field, so the delta depends on the table
-key alone, and in :meth:`Exploration.build`, the one successor loop, a
-successor is a table lookup per running thread and one addition per move.
-Events are interned too, one object per distinct event.
+One object per exploration, :class:`Exploration`, holds the code table, the
+numbering tables, the move table and the graph.  It numbers object states,
+thread states (``(pc, reg, ops)`` tuples) and client bindings by equality on
+first sight, each in its own table, so a configuration key is one int of
+32-bit fields: from the lowest, the phase, the bindings id, the state id,
+and one thread-state id per thread of the phase.  Hashing a key never walks
+a register, a binding or an object state (the recursive indexing of SPIN's
+collapse compression).  The tables are shared with no other exploration,
+and :meth:`Exploration.config` decodes a configuration's key into a
+:class:`Config` named tuple for the few readers that need its fields.  A
+thread's step reads only the thread, the client's bindings and the object
+state, so the one memo, a move table, runs each rule once per distinct
+``(thread id, thread-state id, bindings id, state id)``, and with it the
+model's machine (the atomic version of a spec runs its spec relation in
+``start``).  The table stores each move's target as a delta, the target's
+fields minus the source's; a thread's id fixes its field, so the delta
+depends on the table key alone, and in :meth:`Exploration.build`, the one
+successor loop, a successor is a table lookup per running thread and one
+addition per move.  Events are interned too, one object per distinct event.
+The code table holds plain functions, not bound methods, so no reference
+cycle keeps an exploration alive.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -83,7 +86,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .history import Act, Event, Inv, Ret, RetAbort
@@ -138,7 +141,7 @@ DONE = -1  # the pc of a finished thread
 
 
 class ThreadState(NamedTuple):
-    """``pc`` indexes the interpreter's code table, ``DONE`` once the thread
+    """``pc`` indexes the exploration's code table, ``DONE`` once the thread
     has finished; ``reg`` holds what a call carries from one of its steps to
     the next (its argument, the method's local state, its return value) and
     is None between statements; ``ops`` counts the operations started.  The
@@ -155,11 +158,11 @@ class ThreadState(NamedTuple):
 
 
 class Config(NamedTuple):
-    """A configuration decoded from its key by :meth:`_Interp.config`: the
-    phase, every thread of it, the client's bindings sorted by name, and
-    ``sid``, the id of the object state in the interpreter's state table:
-    ``Exploration.states[c.sid]`` is the state itself.  The graph holds
-    int keys, whose fields are the ids of these (see :class:`_Interp`)."""
+    """A configuration decoded from its key by :meth:`Exploration.config`:
+    the phase, every thread of it, the client's bindings sorted by name, and
+    ``sid``, the id of the object state in the exploration's state table:
+    ``Exploration.states[c.sid]`` is the state itself.  The graph holds int
+    keys, whose fields are the ids of these (see :class:`Exploration`)."""
 
     phase: int
     threads: tuple[ThreadState, ...]
@@ -197,14 +200,42 @@ def _test(pred: Cmp, env: dict[str, Value]) -> bool:
     return (l == r) if pred.op == "==" else (l != r)
 
 
+def _width(s) -> int:
+    """The number of code-table entries statement ``s`` takes."""
+    return (4 if s.target else 3) if isinstance(s, CallStmt) else 1
+
+
+def _number(ids: dict, items: list, x: Any, what: str) -> int:
+    """The id of ``x`` in the table ``items`` (``ids`` its inverse) of
+    ``what``, adding ``x`` on first sight.  A key holds the id in a field of
+    ``_FIELD_BITS`` bits, so a table that would outgrow it raises."""
+    i = ids.setdefault(x, len(items))
+    if i == len(items):
+        if i >> _FIELD_BITS:
+            raise ValueError(f"more than {1 << _FIELD_BITS} distinct {what}: a configuration "
+                             f"key holds each id in a {_FIELD_BITS}-bit field")
+        items.append(x)
+    return i
+
+
+def _cellname(cell: tuple) -> str:
+    return cell[0] if len(cell) == 1 else f"{cell[0]}[{cell[1]}]"
+
+
 # ---------------------------------------------------------------------------
-# Interpreter core
+# Exploration: the transition rules, their tables and the configuration graph
 # ---------------------------------------------------------------------------
 
 
-class _Interp:
-    """The transition rules of ``prog`` over ``model``; a program that calls a
+class Exploration:
+    """One exploration of ``prog`` over ``model`` from ``init_obj``, cut
+    after ``bound`` transitions: the transition rules and their tables and,
+    once :meth:`build` has run, the reachable configuration graph and its
+    outcome sets.  The constructor is the one place a start state is
+    resolved, None meaning the first start state of ``model.seq_spec``, and
+    checked to lie in that spec's state domain; a program that calls a
     method or touches a cell the model lacks is rejected before any step.
+    Every exploration starts with no client bindings.
 
     Object states, thread states and client bindings are each numbered by
     equality on first sight: ``states[sid]`` is the object state with id
@@ -216,19 +247,36 @@ class _Interp:
     thread of the phase.  ``slots[phase]`` pairs each thread's id with the
     shift of its field (``shift`` maps a thread id to it), ``starts[phase]``
     is the key of the phase's start with its bindings and state fields 0,
-    and ``init`` the initial key.  A thread's rule, and the machine call it
-    makes, runs once per distinct input: ``moves`` maps ``(tid,
+    and ``initial`` the initial key.  A thread's rule, and the machine call
+    it makes, runs once per distinct input: ``moves`` maps ``(tid,
     thread-state id, bindings id, sid)`` to the thread's moves in rule
     order, as ``(events, delta)`` pairs, the delta being the target key
     minus the source key, or None for a runtime error or an abort.  Events
-    are interned, so one configuration graph holds one :class:`Event` per
-    distinct ``(thread, operation, label)``.  The tables live as long as the
-    interpreter, which is one exploration; the code table holds plain
-    functions, not bound methods, so no cycle keeps the interpreter alive
-    past its exploration."""
+    are interned, so one graph holds one :class:`Event` per distinct
+    ``(thread, operation, label)``.
 
-    def __init__(self, prog: Program, model: ObjectModel, init_obj: Any) -> None:
-        self.model = model
+    :meth:`build` numbers each configuration once, on first sight, so the
+    initial configuration is 0 and ids are dense: ``order`` maps a key to
+    its id, ``configs`` an id back to its key, and :meth:`config` decodes
+    id ``i`` into a :class:`Config`.  ``edges[i]`` lists configuration
+    ``i``'s outgoing transitions as ``(events, target id)`` pairs, the
+    target being None for a runtime error, and ``has_abort`` says whether
+    any edge is one.  A configuration without edges is in exactly one of
+    three id sets: ``terminal_done`` when every thread of the last phase has
+    finished, ``terminal_livelock`` when a pending thread is blocked with
+    nothing else enabled, and ``truncated`` when it was left unexpanded as
+    the step budget ran out.  Everything past :meth:`build` (SCCs, cycle
+    marking, outcome tables, final states) works on the ids.  The tables
+    are shared with no other exploration, and the code table holds plain
+    functions, not bound methods, so no reference cycle keeps an
+    exploration alive."""
+
+    def __init__(self, prog: Program, model: ObjectModel, init_obj: Any, bound: int) -> None:
+        spec = model.seq_spec
+        obj = spec.initial_states[0] if init_obj is None else init_obj
+        if not spec.is_state(obj):
+            raise ValueError(f"{model.name}: initial state not well-formed")
+        self.model, self.bound = model, bound
         self.states: list[Any] = []
         self._sids: dict[Any, int] = {}
         self.thread_states: list[ThreadState] = []
@@ -255,8 +303,33 @@ class _Interp:
                         for pc, (_, shift) in zip(ph, slots))
             for phase, (ph, slots) in enumerate(zip(self.entries, self.slots))
         ]
-        self.init = (self.starts[0] + (self.binding_id(()) << _FIELD_BITS)
-                     + (self.state_id(init_obj) << 2 * _FIELD_BITS))
+        self.initial = (self.starts[0] + (self.binding_id(()) << _FIELD_BITS)
+                        + (self.state_id(obj) << 2 * _FIELD_BITS))
+        # the graph, which build fills in
+        self.order: dict[int, int] = {}
+        self.configs: list[int] = []
+        self.edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = []
+        self.terminal_done: set[int] = set()
+        self.terminal_livelock: set[int] = set()
+        self.truncated: set[int] = set()
+        self.has_abort = self.approximate = False
+        self.transitions_explored = 0
+        self._scc: Optional[dict] = None
+        self._results: dict[str, frozenset] = {}
+
+    def __repr__(self) -> str:
+        # the graph itself runs to megabytes on the larger programs
+        return (f"Exploration(model={self.model.name!r}, configs={len(self.configs)}, "
+                f"transitions={self.transitions_explored})")
+
+    @property
+    def initial_object(self) -> Any:
+        return self.states[0]  # the start state is numbered first
+
+    @property
+    def spec(self) -> SeqSpec:
+        """The sequential spec that owns this exploration's object states."""
+        return self.model.seq_spec
 
     def _compile(self, block: tuple, k: int) -> int:
         """Add ``block``, continuing at pc ``k``, to the code table and return
@@ -286,10 +359,10 @@ class _Interp:
                 # a returning call goes on to its assignment, if any
                 after = pc + 3 if s.target else nxt
                 self.code[pc : pc + _width(s)] = [
-                    (_Interp._call_arg, s, pc + 1, None),
-                    (_Interp._invoke, s, pc + 2, after),
-                    (_Interp._body, s, after, None),
-                ] + [(_Interp._assign_result, s, nxt, None)] * bool(s.target)
+                    (Exploration._call_arg, s, pc + 1, None),
+                    (Exploration._invoke, s, pc + 2, after),
+                    (Exploration._body, s, after, None),
+                ] + [(Exploration._assign_result, s, nxt, None)] * bool(s.target)
                 continue
             if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.seq_spec.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
@@ -319,9 +392,9 @@ class _Interp:
         sight."""
         return _number(self._bids, self.bindings, client, "client bindings")
 
-    def config(self, key: int) -> Config:
-        """The configuration that ``key`` numbers, its fields decoded."""
-        mask, ts = (1 << _FIELD_BITS) - 1, self.thread_states
+    def config(self, i: int) -> Config:
+        """Configuration ``i``, decoded from its key."""
+        key, mask, ts = self.configs[i], (1 << _FIELD_BITS) - 1, self.thread_states
         phase = key & mask
         return Config(phase, tuple([ts[key >> shift & mask] for _, shift in self.slots[phase]]),
                       self.bindings[key >> _FIELD_BITS & mask], key >> 2 * _FIELD_BITS & mask)
@@ -452,118 +525,16 @@ class _Interp:
         action = f"{s.target}:={render_value(t.reg)}"
         return self._client(tid, t, _bind(client, s.target, t.reg), sid, action, nxt)
 
-
-# the rule of each one-entry statement, a plain function of the interpreter
-_RULES = {
-    AssignStmt: _Interp._assign, AtomicStmt: _Interp._atomic, ReadCellStmt: _Interp._read_cell,
-    WriteCellStmt: _Interp._write_cell, WhileStmt: _Interp._branch, IfStmt: _Interp._branch,
-}
-
-
-def _width(s) -> int:
-    """The number of code-table entries statement ``s`` takes."""
-    return (4 if s.target else 3) if isinstance(s, CallStmt) else 1
-
-
-def _number(ids: dict, items: list, x: Any, what: str) -> int:
-    """The id of ``x`` in the table ``items`` (``ids`` its inverse) of
-    ``what``, adding ``x`` on first sight.  A key holds the id in a field of
-    ``_FIELD_BITS`` bits, so a table that would outgrow it raises."""
-    i = ids.setdefault(x, len(items))
-    if i == len(items):
-        if i >> _FIELD_BITS:
-            raise ValueError(f"more than {1 << _FIELD_BITS} distinct {what}: a configuration "
-                             f"key holds each id in a {_FIELD_BITS}-bit field")
-        items.append(x)
-    return i
-
-
-def _cellname(cell: tuple) -> str:
-    return cell[0] if len(cell) == 1 else f"{cell[0]}[{cell[1]}]"
-
-
-# ---------------------------------------------------------------------------
-# Configuration graph
-# ---------------------------------------------------------------------------
-
-
-@dataclass(repr=False)
-class Exploration:
-    """Reachable configuration graph plus derived outcome sets.
-
-    :meth:`build` numbers each configuration once, on first sight, in
-    discovery order, so the initial configuration is 0 and ids are dense.
-    ``order`` maps a configuration's int key (see :class:`_Interp`) to its
-    id and ``configs`` an id back to its key; :meth:`config` decodes id
-    ``i`` into a :class:`Config`.  A configuration holds its object state as an
-    id, ``sid``: :attr:`states` is this exploration's own table of object
-    states, no two of them equal, so ``states[c.sid]`` is the state.
-    ``edges[i]`` lists configuration ``i``'s outgoing transitions as
-    ``(events, target id)`` pairs, the target being None for a runtime
-    error, and ``has_abort`` says whether any edge is one.  A configuration
-    without edges is in exactly one of three id sets: ``terminal_done``
-    when every thread of the last phase has finished, ``terminal_livelock``
-    when a pending thread is blocked with nothing else enabled, and
-    ``truncated`` when it was left unexpanded as the step budget ran out.
-    Everything past :meth:`build` (SCCs, cycle marking, outcome tables,
-    final states) works on the ids.
-    """
-
-    interp: _Interp
-    bound: int
-    order: dict[int, int] = field(default_factory=dict)
-    configs: list[int] = field(default_factory=list)
-    edges: list[tuple[tuple[tuple[Event, ...], Optional[int]], ...]] = field(
-        default_factory=list
-    )
-    terminal_done: set[int] = field(default_factory=set)
-    terminal_livelock: set[int] = field(default_factory=set)
-    truncated: set[int] = field(default_factory=set)
-    has_abort: bool = False
-    transitions_explored: int = 0
-    approximate: bool = False
-    _scc: Optional[dict] = None
-    _results: dict[str, frozenset] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        # the graph itself runs to megabytes on the larger programs
-        return (f"Exploration(model={self.interp.model.name!r}, configs={len(self.configs)}, "
-                f"transitions={self.transitions_explored})")
-
-    @property
-    def initial(self) -> int:
-        """The initial configuration's key."""
-        return self.interp.init
-
-    def config(self, i: int) -> Config:
-        """Configuration ``i``, decoded from its key."""
-        return self.interp.config(self.configs[i])
-
-    @property
-    def states(self) -> list[Any]:
-        """The object states by id: a configuration ``c`` is at ``states[c.sid]``."""
-        return self.interp.states
-
-    @property
-    def initial_object(self) -> Any:
-        return self.interp.states[0]  # the interpreter numbers the start state first
-
-    @property
-    def spec(self) -> SeqSpec:
-        """The sequential spec that owns this exploration's object states."""
-        return self.interp.model.seq_spec
-
     # -- graph construction -------------------------------------------------
 
     def build(self) -> "Exploration":
         """Number every reachable configuration and store its edges.  A
-        running thread's moves come from the interpreter's move table, each
-        target being the source key plus the move's delta; when every thread
-        has finished, a phase before the last goes on to the next one with
-        the bindings and the object state kept."""
-        interp = self.interp
+        running thread's moves come from the move table, each target being
+        the source key plus the move's delta; when every thread has
+        finished, a phase before the last goes on to the next one with the
+        bindings and the object state kept."""
         order, configs, edges, todo = self.order, self.configs, self.edges, [0]
-        table, finished, slots, starts = interp.moves, interp.finished, interp.slots, interp.starts
+        table, finished, slots, starts = self.moves, self.finished, self.slots, self.starts
         bits = _FIELD_BITS
         mask = (1 << bits) - 1
         kept = mask << bits | mask << 2 * bits  # the bindings and state fields
@@ -588,7 +559,7 @@ class Exploration:
                 mk = (tid, t, bid, sid)
                 moves = table.get(mk)
                 if moves is None:
-                    moves = table[mk] = interp._numbered_moves(*mk)
+                    moves = table[mk] = self._numbered_moves(*mk)
                 for events, delta in moves:
                     if delta is None:
                         self.has_abort = True
@@ -756,6 +727,13 @@ class Exploration:
             res = self._results[projection] = tables.run(self.scc_info())
             self.approximate |= tables.approximate
         return res
+
+
+# the rule of each one-entry statement, a plain function of the exploration
+_RULES = {
+    AssignStmt: Exploration._assign, AtomicStmt: Exploration._atomic, ReadCellStmt: Exploration._read_cell,
+    WriteCellStmt: Exploration._write_cell, WhileStmt: Exploration._branch, IfStmt: Exploration._branch,
+}
 
 
 def _bfs_path(edges: list, src: int, goal: int, group: set[int]) -> tuple:
@@ -1077,8 +1055,8 @@ def explore(
     prog: Program, model: ObjectModel, init_obj: Any = None, bound: int = DEFAULT_BOUND
 ) -> Exploration:
     """Explore all schedules of ``prog`` over ``model`` from ``init_obj``,
-    as :func:`_explore` resolves and checks it."""
-    return _explore(prog, model, init_obj, bound)
+    as :class:`Exploration` resolves and checks it."""
+    return Exploration(prog, model, init_obj, bound).build()
 
 
 def run_atomic(
@@ -1090,21 +1068,10 @@ def run_atomic(
     response; where the spec relation is empty the call blocks.  A
     configuration with pending work and no enabled transition anywhere is a
     livelock and classified as object divergence.  The start state is
-    resolved and checked against ``spec`` as by :func:`_explore`.
+    resolved and checked against ``spec`` as by :class:`Exploration`.
     """
     # not ``explore``: the benchmark counts each call of either as one exploration
-    return _explore(prog, atomic_model(spec), init_obj, bound)
-
-
-def _explore(prog: Program, model: ObjectModel, init_obj: Any, bound: int) -> Exploration:
-    """The one place a start state is resolved, ``None`` meaning the first
-    start state of ``model.seq_spec``, and checked to lie in that spec's
-    state domain.  Every exploration starts with no client bindings."""
-    spec = model.seq_spec
-    obj = spec.initial_states[0] if init_obj is None else init_obj
-    if not spec.is_state(obj):
-        raise ValueError(f"{model.name}: initial state not well-formed")
-    return Exploration(_Interp(prog, model, obj), bound).build()
+    return Exploration(prog, atomic_model(spec), init_obj, bound).build()
 
 
 def incomplete(*explorations: Exploration) -> str:
@@ -1368,7 +1335,7 @@ def explore_both(
     The model side starts from ``init_obj`` and the atomic side from
     ``init_obj_atomic``, or from ``init_obj`` when that is None; each start
     is resolved and checked against the spec that owns its side, as by
-    :func:`_explore`."""
+    :class:`Exploration`."""
     ex_m = explore(prog, model, init_obj=init_obj, bound=bound)
     init_a = init_obj if init_obj_atomic is None else init_obj_atomic
     return ex_m, run_atomic(prog, spec or model.seq_spec, init_obj=init_a, bound=bound)

@@ -2,10 +2,10 @@
 
 :func:`config_successors` takes one step from a whole
 :class:`~strictlin.explorer.Config`, running each thread's rule
-(``_Interp.thread_moves``) afresh, with none of the move table, none of the
-numbering of thread states and bindings and none of the integer keys and
-stored deltas that ``Exploration.build`` steps by; it shares only the
-transition rules with the explorer.  The move table is guarded by
+(``Exploration.thread_moves``) afresh on an unbuilt exploration, with none
+of the move table, none of the numbering of thread states and bindings and
+none of the integer keys and stored deltas that ``Exploration.build`` steps
+by; it shares only the transition rules with the explorer.  The move table is guarded by
 ``tests/test_explorer.py``: every entry equals a fresh run of its rule, and
 each entry's rule runs once.
 :func:`enumerate_executions_naive` replaces the configuration graph by a walk
@@ -35,9 +35,9 @@ from strictlin.explorer import (
     DEFAULT_BOUND,
     Config,
     ExecutionResult,
+    Exploration,
     Kind,
     ThreadState,
-    _Interp,
 )
 from strictlin.history import History, Inv, Ret, RetAbort, completions, pending
 from strictlin.models import ObjectModel
@@ -56,28 +56,28 @@ from strictlin.specs import legal_seq_outcomes, queue_adt
 from strictlin.values import EMPTY, UNIT, Value
 
 
-def _phase_start(interp: _Interp, phase: int, client: tuple, sid: int) -> Config:
+def _phase_start(ex: Exploration, phase: int, client: tuple, sid: int) -> Config:
     """Phase ``phase`` about to start under ``client`` and object state ``sid``."""
-    return Config(phase, tuple(map(ThreadState, interp.entries[phase])), client, sid)
+    return Config(phase, tuple(map(ThreadState, ex.entries[phase])), client, sid)
 
 
-def config_successors(interp: _Interp, c: Config) -> tuple:
+def config_successors(ex: Exploration, c: Config) -> tuple:
     """The transitions out of ``c`` as ``(events, target)`` pairs, the target
     a :class:`Config`, or None for a runtime error: each running thread's
-    moves, in thread order, from a fresh ``interp.thread_moves`` call.  When
+    moves, in thread order, from a fresh ``ex.thread_moves`` call.  When
     every thread has finished, a phase before the last goes on to the next
     one."""
     threads = c.threads
     if all(t.done for t in threads):
-        if c.phase + 1 < len(interp.entries):
-            return (((), _phase_start(interp, c.phase + 1, c.client, c.sid)),)
+        if c.phase + 1 < len(ex.entries):
+            return (((), _phase_start(ex, c.phase + 1, c.client, c.sid)),)
         return ()
     out = []
     for i, t in enumerate(threads):
         if t.done:
             continue
-        tid = interp.first_tid[c.phase] + i
-        for events, to in interp.thread_moves(tid, t, c.client, c.sid):
+        tid = ex.first_tid[c.phase] + i
+        for events, to in ex.thread_moves(tid, t, c.client, c.sid):
             if to is not None:
                 nt, client, sid = to
                 to = Config(c.phase, threads[:i] + (nt,) + threads[i + 1 :], client, sid)
@@ -101,7 +101,7 @@ def enumerate_executions_naive(
     client divergence when they are all client events.
     """
     obj = model.seq_spec.initial_states[0] if init_obj is None else init_obj
-    interp = _Interp(prog, model, obj)
+    ex = Exploration(prog, model, obj, DEFAULT_BOUND)
     keep = _PROJECTIONS[projection]
     results: set[ExecutionResult] = set()
 
@@ -112,11 +112,11 @@ def enumerate_executions_naive(
         if depth > max_steps:
             results.add(ExecutionResult(trace, Kind.UNKNOWN, note="step budget exhausted"))
             return
-        succ = config_successors(interp, c)
+        succ = config_successors(ex, c)
         if not succ:
             if all(t.done for t in c.threads) and c.phase + 1 >= len(prog.phases):
                 results.add(
-                    ExecutionResult(trace, Kind.TERMINATED, c.client, interp.states[c.sid])
+                    ExecutionResult(trace, Kind.TERMINATED, c.client, ex.states[c.sid])
                 )
             else:
                 results.add(
@@ -143,7 +143,7 @@ def enumerate_executions_naive(
             walk(target, trace + ev, raw + events, path, depth + 1)
             del path[target]
 
-    first = _phase_start(interp, 0, (), interp.state_id(obj))
+    first = _phase_start(ex, 0, (), ex.state_id(obj))
     walk(first, (), (), {first: (0, 0)}, 0)
     return frozenset(results)
 
@@ -176,8 +176,8 @@ def naive_graph(
     so neither the move table nor the integer keys of the build take
     part."""
     obj = model.seq_spec.initial_states[0] if init is None else init
-    interp = _Interp(prog, model, obj)
-    first = _phase_start(interp, 0, (), interp.state_id(obj))
+    ex = Exploration(prog, model, obj, bound)
+    first = _phase_start(ex, 0, (), ex.state_id(obj))
     order, configs, edges = {first: 0}, [first], [()]
     done, livelock, truncated = set(), set(), set()
     has_abort, transitions = False, 0
@@ -187,7 +187,7 @@ def naive_graph(
         if transitions >= bound:
             truncated.add(i)
             continue
-        succ = config_successors(interp, configs[i])
+        succ = config_successors(ex, configs[i])
         transitions += len(succ)
         if not succ:
             (done if all(t.done for t in configs[i].threads) else livelock).add(i)
@@ -205,7 +205,7 @@ def naive_graph(
             out.append((events, target))
         edges[i] = tuple(out)
     return NaiveGraph(configs, edges, done, livelock, truncated, has_abort, transitions,
-                      interp.states)
+                      ex.states)
 
 
 class _Stop(Exception):

@@ -573,6 +573,27 @@ def test_hw_bounded_executions_pass_general_vs_queue_adt():
     assert rep.passed
 
 
+_IDENTITY_AF = AbstractionFunction("identity", lambda s: s)
+
+
+@pytest.mark.parametrize("atomic,mode,args,message", [
+    (False, "stritc", (), "unknown mode 'stritc': expected strict, general or impl"),
+    (False, "general", (), "general mode needs an adt and an abstraction function"),
+    (False, "general", (QUEUE,), "general mode needs an adt and an abstraction function"),
+    (False, "impl", (None, _IDENTITY_AF), "impl mode needs an adt and an abstraction function"),
+    (True, "impl", (QUEUE, _IDENTITY_AF), "impl mode needs a state sampler: adt-queue has none"),
+], ids=["unknown-mode", "general-no-adt", "general-no-af", "impl-no-adt", "impl-atomic"])
+def test_check_exploration_rejects_bad_input_before_recording(atomic, mode, args, message,
+                                                              monkeypatch):
+    prog = parse_program("thread { call Q.Enqueue('a') }")
+    ex = (explorer.run_atomic(prog, QUEUE) if atomic
+          else explorer.explore(prog, models.coarse_queue_model()))
+    monkeypatch.setattr(checker, "recorded_executions", lambda ex: pytest.fail("recorded"))
+    with pytest.raises(ValueError) as exc:
+        checker.check_exploration(ex, mode, *args)
+    assert str(exc.value) == message
+
+
 def test_strict_witness_final_state_membership():
     # for every strict witness the recorded final state is a legal outcome
     p = parse_program(

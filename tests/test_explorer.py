@@ -434,8 +434,11 @@ def test_initial_state_must_be_well_formed():
 ], ids=["hw", "ms", "coarse", "coarse-str", "coarse-empty", "coarse-cap-only", "coarse-str-only",
         "coarse-other-capacity", "hw-other-bound", "ms-other-pool"])
 def test_start_state_outside_spec_domain_is_rejected(model, start):
+    prog = parse_program("thread { }")
     with pytest.raises(ValueError, match=f"{model.name}: initial state not well-formed"):
-        explore(parse_program("thread { }"), model, init_obj=start)
+        explore(prog, model, init_obj=start)
+    with pytest.raises(ValueError, match=f"{model.name}: initial state not well-formed"):
+        explorer.Exploration(prog, model, start, explorer.DEFAULT_BOUND)
 
 
 def test_start_state_is_checked_against_the_spec_that_owns_it():
@@ -879,13 +882,13 @@ ERROR_PROGRAMS = [
 ]
 
 
-def _delta_target(interp, tid, t, b, sid, delta):
+def _delta_target(ex, tid, t, b, sid, delta):
     """The ids ``(thread state, bindings, object state)`` that a move of
     thread ``tid`` from thread-state id ``t``, bindings id ``b`` and state id
     ``sid`` leads to, decoded from its stored ``delta``: added to a key that
     holds the three source ids in their fields and nothing else, it must give
     a key that holds three target ids there and nothing else."""
-    bits, shift = explorer._FIELD_BITS, interp.shift[tid]
+    bits, shift = explorer._FIELD_BITS, ex.shift[tid]
     mask = (1 << bits) - 1
     target = (t << shift) + (b << bits) + (sid << 2 * bits) + delta
     ids = (target >> shift & mask, target >> bits & mask, target >> 2 * bits & mask)
@@ -898,18 +901,18 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
     for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS:
         prog = parse_program(text)
         for ex in explorer.explore_both(prog, model):
-            interp, states = ex.interp, ex.states
-            assert all(map(interp.model.invariant_ok, states))
-            # a new interpreter, its tables empty, runs each key's rule afresh
-            fresh = explorer._Interp(prog, interp.model, ex.initial_object)
-            assert fresh.code == interp.code and not fresh.moves
-            threads, bindings = interp.thread_states, interp.bindings
-            for (tid, t, b, sid), moves in interp.moves.items():
+            states = ex.states
+            assert all(map(ex.model.invariant_ok, states))
+            # a new exploration, its tables empty, runs each key's rule afresh
+            fresh = explorer.Exploration(prog, ex.model, ex.initial_object, explorer.DEFAULT_BOUND)
+            assert fresh.code == ex.code and not fresh.moves
+            threads, bindings = ex.thread_states, ex.bindings
+            for (tid, t, b, sid), moves in ex.moves.items():
                 got = fresh.thread_moves(tid, threads[t], bindings[b], fresh.state_id(states[sid]))
                 # events compare by value, targets decoded from their deltas
                 # and compared by the object state itself
                 decoded = [(ev, delta if delta is None
-                            else _delta_target(interp, tid, t, b, sid, delta))
+                            else _delta_target(ex, tid, t, b, sid, delta))
                            for ev, delta in moves]
                 assert [(ev, to and (threads[to[0]], bindings[to[1]], states[to[2]]))
                         for ev, to in decoded] == [
@@ -926,16 +929,17 @@ def test_each_thread_move_input_runs_its_rule_once(monkeypatch):
         calls = collections.Counter()
 
         def counted(rule):
-            def wrapped(interp, tid, t, client, sid, *entry):
+            def wrapped(ex, tid, t, client, sid, *entry):
                 calls[tid, t, client, sid] += 1
-                return rule(interp, tid, t, client, sid, *entry)
+                return rule(ex, tid, t, client, sid, *entry)
             return wrapped
 
-        interp = explorer._Interp(parse_program(text), model, model.seq_spec.initial_states[0])
-        interp.code = [(counted(rule), *rest) for rule, *rest in interp.code]
-        ex = explorer.Exploration(interp, explorer.DEFAULT_BOUND).build()
+        ex = explorer.Exploration(parse_program(text), model, model.seq_spec.initial_states[0],
+                                  explorer.DEFAULT_BOUND)
+        ex.code = [(counted(rule), *rest) for rule, *rest in ex.code]
+        ex.build()
         assert set(calls.values()) == {1}
-        assert len(calls) == len(ex.interp.moves)
+        assert len(calls) == len(ex.moves)
 
 
 def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
@@ -958,7 +962,7 @@ def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):
         assert ends == {i for i, trs in enumerate(ex.edges) if not trs}
         for i in ex.terminal_done | ex.terminal_livelock:
             c = ex.config(i)
-            assert config_successors(ex.interp, c) == ()
+            assert config_successors(ex, c) == ()
             assert all(t.done for t in c.threads) is (i in ex.terminal_done)
     # every end fact occurs in some exploration, and an abort flag of each value
     assert all(any(getattr(ex, end) for ex in explorations)
@@ -1038,7 +1042,7 @@ def test_generated_graphs_match_naive_build(phases, model):
     )
     # a call in such a loop can start more operations in one thread than the
     # explorer numbers before the bound cuts the run; the naive build moves
-    # threads by the same interpreter, in the same order, so on a side that
+    # threads by the same rules, in the same order, so on a side that
     # stops it must stop on the same error, and each side is judged alone
     prog = parse_program(text)
     for side in (model, atomic_model(model.seq_spec)):
@@ -1095,9 +1099,9 @@ def test_finished_exploration_is_freed_without_the_cycle_collector():
     try:
         ex = explore(reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4))
         ex.scc_info()
-        interp = weakref.ref(ex.interp)
+        ref = weakref.ref(ex)
         del ex
-        assert interp() is None
+        assert ref() is None
     finally:
         gc.enable()
 

@@ -225,8 +225,8 @@ def test_hw_purely_blocking_from_reachable_configurations():
         for ts in cfg.threads:
             if ts.done:
                 continue
-            rule, stmt, _, _ = ex.interp.code[ts.pc]
-            if rule is not explorer._Interp._body or isinstance(ts.reg, Done):
+            rule, stmt, _, _ = ex.code[ts.pc]
+            if rule is not explorer.Exploration._body or isinstance(ts.reg, Done):
                 continue
             machine = m.methods[stmt.method]
             local, state = ts.reg, ex.states[cfg.sid]
