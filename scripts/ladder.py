@@ -87,9 +87,9 @@ def run_rung(index: int) -> None:
 
     _, model_ref, text = RUNGS[index]
 
-    def layer(name: str, run, counters, repeat: int = 1) -> object:
-        times = []
-        for _ in range(repeat):
+    def layer(name: str, run, counters) -> object:
+        times = []  # the build runs BUILDS times, every other layer once
+        for _ in range(BUILDS if name == "build" else 1):
             out = None  # the last run's output is freed before the next starts
             t = time.perf_counter()
             out = run()
@@ -103,7 +103,7 @@ def run_rung(index: int) -> None:
     try:
         ex = layer("build", lambda: explorer.explore(prog, model), lambda ex: {
             "configs": len(ex.order), "transitions": ex.transitions_explored,
-            "truncated": len(ex.truncated)}, repeat=BUILDS)
+            "truncated": len(ex.truncated)})
         layer("scc", ex.scc_info, lambda info: {
             "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))})
         layer("compare", lambda: explorer.compare(ex, explorer.run_atomic(prog, model.seq_spec)),
