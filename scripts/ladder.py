@@ -16,11 +16,16 @@ history layers, so a rung that runs out of memory or time there still
 reports it.  The rungs run one after another, each in its own child process under an
 address-space limit of ``MEM_CAP_MB`` (``RLIMIT_AS``) and a wall cap of
 ``WALL_CAP_S``, so a rung that needs more ends as ``oom`` or ``timeout``
-instead of exhausting the host.  A rung builds ``BUILDS`` fresh
-explorations one after another, each freed before the next is built, so
-the cap sees one at a time; its ``build_s`` is their median, and the later
-layers run on the last one.  ``BUILDS`` is a constant, so every file is
-timed alike.
+instead of exhausting the host.  A rung runs each layer ``RUNS`` times one
+after another, each run's output freed before the next starts, so the cap
+sees one at a time; each ``*_s`` is the median of its layer's runs, and
+the next layer runs on the last run's output.  The SCCs and the outcome
+sets are cached on the exploration, so before each run of the SCC, compare
+and results layers that cache is dropped, outside the timer, and every run
+computes its layer afresh.  ``RUNS`` is a constant, so every file written
+so is timed alike; ``BENCH_25f395c.json`` took the median of five builds
+and one run of every later layer, and earlier files one run of every
+layer.
 
 For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
@@ -59,7 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MEM_CAP_MB = 2000
 WALL_CAP_S = 600.0
 OOM_EXIT = 3  # the child's exit status after a MemoryError
-BUILDS = 5  # fresh explorations built per rung; build_s is their median
+RUNS = 5  # runs of each layer per rung; each *_s is their median
 
 # (name, model, program): the ladder of ROADMAP.md, smallest first
 RUNGS = (
@@ -87,10 +92,11 @@ def run_rung(index: int) -> None:
 
     _, model_ref, text = RUNGS[index]
 
-    def layer(name: str, run, counters) -> object:
-        times = []  # the build runs BUILDS times, every other layer once
-        for _ in range(BUILDS if name == "build" else 1):
-            out = None  # the last run's output is freed before the next starts
+    def layer(name: str, run, counters, fresh=lambda: None) -> object:
+        times = []
+        for _ in range(RUNS):
+            out = None  # the last run's output is freed before the next starts,
+            fresh()  # and so is the exploration's cache of it
             t = time.perf_counter()
             out = run()
             times.append(time.perf_counter() - t)
@@ -105,11 +111,12 @@ def run_rung(index: int) -> None:
             "configs": len(ex.order), "transitions": ex.transitions_explored,
             "truncated": len(ex.truncated)})
         layer("scc", ex.scc_info, lambda info: {
-            "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))})
+            "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))},
+            lambda: setattr(ex, "_scc", None))
         layer("compare", lambda: explorer.compare(ex, explorer.run_atomic(prog, model.seq_spec)),
-              lambda got: {"compare_verdict": got[2]})
+              lambda got: {"compare_verdict": got[2]}, ex._results.clear)
         layer("results", lambda: ex.results("history"), lambda res: {
-            "histories": len(res), "approximate": ex.approximate})
+            "histories": len(res), "approximate": ex.approximate}, ex._results.clear)
         recs = layer("record", lambda: checker.recorded_executions(ex),
                      lambda recs: {"records": len(recs)})
         layer("check", lambda: checker.check_strict(recs, model.seq_spec), lambda rep: {

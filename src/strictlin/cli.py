@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -97,11 +98,13 @@ def _seq_spec(name: Optional[str], model) -> specs.SeqSpec:
 
 def _parse_init(arg: str, spec: specs.SeqSpec) -> object:
     """The start state of ``spec`` holding ``--init``'s contents:
-    comma-separated value tokens, front first."""
+    comma-separated value tokens, front first; a comma followed by an odd
+    number of quotes lies inside a symbol and separates nothing."""
     if not arg.strip():
         return spec.initial_states[0]
     try:
-        values = tuple(parse_value(tok.strip()) for tok in arg.split(","))
+        toks = re.split(r",(?=[^']*(?:'[^']*'[^']*)*$)", arg)
+        values = tuple(parse_value(tok.strip()) for tok in toks)
         return spec.seed_state(values)
     except ValueError as exc:
         raise UsageError(f"bad --init: {exc}") from None

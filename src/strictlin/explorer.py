@@ -188,9 +188,11 @@ def _eval(expr, env: dict[str, Value]) -> Value:
             raise EvalError(f"unbound client variable {expr.name!r}")
         return env[expr.name]
     if isinstance(expr, Arith):
-        if expr.var not in env or not isinstance(env[expr.var], int):
-            raise EvalError(f"arithmetic on non-integer {expr.var!r}")
+        if expr.var not in env:
+            raise EvalError(f"unbound client variable {expr.var!r}")
         base = env[expr.var]
+        if not isinstance(base, int):
+            raise EvalError(f"arithmetic on non-integer {expr.var!r}")
         return base + expr.k if expr.op == "+" else base - expr.k
     raise TypeError(f"not an expression: {expr!r}")
 

@@ -9,8 +9,9 @@ Three models ship with the package:
   compare-and-swap linking and a tail-helping step.
 * ``coarse-queue`` -- a control model whose methods are single atomic steps.
 
-A model is its per-method step machines over (local state, shared state),
-listed once, plus a companion sequential specification, an execution
+Each is built by one factory of its one size, which checks the size, then
+builds the model's sequential specification and the model: per-method step
+machines over (local state, shared state), the spec, an execution
 invariant and a state sampler.  The spec's relations are not written down:
 :func:`sequential_relation` derives each from its machine run alone.  The
 spec alone describes the object's states: start state, domain, key,
@@ -65,6 +66,13 @@ class MethodMachine:
 
     start: Callable[[Value, Any], tuple[tuple[Any, Any], ...]]
     step: Callable[[Any, Any], tuple[StepOutcome, ...]]
+
+
+def _body(first: str, step: Callable, takes_arg: bool = False) -> MethodMachine:
+    """A fine-grained method: a call enters its body at step ``first``, its
+    local state holding the argument when the method takes one, and runs it
+    by ``step``."""
+    return MethodMachine(lambda arg, s: (((first, arg) if takes_arg else (first,), s),), step)
 
 
 @dataclass
@@ -164,10 +172,6 @@ def _hw_set(s: HWQueueState, i: int, v: Value) -> HWQueueState:
     return replace(s, items=tuple(items))
 
 
-def _hw_enq_start(arg: Value, s: HWQueueState) -> tuple:
-    return ((("inc", arg), s),)
-
-
 def _hw_enq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
     tag = local[0]
     if tag == "inc":
@@ -180,10 +184,6 @@ def _hw_enq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
         )
     _, v, t = local
     return (StepOutcome(f"items[{t}]:={render_value(v)}", Done(UNIT), _hw_set(s, t, v)),)
-
-
-def _hw_deq_start(_: Value, s: HWQueueState) -> tuple:
-    return ((("snap",), s),)
 
 
 def _hw_deq_step(local: Any, s: HWQueueState) -> tuple[StepOutcome, ...]:
@@ -223,43 +223,39 @@ def _hw_cell_write(s: HWQueueState, addr: tuple, v: Value) -> HWQueueState:
 HW_CELLS = CellAccess(_hw_cell_read, _hw_cell_write)
 
 HW_MACHINES = {
-    "Enqueue": MethodMachine(_hw_enq_start, _hw_enq_step),
-    "Dequeue": MethodMachine(_hw_deq_start, _hw_deq_step),
+    "Enqueue": _body("inc", _hw_enq_step, takes_arg=True),
+    "Dequeue": _body("snap", _hw_deq_step),
 }
-
-
-def hw_seq_spec(n: int = 4) -> SeqSpec:
-    def from_contents(vs: tuple[Value, ...]) -> HWQueueState:
-        if len(vs) > n:
-            raise ValueError(f"array bound {n} cannot hold {len(vs)} values")
-        return HWQueueState(len(vs) + 1, vs + (NULL,) * (n - len(vs)))
-
-    return SeqSpec(
-        name="hw-queue-seq",
-        methods={m: sequential_relation(mm) for m, mm in HW_MACHINES.items()},
-        initial_states=(from_contents(()),),
-        # the model's size is part of its state domain; ``hw_is_state`` is not
-        is_state=lambda s: hw_is_state(s) and len(s.items) == n,
-        render_state=hw_render,
-        cells=HW_CELLS,
-        from_contents=from_contents,
-    )
 
 
 def hw_model(n: int = 4) -> ObjectModel:
     if n < 1:
         raise ValueError("array bound must be >= 1")
-    spec = hw_seq_spec(n)
+
+    def from_contents(vs: tuple[Value, ...]) -> HWQueueState:
+        if len(vs) > n:
+            raise ValueError(f"array bound {n} cannot hold {len(vs)} values")
+        return HWQueueState(len(vs) + 1, vs + (NULL,) * (n - len(vs)))
+
     return ObjectModel(
         name="hw-queue",
         methods=dict(HW_MACHINES),
-        seq_spec=spec,
+        seq_spec=SeqSpec(
+            name="hw-queue-seq",
+            methods={m: sequential_relation(mm) for m, mm in HW_MACHINES.items()},
+            initial_states=(from_contents(()),),
+            # the model's size is part of its state domain; ``hw_is_state`` is not
+            is_state=lambda s: hw_is_state(s) and len(s.items) == n,
+            render_state=hw_render,
+            cells=HW_CELLS,
+            from_contents=from_contents,
+        ),
         invariant_ok=hw_is_state,
         # contents over the alphabet and null: every cell at or past ``back``
         # is null, an invariant of the algorithm's own executions (slots are
         # reserved before they are written)
         enumerate_states=lambda alpha: map(
-            spec.from_contents, specs.enumerate_sequences((NULL,) + tuple(alpha), n)),
+            from_contents, specs.enumerate_sequences((NULL,) + tuple(alpha), n)),
     )
 
 
@@ -367,10 +363,6 @@ def _ms_alloc(s: MSQueueState, v: Value) -> Optional[tuple[MSQueueState, int]]:
     return None
 
 
-def _ms_enq_start(arg: Value, s: MSQueueState) -> tuple:
-    return ((("alloc", arg), s),)
-
-
 def _ms_enq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
     tag = local[0]
     if tag == "alloc":
@@ -416,10 +408,6 @@ def _opt_node(i: Optional[int]) -> str:
     return "null" if i is None else f"n{i}"
 
 
-def _ms_deq_start(_: Value, s: MSQueueState) -> tuple:
-    return ((("read_head",), s),)
-
-
 def _ms_deq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
     tag = local[0]
     if tag == "read_head":
@@ -460,8 +448,8 @@ def _ms_deq_step(local: Any, s: MSQueueState) -> tuple[StepOutcome, ...]:
 
 
 MS_MACHINES = {
-    "Enqueue": MethodMachine(_ms_enq_start, _ms_enq_step),
-    "Dequeue": MethodMachine(_ms_deq_start, _ms_deq_step),
+    "Enqueue": _body("alloc", _ms_enq_step, takes_arg=True),
+    "Dequeue": _body("read_head", _ms_deq_step),
 }
 
 
@@ -492,30 +480,27 @@ def enumerate_ms_states(
             yield _ms_list(values, p)
 
 
-def ms_seq_spec(p: int = 4) -> SeqSpec:
+def ms_model(p: int = 4) -> ObjectModel:
+    if p < 2:
+        raise ValueError("node pool must hold the dummy plus one node")
+
     def from_contents(vs: tuple[Value, ...]) -> MSQueueState:
         if len(vs) + 1 > p:
             raise ValueError(f"pool of {p} nodes cannot hold {len(vs)} values")
         return _ms_list((NULL,) + vs, p)
 
-    return SeqSpec(
-        name="ms-queue-seq",
-        methods={m: sequential_relation(mm) for m, mm in MS_MACHINES.items()},
-        initial_states=(from_contents(()),),
-        is_state=lambda s: ms_well_formed(s) and len(s.nodes) == p,
-        state_key=ms_state_key,
-        render_state=ms_render,
-        from_contents=from_contents,
-    )
-
-
-def ms_model(p: int = 4) -> ObjectModel:
-    if p < 2:
-        raise ValueError("node pool must hold the dummy plus one node")
     return ObjectModel(
         name="ms-queue",
         methods=dict(MS_MACHINES),
-        seq_spec=ms_seq_spec(p),
+        seq_spec=SeqSpec(
+            name="ms-queue-seq",
+            methods={m: sequential_relation(mm) for m, mm in MS_MACHINES.items()},
+            initial_states=(from_contents(()),),
+            is_state=lambda s: ms_well_formed(s) and len(s.nodes) == p,
+            state_key=ms_state_key,
+            render_state=ms_render,
+            from_contents=from_contents,
+        ),
         invariant_ok=ms_invariant_ok,
         enumerate_states=lambda alpha: enumerate_ms_states(p, alpha),
     )
@@ -528,19 +513,11 @@ def ms_model(p: int = 4) -> ObjectModel:
 
 # coarse state: (capacity, contents-tuple); capacity rides along because the
 # machines are shared by every capacity
-def _coarse_enq_start(arg: Value, s: tuple) -> tuple:
-    return ((("do", arg), s),)
-
-
 def _coarse_enq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
     _, v = local
     if len(s[-1]) >= s[0]:
         return (StepOutcome("enqueue: full", local, s, abort=True),)
     return (StepOutcome(f"enqueue({render_value(v)})", Done(UNIT), s[:-1] + (s[-1] + (v,),)),)
-
-
-def _coarse_deq_start(_: Value, s: tuple) -> tuple:
-    return ((("do",), s),)
 
 
 def _coarse_deq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
@@ -551,8 +528,8 @@ def _coarse_deq_step(local: Any, s: tuple) -> tuple[StepOutcome, ...]:
 
 
 COARSE_MACHINES = {
-    "Enqueue": MethodMachine(_coarse_enq_start, _coarse_enq_step),
-    "Dequeue": MethodMachine(_coarse_deq_start, _coarse_deq_step),
+    "Enqueue": _body("do", _coarse_enq_step, takes_arg=True),
+    "Dequeue": _body("do", _coarse_deq_step),
 }
 
 
@@ -560,34 +537,30 @@ def _coarse_render(s: tuple) -> str:
     return "queue=<" + ",".join(render_value(v) for v in s[-1]) + ">"
 
 
-def coarse_seq_spec(cap: int = 4) -> SeqSpec:
+def coarse_queue_model(cap: int = 4) -> ObjectModel:
+    if cap < 0:
+        raise ValueError("queue capacity C must be >= 0")
+
     def from_contents(vs: tuple[Value, ...]) -> tuple:
         if len(vs) > cap:
             raise ValueError(f"queue capacity {cap} cannot hold {len(vs)} values")
         return (cap, vs)
 
-    return SeqSpec(
-        name="coarse-queue-seq",
-        methods={m: sequential_relation(mm) for m, mm in COARSE_MACHINES.items()},
-        initial_states=((cap, ()),),
-        is_state=lambda s: (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)
-                            and s[0] == cap and isinstance(s[1], tuple) and len(s[1]) <= cap),
-        render_state=_coarse_render,
-        from_contents=from_contents,
-    )
-
-
-def coarse_queue_model(cap: int = 4) -> ObjectModel:
-    if cap < 0:
-        raise ValueError("queue capacity C must be >= 0")
-    spec = coarse_seq_spec(cap)
     return ObjectModel(
         name="coarse-queue",
         methods=dict(COARSE_MACHINES),
-        seq_spec=spec,
+        seq_spec=SeqSpec(
+            name="coarse-queue-seq",
+            methods={m: sequential_relation(mm) for m, mm in COARSE_MACHINES.items()},
+            initial_states=((cap, ()),),
+            is_state=lambda s: (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)
+                                and s[0] == cap and isinstance(s[1], tuple) and len(s[1]) <= cap),
+            render_state=_coarse_render,
+            from_contents=from_contents,
+        ),
         invariant_ok=lambda s: len(s[-1]) <= cap,
         enumerate_states=lambda alpha: map(
-            spec.from_contents, specs.enumerate_sequences(tuple(alpha), cap)),
+            from_contents, specs.enumerate_sequences(tuple(alpha), cap)),
     )
 
 
@@ -675,9 +648,10 @@ def parse_model_ref(ref: str) -> ObjectModel:
     return factory() if size is None else factory(size)
 
 
-specs.register_spec("hw-queue-seq", hw_seq_spec)
-specs.register_spec("ms-queue-seq", ms_seq_spec)
-specs.register_spec("coarse-queue-seq", coarse_seq_spec)
+# each model's spec, at the model's default size
+specs.register_spec("hw-queue-seq", lambda: hw_model().seq_spec)
+specs.register_spec("ms-queue-seq", lambda: ms_model().seq_spec)
+specs.register_spec("coarse-queue-seq", lambda: coarse_queue_model().seq_spec)
 specs.register_af("af-queue", af_queue)
 specs.register_af("af-multiset", af_multiset)
 specs.register_af("af-pseudo", af_pseudo)

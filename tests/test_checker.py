@@ -329,6 +329,9 @@ def test_bijection_check_agrees_with_canonical_on_samples():
     h = fig3_history()
     for cand in brute_force_linearizations(h):
         assert linearizes(h, cand) and linearizes_by_bijection(h, cand)
+    # a history over another thread set is none of them
+    one = history([inv(1, 1, "A", UNIT), ret(1, 1, UNIT)])
+    assert not linearizes_by_bijection(one, history([inv(2, 1, "A", UNIT), ret(2, 1, UNIT)]))
 
 
 def test_oracle_size_guard():

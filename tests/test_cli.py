@@ -483,6 +483,8 @@ def test_stray_program_character_is_usage_error(command, tmp_path, capsys):
                  "error: line 1: expected identifier, got 'unit'\n", id="reserved-name"),
     pytest.param("thread { set x = 05 }",
                  "error: line 1: bad value token: '05'\n", id="integer-shaped-literal"),
+    pytest.param("thread { set x = while }",
+                 "error: line 1: expected expression, got 'while'\n", id="keyword-expression"),
 ])
 def test_unparsable_program_is_usage_error(text, message, tmp_path, capsys):
     f = tmp_path / "prog.txt"
@@ -686,6 +688,10 @@ def test_explore_with_seeded_contents(program_file, tmp_path, capsys):
          "--init", "'a'", "--mode", "strict"]
     ) == EXIT_OK
     assert "y='a'" in capsys.readouterr().out
+    # a comma between a symbol's quotes is part of the symbol
+    assert main(["explore", "--program", str(f), "--model", "coarse-queue",
+                 "--init", "'a,b' , 'c'"]) == EXIT_OK
+    assert "  client: y='a,b' | object: queue=<'c'>\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["explore", "compare"])

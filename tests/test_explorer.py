@@ -251,8 +251,8 @@ def test_fine_grained_graph_shape_is_pinned(prog, model, configs, transitions):
 @pytest.mark.parametrize(
     "prog,spec,configs,transitions",
     [
-        (reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_seq_spec(4), 32, 54),
-        (reproductions.MS_TWO_BY_TWO, models.ms_seq_spec(4), 60, 92),
+        (reproductions.TWO_ENQUEUES_ONE_DEQUEUE, models.hw_model(4).seq_spec, 32, 54),
+        (reproductions.MS_TWO_BY_TWO, models.ms_model(4).seq_spec, 60, 92),
     ],
     ids=["fig2-hw", "ms-2x2"],
 )
@@ -332,6 +332,16 @@ def test_direct_cell_write_is_the_declared_exception():
     ((events, t),) = ex.edges[0]
     assert all(e.is_client for e in events)
     assert ex.config(t).sid != ex.config(0).sid
+
+
+@pytest.mark.parametrize("text,event", [
+    ("thread { set y = z + 1 }", "t=1 act error: unbound client variable 'z'"),
+    ("thread { set z = 'a' ; set y = z + 1 }", "t=1 act error: arithmetic on non-integer 'z'"),
+], ids=["unbound", "non-integer"])
+def test_arithmetic_abort_names_its_cause(text, event):
+    ex = explore(parse_program(text), models.coarse_queue_model())
+    assert [e.render() for trs in ex.edges for events, t in trs if t is None
+            for e in events] == [event]
 
 
 def test_cell_write_out_of_range_aborts():
@@ -430,7 +440,7 @@ def test_initial_state_must_be_well_formed():
     # well-formed, but built for another size
     (models.coarse_queue_model(2), (4, ())),
     (models.hw_model(4), models.HWQueueState(1, (NULL,))),
-    (models.ms_model(3), models.ms_seq_spec(4).initial_states[0]),
+    (models.ms_model(3), models.ms_model(4).seq_spec.initial_states[0]),
 ], ids=["hw", "ms", "coarse", "coarse-str", "coarse-empty", "coarse-cap-only", "coarse-str-only",
         "coarse-other-capacity", "hw-other-bound", "ms-other-pool"])
 def test_start_state_outside_spec_domain_is_rejected(model, start):
@@ -444,7 +454,7 @@ def test_start_state_outside_spec_domain_is_rejected(model, start):
 def test_start_state_is_checked_against_the_spec_that_owns_it():
     # an array state is outside the queue ADT's domain, on either entry
     p = parse_program("thread { call y = Q.Dequeue() }")
-    start = models.hw_seq_spec(4).seed_state(("a",))
+    start = models.hw_model(4).seq_spec.seed_state(("a",))
     with pytest.raises(ValueError, match="adt-queue: initial state not well-formed"):
         run_atomic(p, queue_adt(), init_obj=start)
     with pytest.raises(ValueError, match="adt-queue: initial state not well-formed"):

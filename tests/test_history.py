@@ -413,6 +413,7 @@ def test_linearizes_requires_equal_projections():
     h = history([inv(1, 1, "A", UNIT), ret(1, 1, UNIT)])
     other = history([inv(1, 1, "A", "x"), ret(1, 1, UNIT)])
     assert not linearizes(h, other)
+    assert not linearizes(h, history([inv(2, 1, "A", UNIT), ret(2, 1, UNIT)]))
 
 
 @given(_histories())

@@ -71,6 +71,11 @@ def test_pseudo_queue_blocks_on_empty():
 def test_unknown_method():
     with pytest.raises(UnknownMethodError):
         apply(queue_adt(), "Pop", (), UNIT)
+    # an abstract method the renaming does not reach
+    spec = specs.get_spec("coarse-queue-seq")
+    with pytest.raises(UnknownMethodError, match="^renaming: unknown abstract method 'Add'$"):
+        is_sequential_implementation(spec, multiset_adt(), AbstractionFunction(
+            "contents", lambda s: s[-1]), RF_ID, spec.initial_states)
 
 
 def test_apply_respects_state_domain():
@@ -173,7 +178,7 @@ def test_broken_queue_spec_yields_counterexample():
                 return [(dataclasses.replace(s, items=tuple(items)), s.items[i - 1])]
         return []
 
-    broken = models.hw_seq_spec(4)
+    broken = models.hw_model(4).seq_spec
     broken.methods = dict(broken.methods, Dequeue=last_out_dequeue)
     states = list(models.hw_model(4).enumerate_states(("a", "b")))
     v = is_sequential_implementation(
