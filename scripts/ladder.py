@@ -29,9 +29,9 @@ layer.
 
 For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
-finished (configurations, transitions, truncated frontier, SCC count and
-largest SCC, histories, recorded executions, distinct search problems the
-check searched), the wall seconds of each finished layer, the comparison's
+finished (configurations, transitions, truncated frontier, rule runs, the
+entries of the move table, SCC count and largest SCC, histories, recorded
+executions, distinct search problems the check searched), the wall seconds of each finished layer, the comparison's
 verdict as ``explorer.compare`` gives it (``compare_verdict``), the check's
 verdict as ``checker.check_exploration`` rules it (``pass``, ``fail``, or
 ``inconclusive`` when the measured tree's ``explorer.incomplete`` finds the
@@ -109,7 +109,7 @@ def run_rung(index: int) -> None:
     try:
         ex = layer("build", lambda: explorer.explore(prog, model), lambda ex: {
             "configs": len(ex.order), "transitions": ex.transitions_explored,
-            "truncated": len(ex.truncated)})
+            "truncated": len(ex.truncated), "rule_runs": len(ex.moves)})
         layer("scc", ex.scc_info, lambda info: {
             "sccs": len(info["comps"]), "largest_scc": max(map(len, info["comps"]))},
             lambda: setattr(ex, "_scc", None))

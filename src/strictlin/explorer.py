@@ -7,9 +7,9 @@ or the atomic version of a sequential specification that
 transition.  It explores *all* schedules of enabled atomic transitions.
 
 Before any step, every thread of every phase is compiled into one flat code
-table whose entries are ``(rule, statement, next pc, taken pc)``, so a
-thread is one integer program counter, one register and its count of
-operations started.  Each pc is one kind of step, named by its rule: a
+table whose entries are ``(rule, statement, next pc, taken pc,
+footprint)``, so a thread is one integer program counter, one register and
+its count of operations started.  Each pc is one kind of step, named by its rule: a
 client statement takes one entry, and a call takes consecutive entries for
 its argument, its invocation, its body steps and return, and the assignment
 of its result when it has a target.  A ``while`` or ``if`` moves to its
@@ -26,17 +26,22 @@ a register, a binding or an object state (the recursive indexing of SPIN's
 collapse compression).  The tables are shared with no other exploration,
 and :meth:`Exploration.config` decodes a configuration's key into a
 :class:`Config` named tuple for the few readers that need its fields.  A
-thread's step reads only the thread, the client's bindings and the object
-state, so the one memo, a move table, runs each rule once per distinct
-``(thread id, thread-state id, bindings id, state id)``, and with it the
-model's machine (the atomic version of a spec runs its spec relation in
-``start``).  The table stores each move's target as a delta, the target's
-fields minus the source's; a thread's id fixes its field, so the delta
-depends on the table key alone, and in :meth:`Exploration.build`, the one
-successor loop, a successor is a table lookup per running thread and one
-addition per move.  Events are interned too, one object per distinct event.
-The code table holds plain functions, not bound methods, so no reference
-cycle keeps an exploration alive.
+thread's step reads only the thread and what its rule's footprint names of
+the key's context, the client's bindings and the object state: the object
+rules (a call's invocation and body steps, and so the model's machine) read
+the state alone, the client rules the bindings alone, and only a direct
+cell access reads both.  Each code-table entry carries that footprint, so
+the one memo, a move table, runs each rule once per distinct ``(thread id,
+thread-state id, context & footprint)``, and with it the model's machine
+(the atomic version of a spec runs its spec relation in ``start``).  The
+table stores each move's target as a delta, the target's fields minus the
+source's; a thread's id fixes its field, and a rule passes a field it does
+not read through, its delta 0 there, so the delta depends on the table key
+alone, and in :meth:`Exploration.build`, the one successor loop, a
+successor is a table lookup per running thread and one addition per move.
+Events are interned too, one object per distinct event.  The code table
+holds plain functions, not bound methods, so no reference cycle keeps an
+exploration alive.
 
 The state space is built once as a configuration graph.  Building it gives
 each configuration a dense integer id on first sight (the initial one is 0),
@@ -110,6 +115,8 @@ from .values import UNIT, Value, render_value
 
 MAX_OPS_PER_THREAD = 99
 _FIELD_BITS = 32  # the width of each field of a configuration key
+# a rule's footprint, the fields of a key's context it reads: a set of flags
+_BINDINGS, _STATE = 1, 2
 
 
 class Kind(enum.Enum):
@@ -220,6 +227,13 @@ def _number(ids: dict, items: list, x: Any, what: str) -> int:
     return i
 
 
+def _context_mask(reads: int) -> int:
+    """The mask of the fields of a context that footprint ``reads`` names:
+    the bindings id in the lowest ``_FIELD_BITS`` bits, the state id above."""
+    field = (1 << _FIELD_BITS) - 1
+    return (field if reads & _BINDINGS else 0) | (field << _FIELD_BITS if reads & _STATE else 0)
+
+
 def _cellname(cell: tuple) -> str:
     return cell[0] if len(cell) == 1 else f"{cell[0]}[{cell[1]}]"
 
@@ -242,20 +256,23 @@ class Exploration:
     Object states, thread states and client bindings are each numbered by
     equality on first sight: ``states[sid]`` is the object state with id
     ``sid``, the start state being 0, ``thread_states[t]`` the thread state
-    with id ``t`` and ``bindings[b]`` the bindings with id ``b``;
-    ``finished`` holds the ids of thread states whose thread is done.  A
+    with id ``t`` and ``bindings[b]`` the bindings with id ``b``.  A
     configuration is an int key of ``_FIELD_BITS``-bit fields: the phase in
     the lowest, then the bindings id, ``sid`` and one thread-state id per
-    thread of the phase.  ``slots[phase]`` pairs each thread's id with the
-    shift of its field (``shift`` maps a thread id to it), ``starts[phase]``
-    is the key of the phase's start with its bindings and state fields 0,
-    and ``initial`` the initial key.  A thread's rule, and the machine call
-    it makes, runs once per distinct input: ``moves`` maps ``(tid,
-    thread-state id, bindings id, sid)`` to the thread's moves in rule
-    order, as ``(events, delta)`` pairs, the delta being the target key
-    minus the source key, or None for a runtime error or an abort.  Events
-    are interned, so one graph holds one :class:`Event` per distinct
-    ``(thread, operation, label)``.
+    thread of the phase; its context is the bindings and state fields as
+    one int, the bindings id lowest.  ``slots[phase]`` pairs each thread's
+    id with the shift of its field (``shift`` maps a thread id to it),
+    ``starts[phase]`` is the key of the phase's start with its bindings and
+    state fields 0, and ``initial`` the initial key.  ``reads[t]`` is the
+    footprint of thread state ``t``'s rule, fixed from its code-table entry
+    (``_BINDINGS``, ``_STATE`` or both) as ``t`` is numbered: the mask of
+    the context's fields the rule reads, or None for a finished thread.  A
+    thread's rule, and the machine call it makes, runs once per distinct
+    input it reads: ``moves`` maps ``(tid, thread-state id, context &
+    reads[t])`` to the thread's moves in rule order, as ``(events, delta)``
+    pairs, the delta being the target key minus the source key, or None
+    for a runtime error or an abort.  Events are interned, so one graph
+    holds one :class:`Event` per distinct ``(thread, operation, label)``.
 
     :meth:`build` numbers each configuration once, on first sight, so the
     initial configuration is 0 and ids are dense: ``order`` maps a key to
@@ -283,12 +300,12 @@ class Exploration:
         self._sids: dict[Any, int] = {}
         self.thread_states: list[ThreadState] = []
         self._tids: dict[ThreadState, int] = {}
-        self.finished: set[int] = set()
+        self.reads: list[Optional[int]] = []
         self.bindings: list[tuple] = []
         self._bids: dict[tuple, int] = {}
         self.moves: dict[tuple, tuple[tuple, ...]] = {}
         self._events: dict[tuple, Event] = {}
-        self.code: list[tuple] = []  # (rule, statement, next pc, taken pc)
+        self.code: list[tuple] = []  # (rule, statement, next pc, taken pc, footprint)
         self._pcs: dict[tuple, int] = {}
         # per phase, the entry pc of each thread and the id of its first thread
         self.entries = [
@@ -361,10 +378,10 @@ class Exploration:
                 # a returning call goes on to its assignment, if any
                 after = pc + 3 if s.target else nxt
                 self.code[pc : pc + _width(s)] = [
-                    (Exploration._call_arg, s, pc + 1, None),
-                    (Exploration._invoke, s, pc + 2, after),
-                    (Exploration._body, s, after, None),
-                ] + [(Exploration._assign_result, s, nxt, None)] * bool(s.target)
+                    (Exploration._call_arg, s, pc + 1, None, _BINDINGS),
+                    (Exploration._invoke, s, pc + 2, after, _STATE),
+                    (Exploration._body, s, after, None, _STATE),
+                ] + [(Exploration._assign_result, s, nxt, None, _BINDINGS)] * bool(s.target)
                 continue
             if isinstance(s, (ReadCellStmt, WriteCellStmt)) and model.seq_spec.cells is None:
                 raise ValueError(f"{model.name} exposes no cells; the program reads or writes one")
@@ -373,7 +390,8 @@ class Exploration:
                 taken = self._compile(s.body, pc)
             elif isinstance(s, IfStmt):
                 taken, nxt = self._compile(s.then, nxt), self._compile(s.els, nxt)
-            self.code[pc] = (_RULES[type(s)], s, nxt, taken)
+            rule, reads = _RULES[type(s)]
+            self.code[pc] = (rule, s, nxt, taken, reads)
         return base
 
     # -- the numbering and event tables -------------------------------------
@@ -383,10 +401,11 @@ class Exploration:
         return _number(self._sids, self.states, s, "object states")
 
     def thread_id(self, t: ThreadState) -> int:
-        """The id of thread state ``t``, numbering it on first sight."""
+        """The id of thread state ``t``, numbering it on first sight, when
+        its footprint is fixed from its code-table entry."""
         i = _number(self._tids, self.thread_states, t, "thread states")
-        if t.pc == DONE:
-            self.finished.add(i)
+        if i == len(self.reads):
+            self.reads.append(None if t.pc == DONE else _context_mask(self.code[t.pc][4]))
         return i
 
     def binding_id(self, client: tuple) -> int:
@@ -412,18 +431,20 @@ class Exploration:
 
     # -- transitions --------------------------------------------------------
 
-    def _numbered_moves(self, tid: int, t: int, bid: int, sid: int) -> tuple:
-        """The moves of thread ``tid`` from thread-state id ``t`` under
-        bindings id ``bid`` and object state ``sid``, as :meth:`thread_moves`
-        gives them, each target numbered and stored as a delta: the target's
-        thread-state, bindings and state ids minus these, each at its field's
-        shift, so that a source key plus the delta is the target's key."""
+    def _numbered_moves(self, tid: int, t: int, ctx: int) -> tuple:
+        """The moves of thread ``tid`` from thread-state id ``t`` in context
+        ``ctx``, the bindings id in its lowest field and the state id above,
+        as :meth:`thread_moves` gives them, each target numbered and stored
+        as a delta: the target's thread-state id and context minus these,
+        each at its field's shift, so that a source key plus the delta is
+        the target's key.  A rule passes a field outside its footprint
+        through, so the delta is 0 there."""
+        bid, sid = ctx & (1 << _FIELD_BITS) - 1, ctx >> _FIELD_BITS
         shift, out = self.shift[tid], []
         for events, to in self.thread_moves(tid, self.thread_states[t], self.bindings[bid], sid):
             if to is not None:
                 to = (((self.thread_id(to[0]) - t) << shift)
-                      + ((self.binding_id(to[1]) - bid) << _FIELD_BITS)
-                      + ((to[2] - sid) << 2 * _FIELD_BITS))
+                      + (((self.binding_id(to[1]) | to[2] << _FIELD_BITS) - ctx) << _FIELD_BITS))
             out.append((events, to))
         return tuple(out)
 
@@ -432,7 +453,7 @@ class Exploration:
         state ``sid``: the step of the rule its pc names, as ``(events,
         (thread state, client, sid))`` pairs; a client statement that cannot
         evaluate aborts, its target None."""
-        rule, s, nxt, taken = self.code[t.pc]
+        rule, s, nxt, taken, _ = self.code[t.pc]
         try:
             return tuple(rule(self, tid, t, client, sid, s, nxt, taken))
         except (EvalError, CellError) as exc:
@@ -447,7 +468,9 @@ class Exploration:
 
     # Rules: each returns the moves of thread ``tid`` from ``t``, under
     # bindings ``client`` and object state ``sid``, at an entry ``(rule,
-    # statement, next pc, taken pc)`` of the code table.
+    # statement, next pc, taken pc, footprint)`` of the code table.  A rule
+    # reads the bindings or the state only when its footprint holds that
+    # field, and passes a field it does not read through unchanged.
 
     def _assign(self, tid: int, t: ThreadState, client: tuple, sid: int, s, nxt: int, _):
         v = _eval(s.expr, dict(client))
@@ -531,46 +554,50 @@ class Exploration:
 
     def build(self) -> "Exploration":
         """Number every reachable configuration and store its edges.  A
-        running thread's moves come from the move table, each target being
-        the source key plus the move's delta; when every thread has
-        finished, a phase before the last goes on to the next one with the
-        bindings and the object state kept."""
+        running thread's moves come from the move table, keyed by the
+        thread, its state and the part of the key's context its rule reads,
+        each target being the source key plus the move's delta; when every
+        thread has finished, a phase before the last goes on to the next one
+        with the bindings and the object state kept."""
         order, configs, edges, todo = self.order, self.configs, self.edges, [0]
-        table, finished, slots, starts = self.moves, self.finished, self.slots, self.starts
+        table, reads, slots, starts = self.moves, self.reads, self.slots, self.starts
         bits = _FIELD_BITS
         mask = (1 << bits) - 1
-        kept = mask << bits | mask << 2 * bits  # the bindings and state fields
+        fields = (1 << 2 * bits) - 1  # a key's context, shifted down
+        kept = fields << bits
         last = len(starts) - 1
+        bound, explored, fresh = self.bound, 0, 1  # ``fresh``: the next id
         order[self.initial] = 0
         configs.append(self.initial)
         edges.append(())
         while todo:
             i = todo.pop()
-            if self.transitions_explored >= self.bound:
+            if explored >= bound:
                 self.truncated.add(i)
                 continue
             key = configs[i]
-            phase, bid, sid = key & mask, key >> bits & mask, key >> 2 * bits & mask
+            phase, ctx = key & mask, key >> bits & fields
             out = []
             running = False
             for tid, shift in slots[phase]:
                 t = key >> shift & mask
-                if t in finished:
+                r = reads[t]
+                if r is None:  # a finished thread
                     continue
                 running = True
-                mk = (tid, t, bid, sid)
+                mk = (tid, t, ctx & r)
                 moves = table.get(mk)
                 if moves is None:
-                    moves = table[mk] = self._numbered_moves(*mk)
+                    moves = table[mk] = self._numbered_moves(tid, t, ctx)
                 for events, delta in moves:
                     if delta is None:
                         self.has_abort = True
                         out.append((events, None))
                         continue
                     target = key + delta
-                    fresh = len(configs)
                     j = order.setdefault(target, fresh)  # the one hash of ``target``
                     if j == fresh:
+                        fresh += 1
                         configs.append(target)
                         edges.append(())
                         todo.append(j)
@@ -580,17 +607,18 @@ class Exploration:
                     self.terminal_done.add(i)
                     continue
                 target = key & kept | starts[phase + 1]
-                fresh = len(configs)
                 j = order.setdefault(target, fresh)
                 if j == fresh:
+                    fresh += 1
                     configs.append(target)
                     edges.append(())
                     todo.append(j)
                 out.append(((), j))
             elif not out:
                 self.terminal_livelock.add(i)
-            self.transitions_explored += len(out)
+            explored += len(out)
             edges[i] = tuple(out)
+        self.transitions_explored = explored
         return self
 
     # -- strongly connected components --------------------------------------
@@ -731,10 +759,13 @@ class Exploration:
         return res
 
 
-# the rule of each one-entry statement, a plain function of the exploration
+# the rule of each one-entry statement, a plain function of the exploration,
+# and its footprint
 _RULES = {
-    AssignStmt: Exploration._assign, AtomicStmt: Exploration._atomic, ReadCellStmt: Exploration._read_cell,
-    WriteCellStmt: Exploration._write_cell, WhileStmt: Exploration._branch, IfStmt: Exploration._branch,
+    AssignStmt: (Exploration._assign, _BINDINGS), AtomicStmt: (Exploration._atomic, _BINDINGS),
+    ReadCellStmt: (Exploration._read_cell, _BINDINGS | _STATE),
+    WriteCellStmt: (Exploration._write_cell, _BINDINGS | _STATE),
+    WhileStmt: (Exploration._branch, _BINDINGS), IfStmt: (Exploration._branch, _BINDINGS),
 }
 
 
@@ -1164,20 +1195,23 @@ def client_trace_diffs(ex_m: Exploration, ex_a: Exploration) -> tuple[bool, tupl
                 stack[-1][2] |= top[2]
     if not differs[root]:
         return True, (), ()
-    # the words that lead to a pair accepting on one side only
+    # the words that lead to a pair accepting on one side only, each
+    # rendered as the walk goes (as :func:`render_client_trace` renders a
+    # finite trace), every distinct event once
     only: tuple[list, list] = ([], [])
-    path: list[Event] = []
-    todo: list[tuple[int, Optional[Event], tuple[int, int]]] = [(0, None, root)]
+    names: dict[Event, str] = {}
+    todo: list[tuple[str, tuple[int, int]]] = [("", root)]
     while todo:
-        depth, e, (i, j) = todo.pop()
-        del path[depth:]
-        if e is not None:
-            path.append(e)
+        text, (i, j) = todo.pop()
         if m.accepts[i] != a.accepts[j]:
-            only[not m.accepts[i]].append((tuple(path), ()))
-        depth = len(path)
-        todo.extend([(depth, e, p) for e, p in _pair_moves(m, a, (i, j)) if differs[p]])
-    return False, _rendered(only[0]), _rendered(only[1])
+            only[not m.accepts[i]].append(text or "(empty)")
+        for e, p in _pair_moves(m, a, (i, j)):
+            if differs[p]:
+                name = names.get(e)
+                if name is None:
+                    name = names[e] = e.render()
+                todo.append((f"{text}; {name}" if text else name, p))
+    return False, tuple(sorted(only[0])), tuple(sorted(only[1]))
 
 
 def _rendered(traces: Iterable[tuple[tuple, tuple]]) -> tuple[str, ...]:

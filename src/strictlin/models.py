@@ -29,12 +29,13 @@ is a runtime error.  The linked model draws nodes from a bounded pool of
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 from . import specs
 from .specs import AbstractionFunction, CellAccess, CellError, SeqSpec
-from .values import EMPTY, NULL, UNIT, Value, parse_int, render_value, value_key
+from .values import EMPTY, NULL, SPECIALS, UNIT, Value, parse_int, render_value, value_key
 
 # ---------------------------------------------------------------------------
 # Step-machine plumbing
@@ -130,10 +131,18 @@ def atomic_model(spec: SeqSpec) -> ObjectModel:
     return ObjectModel(spec.name, {m: machine(m) for m in spec.methods}, spec, spec.is_state)
 
 
+# a symbol that reads as a name, neither another value nor more cells
+_BARE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _cell_render(v: Value) -> str:
+    """One cell of an array or list rendering: ``·`` for NULL, a symbol
+    bare when its text reads as a name that names no reserved constant, and
+    any other value, a symbol holding a comma included, as
+    :func:`render_value` writes it."""
     if v is NULL:
         return "·"
-    if isinstance(v, str):
+    if isinstance(v, str) and _BARE.fullmatch(v) and v not in SPECIALS:
         return v
     return render_value(v)
 

@@ -6,7 +6,8 @@
 of the move table, none of the numbering of thread states and bindings and
 none of the integer keys and stored deltas that ``Exploration.build`` steps
 by; it shares only the transition rules with the explorer.  The move table is guarded by
-``tests/test_explorer.py``: every entry equals a fresh run of its rule, and
+``tests/test_explorer.py``: every entry equals a fresh run of its rule, run
+again under every input outside its footprint it gives the same moves, and
 each entry's rule runs once.
 :func:`enumerate_executions_naive` replaces the configuration graph by a walk
 over every schedule, stepping with :func:`config_successors`.

@@ -877,8 +877,8 @@ def _ladder_cases(monkeypatch) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The move table: each thread's step once per (thread, its state, bindings,
-# object state)
+# The move table: each thread's step once per (thread, its state, the part
+# of the bindings and object state its rule reads)
 # ---------------------------------------------------------------------------
 
 # runtime errors of both kinds, stored as moves: an unbound variable, a cell
@@ -917,7 +917,11 @@ def test_move_table_entries_equal_fresh_rule_runs(monkeypatch):
             fresh = explorer.Exploration(prog, ex.model, ex.initial_object, explorer.DEFAULT_BOUND)
             assert fresh.code == ex.code and not fresh.moves
             threads, bindings = ex.thread_states, ex.bindings
-            for (tid, t, b, sid), moves in ex.moves.items():
+            for (tid, t, ctx), moves in ex.moves.items():
+                # a key holds only the fields its rule reads; an unread one
+                # is 0, the id of the empty bindings or of the start state
+                assert ctx & ~ex.reads[t] == 0
+                b, sid = ctx & (1 << explorer._FIELD_BITS) - 1, ctx >> explorer._FIELD_BITS
                 got = fresh.thread_moves(tid, threads[t], bindings[b], fresh.state_id(states[sid]))
                 # events compare by value, targets decoded from their deltas
                 # and compared by the object state itself
@@ -938,18 +942,48 @@ def test_each_thread_move_input_runs_its_rule_once(monkeypatch):
     for text, model in _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS:
         calls = collections.Counter()
 
-        def counted(rule):
+        def counted(rule, reads):
+            # the input a rule reads: its footprint, from its code-table entry
             def wrapped(ex, tid, t, client, sid, *entry):
-                calls[tid, t, client, sid] += 1
+                calls[tid, t, client if reads & explorer._BINDINGS else None,
+                      sid if reads & explorer._STATE else None] += 1
                 return rule(ex, tid, t, client, sid, *entry)
             return wrapped
 
         ex = explorer.Exploration(parse_program(text), model, model.seq_spec.initial_states[0],
                                   explorer.DEFAULT_BOUND)
-        ex.code = [(counted(rule), *rest) for rule, *rest in ex.code]
+        ex.code = [(counted(rule, reads), *rest, reads) for rule, *rest, reads in ex.code]
         ex.build()
         assert set(calls.values()) == {1}
         assert len(calls) == len(ex.moves)
+
+
+def test_move_table_entries_hold_under_every_unread_input(monkeypatch):
+    # the footprint gate: an entry's rule, run again under every bindings id
+    # the exploration numbered when it does not read the bindings, and under
+    # every state id when it does not read the state, gives the same events
+    # and delta, and numbers nothing new
+    cases = _ladder_cases(monkeypatch) + SPIN_PROGRAMS + ERROR_PROGRAMS
+    cases += [(m.program, model) for m in mutants() for model in (m.model, m.shipped)]
+    bits, unread = explorer._FIELD_BITS, collections.Counter()
+    for text, model in cases:
+        for ex in explorer.explore_both(parse_program(text), model):
+            sizes = (len(ex.states), len(ex.thread_states), len(ex.bindings), len(ex._events))
+            for (tid, t, ctx), moves in ex.moves.items():
+                reads = ex.code[ex.thread_states[t].pc][4]
+                others = []
+                if not reads & explorer._BINDINGS:
+                    others += [ctx | b for b in range(1, len(ex.bindings))]
+                    unread["bindings"] += 1
+                if not reads & explorer._STATE:
+                    others += [ctx | sid << bits for sid in range(1, len(ex.states))]
+                    unread["state"] += 1
+                for other in others:
+                    assert ex._numbered_moves(tid, t, other) == moves
+            assert (len(ex.states), len(ex.thread_states), len(ex.bindings),
+                    len(ex._events)) == sizes
+    # entries of both kinds, client and object rules, were re-run
+    assert unread["bindings"] and unread["state"]
 
 
 def test_end_facts_are_recorded_by_id_as_the_graph_is_built(monkeypatch):

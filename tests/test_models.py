@@ -225,7 +225,7 @@ def test_hw_purely_blocking_from_reachable_configurations():
         for ts in cfg.threads:
             if ts.done:
                 continue
-            rule, stmt, _, _ = ex.code[ts.pc]
+            rule, stmt, *_ = ex.code[ts.pc]
             if rule is not explorer.Exploration._body or isinstance(ts.reg, Done):
                 continue
             machine = m.methods[stmt.method]
@@ -322,6 +322,23 @@ def test_integer_cell_renders_as_its_value():
     p = parse_program("thread { call Q.Enqueue(5) }")
     (line,) = explorer.final_states(explorer.explore(p, hw_model(4))).renderings
     assert line == "client: - | object: back=2 items=[5,·,·,·]"
+
+
+# a symbol holding a comma, or reading as another value, keeps its quotes,
+# so it reads as one cell
+@pytest.mark.parametrize("model, init, program, line", [
+    pytest.param(hw_model(4), ("a,b",), "thread { call Q.Enqueue('c') }",
+                 "client: - | object: back=3 items=['a,b',c,·,·]", id="hw-comma"),
+    pytest.param(ms_model(), ("a,b", "c"), "thread { call y = Q.Dequeue() ; call z = Q.Dequeue() }",
+                 "client: y='a,b' z='c' | object: head=n0 list=[n0:c] tail=n0 garbage=['a,b',·]",
+                 id="ms-comma"),
+    pytest.param(hw_model(4), ("null", "5", "x1"), "thread { call Q.Enqueue('c') }",
+                 "client: - | object: back=5 items=['null','5',x1,c]", id="hw-other-values"),
+])
+def test_symbol_cell_renders_bare_only_when_it_reads_as_one_symbol(model, init, program, line):
+    start = model.seq_spec.seed_state(init)
+    ex = explorer.explore(parse_program(program), model, init_obj=start)
+    assert explorer.final_states(ex).renderings == (line,)
 
 
 def _reference_samples(model, size, alphabet):
