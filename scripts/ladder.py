@@ -31,9 +31,10 @@ For each rung the file records its status (``ok``, ``oom``, ``timeout``, or
 ``error`` with the child's exit status), the counters of every layer that
 finished (configurations, transitions, truncated frontier, rule runs, the
 entries of the move table, SCC count and largest SCC, histories, recorded
-executions, distinct search problems the check searched), the wall seconds of each finished layer, the comparison's
-verdict as ``explorer.compare`` gives it (``compare_verdict``), the check's
-verdict as ``checker.check_exploration`` rules it (``pass``, ``fail``, or
+executions, distinct search problems the check searched), the wall seconds
+of each finished layer, the comparison's verdict as ``explorer.compare``
+gives it (``compare_verdict``), the check's verdict as
+``checker.check_exploration`` rules it (``pass``, ``fail``, or
 ``inconclusive`` when the measured tree's ``explorer.incomplete`` finds the
 exploration truncated or its outcome sets approximate, so ``--tree`` takes a
 checkout that has it, ``CheckReport.verdict`` and ``explorer.compare``) and

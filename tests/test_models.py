@@ -318,15 +318,11 @@ def test_ms_cyclic_or_escaping_list_is_keyed_and_rendered_as_malformed(state, li
     assert not ms_well_formed(state) and not models.ms_invariant_ok(state)
 
 
-def test_integer_cell_renders_as_its_value():
-    p = parse_program("thread { call Q.Enqueue(5) }")
-    (line,) = explorer.final_states(explorer.explore(p, hw_model(4))).renderings
-    assert line == "client: - | object: back=2 items=[5,·,·,·]"
-
-
-# a symbol holding a comma, or reading as another value, keeps its quotes,
-# so it reads as one cell
+# an integer cell renders as its value; a symbol holding a comma, or
+# reading as another value, keeps its quotes, so it reads as one cell
 @pytest.mark.parametrize("model, init, program, line", [
+    pytest.param(hw_model(4), (), "thread { call Q.Enqueue(5) }",
+                 "client: - | object: back=2 items=[5,·,·,·]", id="hw-integer"),
     pytest.param(hw_model(4), ("a,b",), "thread { call Q.Enqueue('c') }",
                  "client: - | object: back=3 items=['a,b',c,·,·]", id="hw-comma"),
     pytest.param(ms_model(), ("a,b", "c"), "thread { call y = Q.Dequeue() ; call z = Q.Dequeue() }",
@@ -335,7 +331,7 @@ def test_integer_cell_renders_as_its_value():
     pytest.param(hw_model(4), ("null", "5", "x1"), "thread { call Q.Enqueue('c') }",
                  "client: - | object: back=5 items=['null','5',x1,c]", id="hw-other-values"),
 ])
-def test_symbol_cell_renders_bare_only_when_it_reads_as_one_symbol(model, init, program, line):
+def test_cell_renders_as_one_value(model, init, program, line):
     start = model.seq_spec.seed_state(init)
     ex = explorer.explore(parse_program(program), model, init_obj=start)
     assert explorer.final_states(ex).renderings == (line,)
